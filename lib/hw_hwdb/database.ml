@@ -37,6 +37,21 @@ type trigger = {
 
 module Tracer = Hw_trace.Tracer
 
+(* One instrument's Metrics rows: the name/kind/stat cells are built once,
+   the rows again only when the instrument's version moves. *)
+type metric_rows = {
+  mr_instrument : Hw_metrics.Registry.instrument;
+  mr_metric : Value.t;
+  mr_kind : Value.t;
+  mr_stats : Value.t list;
+  mutable mr_version : float;
+  mutable mr_rows : Value.t array list;
+}
+
+(* One flight-recorded trace's Traces rows, rendered once: the spans of a
+   completed trace no longer change. *)
+type trace_rows = { tr_trace : Tracer.completed; tr_rows : Value.t array list }
+
 type t = {
   now : unit -> float;
   trace : Tracer.t;
@@ -62,6 +77,10 @@ type t = {
   (* durable tables' logs, in declaration order; flushed (group commit)
      at the top of every tick *)
   mutable wals : (string * Hw_wal.Wal.t) list;
+  (* the rendered Metrics and Traces exports, re-stamped every tick *)
+  mutable metric_rows : metric_rows list; (* registration order *)
+  mutable metrics_rendered : int; (* instruments in [metric_rows] *)
+  mutable trace_rows : trace_rows list; (* recorder order, oldest first *)
   metrics : Hw_metrics.Registry.t;
   m_inserts : Hw_metrics.Counter.t;
   m_insert_errors : Hw_metrics.Counter.t;
@@ -159,6 +178,9 @@ let create_empty ?(default_capacity = 4096) ?(metrics = Hw_metrics.Registry.defa
     next_trigger_id = 1;
     trigger_depth = 0;
     wals = [];
+    metric_rows = [];
+    metrics_rendered = 0;
+    trace_rows = [];
     metrics;
     m_inserts = counter ~help:"hwdb rows inserted" "hwdb_inserts_total";
     m_insert_errors = counter ~help:"hwdb inserts refused" "hwdb_insert_errors_total";
@@ -552,59 +574,126 @@ let unsubscribe t id =
 
 let subscription_count t = Hashtbl.length t.subs
 
-(* One row per (instrument, stat) into the Metrics ring, all stamped with
-   the same instant so [SELECT ... FROM Metrics [NOW]] reads one coherent
-   snapshot. Rows go through Table.insert directly: the export must not
-   count itself as database load. *)
+(* -- telemetry export ---------------------------------------------- *)
+
+(* Every tick the Metrics and Traces tables re-export the registry and the
+   flight recorder, each batch stamped with one instant so
+   [SELECT ... FROM Metrics|Traces [NOW]] reads one coherent dump. A row
+   is rendered and validated once and then re-stamped through
+   Table.append, so a tick costs one row record per exported row plus the
+   rendering of what changed since the last one. The export bypasses
+   [insert]: it must neither count as database load nor re-enter the
+   tracer. *)
+
+let checked_row tbl ~what values =
+  match Value.validate (Table.schema tbl) values with
+  | Ok () -> Some (Array.of_list values)
+  | Error msg ->
+      Log.warn (fun m -> m "%s refresh: %s" what msg);
+      None
+
+let read_metric tbl m =
+  m.mr_rows <-
+    List.filter_map (checked_row tbl ~what:"metrics")
+      (List.map2
+         (fun stat v -> [ m.mr_metric; m.mr_kind; stat; Value.Real v ])
+         m.mr_stats
+         (Hw_metrics.Snapshot.values m.mr_instrument))
+
+let render_metric tbl ((_, instrument) as entry) =
+  let sh = Hw_metrics.Snapshot.shape entry in
+  let m =
+    {
+      mr_instrument = instrument;
+      mr_metric = Value.Str sh.sh_metric;
+      mr_kind = Value.Str sh.sh_kind;
+      mr_stats = List.map (fun stat -> Value.Str stat) sh.sh_stats;
+      mr_version = Hw_metrics.Snapshot.version instrument;
+      mr_rows = [];
+    }
+  in
+  read_metric tbl m;
+  m
+
+let refresh_metric tbl m =
+  let v = Hw_metrics.Snapshot.version m.mr_instrument in
+  if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float m.mr_version)) then begin
+    m.mr_version <- v;
+    read_metric tbl m
+  end
+
+(* One row per (instrument, stat), in Snapshot.rows order. *)
 let refresh_metrics t =
   match table t "Metrics" with
   | None -> () (* create_empty databases opt out of the export *)
   | Some tbl ->
       let now = t.now () in
-      List.iter
-        (fun (r : Hw_metrics.Snapshot.row) ->
-          match
-            Table.insert tbl ~now
-              [ Value.Str r.metric; Value.Str r.kind; Value.Str r.stat; Value.Real r.value ]
-          with
-          | Ok () -> ()
-          | Error msg -> Log.warn (fun m -> m "metrics refresh: %s" msg))
-        (Hw_metrics.Snapshot.rows t.metrics)
+      let registered = Hw_metrics.Registry.size t.metrics in
+      if registered > t.metrics_rendered then begin
+        (* a registry only grows, at the end of its registration order *)
+        let fresh =
+          List.filteri
+            (fun i _ -> i >= t.metrics_rendered)
+            (Hw_metrics.Registry.instruments t.metrics)
+        in
+        t.metric_rows <- t.metric_rows @ List.map (render_metric tbl) fresh;
+        t.metrics_rendered <- registered
+      end;
+      (* read every instrument before appending any row: insert hooks may
+         move instruments, and the batch is one instant's snapshot *)
+      List.iter (refresh_metric tbl) t.metric_rows;
+      List.iter (fun m -> List.iter (Table.append tbl ~now) m.mr_rows) t.metric_rows
 
-(* Same discipline as refresh_metrics: one row per span of every trace
-   currently in the flight recorder, all stamped with the same instant so
-   [SELECT ... FROM Traces [NOW]] reads one coherent dump, and raw
-   Table.insert so the export neither counts as load nor re-enters the
-   tracer. *)
+let trace_row (c : Tracer.completed) (s : Tracer.span) =
+  [
+    Value.Int c.id;
+    Value.Int s.span_id;
+    Value.Int s.parent;
+    Value.Str s.name;
+    Value.Real s.start;
+    Value.Real s.duration;
+    Value.Str (Tracer.attrs_to_string s.attrs);
+    Value.Str (Option.value s.error ~default:"");
+  ]
+
+let render_trace tbl (c : Tracer.completed) =
+  {
+    tr_trace = c;
+    tr_rows =
+      List.filter_map
+        (fun s -> checked_row tbl ~what:"traces" (trace_row c s))
+        (Array.to_list c.spans);
+  }
+
+let rec drop_until c = function
+  | r :: _ as cached when r.tr_trace == c -> cached
+  | _ :: cached -> drop_until c cached
+  | [] -> []
+
+(* Walking the recorder oldest first, each kept trace is either the next
+   cached one (the recorder is FIFO) or one completed since the last
+   tick; cached traces passed over have left the recorder and are
+   forgotten. Traces match physically: a remote trace id may repeat. *)
+let[@tail_mod_cons] rec sync_traces tbl cached = function
+  | [] -> []
+  | c :: kept -> (
+      match drop_until c cached with
+      | r :: cached -> r :: sync_traces tbl cached kept
+      | [] ->
+          let r = render_trace tbl c in
+          r :: sync_traces tbl [] kept)
+
+(* One row per span of every trace in the flight recorder, oldest trace
+   first, so under ring pressure the newest traces' rows are the ones
+   that survive. *)
 let refresh_traces t =
   if Tracer.enabled t.trace then
     match table t "Traces" with
     | None -> ()
     | Some tbl ->
         let now = t.now () in
-        List.iter
-          (fun (c : Hw_trace.Tracer.completed) ->
-            Array.iter
-              (fun (s : Hw_trace.Tracer.span) ->
-                match
-                  Table.insert tbl ~now
-                    [
-                      Value.Int c.Hw_trace.Tracer.id;
-                      Value.Int s.Hw_trace.Tracer.span_id;
-                      Value.Int s.Hw_trace.Tracer.parent;
-                      Value.Str s.Hw_trace.Tracer.name;
-                      Value.Real s.Hw_trace.Tracer.start;
-                      Value.Real s.Hw_trace.Tracer.duration;
-                      Value.Str (Tracer.attrs_to_string s.Hw_trace.Tracer.attrs);
-                      Value.Str (Option.value s.Hw_trace.Tracer.error ~default:"");
-                    ]
-                with
-                | Ok () -> ()
-                | Error msg -> Log.warn (fun m -> m "traces refresh: %s" msg))
-              c.Hw_trace.Tracer.spans)
-          (* oldest first, so under ring pressure the newest traces'
-             rows are the ones that survive *)
-          (List.rev (Tracer.traces t.trace))
+        t.trace_rows <- sync_traces tbl t.trace_rows (List.rev (Tracer.traces t.trace));
+        List.iter (fun r -> List.iter (Table.append tbl ~now) r.tr_rows) t.trace_rows
 
 let tick t =
   Hw_metrics.Counter.incr t.m_ticks;

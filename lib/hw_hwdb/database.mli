@@ -19,7 +19,17 @@
       span_id, parent, span, start, dur, attrs, error), refreshed on every
       {!tick} when a tracer is attached — so [SELECT ... FROM Traces [NOW]]
       and [SUBSCRIBE ... FROM Traces] work over the UDP RPC like any other
-      stream. *)
+      stream.
+
+    Each tick appends the whole registry ([Hw_metrics.Snapshot.rows], in
+    order) to [Metrics] and every span of every kept trace (oldest trace
+    first) to [Traces], each batch stamped with one instant. The rows are
+    rendered once and re-stamped: a trace's rows on the first tick that
+    finds it in the recorder (they are forgotten once it leaves), an
+    instrument's name/kind/stat cells on the first tick that finds it
+    registered, and its rows again only when its value — for a
+    histogram, its count — changes. The exported rows are exactly those
+    a full re-render would write. *)
 
 type t
 
@@ -186,6 +196,10 @@ val leases_schema : Value.schema
 val policies_schema : Value.schema
 val metrics_schema : Value.schema
 val traces_schema : Value.schema
+
+val trace_row : Hw_trace.Tracer.completed -> Hw_trace.Tracer.span -> Value.t list
+(** The [Traces] row of one span of a completed trace, shared by the
+    tick export and [Hw_obs.Observer]. *)
 
 val record_flow :
   t -> proto:int -> src_ip:string -> dst_ip:string -> src_port:int -> dst_port:int ->

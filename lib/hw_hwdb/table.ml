@@ -39,13 +39,16 @@ let rec fire_triggers tuple = function
       fire_triggers tuple rest;
       hook.h_fn tuple
 
+let append t ~now values =
+  let tuple = { Value.ts = now; values } in
+  Ring.push t.ring tuple;
+  fire_triggers tuple t.triggers
+
 let insert t ~now values =
   match Value.validate t.schema values with
   | Error _ as e -> e
   | Ok () ->
-      let tuple = { Value.ts = now; values = Array.of_list values } in
-      Ring.push t.ring tuple;
-      fire_triggers tuple t.triggers;
+      append t ~now (Array.of_list values);
       Ok ()
 
 (* WAL replay: the row was validated when first inserted and nothing may

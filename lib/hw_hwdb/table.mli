@@ -33,6 +33,13 @@ val insert : t -> now:float -> Value.t list -> (unit, string) result
     Timestamps must be non-decreasing across inserts (the database clock
     is monotone), which is what lets window scans binary-search. *)
 
+val append : t -> now:float -> Value.t array -> unit
+(** {!insert} for a row already validated against this table's schema:
+    stamps it [now], evicts like {!insert} and fires the insert hooks
+    (views, triggers, the WAL). The array is stored, not copied, so a
+    caller may re-stamp one cached row every tick — and must never
+    mutate it afterwards. *)
+
 val restore : t -> Value.tuple -> unit
 (** WAL replay: append an already-validated row with its original
     timestamp, firing no triggers (in particular not the durability

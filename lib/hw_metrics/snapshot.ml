@@ -2,15 +2,19 @@ module Json = Hw_json.Json
 
 type row = { metric : string; kind : string; stat : string; value : float }
 
-let histogram_stats h =
+let histogram_stat_names = [ "count"; "sum"; "max"; "p50"; "p90"; "p99" ]
+
+let histogram_values h =
   [
-    ("count", float_of_int (Histogram.count h));
-    ("sum", Histogram.sum h);
-    ("max", Histogram.max_value h);
-    ("p50", Histogram.percentile h 50.);
-    ("p90", Histogram.percentile h 90.);
-    ("p99", Histogram.percentile h 99.);
+    float_of_int (Histogram.count h);
+    Histogram.sum h;
+    Histogram.max_value h;
+    Histogram.percentile h 50.;
+    Histogram.percentile h 90.;
+    Histogram.percentile h 99.;
   ]
+
+let histogram_stats h = List.combine histogram_stat_names (histogram_values h)
 
 (* The exposition format defines exactly three label-value escapes:
    backslash, double-quote and line feed. OCaml's %S is close but not
@@ -43,18 +47,36 @@ let label_str = function
           (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v)) labels)
       ^ "}"
 
+type shape = { sh_metric : string; sh_kind : string; sh_stats : string list }
+
+let shape (name, instrument) =
+  match instrument with
+  | Registry.Counter c ->
+      {
+        sh_metric = Counter.name c ^ label_str (Counter.labels c);
+        sh_kind = "counter";
+        sh_stats = [ "value" ];
+      }
+  | Registry.Gauge _ -> { sh_metric = name; sh_kind = "gauge"; sh_stats = [ "value" ] }
+  | Registry.Histogram _ ->
+      { sh_metric = name; sh_kind = "histogram"; sh_stats = histogram_stat_names }
+
+let values = function
+  | Registry.Counter c -> [ float_of_int (Counter.value c) ]
+  | Registry.Gauge g -> [ Gauge.value g ]
+  | Registry.Histogram h -> histogram_values h
+
+(* every histogram stat moves only on [observe], which bumps the count *)
+let version = function
+  | Registry.Counter c -> float_of_int (Counter.value c)
+  | Registry.Gauge g -> Gauge.value g
+  | Registry.Histogram h -> float_of_int (Histogram.count h)
+
 let rows reg =
   List.concat_map
-    (fun (metric, instrument) ->
-      match instrument with
-      | Registry.Counter c ->
-          let metric = Counter.name c ^ label_str (Counter.labels c) in
-          [ { metric; kind = "counter"; stat = "value"; value = float_of_int (Counter.value c) } ]
-      | Registry.Gauge g -> [ { metric; kind = "gauge"; stat = "value"; value = Gauge.value g } ]
-      | Registry.Histogram h ->
-          List.map
-            (fun (stat, value) -> { metric; kind = "histogram"; stat; value })
-            (histogram_stats h))
+    (fun ((_, instrument) as entry) ->
+      let { sh_metric = metric; sh_kind = kind; sh_stats } = shape entry in
+      List.map2 (fun stat value -> { metric; kind; stat; value }) sh_stats (values instrument))
     (Registry.instruments reg)
 
 let to_json reg =

@@ -11,7 +11,32 @@ type row = {
 }
 
 val rows : Registry.t -> row list
-(** Registration order; histograms contribute count/sum/max/p50/p90/p99. *)
+(** Registration order; histograms contribute count/sum/max/p50/p90/p99.
+    Each instrument's rows are its {!shape} zipped with its {!values}. *)
+
+(** {2 The row definition}
+
+    One instrument's rows split into the part fixed at registration and
+    the part read per export, so the hwdb [Metrics] export can build the
+    name/kind/stat cells once and re-read values only when {!version}
+    moves. *)
+
+type shape = {
+  sh_metric : string;  (** display name; a labeled counter carries its labels *)
+  sh_kind : string;
+  sh_stats : string list;  (** one row per stat, in this order *)
+}
+
+val shape : string * Registry.instrument -> shape
+(** For an entry of {!Registry.instruments}. *)
+
+val values : Registry.instrument -> float list
+(** Current value of each of the instrument's stats, in [sh_stats] order. *)
+
+val version : Registry.instrument -> float
+(** A reading that changes whenever {!values} may: a counter's or gauge's
+    value, a histogram's count. Equal versions (bit for bit) mean equal
+    values. *)
 
 val to_json : Registry.t -> Hw_json.Json.t
 (** [{"name": {"kind": "counter", "value": n}, ...,

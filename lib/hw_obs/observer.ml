@@ -172,8 +172,9 @@ let refresh_fleet_metrics t =
 (* Export the manager tracer's flight recorder into the Traces table,
    incrementally: trace ids are allocated monotonically, so everything
    newer than the high-water mark is new. (The router-side tick export
-   re-dumps the whole recorder; at fleet scale a 1k-span fleet.query
-   trace makes that unaffordable.) *)
+   re-stamps the whole recorder every tick, so [Traces [NOW]] is a full
+   dump; at fleet scale a 1k-span fleet.query trace makes that
+   unaffordable.) *)
 let export_traces t =
   let fresh =
     List.filter (fun (c : Tracer.completed) -> c.id > t.last_trace_exported)
@@ -184,20 +185,8 @@ let export_traces t =
     (fun (c : Tracer.completed) ->
       t.last_trace_exported <- max t.last_trace_exported c.id;
       Array.iter
-        (fun (s : Tracer.span) ->
-          match
-            Database.insert t.db ~table:"Traces"
-              [
-                Value.Int c.id;
-                Value.Int s.span_id;
-                Value.Int s.parent;
-                Value.Str s.name;
-                Value.Real s.start;
-                Value.Real s.duration;
-                Value.Str (Tracer.attrs_to_string s.attrs);
-                Value.Str (Option.value s.error ~default:"");
-              ]
-          with
+        (fun s ->
+          match Database.insert t.db ~table:"Traces" (Database.trace_row c s) with
           | Ok () -> ()
           | Error e -> Log.err (fun m -> m "Traces insert: %s" e))
         c.spans)

@@ -22,6 +22,15 @@ let upstream_port = 100
 let wired_port i = 10 + i
 let dns_forward_port = 5353
 
+(* Flow-stats baselines are keyed by the flow as installed: its priority
+   and match, the pair that identifies an OpenFlow 1.0 entry. *)
+module Flow_key = Hashtbl.Make (struct
+  type t = int * Ofp_match.t
+
+  let equal (p, m) (q, n) = p = q && Ofp_match.equal m n
+  let hash (p, m) = (Ofp_match.hash_match m * 31) + p
+end)
+
 (* Immutable configuration, hoisted out of the per-instance state so a
    fleet of thousands of identically-configured routers shares ONE
    record (and one derived lan_prefix, one ports list) instead of
@@ -55,7 +64,7 @@ type t = {
   mutable rpc_send : to_:string -> string -> unit;
   api : Hw_control_api.Router.t option ref;
   mac_table : (Mac.t, int) Hashtbl.t;
-  flow_snapshots : (string, int64 * int64) Hashtbl.t;
+  flow_snapshots : (int64 * int64) Flow_key.t; (* packets, bytes at the last sample *)
   policy_cache : (Mac.t, bool * string) Hashtbl.t; (* network_allowed, dns policy digest *)
   mutable transmit : port_no:int -> string -> unit;
   mutable blocked_flows : int;
@@ -104,6 +113,7 @@ let packet_ins t = Controller.packet_in_total t.ctrl
 let blocked_flow_count t = t.blocked_flows
 let nat_enabled t = t.cfg.nat <> None
 let nat_binding_count t = Hashtbl.length t.nat_by_cookie
+let flow_baseline_count t = Flow_key.length t.flow_snapshots
 let set_transmit t f = t.transmit <- f
 let receive_frame t ~in_port frame = Datapath.receive_frame t.dp ~in_port frame
 let receive_frames t frames = Datapath.receive_frames t.dp frames
@@ -199,6 +209,22 @@ let nat_key ~proto ~device_ip ~device_port ~remote_ip ~remote_port =
   Printf.sprintf "%d|%ld:%d|%ld:%d" proto (Ip.to_int32 device_ip) device_port
     (Ip.to_int32 remote_ip) remote_port
 
+(* the inbound half of a binding: remote -> wan_ip:wan_port, installed
+   without send_flow_rem (it dies with the outbound flow) *)
+let nat_inbound_priority = 0x9000
+
+let nat_inbound_match ~wan_ip b =
+  {
+    Ofp_match.wildcard_all with
+    Ofp_match.in_port = Some upstream_port;
+    dl_type = Some 0x0800;
+    nw_proto = Some b.nat_proto;
+    nw_src = Some (b.remote_ip, 32);
+    nw_dst = Some (wan_ip, 32);
+    tp_src = Some b.remote_port;
+    tp_dst = Some b.wan_port;
+  }
+
 let install_nat_flows t ~(ev : Controller.packet_in_event) fields wan_ip =
   let proto = fields.Ofp_match.f_nw_proto in
   let key =
@@ -248,21 +274,10 @@ let install_nat_flows t ~(ev : Controller.packet_in_event) fields wan_ip =
       with
       Ofp_message.fm_buffer_id = ev.Controller.pi.Ofp_message.buffer_id;
     };
-  (* inbound: remote -> wan_ip:wan_port, rewritten back to the device *)
-  let inbound_match =
-    {
-      Ofp_match.wildcard_all with
-      Ofp_match.in_port = Some upstream_port;
-      dl_type = Some 0x0800;
-      nw_proto = Some proto;
-      nw_src = Some (binding.remote_ip, 32);
-      nw_dst = Some (wan_ip, 32);
-      tp_src = Some binding.remote_port;
-      tp_dst = Some binding.wan_port;
-    }
-  in
+  (* inbound: rewritten back to the device *)
   Controller.install_flow ~cookie:binding.nat_cookie ~idle_timeout:t.cfg.flow_idle_timeout
-    ~priority:0x9000 t.conn inbound_match
+    ~priority:nat_inbound_priority t.conn
+    (nat_inbound_match ~wan_ip binding)
     [
       Ofp_action.Set_nw_dst binding.device_ip;
       Ofp_action.Set_tp_dst binding.device_port;
@@ -283,19 +298,13 @@ let drop_nat_binding t cookie =
       Hashtbl.remove t.nat_by_key
         (nat_key ~proto:b.nat_proto ~device_ip:b.device_ip ~device_port:b.device_port
            ~remote_ip:b.remote_ip ~remote_port:b.remote_port);
-      (* retire the paired inbound flow *)
+      (* retire the paired inbound flow and its measurement baseline: it
+         sends no flow-removed, so nothing else would forget it *)
       match t.cfg.nat with
       | Some wan_ip ->
-          Controller.send_flow_mod t.conn
-            (Ofp_message.delete_flow
-               {
-                 Ofp_match.wildcard_all with
-                 Ofp_match.in_port = Some upstream_port;
-                 nw_dst = Some (wan_ip, 32);
-                 tp_dst = Some b.wan_port;
-                 nw_proto = Some b.nat_proto;
-                 dl_type = Some 0x0800;
-               })
+          let inbound = nat_inbound_match ~wan_ip b in
+          Controller.send_flow_mod t.conn (Ofp_message.delete_flow inbound);
+          Flow_key.remove t.flow_snapshots (nat_inbound_priority, inbound)
       | None -> ()
 
 (* drop flows carry a reserved cookie so the measurement plane can skip
@@ -321,7 +330,13 @@ let handle_ip_admission t ~(ev : Controller.packet_in_event) fields =
   let dst_ip = fields.Ofp_match.f_nw_dst in
   let lease_db = Dhcp_server.lease_db t.dhcp in
   let from_router = Ip.equal src_ip (router_ip t) in
-  let src_leased = Hw_dhcp.Lease_db.lookup_ip lease_db src_ip <> None in
+  (* the lease must be the sender's own: a denied device whose old
+     address was re-leased must not ride on the new holder's lease *)
+  let src_leased =
+    match Hw_dhcp.Lease_db.lookup_ip lease_db src_ip with
+    | Some lease -> Mac.equal lease.Hw_dhcp.Lease_db.mac fields.Ofp_match.f_dl_src
+    | None -> false
+  in
   let from_upstream = fields.Ofp_match.f_in_port = upstream_port in
   if (not from_router) && (not from_upstream) && not src_leased then
     (* the DHCP module guarantees only leased devices speak IP *)
@@ -460,28 +475,28 @@ let record_flow_sample t (fs : Ofp_message.flow_stats) =
   else
   match m.Ofp_match.nw_src, m.Ofp_match.nw_dst, m.Ofp_match.nw_proto with
   | Some (src_ip, _), Some (dst_ip, _), Some proto when proto <> 0 ->
-      (* NAT: account inbound rewritten flows to the device, not the WAN
-         address, so Figure 1 keeps per-device attribution *)
-      let dst_ip, m =
-        match Hashtbl.find_opt t.nat_by_cookie fs.Ofp_message.fs_cookie with
-        | Some b when t.cfg.nat <> None && Ip.equal dst_ip (Option.get t.cfg.nat) ->
-            (b.device_ip, { m with Ofp_match.tp_dst = Some b.device_port })
-        | _ -> (dst_ip, m)
-      in
-      let key = Printf.sprintf "%d|%s" fs.Ofp_message.fs_priority (Ofp_match.to_string m) in
+      let key = (fs.Ofp_message.fs_priority, m) in
       let prev_p, prev_b =
-        Option.value (Hashtbl.find_opt t.flow_snapshots key) ~default:(0L, 0L)
+        Option.value (Flow_key.find_opt t.flow_snapshots key) ~default:(0L, 0L)
       in
       let dp = Int64.sub fs.Ofp_message.fs_packet_count prev_p in
       let db_ = Int64.sub fs.Ofp_message.fs_byte_count prev_b in
-      Hashtbl.replace t.flow_snapshots key
+      Flow_key.replace t.flow_snapshots key
         (fs.Ofp_message.fs_packet_count, fs.Ofp_message.fs_byte_count);
-      if Int64.compare dp 0L > 0 then
+      if Int64.compare dp 0L > 0 then begin
+        (* NAT: account inbound rewritten flows to the device, not the WAN
+           address, so Figure 1 keeps per-device attribution *)
+        let dst_ip, dst_port =
+          match Hashtbl.find_opt t.nat_by_cookie fs.Ofp_message.fs_cookie with
+          | Some b when t.cfg.nat <> None && Ip.equal dst_ip (Option.get t.cfg.nat) ->
+              (b.device_ip, b.device_port)
+          | _ -> (dst_ip, Option.value m.Ofp_match.tp_dst ~default:0)
+        in
         Database.record_flow t.database ~proto ~src_ip:(Ip.to_string src_ip)
           ~dst_ip:(Ip.to_string dst_ip)
           ~src_port:(Option.value m.Ofp_match.tp_src ~default:0)
-          ~dst_port:(Option.value m.Ofp_match.tp_dst ~default:0)
-          ~packets:(Int64.to_int dp) ~bytes:(Int64.to_int db_)
+          ~dst_port ~packets:(Int64.to_int dp) ~bytes:(Int64.to_int db_)
+      end
   | _ -> ()
 
 let poll_flow_stats t =
@@ -1023,7 +1038,7 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
       rpc_send = (fun ~to_:_ _ -> ());
       api = ref None;
       mac_table = Hashtbl.create 64;
-      flow_snapshots = Hashtbl.create 256;
+      flow_snapshots = Flow_key.create 256;
       policy_cache = Hashtbl.create 16;
       transmit = (fun ~port_no:_ _ -> ());
       blocked_flows = 0;
@@ -1067,11 +1082,7 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
           fs_actions = [];
         };
       (* and forget the snapshot so a re-installed identical flow starts clean *)
-      let key =
-        Printf.sprintf "%d|%s" fr.Ofp_message.fr_priority
-          (Ofp_match.to_string fr.Ofp_message.fr_match)
-      in
-      Hashtbl.remove t.flow_snapshots key);
+      Flow_key.remove t.flow_snapshots (fr.Ofp_message.fr_priority, fr.Ofp_message.fr_match));
   Controller.on_flow_removed ctrl ~name:"nat-gc" (fun _conn fr ->
       if not (Int64.equal fr.Ofp_message.fr_cookie 0L) then
         drop_nat_binding t fr.Ofp_message.fr_cookie);
@@ -1125,7 +1136,7 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
      survives into the new one. *)
   Controller.on_datapath_join ctrl ~name:"resync" (fun conn _features ->
       Controller.send_flow_mod conn (Ofp_message.delete_flow Ofp_match.wildcard_all);
-      Hashtbl.reset t.flow_snapshots);
+      Flow_key.reset t.flow_snapshots);
   let reconnect () =
     if Controller.connections ctrl = [] then begin
       (* the old framing buffer may have died on injected garbage *)

@@ -168,5 +168,11 @@ val packet_ins : t -> int
 val blocked_flow_count : t -> int
 val nat_enabled : t -> bool
 val nat_binding_count : t -> int
+
+val flow_baseline_count : t -> int
+(** Flow-stats baselines the measurement plane holds: one per sampled
+    flow, forgotten when the flow is removed (a NAT binding's inbound
+    flow, which reports no removal, with its binding). *)
+
 val apply_policies_now : t -> unit
 (** Re-evaluates policy rules immediately (normally every second). *)

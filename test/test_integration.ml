@@ -127,6 +127,34 @@ let test_control_api_deny_revokes_and_blocks () =
   let revokes = query_rows home "SELECT mac FROM Leases WHERE action = 'revoke'" in
   Alcotest.(check bool) "revoke recorded" true (List.length revokes >= 1)
 
+let test_denied_device_cannot_reuse_released_address () =
+  (* Fig. 3 deny must survive address reuse: once a denied device's
+     former address is leased to another device, frames from the denied
+     MAC with that address are still an unleased source *)
+  let home = Home.create () in
+  let router = Home.router home in
+  let dhcp = Router.dhcp router in
+  Dhcp_server.permit dhcp (mac 0);
+  Dhcp_server.permit dhcp (mac 1);
+  let a = Home.add_device home (Device.wired ~name:"a" ~mac:(mac 0) []) in
+  Home.run_for home 10.;
+  let a_ip = Option.get (Device.ip a) in
+  Dhcp_server.deny dhcp (mac 0);
+  let b = Home.add_device home (Device.wired ~name:"b" ~mac:(mac 1) []) in
+  Home.run_for home 10.;
+  Alcotest.(check bool) "b leased a's former address" true
+    (match Device.ip b with Some ip -> Ip.equal ip a_ip | None -> false);
+  let blocked = Router.blocked_flow_count router in
+  let isp_rx = Hw_sim.Internet.rx_bytes (Home.internet home) in
+  Router.receive_frame router ~in_port:(Router.wired_port 0)
+    (Packet.encode
+       (Packet.udp_packet ~src_mac:(mac 0) ~dst_mac:Hw_sim.Internet.mac ~src_ip:a_ip
+          ~dst_ip:(Ip.of_octets 93 184 216 34) ~src_port:40000 ~dst_port:443 "hello"));
+  Home.run_for home 1.;
+  Alcotest.(check int) "drop flow installed" (blocked + 1) (Router.blocked_flow_count router);
+  Alcotest.(check int) "nothing reached the ISP" isp_rx
+    (Hw_sim.Internet.rx_bytes (Home.internet home))
+
 let test_dns_policy_blocks_lookup () =
   let home, devices = small_home ~apps:[] 1 in
   Home.run_for home 10.;
@@ -376,7 +404,8 @@ let test_nat_mode () =
   Device.stop d;
   Home.run_for home 30.;
   Alcotest.(check int) "bindings collected" 0 (Router.nat_binding_count router);
-  Alcotest.(check int) "flows drained" 0 (Router.flows_installed router)
+  Alcotest.(check int) "flows drained" 0 (Router.flows_installed router);
+  Alcotest.(check int) "measurement baselines forgotten" 0 (Router.flow_baseline_count router)
 
 let test_flows_idle_out () =
   let home, _ = small_home ~apps:[ App_profile.web ] 1 in
@@ -409,11 +438,19 @@ let test_soak_one_hour_bounded_state () =
       [ App_profile.voip; App_profile.https ];
       [ App_profile.iot_telemetry ];
     ];
-  let max_flows = ref 0 and max_bindings = ref 0 in
+  let max_flows = ref 0 and max_bindings = ref 0 and max_baselines = ref 0 in
+  (* a measurement baseline belongs to an installed flow, or to the
+     inbound half of a live NAT binding that idled out first *)
+  let orphan_baselines = ref 0 in
   for _ = 1 to 60 do
     Home.run_for home 60.;
-    max_flows := max !max_flows (Router.flows_installed router);
-    max_bindings := max !max_bindings (Router.nat_binding_count router)
+    let flows = Router.flows_installed router
+    and bindings = Router.nat_binding_count router
+    and baselines = Router.flow_baseline_count router in
+    max_flows := max !max_flows flows;
+    max_bindings := max !max_bindings bindings;
+    max_baselines := max !max_baselines baselines;
+    orphan_baselines := max !orphan_baselines (baselines - flows - bindings)
   done;
   (* all devices still online after an hour of renewals *)
   List.iter
@@ -424,6 +461,8 @@ let test_soak_one_hour_bounded_state () =
   (* state stayed bounded *)
   Alcotest.(check bool) "flow table bounded" true (!max_flows < 500);
   Alcotest.(check bool) "nat bindings bounded" true (!max_bindings < 200);
+  Alcotest.(check bool) "flow baselines bounded" true (!max_baselines < 500);
+  Alcotest.(check int) "no baseline outlives its flow" 0 !orphan_baselines;
   Alcotest.(check int) "exactly four leases" 4
     (List.length (Hw_dhcp.Lease_db.active (Dhcp_server.lease_db (Router.dhcp router))));
   (* hwdb rings are at their capacity ceiling, not beyond *)
@@ -512,6 +551,8 @@ let () =
         [
           Alcotest.test_case "permit via API" `Quick test_control_api_permit_end_to_end;
           Alcotest.test_case "deny via API" `Quick test_control_api_deny_revokes_and_blocks;
+          Alcotest.test_case "denied device cannot reuse its old address" `Quick
+            test_denied_device_cannot_reuse_released_address;
           Alcotest.test_case "status endpoint" `Quick test_status_endpoint;
           Alcotest.test_case "determinism per seed" `Quick test_determinism_per_seed;
           Alcotest.test_case "device isolation" `Quick test_device_isolation;

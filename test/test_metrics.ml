@@ -307,6 +307,93 @@ let test_metrics_table () =
   | Some v -> Alcotest.(check (float 0.)) "tick counter advanced" 2.0 v
   | None -> Alcotest.fail "hwdb_ticks_total not exported"
 
+(* The tick export renders rows once and re-stamps them. Over ticks in
+   which counters and gauges move, a histogram observes on some ticks
+   only, instruments register mid-run and the flight recorder evicts,
+   repeats a remote trace id and is cleared, every tick must write
+   exactly what a full re-render of the registry and the recorder
+   would. *)
+let test_export_matches_full_dump () =
+  let module Tracer = Hw_trace.Tracer in
+  let module Table = Hw_hwdb.Table in
+  let t = ref 0. in
+  let now () = !t in
+  let reg = Registry.create () in
+  let trace = Tracer.create ~capacity:4 ~metrics:reg ~now () in
+  let db = Database.create ~metrics:reg ~trace ~now () in
+  let table name = Option.get (Database.table db name) in
+  let select q =
+    match Database.query db q with Ok rs -> rs.Query.rows | Error e -> Alcotest.fail e
+  in
+  let rows = Alcotest.testable (Fmt.Dump.list (Fmt.Dump.list Value.pp)) ( = ) in
+  let work = Registry.counter reg "work_total" in
+  let level = Registry.gauge reg "level" in
+  let lat = Registry.histogram reg "lat_seconds" in
+  let run_trace i =
+    Tracer.with_trace trace "op" ~attrs:[ ("i", Tracer.Int i) ] (fun () ->
+        Tracer.with_span trace "child" (fun () ->
+            Tracer.set_attr trace "ok" (Tracer.Bool (i mod 3 <> 0));
+            if i mod 5 = 0 then Tracer.mark_error trace "boom"))
+  in
+  let remote () = Tracer.with_remote_trace trace ~trace_id:900 ~parent_span:3 "remote" ignore in
+  for i = 1 to 24 do
+    t := float_of_int i;
+    Counter.add work i;
+    Gauge.set level (float_of_int (i mod 4) -. 1.5);
+    if i mod 3 = 0 then Histogram.observe lat (1e-3 *. float_of_int i);
+    if i = 7 then ignore (Registry.labeled_counter reg "late_total" ~labels:[ ("k", "v") ]);
+    if i = 13 then Histogram.observe (Registry.histogram reg "late_seconds") 0.5;
+    if i = 17 then Tracer.clear trace;
+    (* a propagated trace id repeats: twice in one tick, then once more
+       on the next tick, first in line as the earlier two leave *)
+    if i mod 8 = 1 then remote ();
+    (* 0..6 traces a tick against a recorder of 4: some ticks evict *)
+    for j = 1 to i mod 7 do
+      run_trace ((10 * i) + j)
+    done;
+    if i mod 8 = 0 then (
+      remote ();
+      remote ());
+    let metrics_before = Table.total_inserted (table "Metrics") in
+    let traces_before = Table.total_inserted (table "Traces") in
+    Database.tick db;
+    (* read before the queries below move the hwdb counters; [SELECT *]
+       leads with the row's timestamp *)
+    let dump = Snapshot.rows reg in
+    let spans =
+      List.concat_map
+        (fun (c : Tracer.completed) ->
+          List.map
+            (fun (s : Tracer.span) ->
+              [
+                Value.Ts !t;
+                Value.Int c.id;
+                Value.Int s.span_id;
+                Value.Int s.parent;
+                Value.Str s.name;
+                Value.Real s.start;
+                Value.Real s.duration;
+                Value.Str (Tracer.attrs_to_string s.attrs);
+                Value.Str (Option.value s.error ~default:"");
+              ])
+            (Array.to_list c.spans))
+        (List.rev (Tracer.traces trace))
+    in
+    let tick = Printf.sprintf "tick %d: " i in
+    Alcotest.check rows (tick ^ "Metrics [NOW] = Snapshot.rows")
+      (List.map
+         (fun (r : Snapshot.row) ->
+           [ Value.Ts !t; Value.Str r.metric; Value.Str r.kind; Value.Str r.stat; Value.Real r.value ])
+         dump)
+      (select "SELECT * FROM Metrics [NOW]");
+    Alcotest.check rows (tick ^ "Traces [NOW] = one row per kept span") spans
+      (select "SELECT * FROM Traces [NOW]");
+    Alcotest.(check int) (tick ^ "Metrics rows written") (List.length dump)
+      (Table.total_inserted (table "Metrics") - metrics_before);
+    Alcotest.(check int) (tick ^ "Traces rows written") (List.length spans)
+      (Table.total_inserted (table "Traces") - traces_before)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* End to end: a running home exports live counters on every surface   *)
 (* ------------------------------------------------------------------ *)
@@ -499,6 +586,8 @@ let () =
       ( "export",
         [
           Alcotest.test_case "hwdb Metrics table" `Quick test_metrics_table;
+          Alcotest.test_case "export = full dump every tick" `Quick
+            test_export_matches_full_dump;
           Alcotest.test_case "home end to end" `Quick test_home_metrics_end_to_end;
         ] );
     ]
