@@ -172,94 +172,109 @@ let normal_switching t ~in_port pkt frame =
     | Some _ -> ()
     | None -> flood t ~in_port frame
 
-(* Applies header-rewrite actions by editing the parsed representation,
-   then re-encoding once before each output. *)
-let apply_actions t ~in_port pkt_opt frame actions =
-  let pkt = ref pkt_opt in
-  let dirty = ref false in
-  let current_frame = ref frame in
-  let render () =
-    if !dirty then begin
-      (match !pkt with Some p -> current_frame := Packet.encode p | None -> ());
-      dirty := false
-    end;
-    !current_frame
+let output t ~in_port ~port ~max_len frame =
+  if port = Ofp_action.Port.controller then begin
+    let data =
+      if max_len > 0 && String.length frame > max_len then String.sub frame 0 max_len else frame
+    in
+    t.packet_ins <- t.packet_ins + 1;
+    Hw_metrics.Counter.incr t.m_packet_ins;
+    send t
+      (Ofp_message.Packet_in
+         {
+           buffer_id = None;
+           total_len = String.length frame;
+           in_port;
+           reason = Ofp_message.Action;
+           data;
+         })
+  end
+  else if port = Ofp_action.Port.flood || port = Ofp_action.Port.all then flood t ~in_port frame
+  else if port = Ofp_action.Port.in_port then transmit_on_port t in_port frame
+  else if port = Ofp_action.Port.none || port = Ofp_action.Port.local then ()
+  else if port = in_port then () (* OF 1.0: must use OFPP_IN_PORT *)
+  else transmit_on_port t port frame
+
+(* A header-rewrite action applied to the parsed packet. *)
+let rewrite action (p : Packet.t) =
+  let ip f =
+    match p.Packet.l3 with
+    | Packet.Ipv4 (h, l4) -> { p with Packet.l3 = Packet.Ipv4 (f h, l4) }
+    | Packet.Arp _ | Packet.Raw_l3 _ -> p
   in
-  let update f =
-    match !pkt with
-    | Some p ->
-        pkt := Some (f p);
-        dirty := true
-    | None -> ()
+  let l4 f =
+    match p.Packet.l3 with
+    | Packet.Ipv4 (h, l4) -> { p with Packet.l3 = Packet.Ipv4 (h, f l4) }
+    | Packet.Arp _ | Packet.Raw_l3 _ -> p
   in
-  let update_ip f =
-    update (fun p ->
-        match p.Packet.l3 with
-        | Packet.Ipv4 (ip, l4) -> { p with Packet.l3 = Packet.Ipv4 (f ip, l4) }
-        | Packet.Arp _ | Packet.Raw_l3 _ -> p)
-  in
-  let update_l4 f =
-    update (fun p ->
-        match p.Packet.l3 with
-        | Packet.Ipv4 (ip, l4) -> { p with Packet.l3 = Packet.Ipv4 (ip, f l4) }
-        | Packet.Arp _ | Packet.Raw_l3 _ -> p)
-  in
-  List.iter
-    (fun action ->
+  match action with
+  | Ofp_action.Set_dl_src mac -> { p with Packet.eth = { p.Packet.eth with Ethernet.src = mac } }
+  | Ofp_action.Set_dl_dst mac -> { p with Packet.eth = { p.Packet.eth with Ethernet.dst = mac } }
+  | Ofp_action.Set_nw_src a -> ip (fun h -> { h with Ipv4.src = a })
+  | Ofp_action.Set_nw_dst a -> ip (fun h -> { h with Ipv4.dst = a })
+  | Ofp_action.Set_nw_tos tos -> ip (fun h -> { h with Ipv4.dscp = tos lsr 2 })
+  | Ofp_action.Set_tp_src port ->
+      l4 (function
+        | Packet.Udp u -> Packet.Udp { u with Udp.src_port = port }
+        | Packet.Tcp seg -> Packet.Tcp { seg with Tcp.src_port = port }
+        | other -> other)
+  | Ofp_action.Set_tp_dst port ->
+      l4 (function
+        | Packet.Udp u -> Packet.Udp { u with Udp.dst_port = port }
+        | Packet.Tcp seg -> Packet.Tcp { seg with Tcp.dst_port = port }
+        | other -> other)
+  | Ofp_action.Output _ | Ofp_action.Enqueue _ | Ofp_action.Set_vlan_vid _
+  | Ofp_action.Set_vlan_pcp _ | Ofp_action.Strip_vlan ->
+      p
+
+(* How far [apply_actions] has parsed the frame: not yet, not decodable,
+   or decoded (and possibly rewritten since the last output). *)
+type parsed = Unparsed | Undecodable | Parsed of Packet.t
+
+(* [frame] is what the next output sends unless [dirty]: then the
+   rewritten packet is re-encoded once, at that output. *)
+let render frame parsed dirty =
+  match parsed with Parsed p when dirty -> Packet.encode p | _ -> frame
+
+(* [Unparsed] implies [not dirty], so [frame] is still the input *)
+let parse frame = function
+  | Unparsed -> ( match Packet.decode frame with Ok p -> Parsed p | Error _ -> Undecodable)
+  | (Undecodable | Parsed _) as parsed -> parsed
+
+let rec apply t ~in_port frame parsed dirty = function
+  | [] -> ()
+  | action :: rest -> (
       match action with
+      | Ofp_action.Output { port; _ } when port = Ofp_action.Port.normal ->
+          let frame = render frame parsed dirty in
+          let parsed = parse frame parsed in
+          (match parsed with
+          | Parsed p -> normal_switching t ~in_port p frame
+          | Unparsed | Undecodable -> flood t ~in_port frame);
+          apply t ~in_port frame parsed false rest
       | Ofp_action.Output { port; max_len } ->
-          let out = render () in
-          if port = Ofp_action.Port.controller then begin
-            let data =
-              if max_len > 0 && String.length out > max_len then String.sub out 0 max_len
-              else out
-            in
-            t.packet_ins <- t.packet_ins + 1;
-            Hw_metrics.Counter.incr t.m_packet_ins;
-            send t
-              (Ofp_message.Packet_in
-                 {
-                   buffer_id = None;
-                   total_len = String.length out;
-                   in_port;
-                   reason = Ofp_message.Action;
-                   data;
-                 })
-          end
-          else if port = Ofp_action.Port.flood || port = Ofp_action.Port.all then
-            flood t ~in_port out
-          else if port = Ofp_action.Port.in_port then transmit_on_port t in_port out
-          else if port = Ofp_action.Port.normal then begin
-            match !pkt with
-            | Some p -> normal_switching t ~in_port p out
-            | None -> flood t ~in_port out
-          end
-          else if port = Ofp_action.Port.none || port = Ofp_action.Port.local then ()
-          else if port = in_port then () (* OF 1.0: must use OFPP_IN_PORT *)
-          else transmit_on_port t port out
-      | Ofp_action.Enqueue { port; _ } -> transmit_on_port t port (render ())
-      | Ofp_action.Set_dl_src mac ->
-          update (fun p -> { p with Packet.eth = { p.Packet.eth with Ethernet.src = mac } })
-      | Ofp_action.Set_dl_dst mac ->
-          update (fun p -> { p with Packet.eth = { p.Packet.eth with Ethernet.dst = mac } })
-      | Ofp_action.Set_nw_src ip -> update_ip (fun h -> { h with Ipv4.src = ip })
-      | Ofp_action.Set_nw_dst ip -> update_ip (fun h -> { h with Ipv4.dst = ip })
-      | Ofp_action.Set_nw_tos tos -> update_ip (fun h -> { h with Ipv4.dscp = tos lsr 2 })
-      | Ofp_action.Set_tp_src port ->
-          update_l4 (function
-            | Packet.Udp u -> Packet.Udp { u with Udp.src_port = port }
-            | Packet.Tcp seg -> Packet.Tcp { seg with Tcp.src_port = port }
-            | l4 -> l4)
-      | Ofp_action.Set_tp_dst port ->
-          update_l4 (function
-            | Packet.Udp u -> Packet.Udp { u with Udp.dst_port = port }
-            | Packet.Tcp seg -> Packet.Tcp { seg with Tcp.dst_port = port }
-            | l4 -> l4)
+          let frame = render frame parsed dirty in
+          output t ~in_port ~port ~max_len frame;
+          apply t ~in_port frame parsed false rest
+      | Ofp_action.Enqueue { port; _ } ->
+          let frame = render frame parsed dirty in
+          transmit_on_port t port frame;
+          apply t ~in_port frame parsed false rest
       | Ofp_action.Set_vlan_vid _ | Ofp_action.Set_vlan_pcp _ | Ofp_action.Strip_vlan ->
           (* The simulated home LAN is untagged; VLAN actions are accepted
              and ignored, as OVS does on untagged traffic for strip. *)
-          ())
-    actions
+          apply t ~in_port frame parsed dirty rest
+      | Ofp_action.Set_dl_src _ | Ofp_action.Set_dl_dst _ | Ofp_action.Set_nw_src _
+      | Ofp_action.Set_nw_dst _ | Ofp_action.Set_nw_tos _ | Ofp_action.Set_tp_src _
+      | Ofp_action.Set_tp_dst _ -> (
+          match parse frame parsed with
+          | Parsed p -> apply t ~in_port frame (Parsed (rewrite action p)) true rest
+          | parsed -> apply t ~in_port frame parsed dirty rest))
+
+(* Forwards [frame] as received. It is decoded at most once, on the first
+   action that needs header records (a [Set_*] rewrite or OFPP_NORMAL), so
+   output-only actions never parse it. *)
+let apply_actions t ~in_port frame actions = apply t ~in_port frame Unparsed false actions
 
 (* ------------------------------------------------------------------ *)
 (* Dataplane input                                                     *)
@@ -293,42 +308,33 @@ let buffer_frame t ~in_port frame =
 let buffered_count t = Hashtbl.length t.buffers
 
 (* Root-span attributes: dpid, rx port and as much of the five-tuple as
-   the packet carries. Only computed on the (already slow) miss path,
-   and only when tracing is enabled. *)
-let trace_attrs t ~in_port pkt =
+   the frame carries. Only computed on the (already slow) miss path, and
+   only when tracing is enabled. *)
+let trace_attrs t (f : Ofp_match.fields) =
   if not (Tracer.enabled t.trace) then []
   else
     let l3 =
-      match pkt.Packet.l3 with
-      | Packet.Ipv4 (ip, l4) ->
-          let l4_attrs =
-            match l4 with
-            | Packet.Udp u ->
-                [
-                  ("tp_src", Tracer.Int u.Udp.src_port);
-                  ("tp_dst", Tracer.Int u.Udp.dst_port);
-                ]
-            | Packet.Tcp seg ->
-                [
-                  ("tp_src", Tracer.Int seg.Tcp.src_port);
-                  ("tp_dst", Tracer.Int seg.Tcp.dst_port);
-                ]
-            | _ -> []
-          in
-          [
-            ("nw_src", Tracer.Str (Ip.to_string ip.Ipv4.src));
-            ("nw_dst", Tracer.Str (Ip.to_string ip.Ipv4.dst));
-            ("nw_proto", Tracer.Int ip.Ipv4.protocol);
-          ]
-          @ l4_attrs
-      | Packet.Arp _ -> [ ("l3", Tracer.Str "arp") ]
-      | Packet.Raw_l3 _ -> []
+      if f.Ofp_match.f_dl_type = Ethernet.ethertype_arp then [ ("l3", Tracer.Str "arp") ]
+      else if f.Ofp_match.f_dl_type <> Ethernet.ethertype_ipv4 then []
+      else
+        let proto = f.Ofp_match.f_nw_proto in
+        let ports =
+          if proto = Ipv4.proto_udp || proto = Ipv4.proto_tcp then
+            [ ("tp_src", Tracer.Int f.Ofp_match.f_tp_src); ("tp_dst", Tracer.Int f.Ofp_match.f_tp_dst) ]
+          else []
+        in
+        [
+          ("nw_src", Tracer.Str (Ip.to_string f.Ofp_match.f_nw_src));
+          ("nw_dst", Tracer.Str (Ip.to_string f.Ofp_match.f_nw_dst));
+          ("nw_proto", Tracer.Int proto);
+        ]
+        @ ports
     in
     [
       ("dpid", Tracer.Int (Int64.to_int t.dpid));
-      ("in_port", Tracer.Int in_port);
-      ("eth_src", Tracer.Str (Mac.to_string pkt.Packet.eth.Ethernet.src));
-      ("eth_dst", Tracer.Str (Mac.to_string pkt.Packet.eth.Ethernet.dst));
+      ("in_port", Tracer.Int f.Ofp_match.f_in_port);
+      ("eth_src", Tracer.Str (Mac.to_string f.Ofp_match.f_dl_src));
+      ("eth_dst", Tracer.Str (Mac.to_string f.Ofp_match.f_dl_dst));
     ]
     @ l3
 
@@ -351,12 +357,11 @@ let process_frame t stats ~in_port frame =
       p.counters.rx_packets <- Int64.add p.counters.rx_packets 1L;
       p.counters.rx_bytes <- Int64.add p.counters.rx_bytes (Int64.of_int (String.length frame));
       stats.s_rx <- stats.s_rx + 1;
-      match Packet.decode frame with
-      | Error err ->
-          Log.debug (fun m -> m "undecodable frame on port %d: %s" in_port err);
+      match Ofp_match.fields_of_frame ~in_port frame with
+      | None ->
+          Log.debug (fun m -> m "undecodable frame on port %d" in_port);
           p.counters.rx_dropped <- Int64.add p.counters.rx_dropped 1L
-      | Ok pkt -> (
-          let fields = Ofp_match.fields_of_packet ~in_port pkt in
+      | Some fields -> (
           stats.s_lookups <- stats.s_lookups + 1;
           (* per-frame path: branch on [due] to keep the unsampled
              lookups closure- and clock-free *)
@@ -373,7 +378,7 @@ let process_frame t stats ~in_port frame =
           match hit with
           | Some entry ->
               Flow_entry.touch entry ~now:(t.now ()) ~bytes:(String.length frame);
-              apply_actions t ~in_port (Some pkt) frame entry.Flow_entry.actions
+              apply_actions t ~in_port frame entry.Flow_entry.actions
           | None ->
               stats.s_misses <- stats.s_misses + 1;
               (* A miss is where a packet's controller lifecycle begins:
@@ -381,7 +386,7 @@ let process_frame t stats ~in_port frame =
                  dispatch -> handler -> hwdb chain nests under it. The
                  hit path above never touches the tracer. *)
               Tracer.with_trace t.trace "dp.packet_in"
-                ~attrs:(trace_attrs t ~in_port pkt)
+                ~attrs:(trace_attrs t fields)
                 (fun () ->
                   let buffer_id = buffer_frame t ~in_port frame in
                   send_packet_in t ~in_port ~reason:Ofp_message.No_match
@@ -430,9 +435,8 @@ let rec handle_flow_mod t xid (fm : Ofp_message.flow_mod) =
             match Hashtbl.find_opt t.buffers bid with
             | Some (in_port, frame) ->
                 Hashtbl.remove t.buffers bid;
-                let pkt = Result.to_option (Packet.decode frame) in
                 Flow_entry.touch entry ~now ~bytes:(String.length frame);
-                apply_actions t ~in_port pkt frame fm.Ofp_message.actions
+                apply_actions t ~in_port frame fm.Ofp_message.actions
             | None -> ())
         | None -> ()
       with
@@ -592,9 +596,7 @@ let handle_packet_out t xid po =
              err_code = 8 (* OFPBRC_BUFFER_UNKNOWN *);
              err_data = "";
            })
-  | Some frame ->
-      let pkt = Result.to_option (Packet.decode frame) in
-      apply_actions t ~in_port:po.Ofp_message.po_in_port pkt frame po.Ofp_message.po_actions
+  | Some frame -> apply_actions t ~in_port:po.Ofp_message.po_in_port frame po.Ofp_message.po_actions
 
 let handle_message t xid msg =
   match msg with

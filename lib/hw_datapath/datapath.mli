@@ -61,15 +61,25 @@ val input_from_controller : t -> string -> unit
     processed immediately; partial input is buffered. *)
 
 val receive_frame : t -> in_port:int -> string -> unit
-(** A frame arrived on a data port. Table hit applies actions; miss
-    buffers the frame and raises PACKET_IN. Undecodable frames are
-    counted as drops. *)
+(** A frame arrived on a data port. Its match fields are read from the
+    frame bytes in place ({!Ofp_match.fields_of_frame}); a frame that
+    {!Hw_packet.Packet.decode} would reject is counted in [rx_dropped].
+    A table hit applies the entry's actions to the received string:
+    outputs send it as it is, and it is decoded at most once, on the
+    first action that needs header records (a [Set_*] rewrite or
+    [OFPP_NORMAL]), then re-encoded once per output after a rewrite. So
+    an output-only flow never decodes the frame. A miss buffers the frame
+    and raises PACKET_IN. Packet-outs and frames released by a flow-mod's
+    buffer id go through the same action loop. IPv4 fragments are
+    matched as OF 1.0's [OFPC_FRAG_NORMAL] says, with
+    [tp_src = tp_dst = 0]. *)
 
 val receive_frames : t -> (int * string) list -> unit
 (** Batched input: process [(in_port, frame)] pairs in order through the
-    decode → lookup → apply pipeline, updating the shared metrics
-    counters once per batch instead of once per frame. Semantically
-    identical to calling {!receive_frame} on each pair in order. *)
+    extract → lookup → apply pipeline of {!receive_frame}, updating the
+    shared metrics counters once per batch instead of once per frame.
+    Semantically identical to calling {!receive_frame} on each pair in
+    order. *)
 
 val buffered_count : t -> int
 (** Miss frames currently buffered awaiting a controller decision (at

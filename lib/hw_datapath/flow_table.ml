@@ -11,10 +11,12 @@ open Hw_openflow
    common case on the reactive Homework router and OF 1.0 gives them
    precedence over any wildcard entry regardless of priority, so the
    exact tuple is special-cased: probed first, and a hit returns without
-   touching the wildcard tuples at all. The per-packet probe is
-   allocation-free: {!Ofp_match.hash_fields} folds the packet's fields in
-   the int domain and candidates are verified with {!Ofp_match.matches}
-   (hash collisions only cost a failed verify, never a wrong answer). *)
+   touching the wildcard tuples at all. Hashing and verifying allocate
+   nothing: {!Ofp_match.hash_fields} folds the packet's fields in the int
+   domain and candidates are verified with {!Ofp_match.matches}, which
+   compares masked prefixes as ints too (hash collisions only cost a
+   failed verify, never a wrong answer). An exact hit allocates only the
+   option results below, 6 words. *)
 
 module Int_tbl = Hashtbl.Make (struct
   type t = int

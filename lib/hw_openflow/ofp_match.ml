@@ -91,6 +91,101 @@ let fields_of_packet ~in_port (pkt : Packet.t) =
         f_tp_dst = tp_dst;
       }
 
+(* The same 12-tuple read straight from the frame bytes: every length,
+   field and checksum test [Packet.decode] applies is made here in place,
+   so a frame is accepted exactly when it decodes, and nothing but the
+   result is allocated. *)
+let[@inline] u8 s i = Char.code (String.unsafe_get s i)
+let[@inline] u16 s i = (u8 s i lsl 8) lor u8 s (i + 1)
+
+let frame_fields ~in_port frame ~dl_type ~nw_tos ~nw_proto ~nw_src ~nw_dst ~tp_src ~tp_dst =
+  Some
+    {
+      f_in_port = in_port;
+      f_dl_src = Mac.of_bytes (String.sub frame 6 6);
+      f_dl_dst = Mac.of_bytes (String.sub frame 0 6);
+      f_dl_vlan = 0xffff;
+      f_dl_vlan_pcp = 0;
+      f_dl_type = dl_type;
+      f_nw_tos = nw_tos;
+      f_nw_proto = nw_proto;
+      f_nw_src = nw_src;
+      f_nw_dst = nw_dst;
+      f_tp_src = tp_src;
+      f_tp_dst = tp_dst;
+    }
+
+(* [Arp.decode]: 28 bytes of IPv4-over-Ethernet with a known opcode *)
+let arp_fields ~in_port frame ~dl_type =
+  let a = Ethernet.header_size in
+  if
+    String.length frame - a >= 28
+    && u16 frame a = 1
+    && u16 frame (a + 2) = Ethernet.ethertype_ipv4
+    && u8 frame (a + 4) = 6
+    && u8 frame (a + 5) = 4
+    && (u16 frame (a + 6) = 1 || u16 frame (a + 6) = 2)
+  then
+    frame_fields ~in_port frame ~dl_type ~nw_tos:0 ~nw_proto:(u16 frame (a + 6))
+      ~nw_src:(Ip.of_int32 (String.get_int32_be frame (a + 14)))
+      ~nw_dst:(Ip.of_int32 (String.get_int32_be frame (a + 24)))
+      ~tp_src:0 ~tp_dst:0
+  else None
+
+(* The transport ports of a well-formed IPv4 header's payload, packed as
+   [tp_src lsl 16 lor tp_dst], or -1 where the transport decoder
+   [Packet.decode] picks rejects it. *)
+let l4_ports frame ~ip ~proto ~l4 ~l4_len =
+  (* a fragment (more-fragments set or a non-zero offset) is not parsed *)
+  if u16 frame (ip + 6) land 0x3fff <> 0 then 0
+  else if proto = Ipv4.proto_udp then
+    if l4_len >= 8 && u16 frame (l4 + 4) >= 8 && u16 frame (l4 + 4) <= l4_len then
+      (u16 frame l4 lsl 16) lor u16 frame (l4 + 2)
+    else -1
+  else if proto = Ipv4.proto_tcp then
+    let data_off = if l4_len >= 20 then u8 frame (l4 + 12) lsr 4 else 0 in
+    if data_off >= 5 && data_off * 4 <= l4_len then (u16 frame l4 lsl 16) lor u16 frame (l4 + 2)
+    else -1
+  else if proto = Ipv4.proto_icmp then
+    if l4_len >= 8 && Wire.checksum_ones_complement_range frame ~off:l4 ~len:l4_len = 0 then
+      (u8 frame l4 lsl 16) lor u8 frame (l4 + 1)
+    else -1
+  else 0
+
+(* [Ipv4.decode]: version 4, a header of at least 20 bytes inside the
+   frame, a total length between the header's and the frame's, and a
+   header checksum that verifies *)
+let ipv4_fields ~in_port frame ~dl_type =
+  let ip = Ethernet.header_size in
+  let avail = String.length frame - ip in
+  if avail < 20 || u8 frame ip lsr 4 <> 4 then None
+  else
+    let hlen = (u8 frame ip land 0xf) * 4 in
+    let total = u16 frame (ip + 2) in
+    if
+      hlen < 20 || hlen > avail || total < hlen || total > avail
+      || Wire.checksum_ones_complement_range frame ~off:ip ~len:hlen <> 0
+    then None
+    else
+      let proto = u8 frame (ip + 9) in
+      let ports = l4_ports frame ~ip ~proto ~l4:(ip + hlen) ~l4_len:(total - hlen) in
+      if ports < 0 then None
+      else
+        frame_fields ~in_port frame ~dl_type ~nw_tos:(u8 frame (ip + 1) land 0xfc) ~nw_proto:proto
+          ~nw_src:(Ip.of_int32 (String.get_int32_be frame (ip + 12)))
+          ~nw_dst:(Ip.of_int32 (String.get_int32_be frame (ip + 16)))
+          ~tp_src:(ports lsr 16) ~tp_dst:(ports land 0xffff)
+
+let fields_of_frame ~in_port frame =
+  if String.length frame < Ethernet.header_size then None
+  else
+    let dl_type = u16 frame 12 in
+    if dl_type = Ethernet.ethertype_arp then arp_fields ~in_port frame ~dl_type
+    else if dl_type = Ethernet.ethertype_ipv4 then ipv4_fields ~in_port frame ~dl_type
+    else
+      frame_fields ~in_port frame ~dl_type ~nw_tos:0 ~nw_proto:0 ~nw_src:Ip.any ~nw_dst:Ip.any
+        ~tp_src:0 ~tp_dst:0
+
 let exact_of_fields f =
   {
     in_port = Some f.f_in_port;
@@ -106,9 +201,6 @@ let exact_of_fields f =
     tp_src = Some f.f_tp_src;
     tp_dst = Some f.f_tp_dst;
   }
-
-let prefix_matches (net, bits) addr =
-  bits = 0 || Ip.Prefix.mem addr (Ip.Prefix.make net bits)
 
 (* --------------------------------------------------------------- *)
 (* Wildcard masks and zero-alloc field hashing (for the classifier) *)
@@ -165,13 +257,21 @@ let fnv_seed = 0x811c9dc5
 
 let[@inline] mac_bits mac =
   let m = Mac.to_bytes mac (* identity: Mac.t is the 6-byte string *) in
-  let b i = Char.code (String.unsafe_get m i) in
-  (b 0 lsl 40) lor (b 1 lsl 32) lor (b 2 lsl 24) lor (b 3 lsl 16) lor (b 4 lsl 8) lor b 5
+  (u16 m 0 lsl 32) lor (u16 m 2 lsl 16) lor u16 m 4
 
 let[@inline] ip_bits ip = Int32.to_int (Ip.to_int32 ip) land 0xffffffff
 
+(* Total over any length: a [t] can be built with a prefix past /32, and
+   [lsl] by a negative count is unspecified, so such a prefix acts as /32. *)
 let[@inline] prefix_mask_bits bits =
-  if bits <= 0 then 0 else 0xffffffff lsl (32 - bits) land 0xffffffff
+  if bits <= 0 then 0
+  else if bits >= 32 then 0xffffffff
+  else 0xffffffff lsl (32 - bits) land 0xffffffff
+
+(* [addr] lies in [net/bits]: the masked bits compared as ints, as
+   [hash_fields] folds them, so the verify allocates nothing *)
+let[@inline] prefix_matches (net, bits) addr =
+  (ip_bits net lxor ip_bits addr) land prefix_mask_bits bits = 0
 
 (* The two hash functions below must agree: for any match [m] and packet
    fields [f] with [matches m f], [hash_match m = hash_fields (mask_of m) f].
@@ -225,21 +325,25 @@ let hash_match (m : t) =
   let h = match m.tp_dst with Some v -> mix h v | None -> h in
   h
 
-let opt_eq eq spec value = match spec with None -> true | Some v -> eq v value
+(* Per-type field tests, so no comparison goes through polymorphic
+   [compare]: the classifier's verify step calls [matches] per packet. *)
+let[@inline] int_eq spec (v : int) = match spec with None -> true | Some x -> x = v
+let[@inline] mac_eq spec v = match spec with None -> true | Some x -> Mac.equal x v
+let[@inline] prefix_eq spec addr = match spec with None -> true | Some p -> prefix_matches p addr
 
 let matches m f =
-  opt_eq ( = ) m.in_port f.f_in_port
-  && opt_eq Mac.equal m.dl_src f.f_dl_src
-  && opt_eq Mac.equal m.dl_dst f.f_dl_dst
-  && opt_eq ( = ) m.dl_vlan f.f_dl_vlan
-  && opt_eq ( = ) m.dl_vlan_pcp f.f_dl_vlan_pcp
-  && opt_eq ( = ) m.dl_type f.f_dl_type
-  && opt_eq ( = ) m.nw_tos f.f_nw_tos
-  && opt_eq ( = ) m.nw_proto f.f_nw_proto
-  && (match m.nw_src with None -> true | Some p -> prefix_matches p f.f_nw_src)
-  && (match m.nw_dst with None -> true | Some p -> prefix_matches p f.f_nw_dst)
-  && opt_eq ( = ) m.tp_src f.f_tp_src
-  && opt_eq ( = ) m.tp_dst f.f_tp_dst
+  int_eq m.in_port f.f_in_port
+  && mac_eq m.dl_src f.f_dl_src
+  && mac_eq m.dl_dst f.f_dl_dst
+  && int_eq m.dl_vlan f.f_dl_vlan
+  && int_eq m.dl_vlan_pcp f.f_dl_vlan_pcp
+  && int_eq m.dl_type f.f_dl_type
+  && int_eq m.nw_tos f.f_nw_tos
+  && int_eq m.nw_proto f.f_nw_proto
+  && prefix_eq m.nw_src f.f_nw_src
+  && prefix_eq m.nw_dst f.f_nw_dst
+  && int_eq m.tp_src f.f_tp_src
+  && int_eq m.tp_dst f.f_tp_dst
 
 let field_subsumes eq general specific =
   match general, specific with

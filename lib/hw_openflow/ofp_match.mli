@@ -41,12 +41,41 @@ type fields = {
 
 val fields_of_packet : in_port:int -> Packet.t -> fields
 (** For ARP, [f_nw_proto] carries the ARP opcode and nw_src/nw_dst the
-    protocol addresses, as OF 1.0 specifies. *)
+    protocol addresses, as OF 1.0 specifies. An IPv4 fragment ([Raw_l4])
+    has [f_tp_src = f_tp_dst = 0]. *)
+
+val fields_of_frame : in_port:int -> string -> fields option
+(** The fields of a raw Ethernet frame, read in place from its bytes: the
+    datapath's per-frame classifier input. Equal to
+    [Result.to_option (Result.map (fields_of_packet ~in_port) (Packet.decode frame))]
+    for every string, so it rejects exactly the frames {!Packet.decode}
+    rejects. A frame is accepted when
+    - it holds a 14-byte Ethernet header, and by its ethertype
+    - ARP (0x0806): the payload has at least 28 bytes, htype 1, ptype
+      0x0800, hlen 6, plen 4 and opcode 1 or 2;
+    - IPv4 (0x0800): version 4, IHL >= 5 with the header inside the
+      frame, header length <= total length <= the Ethernet payload's
+      length, and a header checksum that verifies. Then, unless the
+      datagram is a fragment (more-fragments set or a non-zero offset,
+      whose transport header is not read), by protocol: UDP needs 8
+      bytes with a length field between 8 and the IP payload's length;
+      TCP needs 20 bytes with a data offset of at least 5 words inside
+      the IP payload; ICMP needs 8 bytes and a checksum over the whole
+      IP payload that verifies; other protocols are accepted as they
+      are;
+    - any other ethertype is accepted as it is.
+
+    Bytes past the IPv4 total length (Ethernet padding) are ignored.
+    Checksums are verified over the frame in place; only the result is
+    allocated (the record with its two MAC strings and two addresses). *)
 
 val exact_of_fields : fields -> t
 (** The fully-specified match for one packet (used for reactive flow-mods). *)
 
 val matches : t -> fields -> bool
+(** [matches m f]: every field [m] specifies equals [f]'s, and each
+    specified [/n] prefix agrees with [f]'s address in its top [n] bits.
+    Allocation-free: the classifier's per-candidate verify. *)
 
 (** Which fields a match specifies: a bitmask over the ten scalar fields
     plus the two prefix lengths (0 = wildcarded; a [/0] prefix

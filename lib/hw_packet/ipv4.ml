@@ -80,8 +80,8 @@ let decode buf =
       if total_len < ihl * 4 || total_len > String.length buf then Error "ipv4: bad total length"
       else begin
         let payload = String.sub buf (ihl * 4) (total_len - (ihl * 4)) in
-        let header = String.sub buf 0 (ihl * 4) in
-        if Wire.checksum_ones_complement header <> 0 then Error "ipv4: bad header checksum"
+        if Wire.checksum_ones_complement_range buf ~off:0 ~len:(ihl * 4) <> 0 then
+          Error "ipv4: bad header checksum"
         else
           Ok
             {

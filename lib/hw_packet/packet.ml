@@ -12,7 +12,12 @@ let decode buf =
   else if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then
     let* ip = Ipv4.decode eth.Ethernet.payload in
     let* l4 =
-      if ip.Ipv4.protocol = Ipv4.proto_udp then
+      (* OF 1.0's OFPC_FRAG_NORMAL (and OVS's "normal" fragment mode): a
+         fragment's transport header is not parsed — only the first
+         fragment carries it, and its length fields describe the whole
+         datagram *)
+      if ip.Ipv4.more_fragments || ip.Ipv4.fragment_offset <> 0 then Ok (Raw_l4 ip.Ipv4.payload)
+      else if ip.Ipv4.protocol = Ipv4.proto_udp then
         let* u = Udp.decode ip.Ipv4.payload in
         Ok (Udp u)
       else if ip.Ipv4.protocol = Ipv4.proto_tcp then

@@ -5,7 +5,7 @@ type l4 =
   | Udp of Udp.t
   | Tcp of Tcp.t
   | Icmp of Icmp.t
-  | Raw_l4 of string  (** unknown IP protocol *)
+  | Raw_l4 of string  (** unknown IP protocol, or an IPv4 fragment *)
 
 type l3 =
   | Arp of Arp.t
@@ -16,7 +16,10 @@ type t = { eth : Ethernet.t; l3 : l3 }
 
 val decode : string -> (t, string) result
 (** Parses as deep as possible; inner parse failures degrade to [Raw_*]
-    only for unknown protocols — malformed known protocols are errors. *)
+    only for unknown protocols — malformed known protocols are errors.
+    An IPv4 fragment (more-fragments set or a non-zero offset) carries
+    its IP payload as [Raw_l4] unparsed, as OF 1.0's [OFPC_FRAG_NORMAL]
+    treats fragments. *)
 
 val encode : t -> string
 (** Re-serialises from the parsed representation (recomputing lengths and

@@ -149,16 +149,21 @@ let hex_dump s =
   line 0;
   Buffer.contents buf
 
-let checksum_ones_complement s =
-  let n = String.length s in
+let checksum_ones_complement_range s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wire.checksum_ones_complement_range";
+  let stop = off + len in
   let sum = ref 0 in
-  let i = ref 0 in
-  while !i + 1 < n do
-    sum := !sum + ((Char.code s.[!i] lsl 8) lor Char.code s.[!i + 1]);
+  let i = ref off in
+  while !i + 1 < stop do
+    sum :=
+      !sum + ((Char.code (String.unsafe_get s !i) lsl 8) lor Char.code (String.unsafe_get s (!i + 1)));
     i := !i + 2
   done;
-  if n land 1 = 1 then sum := !sum + (Char.code s.[n - 1] lsl 8);
+  if len land 1 = 1 then sum := !sum + (Char.code (String.unsafe_get s (stop - 1)) lsl 8);
   while !sum lsr 16 <> 0 do
     sum := (!sum land 0xffff) + (!sum lsr 16)
   done;
   lnot !sum land 0xffff
+
+let checksum_ones_complement s = checksum_ones_complement_range s ~off:0 ~len:(String.length s)

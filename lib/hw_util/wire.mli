@@ -70,3 +70,9 @@ val hex_dump : string -> string
 
 val checksum_ones_complement : string -> int
 (** The Internet checksum (RFC 1071) over the given bytes. *)
+
+val checksum_ones_complement_range : string -> off:int -> len:int -> int
+(** The Internet checksum of the [len] bytes of [s] starting at [off],
+    read in place (an odd final byte is padded with zero, as if the range
+    were its own string). Allocation-free.
+    @raise Invalid_argument if the range is not within [s]. *)

@@ -692,6 +692,137 @@ let test_receive_frames_batch () =
   | _ -> Alcotest.fail "expected one flow"
 
 (* ------------------------------------------------------------------ *)
+(* In-place forwarding: fragments, checksums, lazy rewrite             *)
+(* ------------------------------------------------------------------ *)
+
+(* A 3,000-byte UDP datagram (8-byte header + 2,992 bytes) split into two
+   IPv4 fragments of 1,480 and 1,520 bytes. The first carries the UDP
+   header, whose length (3,000) exceeds the fragment; the second starts
+   mid-payload. *)
+let udp_fragments () =
+  let ip = Ipv4.make ~ident:77 ~protocol:Ipv4.proto_udp ~src:ip_a ~dst:ip_b "" in
+  let datagram =
+    Udp.encode
+      { Udp.src_port = 5004; dst_port = 5004; payload = String.make 2992 'f' }
+      ~pseudo_header:(Ipv4.pseudo_header ip 3000)
+  in
+  let fragment ~offset ~more len =
+    Packet.encode
+      {
+        Packet.eth = { Ethernet.src = mac_a; dst = mac_b; ethertype = 0x0800; payload = "" };
+        l3 =
+          Packet.Ipv4
+            ( {
+                ip with
+                Ipv4.dont_fragment = false;
+                more_fragments = more;
+                fragment_offset = offset / 8;
+              },
+              Packet.Raw_l4 (String.sub datagram offset len) );
+      }
+  in
+  [ fragment ~offset:0 ~more:true 1480; fragment ~offset:1480 ~more:false 1520 ]
+
+(* OFPC_FRAG_NORMAL (the flags our Get_config_reply reports): fragments
+   pass through the table with tp_src = tp_dst = 0. *)
+let test_ipv4_fragments_forwarded () =
+  let h = make_harness () in
+  send_to_dp h
+    (Ofp_message.Flow_mod
+       (Ofp_message.add_flow
+          { Ofp_match.wildcard_all with Ofp_match.in_port = Some 1 }
+          [ Ofp_action.output 2 ]));
+  let fragments = udp_fragments () in
+  List.iter (Datapath.receive_frame h.dp ~in_port:1) fragments;
+  Alcotest.(check (list (pair int string)))
+    "both fragments forwarded on port 2, unchanged"
+    (List.map (fun f -> (2, f)) fragments)
+    (List.rev !(h.transmitted));
+  Alcotest.(check int) "no controller traffic" 0 (List.length !(h.to_controller));
+  (match Datapath.port_counters h.dp 1 with
+  | Some c -> Alcotest.(check int64) "rx_dropped" 0L c.Datapath.rx_dropped
+  | None -> Alcotest.fail "no counters");
+  List.iter
+    (fun frame ->
+      match Ofp_match.fields_of_frame ~in_port:1 frame with
+      | None -> Alcotest.fail "fragment rejected by the extractor"
+      | Some f ->
+          Alcotest.(check (pair int int)) "tp_src, tp_dst" (0, 0)
+            (f.Ofp_match.f_tp_src, f.Ofp_match.f_tp_dst);
+          Alcotest.(check int) "nw_proto" Ipv4.proto_udp f.Ofp_match.f_nw_proto;
+          (* the controller's decode agrees, L4 left unparsed *)
+          (match Packet.decode frame with
+          | Ok ({ Packet.l3 = Packet.Ipv4 (_, Packet.Raw_l4 _); _ } as pkt) ->
+              Alcotest.(check bool) "fields_of_packet agrees" true
+                (Ofp_match.fields_of_packet ~in_port:1 pkt = f)
+          | Ok _ -> Alcotest.fail "fragment's L4 parsed"
+          | Error e -> Alcotest.failf "fragment undecodable: %s" e))
+    fragments
+
+(* Regression: a corrupted IPv4 header checksum must drop the frame even
+   when every field it carries hits an installed exact flow, so the
+   in-place extractor cannot skip the checksum. *)
+let test_bad_ip_checksum_dropped_on_hit () =
+  let h = make_harness () in
+  let frame = sample_frame () in
+  let fields = Option.get (Ofp_match.fields_of_frame ~in_port:1 frame) in
+  send_to_dp h
+    (Ofp_message.Flow_mod
+       (Ofp_message.add_flow (Ofp_match.exact_of_fields fields) [ Ofp_action.output 2 ]));
+  Datapath.receive_frame h.dp ~in_port:1 frame;
+  Alcotest.(check int) "the intact frame hits" 1 (List.length !(h.transmitted));
+  h.transmitted := [];
+  (* bytes 24-25 are the IPv4 header checksum: no matched field changes *)
+  let bad = Bytes.of_string frame in
+  Bytes.set_uint8 bad 25 (Bytes.get_uint8 bad 25 lxor 0x01);
+  let dropped () =
+    match Datapath.port_counters h.dp 1 with
+    | Some c -> c.Datapath.rx_dropped
+    | None -> Alcotest.fail "no counters"
+  in
+  let before = dropped () in
+  Datapath.receive_frame h.dp ~in_port:1 (Bytes.to_string bad);
+  Alcotest.(check int64) "rx_dropped +1" (Int64.add before 1L) (dropped ());
+  Alcotest.(check int) "nothing transmitted" 0 (List.length !(h.transmitted));
+  Alcotest.(check int) "no packet-in" 0 (List.length !(h.to_controller));
+  match Flow_table.entries (Datapath.flow_table h.dp) with
+  | [ e ] -> Alcotest.(check int64) "flow counted only the intact frame" 1L e.Flow_entry.packet_count
+  | _ -> Alcotest.fail "expected one flow"
+
+(* Outputs before the first rewrite send the received bytes themselves;
+   each later output sends the packet as rewritten so far. *)
+let test_rewrite_between_outputs () =
+  let h = make_harness ~ports:[ 1; 2; 3; 4 ] () in
+  let frame = sample_frame () in
+  let fields = Option.get (Ofp_match.fields_of_frame ~in_port:1 frame) in
+  send_to_dp h
+    (Ofp_message.Flow_mod
+       (Ofp_message.add_flow (Ofp_match.exact_of_fields fields)
+          [
+            Ofp_action.output 2;
+            Ofp_action.Set_nw_dst (Ip.of_octets 9 9 9 9);
+            Ofp_action.output 3;
+            Ofp_action.Set_tp_dst 8080;
+            Ofp_action.output 4;
+          ]));
+  Datapath.receive_frame h.dp ~in_port:1 frame;
+  let out port =
+    match List.assoc_opt port !(h.transmitted) with
+    | Some o -> o
+    | None -> Alcotest.failf "nothing on port %d" port
+  in
+  Alcotest.(check bool) "port 2: the received string itself" true (out 2 == frame);
+  let dst_and_port o =
+    match Packet.decode o with
+    | Ok { Packet.l3 = Packet.Ipv4 (ip, Packet.Tcp seg); _ } ->
+        (Ip.to_string ip.Ipv4.dst, seg.Tcp.dst_port)
+    | _ -> Alcotest.fail "rewrite broke the packet"
+  in
+  Alcotest.(check (pair string int)) "port 3: nw_dst rewritten" ("9.9.9.9", 80) (dst_and_port (out 3));
+  Alcotest.(check (pair string int)) "port 4: nw_dst and tp_dst rewritten" ("9.9.9.9", 8080)
+    (dst_and_port (out 4))
+
+(* ------------------------------------------------------------------ *)
 (* PR-6: classifier vs naive linear reference (qcheck)                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -900,5 +1031,9 @@ let () =
           Alcotest.test_case "failed flow-mod releases buffer" `Quick
             test_failed_flow_mod_releases_buffer;
           Alcotest.test_case "batched receive_frames" `Quick test_receive_frames_batch;
+          Alcotest.test_case "ipv4 fragments forwarded" `Quick test_ipv4_fragments_forwarded;
+          Alcotest.test_case "bad ip checksum dropped on a hit" `Quick
+            test_bad_ip_checksum_dropped_on_hit;
+          Alcotest.test_case "rewrite between outputs" `Quick test_rewrite_between_outputs;
         ] );
     ]

@@ -54,7 +54,11 @@ let test_prefix_match () =
   Alcotest.(check bool) "outside prefix" false
     (Ofp_match.matches m { sample_fields with Ofp_match.f_nw_dst = Ip.of_octets 93 184 217 1 });
   let m0 = { Ofp_match.wildcard_all with Ofp_match.nw_dst = Some (ip_a, 0) } in
-  Alcotest.(check bool) "0 bits = wildcard" true (Ofp_match.matches m0 sample_fields)
+  Alcotest.(check bool) "0 bits = wildcard" true (Ofp_match.matches m0 sample_fields);
+  let m40 = { Ofp_match.wildcard_all with Ofp_match.nw_dst = Some (ip_b, 40) } in
+  Alcotest.(check bool) "past /32 acts as /32: hit" true (Ofp_match.matches m40 sample_fields);
+  Alcotest.(check bool) "past /32 acts as /32: miss" false
+    (Ofp_match.matches m40 { sample_fields with Ofp_match.f_nw_dst = Ip.of_octets 93 184 216 35 })
 
 let test_subsumes () =
   let wild = Ofp_match.wildcard_all in
@@ -445,6 +449,349 @@ let prop_subsumes_implies_matches =
       || (not (Ofp_match.matches specific sample_fields))
       || Ofp_match.matches general sample_fields)
 
+(* ------------------------------------------------------------------ *)
+(* matches: allocation-free verify, pinned to an Ip.Prefix reference   *)
+(* ------------------------------------------------------------------ *)
+
+(* The specified semantics spelled with [Ip.Prefix]: a specified field
+   must be equal, and [net/bits] holds [addr] when [Ip.Prefix.mem] says
+   so (a /0 prefix holds every address). *)
+let reference_matches (m : Ofp_match.t) (f : Ofp_match.fields) =
+  let field spec v = match spec with None -> true | Some x -> x = v in
+  let prefix spec addr =
+    match spec with
+    | None -> true
+    | Some (net, bits) -> Ip.Prefix.mem addr (Ip.Prefix.make net bits)
+  in
+  field m.Ofp_match.in_port f.Ofp_match.f_in_port
+  && field m.Ofp_match.dl_src f.Ofp_match.f_dl_src
+  && field m.Ofp_match.dl_dst f.Ofp_match.f_dl_dst
+  && field m.Ofp_match.dl_vlan f.Ofp_match.f_dl_vlan
+  && field m.Ofp_match.dl_vlan_pcp f.Ofp_match.f_dl_vlan_pcp
+  && field m.Ofp_match.dl_type f.Ofp_match.f_dl_type
+  && field m.Ofp_match.nw_tos f.Ofp_match.f_nw_tos
+  && field m.Ofp_match.nw_proto f.Ofp_match.f_nw_proto
+  && prefix m.Ofp_match.nw_src f.Ofp_match.f_nw_src
+  && prefix m.Ofp_match.nw_dst f.Ofp_match.f_nw_dst
+  && field m.Ofp_match.tp_src f.Ofp_match.f_tp_src
+  && field m.Ofp_match.tp_dst f.Ofp_match.f_tp_dst
+
+(* A prefix of every length 0-32 over a random network, and an address
+   that is the network itself or differs from it in one random bit, so
+   about half the addresses fall inside. *)
+let prefix_case_gen =
+  let open QCheck.Gen in
+  let* net = map Int32.of_int (int_bound 0xffffffff) in
+  let* bits = int_bound 32 in
+  let* flip = int_range (-1) 31 in
+  let addr = if flip < 0 then net else Int32.logxor net (Int32.shift_left 1l flip) in
+  return ((Ip.of_int32 net, bits), Ip.of_int32 addr)
+
+let prop_matches_prefix_reference =
+  QCheck.Test.make ~name:"matches = Ip.Prefix reference over /0-/32 (10k)" ~count:10_000
+    (QCheck.make
+       QCheck.Gen.(
+         quad prefix_case_gen prefix_case_gen (opt (oneofl [ 80; 81 ])) (opt (oneofl [ 3; 4 ])))
+       ~print:(fun (((sn, sb), sa), ((dn, db), da), tp, port) ->
+         Printf.sprintf "src %s/%d vs %s, dst %s/%d vs %s, tp_dst %s, in_port %s"
+           (Ip.to_string sn) sb (Ip.to_string sa) (Ip.to_string dn) db (Ip.to_string da)
+           (Option.fold ~none:"*" ~some:string_of_int tp)
+           (Option.fold ~none:"*" ~some:string_of_int port)))
+    (fun ((src, src_addr), (dst, dst_addr), tp_dst, in_port) ->
+      let m =
+        {
+          Ofp_match.wildcard_all with
+          Ofp_match.in_port;
+          nw_src = Some src;
+          nw_dst = Some dst;
+          tp_dst;
+        }
+      in
+      let f = { sample_fields with Ofp_match.f_nw_src = src_addr; f_nw_dst = dst_addr } in
+      Bool.equal (Ofp_match.matches m f) (reference_matches m f))
+
+(* Minor words [g] allocates over [n] calls, less the loop's own. *)
+let minor_words_per_call n g =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (g ()))
+    done;
+    Gc.minor_words () -. w0
+  in
+  (measure g -. measure (fun () -> true)) /. float_of_int n
+
+let test_matches_allocates_nothing () =
+  (* a fields record of its own, so the verify reads boxed addresses *)
+  let f = { sample_fields with Ofp_match.f_nw_src = Ip.of_octets 10 0 0 5 } in
+  let exact = Ofp_match.exact_of_fields sample_fields in
+  let prefixes =
+    {
+      Ofp_match.wildcard_all with
+      Ofp_match.nw_src = Some (Ip.of_octets 10 0 0 0, 8);
+      nw_dst = Some (Ip.of_octets 93 184 216 0, 24);
+    }
+  in
+  Alcotest.(check bool) "exact hit" true (Ofp_match.matches exact f);
+  Alcotest.(check bool) "prefix hit" true (Ofp_match.matches prefixes f);
+  Alcotest.(check (float 0.)) "exact-hit verify allocates 0 words" 0.
+    (minor_words_per_call 10_000 (fun () -> Ofp_match.matches exact f));
+  Alcotest.(check (float 0.)) "/8 + /24 verify allocates 0 words" 0.
+    (minor_words_per_call 10_000 (fun () -> Ofp_match.matches prefixes f));
+  (* the probe's hash: the documented other half of the zero-alloc claim *)
+  Alcotest.(check (float 0.)) "exact hash_fields allocates 0 words" 0.
+    (minor_words_per_call 10_000 (fun () -> Ofp_match.hash_fields Ofp_match.mask_exact f))
+
+(* ------------------------------------------------------------------ *)
+(* fields_of_frame = fields_of_packet after Packet.decode               *)
+(* ------------------------------------------------------------------ *)
+
+module Frame_gen = struct
+  open QCheck.Gen
+
+  let ip = map (fun i -> Ip.of_int32 (Int32.of_int i)) (int_bound 0xffffffff)
+  let mac = map Mac.of_bytes (string_size ~gen:char (return 6))
+  let port = int_bound 0xffff
+  let payload = int_bound 1500 >>= fun n -> string_size ~gen:char (return n)
+
+  let eth ethertype =
+    let* src = mac in
+    let* dst = mac in
+    return { Ethernet.src; dst; ethertype; payload = "" }
+
+  (* IP options pad to 32 bits, so IHL ranges over 5-7 *)
+  let ipv4 ~protocol =
+    let* dscp = int_bound 63 in
+    let* ttl = int_range 1 255 in
+    let* ident = int_bound 0xffff in
+    let* options = oneofl [ ""; "\001\001\001\000"; String.make 8 '\001' ] in
+    let* src = ip in
+    let* dst = ip in
+    return { (Ipv4.make ~ttl ~ident ~protocol ~src ~dst "") with Ipv4.dscp; options }
+
+  let ip_packet protocol l4 =
+    let* e = eth Ethernet.ethertype_ipv4 in
+    let* h = ipv4 ~protocol in
+    return (Packet.encode { Packet.eth = e; l3 = Packet.Ipv4 (h, l4) })
+
+  let udp =
+    let* src_port = port in
+    let* dst_port = port in
+    payload >>= fun payload -> ip_packet Ipv4.proto_udp (Packet.Udp { Udp.src_port; dst_port; payload })
+
+  let tcp =
+    let* src_port = port in
+    let* dst_port = port in
+    let* options = oneofl [ ""; "\002\004\005\180"; String.make 12 '\001' ] in
+    payload >>= fun p ->
+    ip_packet Ipv4.proto_tcp
+      (Packet.Tcp { (Tcp.make ~src_port ~dst_port p) with Tcp.options })
+
+  let icmp =
+    let* typ = int_bound 255 in
+    let* code = int_bound 255 in
+    let* rest = map Int32.of_int (int_bound 0xffffffff) in
+    payload >>= fun payload -> ip_packet Ipv4.proto_icmp (Packet.Icmp { Icmp.typ; code; rest; payload })
+
+  (* arbitrary bytes under any protocol number, UDP/TCP/ICMP included *)
+  let raw_ip =
+    let* protocol = oneof [ int_bound 255; oneofl [ 1; 6; 17 ] ] in
+    payload >>= fun p -> ip_packet protocol (Packet.Raw_l4 p)
+
+  (* a piece of a datagram: more-fragments set and/or a non-zero offset *)
+  let fragment =
+    let* protocol = oneof [ int_bound 255; oneofl [ 1; 6; 17 ] ] in
+    let* more_fragments = bool in
+    let* fragment_offset = if more_fragments then int_bound 0x1fff else int_range 1 0x1fff in
+    let* e = eth Ethernet.ethertype_ipv4 in
+    let* h = ipv4 ~protocol in
+    let* p = payload in
+    return
+      (Packet.encode
+         {
+           Packet.eth = e;
+           l3 =
+             Packet.Ipv4
+               ( { h with Ipv4.more_fragments; fragment_offset; dont_fragment = false },
+                 Packet.Raw_l4 p );
+         })
+
+  let arp =
+    let* op = oneofl [ Arp.Request; Arp.Reply ] in
+    let* sender_mac = mac in
+    let* target_mac = mac in
+    let* sender_ip = ip in
+    let* target_ip = ip in
+    let* e = eth Ethernet.ethertype_arp in
+    return
+      (Packet.encode
+         { Packet.eth = e; l3 = Packet.Arp { Arp.op; sender_mac; sender_ip; target_mac; target_ip } })
+
+  (* any ethertype, 0x0800 and 0x0806 included, over arbitrary bytes *)
+  let other =
+    let* ethertype = oneof [ int_bound 0xffff; oneofl [ 0x0800; 0x0806; 0x86dd ] ] in
+    let* e = eth ethertype in
+    payload >>= fun payload -> return (Ethernet.encode { e with Ethernet.payload })
+
+  let is_ipv4 b = Bytes.length b >= 14 && Bytes.get_uint16_be b 12 = Ethernet.ethertype_ipv4
+  let ihl_bytes b = if Bytes.length b > 14 then (Bytes.get_uint8 b 14 land 0xf) * 4 else 20
+  let l4_off b = 14 + ihl_bytes b
+
+  (* re-sign the IPv4 header after a field edit, so the edited field's
+     own check is what the frame meets *)
+  let fix_ip_checksum b =
+    let hl = ihl_bytes b in
+    if is_ipv4 b && hl >= 20 && 14 + hl <= Bytes.length b then begin
+      Bytes.set_uint16_be b 24 0;
+      Bytes.set_uint16_be b 24
+        (Hw_util.Wire.checksum_ones_complement_range (Bytes.unsafe_to_string b) ~off:14 ~len:hl)
+    end
+
+  let set16 b i v = if i + 2 <= Bytes.length b then Bytes.set_uint16_be b i v
+  let set8 b i v = if i < Bytes.length b then Bytes.set_uint8 b i v
+
+  (* One edit of the frame bytes. *)
+  let mutation =
+    let cut_at points =
+      let* base = oneofl points in
+      let* delta = int_range (-1) 1 in
+      return (base, delta)
+    in
+    frequency
+      [
+        ( 3,
+          (* truncate at a header boundary (or a byte either side), with
+             the IPv4 total length left alone or made to agree *)
+          let* fix = bool in
+          let* which =
+            cut_at
+              [ `Abs 0; `Abs 6; `Abs 12; `Abs 14; `Abs 15; `Abs 34; `Abs 42;
+                `L4 0; `L4 4; `L4 8; `L4 12; `L4 13; `L4 20; `Random ]
+          in
+          let* r = float_bound_inclusive 1. in
+          return (fun b ->
+              let base, delta = which in
+              let n = Bytes.length b in
+              let cut =
+                match base with
+                | `Abs k -> k + delta
+                | `L4 k -> l4_off b + k + delta
+                | `Random -> int_of_float (r *. float_of_int n)
+              in
+              let cut = max 0 (min n cut) in
+              let b = Bytes.sub b 0 cut in
+              if fix && is_ipv4 b && cut >= 18 then begin
+                set16 b 16 (cut - 14);
+                fix_ip_checksum b
+              end;
+              b) );
+        ( 2,
+          (* Ethernet padding past the IPv4 total length *)
+          let* pad = string_size ~gen:char (int_range 1 64) in
+          return (fun b -> Bytes.cat b (Bytes.of_string pad)) );
+        ( 3,
+          (* a bit flip in the headers: IPv4 and ICMP checksums catch most *)
+          let* pos = int_bound (14 + 60 + 28) in
+          let* bit = int_bound 7 in
+          return (fun b ->
+              if pos < Bytes.length b then
+                Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+              b) );
+        ( 4,
+          (* a bad header field, the IPv4 checksum re-signed after it *)
+          let* v = int_bound 0xffff in
+          let* field = oneofl [ `Version; `Ihl; `Total_len; `Udp_len; `Tcp_off; `Arp ] in
+          let* arp_byte = int_bound 7 in
+          return (fun b ->
+              let n = Bytes.length b in
+              (match field with
+              | `Version -> set8 b 14 ((v land 0xf) lsl 4 lor (ihl_bytes b / 4))
+              | `Ihl -> if n > 14 then set8 b 14 (0x40 lor (v land 0xf))
+              | `Total_len ->
+                  let options = [ v; n - 14; n - 13; n - 15; ihl_bytes b - 1; ihl_bytes b ] in
+                  set16 b 16 (List.nth options (v mod List.length options) land 0xffff)
+              | `Udp_len ->
+                  let l4 = l4_off b in
+                  let options = [ v; v land 7; n - l4; n - l4 + 1 ] in
+                  set16 b (l4 + 4) (List.nth options (v mod 4) land 0xffff)
+              | `Tcp_off ->
+                  let l4 = l4_off b in
+                  if l4 + 12 < n then set8 b (l4 + 12) ((v land 0xf) lsl 4)
+              | `Arp -> set8 b (14 + arp_byte) (v land 0xff));
+              fix_ip_checksum b;
+              b) );
+      ]
+
+  let frame =
+    let* base =
+      frequency [ (3, udp); (3, tcp); (2, icmp); (2, raw_ip); (2, fragment); (2, arp); (1, other) ]
+    in
+    let* edits = frequency [ (2, return []); (3, list_size (int_range 1 2) mutation) ] in
+    return
+      (Bytes.to_string (List.fold_left (fun b edit -> edit b) (Bytes.of_string base) edits))
+end
+
+let decode_then_fields ~in_port frame =
+  Result.to_option (Result.map (Ofp_match.fields_of_packet ~in_port) (Packet.decode frame))
+
+let pp_fields = function
+  | None -> "None"
+  | Some f ->
+      Printf.sprintf "Some {type 0x%04x tos %d proto %d %s -> %s tp %d -> %d}"
+        f.Ofp_match.f_dl_type f.Ofp_match.f_nw_tos f.Ofp_match.f_nw_proto
+        (Ip.to_string f.Ofp_match.f_nw_src) (Ip.to_string f.Ofp_match.f_nw_dst)
+        f.Ofp_match.f_tp_src f.Ofp_match.f_tp_dst
+
+let prop_fields_of_frame_differential =
+  QCheck.Test.make ~name:"fields_of_frame = fields_of_packet after Packet.decode (20k)"
+    ~count:20_000
+    (QCheck.make Frame_gen.frame ~print:(fun frame ->
+         Printf.sprintf "%d bytes, decode says %s\n%s" (String.length frame)
+           (pp_fields (decode_then_fields ~in_port:7 frame))
+           (Hw_util.Wire.hex_dump (String.sub frame 0 (min 96 (String.length frame))))))
+    (fun frame -> Ofp_match.fields_of_frame ~in_port:7 frame = decode_then_fields ~in_port:7 frame)
+
+(* The differential only means something if both outcomes are common. *)
+let test_frame_gen_covers_both_outcomes () =
+  let frames =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:4000 Frame_gen.frame
+  in
+  let accepted = List.length (List.filter (fun f -> decode_then_fields ~in_port:1 f <> None) frames) in
+  let fragments =
+    List.length
+      (List.filter
+         (fun f ->
+           match Packet.decode f with
+           | Ok { Packet.l3 = Packet.Ipv4 (ip, Packet.Raw_l4 _); _ } ->
+               ip.Ipv4.more_fragments || ip.Ipv4.fragment_offset <> 0
+           | _ -> false)
+         frames)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "accepted %d of 4000 (want 25-75%%)" accepted)
+    true
+    (accepted > 1000 && accepted < 3000);
+  Alcotest.(check bool) (Printf.sprintf "%d decodable fragments" fragments) true (fragments > 100)
+
+let test_fields_of_frame_cases () =
+  let udp =
+    Packet.encode
+      (Packet.udp_packet ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~src_port:5353
+         ~dst_port:53 (String.make 1000 'x'))
+  in
+  let f = Option.get (Ofp_match.fields_of_frame ~in_port:2 udp) in
+  Alcotest.(check int) "tp_src" 5353 f.Ofp_match.f_tp_src;
+  Alcotest.(check int) "tp_dst" 53 f.Ofp_match.f_tp_dst;
+  Alcotest.(check bool) "macs" true
+    (Mac.equal mac_a f.Ofp_match.f_dl_src && Mac.equal mac_b f.Ofp_match.f_dl_dst);
+  Alcotest.(check bool) "padding ignored" true
+    (Ofp_match.fields_of_frame ~in_port:2 (udp ^ String.make 20 '\000') = Some f);
+  let bad_csum = Bytes.of_string udp in
+  Bytes.set_uint8 bad_csum 25 (Bytes.get_uint8 bad_csum 25 lxor 1);
+  Alcotest.(check bool) "bad header checksum rejected" true
+    (Ofp_match.fields_of_frame ~in_port:2 (Bytes.to_string bad_csum) = None);
+  Alcotest.(check bool) "runt rejected" true (Ofp_match.fields_of_frame ~in_port:2 "short" = None)
+
 let () =
   Alcotest.run "hw_openflow"
     [
@@ -459,6 +806,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_match_roundtrip;
           QCheck_alcotest.to_alcotest prop_exact_always_matches_its_fields;
           QCheck_alcotest.to_alcotest prop_subsumes_implies_matches;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "exact-hit matches allocates nothing" `Quick
+            test_matches_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_matches_prefix_reference;
+        ] );
+      ( "fields",
+        [
+          Alcotest.test_case "udp, padding, bad checksum, runt" `Quick test_fields_of_frame_cases;
+          Alcotest.test_case "generator covers both outcomes" `Quick
+            test_frame_gen_covers_both_outcomes;
+          QCheck_alcotest.to_alcotest prop_fields_of_frame_differential;
         ] );
       ( "actions",
         [

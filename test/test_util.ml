@@ -191,6 +191,22 @@ let prop_checksum_zero_roundtrip =
       let with_csum = data ^ String.init 2 (function 0 -> Char.chr (c lsr 8) | _ -> Char.chr (c land 0xff)) in
       Wire.checksum_ones_complement with_csum = 0)
 
+(* The range form reads in place what the plain form reads from a copy,
+   odd lengths and out-of-range arguments included. *)
+let prop_checksum_range_is_sub =
+  QCheck.Test.make ~name:"checksum of a range = checksum of its substring" ~count:500
+    QCheck.(triple (string_of_size (Gen.int_bound 80)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      Wire.checksum_ones_complement_range s ~off ~len
+      = Wire.checksum_ones_complement (String.sub s off len)
+      &&
+      match Wire.checksum_ones_complement_range s ~off ~len:(n - off + 1) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "hw_util"
     [
@@ -222,5 +238,6 @@ let () =
           Alcotest.test_case "checksum self-verify" `Quick test_checksum_verifies_to_zero;
           Alcotest.test_case "hex dump shape" `Quick test_hex_dump_shape;
           QCheck_alcotest.to_alcotest prop_checksum_zero_roundtrip;
+          QCheck_alcotest.to_alcotest prop_checksum_range_is_sub;
         ] );
     ]
