@@ -431,6 +431,13 @@ let micro_tests () =
          [ Hw_openflow.Ofp_action.output 2 ])
   in
   let fm_bytes = Hw_openflow.Ofp_message.encode ~xid:1l fm in
+  (* perfbench stream's frame: the 1,000-byte UDP datagram every
+     simulated streaming device sends *)
+  let stream_pkt =
+    Packet.udp_packet ~src_mac:(Mac.local 1) ~dst_mac:(Mac.local 2)
+      ~src_ip:(Ip.of_octets 10 0 0 1) ~dst_ip:(Ip.of_octets 93 184 216 34) ~src_port:40000
+      ~dst_port:9000 (String.make 1000 'u')
+  in
   let pi_bytes =
     Hw_openflow.Ofp_message.encode ~xid:2l
       (Hw_openflow.Ofp_message.Packet_in
@@ -449,6 +456,8 @@ let micro_tests () =
         (Staged.stage (fun () -> ignore (Hw_openflow.Ofp_message.decode fm_bytes)));
       Test.make ~name:"decode_packet_in"
         (Staged.stage (fun () -> ignore (Hw_openflow.Ofp_message.decode pi_bytes)));
+      Test.make ~name:"packet_encode_udp_1000B"
+        (Staged.stage (fun () -> ignore (Packet.encode stream_pkt)));
     ]
   in
   (* PERF3: hwdb *)
@@ -909,6 +918,25 @@ let micro_tests () =
              ignore (Sys.opaque_identity (Hw_hwdb.Database.table db "Leases"))));
     ]
   in
+  (* PERF13: the discrete-event simulator's queue. One step pops the
+     earliest of 6,700 pending events (perfbench stream's mean queue
+     length) and runs it; the event schedules its successor at a pseudo-
+     random delay, so the queue holds its size and shape. *)
+  let sim_tests () =
+    let loop = Hw_sim.Event_loop.create ~metrics:(Hw_metrics.Registry.create ()) () in
+    let next = ref 0 in
+    let rec event () =
+      next := (!next + 7919) land 0xffff;
+      Hw_sim.Event_loop.after loop (float_of_int (1 + !next) /. 65536.) event
+    in
+    for _ = 1 to 6700 do
+      event ()
+    done;
+    [
+      Test.make ~name:"event_loop_step/6700_pending"
+        (Staged.stage (fun () -> ignore (Hw_sim.Event_loop.step loop)));
+    ]
+  in
   [
     ("PERF1 flow table", lookup_tests);
     ("PERF2 openflow codec", codec_tests);
@@ -922,6 +950,51 @@ let micro_tests () =
     ("PERF10 hwdb subs", plan_sub_tests);
     ("PERF11 rpc ctx", rpc_ctx_tests);
     ("PERF12 wal durability", wal_tests);
+    ("PERF13 simulator", sim_tests);
+  ]
+
+(* Rows computed from a group's measured rows (looked up by name) and
+   added to it, so PERF_budget.json gates them like any latency. Each
+   entry is (group, row, derivation); [None] leaves the row out. *)
+let derived_rows =
+  let ratio_x1000 num den = num /. den *. 1000. in
+  [
+    (* PERF10's headline claim: prepared exec vs parse+interpret, as
+       prepared/interpreted x1000 (100 means 10x faster; smaller is
+       better, the gate's direction) *)
+    ( "PERF10 hwdb plans",
+      "prepared_over_parse_exec_ratio_x1000",
+      fun find ->
+        match (find "prepared_select_cached", find "interpreted_select_parse_exec") with
+        | Some prep, Some interp when prep > 0. ->
+            Some
+              (ratio_x1000 prep interp, Printf.sprintf "(= %.1fx faster prepared)" (interp /. prep))
+        | _ -> None );
+    (* PERF11's acceptance number is the marginal cost of the trace-context
+       trailer: the difference of the two medians, clamped at 0 (the pair
+       is within noise of each other on fast machines) *)
+    ( "PERF11 rpc ctx",
+      "ctx_encode_overhead",
+      fun find ->
+        match (find "encode_request_plain", find "encode_request_ctx") with
+        | Some plain, Some ctx -> Some (Float.max 0. (ctx -. plain), "ns/op (ctx - plain)")
+        | _ -> None );
+    (* PERF12's gated number is the durable-insert overhead over the
+       ephemeral insert (x1000), from the paired steady-state loop: see
+       [wal_paired] for why not the bechamel estimates *)
+    ( "PERF12 wal durability",
+      "insert_ephemeral_paired",
+      fun _ -> Option.map (fun (eph, _) -> (eph, "ns/op (paired loop)")) !wal_paired );
+    ( "PERF12 wal durability",
+      "insert_durable_paired",
+      fun _ -> Option.map (fun (_, dur) -> (dur, "ns/op (paired loop)")) !wal_paired );
+    ( "PERF12 wal durability",
+      "durable_over_ephemeral_insert_ratio_x1000",
+      fun _ ->
+        match !wal_paired with
+        | Some (eph, dur) when eph > 0. ->
+            Some (ratio_x1000 dur eph, Printf.sprintf "(= %.2fx ephemeral)" (dur /. eph))
+        | _ -> None );
   ]
 
 let run_micro () =
@@ -975,81 +1048,24 @@ let run_micro () =
           Hw_json.Json.Obj (List.map (fun (name, ns) -> (name, Hw_json.Json.Float ns)) rows) ))
       (micro_tests ())
   in
-  (* PERF10's headline claim is a ratio of two of its measurements
-     (prepared exec vs parse+interpret); emit it as a pseudo-measurement
-     so the PERF_budget.json table gates it like any latency. The value
-     is prepared/interpreted x1000: 100 means 10x faster, and smaller is
-     better, matching the gate's direction. *)
   let groups_json =
     List.map
       (fun (group, obj) ->
-        if not (String.equal group "PERF10 hwdb plans") then (group, obj)
-        else
-          let rows = Hw_json.Json.get_obj obj in
-          let find n = Option.map Hw_json.Json.to_float (List.assoc_opt n rows) in
-          match (find "prepared_select_cached", find "interpreted_select_parse_exec") with
-          | Some prep, Some interp when prep > 0. ->
-              let ratio = prep /. interp *. 1000. in
-              Printf.printf "  %-40s %8.0f (= %.1fx faster prepared)\n"
-                "prepared_over_parse_exec_ratio_x1000" ratio (interp /. prep);
-              ( group,
-                Hw_json.Json.Obj
-                  (rows
-                  @ [ ("prepared_over_parse_exec_ratio_x1000", Hw_json.Json.Float ratio) ]) )
-          | _ -> (group, obj))
-      groups_json
-  in
-  (* PERF11's acceptance number is the marginal cost of the trace-context
-     trailer, not the absolute encode time: emit the difference of the
-     two medians (clamped at 0 — the pair is within noise of each other
-     on fast machines) as a pseudo-measurement the budget table gates. *)
-  let groups_json =
-    List.map
-      (fun (group, obj) ->
-        if not (String.equal group "PERF11 rpc ctx") then (group, obj)
-        else
-          let rows = Hw_json.Json.get_obj obj in
-          let find n = Option.map Hw_json.Json.to_float (List.assoc_opt n rows) in
-          match (find "encode_request_plain", find "encode_request_ctx") with
-          | Some plain, Some ctx ->
-              let overhead = Float.max 0. (ctx -. plain) in
-              Printf.printf "  %-40s %8.0f ns/op (ctx - plain)\n" "ctx_encode_overhead"
-                overhead;
-              ( group,
-                Hw_json.Json.Obj (rows @ [ ("ctx_encode_overhead", Hw_json.Json.Float overhead) ])
-              )
-          | _ -> (group, obj))
-      groups_json
-  in
-  (* PERF12's gated number is the durable-insert overhead as a ratio
-     over the ephemeral insert (x1000; smaller is better, matching the
-     gate's direction), measured by the paired steady-state loop — see
-     [wal_paired] for why not the bechamel estimates. *)
-  let groups_json =
-    List.map
-      (fun (group, obj) ->
-        if not (String.equal group "PERF12 wal durability") then (group, obj)
-        else
-          let rows = Hw_json.Json.get_obj obj in
-          match !wal_paired with
-          | Some (eph, dur) when eph > 0. ->
-              let ratio = dur /. eph *. 1000. in
-              Printf.printf "  %-40s %8.0f ns/op (paired loop)\n"
-                "insert_ephemeral_paired" eph;
-              Printf.printf "  %-40s %8.0f ns/op (paired loop)\n"
-                "insert_durable_paired" dur;
-              Printf.printf "  %-40s %8.0f (= %.2fx ephemeral)\n"
-                "durable_over_ephemeral_insert_ratio_x1000" ratio (dur /. eph);
-              ( group,
-                Hw_json.Json.Obj
-                  (rows
-                  @ [
-                      ("insert_ephemeral_paired", Hw_json.Json.Float eph);
-                      ("insert_durable_paired", Hw_json.Json.Float dur);
-                      ( "durable_over_ephemeral_insert_ratio_x1000",
-                        Hw_json.Json.Float ratio );
-                    ]) )
-          | _ -> (group, obj))
+        let rows = Hw_json.Json.get_obj obj in
+        let find n = Option.map Hw_json.Json.to_float (List.assoc_opt n rows) in
+        let derived =
+          List.filter_map
+            (fun (g, name, derive) ->
+              if not (String.equal g group) then None
+              else
+                Option.map
+                  (fun (value, note) ->
+                    Printf.printf "  %-40s %8.0f %s\n" name value note;
+                    (name, Hw_json.Json.Float value))
+                  (derive find))
+            derived_rows
+        in
+        (group, Hw_json.Json.Obj (rows @ derived)))
       groups_json
   in
   (* The benched components report into Hw_metrics.Registry.default, so the

@@ -13,7 +13,10 @@ type conn = {
   mutable features : Ofp_message.switch_features option;
   mutable alive : bool;
   mutable last_heard : float;
-  stats_waiters : (int32, Ofp_message.stats_reply -> unit) Hashtbl.t;
+  (* per xid: the waiter, and the parts of its reply received so far
+     (flagged more, newest first) *)
+  stats_waiters :
+    (int32, (Ofp_message.stats_reply -> unit) * Ofp_message.stats_reply list) Hashtbl.t;
   barrier_waiters : (int32, unit -> unit) Hashtbl.t;
 }
 
@@ -152,7 +155,7 @@ let send_packet conn ?in_port data actions =
    switch replies synchronously *)
 let request_stats conn req callback =
   let xid = alloc_xid conn in
-  Hashtbl.replace conn.stats_waiters xid callback;
+  Hashtbl.replace conn.stats_waiters xid (callback, []);
   conn.send_bytes (Ofp_message.encode ~xid (Ofp_message.Stats_request req))
 
 let barrier conn callback =
@@ -232,11 +235,14 @@ let handle_message t conn xid msg =
   | Ofp_message.Port_status (reason, port) ->
       Hw_metrics.Counter.incr t.m_port_status;
       List.iter (fun (_, f) -> f conn reason port) t.port_status_handlers
-  | Ofp_message.Stats_reply reply -> (
+  | Ofp_message.Stats_reply { more; reply } -> (
+      (* a long reply arrives in parts; the waiter runs once, on the last *)
       match Hashtbl.find_opt conn.stats_waiters xid with
-      | Some callback ->
+      | Some (callback, parts) when more ->
+          Hashtbl.replace conn.stats_waiters xid (callback, reply :: parts)
+      | Some (callback, parts) ->
           Hashtbl.remove conn.stats_waiters xid;
-          callback reply
+          callback (Ofp_message.join_stats_reply_parts (List.rev (reply :: parts)))
       | None -> Log.debug (fun m -> m "unsolicited stats reply xid=%ld" xid))
   | Ofp_message.Barrier_reply -> (
       match Hashtbl.find_opt conn.barrier_waiters xid with

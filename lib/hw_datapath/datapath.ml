@@ -574,7 +574,7 @@ let handle_stats_request t xid req =
                })
              (List.sort (fun a b -> compare a.config.port_no b.config.port_no) selected))
   in
-  send_with_xid t xid (Ofp_message.Stats_reply reply)
+  List.iter (send_with_xid t xid) (Ofp_message.stats_reply_parts reply)
 
 let handle_packet_out t xid po =
   let frame =

@@ -208,7 +208,7 @@ type t =
   | Flow_mod of flow_mod
   | Port_mod of port_mod
   | Stats_request of stats_request
-  | Stats_reply of stats_reply
+  | Stats_reply of { more : bool; reply : stats_reply }
   | Barrier_request
   | Barrier_reply
 
@@ -274,6 +274,13 @@ let error_type_of_code = function
   | 4 -> Some Port_mod_failed
   | 5 -> Some Queue_op_failed
   | _ -> None
+
+let max_length = 65535
+
+(* OFPSF_REPLY_MORE: more stats-reply messages with this xid follow *)
+let reply_more = 1
+
+let flow_stats_size fs = 88 + Ofp_action.list_size fs.fs_actions
 
 let encode_phy_port w p =
   Wire.Writer.u16 w p.port_no;
@@ -380,117 +387,154 @@ let encode_body w = function
       Wire.Writer.u32 w pm.pm_advertise;
       Wire.Writer.zeros w 4
   | Stats_request req -> (
-      let stats_type, body =
-        let bw = Wire.Writer.create () in
-        match req with
-        | Desc_request -> (0, bw)
-        | Flow_stats_request { sr_match; table_id; sr_out_port } ->
-            Ofp_match.encode bw sr_match;
-            Wire.Writer.u8 bw table_id;
-            Wire.Writer.u8 bw 0;
-            Wire.Writer.u16 bw sr_out_port;
-            (1, bw)
-        | Aggregate_request { sr_match; table_id; sr_out_port } ->
-            Ofp_match.encode bw sr_match;
-            Wire.Writer.u8 bw table_id;
-            Wire.Writer.u8 bw 0;
-            Wire.Writer.u16 bw sr_out_port;
-            (2, bw)
-        | Table_stats_request -> (3, bw)
-        | Port_stats_request port_no ->
-            Wire.Writer.u16 bw port_no;
-            Wire.Writer.zeros bw 6;
-            (4, bw)
-      in
-      Wire.Writer.u16 w stats_type;
+      Wire.Writer.u16 w
+        (match req with
+        | Desc_request -> 0
+        | Flow_stats_request _ -> 1
+        | Aggregate_request _ -> 2
+        | Table_stats_request -> 3
+        | Port_stats_request _ -> 4);
       Wire.Writer.u16 w 0 (* flags *);
-      Wire.Writer.string w (Wire.Writer.contents body))
-  | Stats_reply reply -> (
-      let stats_type, body =
-        let bw = Wire.Writer.create () in
-        match reply with
-        | Desc_reply d ->
-            Wire.Writer.fixed_string bw ~len:256 d.mfr_desc;
-            Wire.Writer.fixed_string bw ~len:256 d.hw_desc;
-            Wire.Writer.fixed_string bw ~len:256 d.sw_desc;
-            Wire.Writer.fixed_string bw ~len:32 d.serial_num;
-            Wire.Writer.fixed_string bw ~len:256 d.dp_desc;
-            (0, bw)
-        | Flow_stats_reply entries ->
-            List.iter
-              (fun fs ->
-                let entry_len = 88 + Ofp_action.list_size fs.fs_actions in
-                Wire.Writer.u16 bw entry_len;
-                Wire.Writer.u8 bw fs.fs_table_id;
-                Wire.Writer.u8 bw 0;
-                Ofp_match.encode bw fs.fs_match;
-                Wire.Writer.u32 bw fs.fs_duration_sec;
-                Wire.Writer.u32 bw fs.fs_duration_nsec;
-                Wire.Writer.u16 bw fs.fs_priority;
-                Wire.Writer.u16 bw fs.fs_idle_timeout;
-                Wire.Writer.u16 bw fs.fs_hard_timeout;
-                Wire.Writer.zeros bw 6;
-                Wire.Writer.u64 bw fs.fs_cookie;
-                Wire.Writer.u64 bw fs.fs_packet_count;
-                Wire.Writer.u64 bw fs.fs_byte_count;
-                Ofp_action.encode_list bw fs.fs_actions)
-              entries;
-            (1, bw)
-        | Aggregate_reply a ->
-            Wire.Writer.u64 bw a.ag_packet_count;
-            Wire.Writer.u64 bw a.ag_byte_count;
-            Wire.Writer.u32 bw a.ag_flow_count;
-            Wire.Writer.zeros bw 4;
-            (2, bw)
-        | Table_stats_reply entries ->
-            List.iter
-              (fun ts ->
-                Wire.Writer.u8 bw ts.ts_table_id;
-                Wire.Writer.zeros bw 3;
-                Wire.Writer.fixed_string bw ~len:32 ts.ts_name;
-                Wire.Writer.u32 bw ts.ts_wildcards;
-                Wire.Writer.u32 bw ts.ts_max_entries;
-                Wire.Writer.u32 bw ts.ts_active_count;
-                Wire.Writer.u64 bw ts.ts_lookup_count;
-                Wire.Writer.u64 bw ts.ts_matched_count)
-              entries;
-            (3, bw)
-        | Port_stats_reply entries ->
-            List.iter
-              (fun ps ->
-                Wire.Writer.u16 bw ps.ps_port_no;
-                Wire.Writer.zeros bw 6;
-                Wire.Writer.u64 bw ps.rx_packets;
-                Wire.Writer.u64 bw ps.tx_packets;
-                Wire.Writer.u64 bw ps.rx_bytes;
-                Wire.Writer.u64 bw ps.tx_bytes;
-                Wire.Writer.u64 bw ps.rx_dropped;
-                Wire.Writer.u64 bw ps.tx_dropped;
-                Wire.Writer.u64 bw ps.rx_errors;
-                Wire.Writer.u64 bw ps.tx_errors;
-                (* rx_frame_err, rx_over_err, rx_crc_err, collisions *)
-                Wire.Writer.u64 bw 0L;
-                Wire.Writer.u64 bw 0L;
-                Wire.Writer.u64 bw 0L;
-                Wire.Writer.u64 bw 0L)
-              entries;
-            (4, bw)
-      in
-      Wire.Writer.u16 w stats_type;
-      Wire.Writer.u16 w 0 (* flags *);
-      Wire.Writer.string w (Wire.Writer.contents body))
+      match req with
+      | Desc_request | Table_stats_request -> ()
+      | Flow_stats_request { sr_match; table_id; sr_out_port }
+      | Aggregate_request { sr_match; table_id; sr_out_port } ->
+          Ofp_match.encode w sr_match;
+          Wire.Writer.u8 w table_id;
+          Wire.Writer.u8 w 0;
+          Wire.Writer.u16 w sr_out_port
+      | Port_stats_request port_no ->
+          Wire.Writer.u16 w port_no;
+          Wire.Writer.zeros w 6)
+  | Stats_reply { more; reply } -> (
+      Wire.Writer.u16 w
+        (match reply with
+        | Desc_reply _ -> 0
+        | Flow_stats_reply _ -> 1
+        | Aggregate_reply _ -> 2
+        | Table_stats_reply _ -> 3
+        | Port_stats_reply _ -> 4);
+      Wire.Writer.u16 w (if more then reply_more else 0);
+      match reply with
+      | Desc_reply d ->
+          Wire.Writer.fixed_string w ~len:256 d.mfr_desc;
+          Wire.Writer.fixed_string w ~len:256 d.hw_desc;
+          Wire.Writer.fixed_string w ~len:256 d.sw_desc;
+          Wire.Writer.fixed_string w ~len:32 d.serial_num;
+          Wire.Writer.fixed_string w ~len:256 d.dp_desc
+      | Flow_stats_reply entries ->
+          List.iter
+            (fun fs ->
+              Wire.Writer.u16 w (flow_stats_size fs);
+              Wire.Writer.u8 w fs.fs_table_id;
+              Wire.Writer.u8 w 0;
+              Ofp_match.encode w fs.fs_match;
+              Wire.Writer.u32 w fs.fs_duration_sec;
+              Wire.Writer.u32 w fs.fs_duration_nsec;
+              Wire.Writer.u16 w fs.fs_priority;
+              Wire.Writer.u16 w fs.fs_idle_timeout;
+              Wire.Writer.u16 w fs.fs_hard_timeout;
+              Wire.Writer.zeros w 6;
+              Wire.Writer.u64 w fs.fs_cookie;
+              Wire.Writer.u64 w fs.fs_packet_count;
+              Wire.Writer.u64 w fs.fs_byte_count;
+              Ofp_action.encode_list w fs.fs_actions)
+            entries
+      | Aggregate_reply a ->
+          Wire.Writer.u64 w a.ag_packet_count;
+          Wire.Writer.u64 w a.ag_byte_count;
+          Wire.Writer.u32 w a.ag_flow_count;
+          Wire.Writer.zeros w 4
+      | Table_stats_reply entries ->
+          List.iter
+            (fun ts ->
+              Wire.Writer.u8 w ts.ts_table_id;
+              Wire.Writer.zeros w 3;
+              Wire.Writer.fixed_string w ~len:32 ts.ts_name;
+              Wire.Writer.u32 w ts.ts_wildcards;
+              Wire.Writer.u32 w ts.ts_max_entries;
+              Wire.Writer.u32 w ts.ts_active_count;
+              Wire.Writer.u64 w ts.ts_lookup_count;
+              Wire.Writer.u64 w ts.ts_matched_count)
+            entries
+      | Port_stats_reply entries ->
+          List.iter
+            (fun ps ->
+              Wire.Writer.u16 w ps.ps_port_no;
+              Wire.Writer.zeros w 6;
+              Wire.Writer.u64 w ps.rx_packets;
+              Wire.Writer.u64 w ps.tx_packets;
+              Wire.Writer.u64 w ps.rx_bytes;
+              Wire.Writer.u64 w ps.tx_bytes;
+              Wire.Writer.u64 w ps.rx_dropped;
+              Wire.Writer.u64 w ps.tx_dropped;
+              Wire.Writer.u64 w ps.rx_errors;
+              Wire.Writer.u64 w ps.tx_errors;
+              (* rx_frame_err, rx_over_err, rx_crc_err, collisions *)
+              Wire.Writer.zeros w 32)
+            entries)
+
+(* the variable-length bytes a message carries, so that a packet-in or
+   packet-out is written without growing the buffer *)
+let size_hint = function
+  | Packet_in p -> String.length p.data
+  | Packet_out p -> String.length p.po_data
+  | Echo_request d | Echo_reply d -> String.length d
+  | Error_msg e -> String.length e.err_data
+  | _ -> 0
 
 let encode ~xid t =
-  let body = Wire.Writer.create ~initial_capacity:64 () in
-  encode_body body t;
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial_capacity:(8 + String.length body) () in
+  let w = Wire.Writer.create ~initial_capacity:(64 + size_hint t) () in
   Wire.Writer.u8 w version;
   Wire.Writer.u8 w (type_code t);
-  Wire.Writer.u16 w (8 + String.length body);
+  Wire.Writer.u16 w 0 (* length, patched below *);
   Wire.Writer.u32 w xid;
-  Wire.Writer.string w body;
+  encode_body w t;
+  let length = Wire.Writer.length w in
+  if length > max_length then
+    invalid_arg
+      (Printf.sprintf "Ofp_message.encode: a %d-byte %s exceeds the 16-bit length" length
+         (type_name t));
+  Wire.Writer.patch_u16 w ~pos:2 length;
   Wire.Writer.contents w
+
+(* A stats reply is split into runs of whole entries; each run's message
+   (8-byte header, 4-byte stats header, entries) fits [max_length]. *)
+let stats_reply_parts reply =
+  let room = max_length - 12 in
+  let runs size_of wrap entries =
+    let rec go parts run run_size = function
+      | [] -> List.rev (wrap (List.rev run) :: parts)
+      | e :: rest ->
+          let n = size_of e in
+          if run <> [] && run_size + n > room then go (wrap (List.rev run) :: parts) [ e ] n rest
+          else go parts (e :: run) (run_size + n) rest
+    in
+    go [] [] 0 entries
+  in
+  let parts =
+    match reply with
+    | Desc_reply _ | Aggregate_reply _ -> [ reply ]
+    | Flow_stats_reply l -> runs flow_stats_size (fun l -> Flow_stats_reply l) l
+    | Table_stats_reply l -> runs (fun _ -> 64) (fun l -> Table_stats_reply l) l
+    | Port_stats_reply l -> runs (fun _ -> 104) (fun l -> Port_stats_reply l) l
+  in
+  let last = List.length parts - 1 in
+  List.mapi (fun i reply -> Stats_reply { more = i < last; reply }) parts
+
+let join_stats_reply_parts = function
+  | [] -> invalid_arg "Ofp_message.join_stats_reply_parts: no parts"
+  | [ reply ] -> reply
+  | first :: _ as parts -> (
+      let entries f = List.concat_map f parts in
+      match first with
+      | Desc_reply _ | Aggregate_reply _ -> first
+      | Flow_stats_reply _ ->
+          Flow_stats_reply (entries (function Flow_stats_reply l -> l | _ -> []))
+      | Table_stats_reply _ ->
+          Table_stats_reply (entries (function Table_stats_reply l -> l | _ -> []))
+      | Port_stats_reply _ ->
+          Port_stats_reply (entries (function Port_stats_reply l -> l | _ -> [])))
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -562,9 +606,7 @@ let decode_flow_stats_entries r =
 let strip_nul s =
   match String.index_opt s '\000' with Some i -> String.sub s 0 i | None -> s
 
-let decode_stats_reply r =
-  let stats_type = Wire.Reader.u16 r ~field:"stats.type" in
-  let _flags = Wire.Reader.u16 r ~field:"stats.flags" in
+let decode_stats_reply r stats_type =
   match stats_type with
   | 0 ->
       let mfr_desc = strip_nul (Wire.Reader.bytes r ~field:"desc.mfr" 256) in
@@ -743,8 +785,10 @@ let decode_body type_code r =
       let* req = decode_stats_request r in
       Ok (Stats_request req)
   | 17 ->
-      let* reply = decode_stats_reply r in
-      Ok (Stats_reply reply)
+      let stats_type = Wire.Reader.u16 r ~field:"stats.type" in
+      let flags = Wire.Reader.u16 r ~field:"stats.flags" in
+      let* reply = decode_stats_reply r stats_type in
+      Ok (Stats_reply { more = flags land reply_more <> 0; reply })
   | 18 -> Ok Barrier_request
   | 19 -> Ok Barrier_reply
   | n -> Error (Printf.sprintf "openflow: unknown message type %d" n)
@@ -789,9 +833,8 @@ module Framing = struct
 
   let create () = { pending = ""; dead = false }
 
-  let input b s = if not b.dead then b.pending <- b.pending ^ s
-
-  let max_message = 65535
+  let input b s =
+    if not b.dead then b.pending <- (if b.pending = "" then s else b.pending ^ s)
 
   let pop b =
     if b.dead then None
@@ -804,12 +847,18 @@ module Framing = struct
         b.pending <- "";
         Some (Error (Printf.sprintf "framing: bad version %d" ver))
       end
-      else if length < 8 || length > max_message then begin
+      else if length < 8 || length > max_length then begin
         b.dead <- true;
         b.pending <- "";
         Some (Error (Printf.sprintf "framing: bad length %d" length))
       end
       else if String.length b.pending < length then None
+      else if length = String.length b.pending then begin
+        (* the common case, one whole message per input: no copy *)
+        let msg = b.pending in
+        b.pending <- "";
+        Some (decode msg)
+      end
       else begin
         let msg = String.sub b.pending 0 length in
         b.pending <- String.sub b.pending length (String.length b.pending - length);

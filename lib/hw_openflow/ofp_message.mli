@@ -190,14 +190,34 @@ type t =
   | Flow_mod of flow_mod
   | Port_mod of port_mod
   | Stats_request of stats_request
-  | Stats_reply of stats_reply
+  | Stats_reply of { more : bool; reply : stats_reply }
+      (** [more] is OF 1.0's [OFPSF_REPLY_MORE]: further parts of this
+          reply follow under the same xid (see {!stats_reply_parts}). *)
   | Barrier_request
   | Barrier_reply
 
 val type_name : t -> string
 
+val max_length : int
+(** 65,535: the largest message the 16-bit length field can describe. *)
+
 val encode : xid:int32 -> t -> string
-(** Full message including the 8-byte OpenFlow header. *)
+(** Full message including the 8-byte OpenFlow header, header and body
+    written into one buffer and the length filled in last.
+    @raise Invalid_argument if the message would exceed {!max_length}
+    bytes (split a long stats reply with {!stats_reply_parts}). *)
+
+val stats_reply_parts : stats_reply -> t list
+(** The [Stats_reply] messages that carry a reply, as OF 1.0 sends one
+    that does not fit a single message: consecutive runs of its entries,
+    in order, each message at most {!max_length} bytes, every part but
+    the last flagged [more]. A reply that fits is one message. *)
+
+val join_stats_reply_parts : stats_reply list -> stats_reply
+(** Concatenates the entries of the parts of one reply, in order (parts
+    of another kind than the first are dropped);
+    [join_stats_reply_parts] inverts {!stats_reply_parts}.
+    @raise Invalid_argument on an empty list. *)
 
 val decode : string -> (int32 * t, string) result
 (** Decodes one complete message. *)

@@ -12,8 +12,9 @@ type t = {
 
 let op_code = function Request -> 1 | Reply -> 2
 
-let encode t =
-  let w = Wire.Writer.create ~initial_capacity:28 () in
+let size = 28
+
+let write w t =
   Wire.Writer.u16 w 1 (* htype ethernet *);
   Wire.Writer.u16 w 0x0800 (* ptype ipv4 *);
   Wire.Writer.u8 w 6;
@@ -22,7 +23,11 @@ let encode t =
   Wire.Writer.string w (Mac.to_bytes t.sender_mac);
   Wire.Writer.u32 w (Ip.to_int32 t.sender_ip);
   Wire.Writer.string w (Mac.to_bytes t.target_mac);
-  Wire.Writer.u32 w (Ip.to_int32 t.target_ip);
+  Wire.Writer.u32 w (Ip.to_int32 t.target_ip)
+
+let encode t =
+  let w = Wire.Writer.create ~initial_capacity:size () in
+  write w t;
   Wire.Writer.contents w
 
 let decode buf =

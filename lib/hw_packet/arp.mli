@@ -10,6 +10,10 @@ type t = {
   target_ip : Ip.t;
 }
 
+val size : int
+(** Bytes on the wire (28). *)
+
+val write : Hw_util.Wire.Writer.t -> t -> unit
 val encode : t -> string
 val decode : string -> (t, string) result
 

@@ -6,11 +6,14 @@ let ethertype_ipv4 = 0x0800
 let ethertype_arp = 0x0806
 let header_size = 14
 
-let encode t =
-  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+let write_header w t =
   Wire.Writer.string w (Mac.to_bytes t.dst);
   Wire.Writer.string w (Mac.to_bytes t.src);
-  Wire.Writer.u16 w t.ethertype;
+  Wire.Writer.u16 w t.ethertype
+
+let encode t =
+  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+  write_header w t;
   Wire.Writer.string w t.payload;
   Wire.Writer.contents w
 

@@ -11,6 +11,9 @@ val ethertype_ipv4 : int
 val ethertype_arp : int
 val header_size : int
 
+val write_header : Hw_util.Wire.Writer.t -> t -> unit
+(** Writes the 14-byte header; [payload] is left to the caller. *)
+
 val encode : t -> string
 val decode : string -> (t, string) result
 

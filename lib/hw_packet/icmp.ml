@@ -12,18 +12,22 @@ let echo_request ~id ~seq payload =
 
 let echo_reply_to t = { t with typ = 0 }
 
-let encode_raw t ~checksum =
-  let w = Wire.Writer.create ~initial_capacity:(8 + String.length t.payload) () in
+let header_size = 8
+
+let write w t =
+  let off = Wire.Writer.length w in
   Wire.Writer.u8 w t.typ;
   Wire.Writer.u8 w t.code;
-  Wire.Writer.u16 w checksum;
+  Wire.Writer.u16 w 0;
   Wire.Writer.u32 w t.rest;
   Wire.Writer.string w t.payload;
-  Wire.Writer.contents w
+  let sum = Wire.Writer.ones_complement_sum w ~off ~len:(Wire.Writer.length w - off) in
+  Wire.Writer.patch_u16 w ~pos:(off + 2) (Wire.checksum_of_sum sum)
 
 let encode t =
-  let csum = Wire.checksum_ones_complement (encode_raw t ~checksum:0) in
-  encode_raw t ~checksum:csum
+  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+  write w t;
+  Wire.Writer.contents w
 
 let decode buf =
   try

@@ -9,6 +9,11 @@ type t = {
 
 val echo_request : id:int -> seq:int -> string -> t
 val echo_reply_to : t -> t
+val header_size : int
+
+val write : Hw_util.Wire.Writer.t -> t -> unit
+(** Writes the message with its checksum. *)
+
 val encode : t -> string
 val decode : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -35,28 +35,30 @@ let make ?(ttl = 64) ?(ident = 0) ~protocol ~src ~dst payload =
 
 let header_len t = 20 + String.length t.options
 
-let encode_header t ~checksum =
-  let w = Wire.Writer.create ~initial_capacity:(header_len t) () in
-  let ihl = header_len t / 4 in
-  Wire.Writer.u8 w ((4 lsl 4) lor ihl);
+let write_header w t ~payload_len =
+  if String.length t.options mod 4 <> 0 then invalid_arg "Ipv4.encode: options must pad to 32 bits";
+  let off = Wire.Writer.length w in
+  let hlen = header_len t in
+  Wire.Writer.u8 w ((4 lsl 4) lor (hlen / 4));
   Wire.Writer.u8 w (t.dscp lsl 2);
-  Wire.Writer.u16 w (header_len t + String.length t.payload);
+  Wire.Writer.u16 w (hlen + payload_len);
   Wire.Writer.u16 w t.ident;
   let flags = (if t.dont_fragment then 2 else 0) lor if t.more_fragments then 1 else 0 in
   Wire.Writer.u16 w ((flags lsl 13) lor (t.fragment_offset land 0x1fff));
   Wire.Writer.u8 w t.ttl;
   Wire.Writer.u8 w t.protocol;
-  Wire.Writer.u16 w checksum;
+  Wire.Writer.u16 w 0;
   Wire.Writer.u32 w (Ip.to_int32 t.src);
   Wire.Writer.u32 w (Ip.to_int32 t.dst);
   Wire.Writer.string w t.options;
-  Wire.Writer.contents w
+  let sum = Wire.Writer.ones_complement_sum w ~off ~len:hlen in
+  Wire.Writer.patch_u16 w ~pos:(off + 10) (Wire.checksum_of_sum sum)
 
 let encode t =
-  if String.length t.options mod 4 <> 0 then invalid_arg "Ipv4.encode: options must pad to 32 bits";
-  let header0 = encode_header t ~checksum:0 in
-  let csum = Wire.checksum_ones_complement header0 in
-  encode_header t ~checksum:csum ^ t.payload
+  let w = Wire.Writer.create ~initial_capacity:(header_len t + String.length t.payload) () in
+  write_header w t ~payload_len:(String.length t.payload);
+  Wire.Writer.string w t.payload;
+  Wire.Writer.contents w
 
 let decode buf =
   try
@@ -100,6 +102,11 @@ let decode buf =
       end
     end
   with Wire.Truncated f -> Error (Printf.sprintf "ipv4: truncated at %s" f)
+
+let pseudo_sum t l4_len =
+  let word32 a = (Int32.to_int a lsr 16 land 0xffff) + (Int32.to_int a land 0xffff) in
+  word32 (Ip.to_int32 t.src) + word32 (Ip.to_int32 t.dst) + (t.protocol land 0xff)
+  + (l4_len land 0xffff)
 
 let pseudo_header t l4_len =
   let w = Wire.Writer.create ~initial_capacity:12 () in

@@ -1,3 +1,5 @@
+open Hw_util
+
 type l4 = Udp of Udp.t | Tcp of Tcp.t | Icmp of Icmp.t | Raw_l4 of string
 type l3 = Arp of Arp.t | Ipv4 of Ipv4.t * l4 | Raw_l3 of string
 type t = { eth : Ethernet.t; l3 : l3 }
@@ -31,28 +33,37 @@ let decode buf =
     Ok { eth; l3 = Ipv4 (ip, l4) }
   else Ok { eth; l3 = Raw_l3 eth.Ethernet.payload }
 
+let l4_size = function
+  | Udp u -> Udp.header_size + String.length u.Udp.payload
+  | Tcp seg -> Tcp.header_len seg + String.length seg.Tcp.payload
+  | Icmp i -> Icmp.header_size + String.length i.Icmp.payload
+  | Raw_l4 s -> String.length s
+
+let wire_size t =
+  Ethernet.header_size
+  +
+  match t.l3 with
+  | Arp _ -> Arp.size
+  | Ipv4 (ip, l4) -> Ipv4.header_len ip + l4_size l4
+  | Raw_l3 s -> String.length s
+
+(* The [payload] fields of [eth] and of the IPv4 record are not
+   consulted: the layers below supply them. *)
 let encode t =
-  let payload =
-    match t.l3 with
-    | Arp a -> Arp.encode a
-    | Raw_l3 s -> s
-    | Ipv4 (ip, l4) ->
-        let l4_bytes =
-          match l4 with
-          | Udp u ->
-              let len = Udp.header_size + String.length u.Udp.payload in
-              Udp.encode u ~pseudo_header:(Ipv4.pseudo_header ip len)
-          | Tcp seg ->
-              let len =
-                20 + String.length seg.Tcp.options + String.length seg.Tcp.payload
-              in
-              Tcp.encode seg ~pseudo_header:(Ipv4.pseudo_header ip len)
-          | Icmp i -> Icmp.encode i
-          | Raw_l4 s -> s
-        in
-        Ipv4.encode { ip with Ipv4.payload = l4_bytes }
-  in
-  Ethernet.encode { t.eth with Ethernet.payload }
+  let w = Wire.Writer.create ~initial_capacity:(wire_size t) () in
+  Ethernet.write_header w t.eth;
+  (match t.l3 with
+  | Arp a -> Arp.write w a
+  | Raw_l3 s -> Wire.Writer.string w s
+  | Ipv4 (ip, l4) -> (
+      let l4_len = l4_size l4 in
+      Ipv4.write_header w ip ~payload_len:l4_len;
+      match l4 with
+      | Udp u -> Udp.write w u ~pseudo_sum:(Ipv4.pseudo_sum ip l4_len)
+      | Tcp seg -> Tcp.write w seg ~pseudo_sum:(Ipv4.pseudo_sum ip l4_len)
+      | Icmp i -> Icmp.write w i
+      | Raw_l4 s -> Wire.Writer.string w s));
+  Wire.Writer.contents w
 
 type five_tuple = {
   proto : int;
@@ -90,8 +101,6 @@ let five_tuple t =
         | Icmp _ | Raw_l4 _ -> (0, 0)
       in
       Some { proto = ip.Ipv4.protocol; src_ip = ip.Ipv4.src; dst_ip = ip.Ipv4.dst; src_port; dst_port }
-
-let wire_size t = String.length (encode t)
 
 (* ------------------------------------------------------------------ *)
 (* Builders                                                            *)

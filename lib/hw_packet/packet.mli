@@ -22,8 +22,21 @@ val decode : string -> (t, string) result
     treats fragments. *)
 
 val encode : t -> string
-(** Re-serialises from the parsed representation (recomputing lengths and
-    checksums). *)
+(** Serialises the frame, computing every length and checksum: the IPv4
+    header checksum, and the UDP/TCP checksum over the IPv4
+    pseudo-header (a UDP checksum that computes to 0 is sent as 0xffff,
+    RFC 768) or the ICMP checksum over the message. The [payload] fields
+    of [eth] and of an [Ipv4] record are ignored: the enclosed layers
+    supply them.
+
+    The frame is built in one buffer of {!wire_size} bytes, each layer
+    written once and each checksum filled in place, and that buffer is
+    the result: one allocation of the frame's size.
+    @raise Invalid_argument if IPv4 or TCP options do not pad to 32 bits. *)
+
+val wire_size : t -> int
+(** The length of [encode t], computed from the header and payload
+    lengths without encoding. *)
 
 type five_tuple = {
   proto : int;
@@ -38,8 +51,6 @@ val pp_five_tuple : Format.formatter -> five_tuple -> unit
 
 val five_tuple : t -> five_tuple option
 (** [None] for non-IP packets; ICMP and unknown L4 report ports 0. *)
-
-val wire_size : t -> int
 
 (** {2 Builders} *)
 

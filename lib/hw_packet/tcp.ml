@@ -51,8 +51,9 @@ let flags_of_int v =
 
 let header_len t = 20 + String.length t.options
 
-let encode_raw t ~checksum =
-  let w = Wire.Writer.create ~initial_capacity:(header_len t + String.length t.payload) () in
+let write w t ~pseudo_sum =
+  if String.length t.options mod 4 <> 0 then invalid_arg "Tcp.encode: options must pad to 32 bits";
+  let off = Wire.Writer.length w in
   Wire.Writer.u16 w t.src_port;
   Wire.Writer.u16 w t.dst_port;
   Wire.Writer.u32 w t.seq;
@@ -60,17 +61,18 @@ let encode_raw t ~checksum =
   Wire.Writer.u8 w ((header_len t / 4) lsl 4);
   Wire.Writer.u8 w (flags_to_int t.flags);
   Wire.Writer.u16 w t.window;
-  Wire.Writer.u16 w checksum;
+  Wire.Writer.u16 w 0;
   Wire.Writer.u16 w 0 (* urgent pointer *);
   Wire.Writer.string w t.options;
   Wire.Writer.string w t.payload;
-  Wire.Writer.contents w
+  let sum = pseudo_sum + Wire.Writer.ones_complement_sum w ~off ~len:(Wire.Writer.length w - off) in
+  Wire.Writer.patch_u16 w ~pos:(off + 16) (Wire.checksum_of_sum sum)
 
 let encode t ~pseudo_header =
-  if String.length t.options mod 4 <> 0 then invalid_arg "Tcp.encode: options must pad to 32 bits";
-  let body = encode_raw t ~checksum:0 in
-  let csum = Wire.checksum_ones_complement (pseudo_header ^ body) in
-  encode_raw t ~checksum:csum
+  let w = Wire.Writer.create ~initial_capacity:(header_len t + String.length t.payload) () in
+  write w t
+    ~pseudo_sum:(Wire.ones_complement_sum pseudo_header ~off:0 ~len:(String.length pseudo_header));
+  Wire.Writer.contents w
 
 let decode ?pseudo_header buf =
   try

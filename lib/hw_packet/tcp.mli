@@ -33,6 +33,14 @@ val make :
   ?seq:int32 -> ?ack_no:int32 -> ?flags:flags -> ?window:int ->
   src_port:int -> dst_port:int -> string -> t
 
+val header_len : t -> int
+(** 20 plus the options. *)
+
+val write : Hw_util.Wire.Writer.t -> t -> pseudo_sum:int -> unit
+(** Writes the segment with its checksum; [pseudo_sum] as for
+    {!Udp.write}.
+    @raise Invalid_argument unless [options] pads to 32 bits. *)
+
 val encode : t -> pseudo_header:string -> string
 val decode : ?pseudo_header:string -> string -> (t, string) result
 val pp : Format.formatter -> t -> unit

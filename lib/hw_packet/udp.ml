@@ -4,25 +4,34 @@ type t = { src_port : int; dst_port : int; payload : string }
 
 let header_size = 8
 
-let encode_raw t ~checksum =
-  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+let write_raw w t =
   Wire.Writer.u16 w t.src_port;
   Wire.Writer.u16 w t.dst_port;
   Wire.Writer.u16 w (header_size + String.length t.payload);
-  Wire.Writer.u16 w checksum;
-  Wire.Writer.string w t.payload;
-  Wire.Writer.contents w
+  Wire.Writer.u16 w 0;
+  Wire.Writer.string w t.payload
 
-let encode t ~pseudo_header =
-  let body = encode_raw t ~checksum:0 in
+let write w t ~pseudo_sum =
+  let off = Wire.Writer.length w in
+  write_raw w t;
+  let sum = pseudo_sum + Wire.Writer.ones_complement_sum w ~off ~len:(Wire.Writer.length w - off) in
   let csum =
-    match Wire.checksum_ones_complement (pseudo_header ^ body) with
+    match Wire.checksum_of_sum sum with
     | 0 -> 0xffff (* RFC 768: transmitted zero means "no checksum" *)
     | c -> c
   in
-  encode_raw t ~checksum:csum
+  Wire.Writer.patch_u16 w ~pos:(off + 6) csum
 
-let encode_nochecksum t = encode_raw t ~checksum:0
+let encode t ~pseudo_header =
+  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+  write w t
+    ~pseudo_sum:(Wire.ones_complement_sum pseudo_header ~off:0 ~len:(String.length pseudo_header));
+  Wire.Writer.contents w
+
+let encode_nochecksum t =
+  let w = Wire.Writer.create ~initial_capacity:(header_size + String.length t.payload) () in
+  write_raw w t;
+  Wire.Writer.contents w
 
 let decode ?pseudo_header buf =
   try

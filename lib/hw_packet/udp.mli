@@ -4,6 +4,11 @@ type t = { src_port : int; dst_port : int; payload : string }
 
 val header_size : int
 
+val write : Hw_util.Wire.Writer.t -> t -> pseudo_sum:int -> unit
+(** Writes the datagram with its checksum. [pseudo_sum] is the IPv4
+    pseudo-header's sum ({!Ipv4.pseudo_sum}); a checksum that computes to
+    0 is sent as 0xffff (RFC 768). *)
+
 val encode : t -> pseudo_header:string -> string
 (** [pseudo_header] from {!Ipv4.pseudo_header}. *)
 

@@ -393,57 +393,65 @@ let handle_dhcp_reply t (reply : Dhcp_wire.t) =
 (* Frame input                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let for_me t (eth : Ethernet.t) =
-  Mac.equal eth.Ethernet.dst t.cfg.mac || Mac.is_broadcast eth.Ethernet.dst
+(* The destination MAC is the frame's first six bytes: a station on the
+   shared wireless port skips its neighbours' frames on them, before
+   parsing anything. *)
+let dst_is frame mac =
+  let mac = Mac.to_bytes mac in
+  let rec from i = i = 6 || (String.unsafe_get frame i = String.unsafe_get mac i && from (i + 1)) in
+  from 0
+
+let for_me t frame =
+  String.length frame >= 6 && (dst_is frame t.cfg.mac || dst_is frame Mac.broadcast)
 
 let deliver t frame =
-  match Packet.decode frame with
-  | Error _ -> ()
-  | Ok pkt when not (for_me t pkt.Packet.eth) -> ()
-  | Ok pkt -> (
-      t.st.rx_packets <- t.st.rx_packets + 1;
-      t.st.rx_bytes <- t.st.rx_bytes + String.length frame;
-      match pkt.Packet.l3 with
-      | Packet.Arp arp -> (
-          match arp.Arp.op with
-          | Arp.Request -> (
-              match ip t with
-              | Some my_ip when Ip.equal arp.Arp.target_ip my_ip ->
-                  let reply = Arp.reply_to arp ~responder_mac:t.cfg.mac in
-                  send_packet t (Packet.arp_packet ~src_mac:t.cfg.mac reply)
-              | _ -> ())
-          | Arp.Reply -> (
-              Hashtbl.replace t.arp_cache arp.Arp.sender_ip arp.Arp.sender_mac;
-              match Hashtbl.find_opt t.arp_pending arp.Arp.sender_ip with
-              | Some waiters ->
-                  Hashtbl.remove t.arp_pending arp.Arp.sender_ip;
-                  List.iter (fun k -> k arp.Arp.sender_mac) (List.rev !waiters)
-              | None -> ()))
-      | Packet.Ipv4 (_, Packet.Udp u) when u.Udp.dst_port = Dhcp_wire.client_port -> (
-          match Dhcp_wire.decode u.Udp.payload with
-          | Ok reply when reply.Dhcp_wire.op = Dhcp_wire.Bootreply -> handle_dhcp_reply t reply
-          | Ok _ | Error _ -> ())
-      | Packet.Ipv4 (_, Packet.Udp u) when u.Udp.src_port = 53 -> (
-          match Dns_wire.decode u.Udp.payload with
-          | Ok resp when resp.Dns_wire.is_response -> (
-              match Hashtbl.find_opt t.dns_pending resp.Dns_wire.id with
-              | Some k -> (
-                  Hashtbl.remove t.dns_pending resp.Dns_wire.id;
-                  let addr =
-                    List.find_map
-                      (fun (rr : Dns_wire.rr) ->
-                        match rr.Dns_wire.rdata with
-                        | Dns_wire.A_data ip -> Some ip
-                        | _ -> None)
-                      resp.Dns_wire.answers
-                  in
-                  (match addr, resp.Dns_wire.questions with
-                  | Some a, { Dns_wire.qname; _ } :: _ ->
-                      Hashtbl.replace t.dns_cache (Dns_wire.normalize_name qname) a
-                  | _ -> ());
-                  if addr = None then t.st.dns_failures <- t.st.dns_failures + 1;
-                  k addr)
-              | None -> ())
-          | Ok _ | Error _ -> ())
-      | Packet.Ipv4 (_, (Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ | Packet.Raw_l4 _)) -> ()
-      | Packet.Raw_l3 _ -> ())
+  if for_me t frame then
+    match Packet.decode frame with
+    | Error _ -> ()
+    | Ok pkt -> (
+        t.st.rx_packets <- t.st.rx_packets + 1;
+        t.st.rx_bytes <- t.st.rx_bytes + String.length frame;
+        match pkt.Packet.l3 with
+        | Packet.Arp arp -> (
+            match arp.Arp.op with
+            | Arp.Request -> (
+                match ip t with
+                | Some my_ip when Ip.equal arp.Arp.target_ip my_ip ->
+                    let reply = Arp.reply_to arp ~responder_mac:t.cfg.mac in
+                    send_packet t (Packet.arp_packet ~src_mac:t.cfg.mac reply)
+                | _ -> ())
+            | Arp.Reply -> (
+                Hashtbl.replace t.arp_cache arp.Arp.sender_ip arp.Arp.sender_mac;
+                match Hashtbl.find_opt t.arp_pending arp.Arp.sender_ip with
+                | Some waiters ->
+                    Hashtbl.remove t.arp_pending arp.Arp.sender_ip;
+                    List.iter (fun k -> k arp.Arp.sender_mac) (List.rev !waiters)
+                | None -> ()))
+        | Packet.Ipv4 (_, Packet.Udp u) when u.Udp.dst_port = Dhcp_wire.client_port -> (
+            match Dhcp_wire.decode u.Udp.payload with
+            | Ok reply when reply.Dhcp_wire.op = Dhcp_wire.Bootreply -> handle_dhcp_reply t reply
+            | Ok _ | Error _ -> ())
+        | Packet.Ipv4 (_, Packet.Udp u) when u.Udp.src_port = 53 -> (
+            match Dns_wire.decode u.Udp.payload with
+            | Ok resp when resp.Dns_wire.is_response -> (
+                match Hashtbl.find_opt t.dns_pending resp.Dns_wire.id with
+                | Some k -> (
+                    Hashtbl.remove t.dns_pending resp.Dns_wire.id;
+                    let addr =
+                      List.find_map
+                        (fun (rr : Dns_wire.rr) ->
+                          match rr.Dns_wire.rdata with
+                          | Dns_wire.A_data ip -> Some ip
+                          | _ -> None)
+                        resp.Dns_wire.answers
+                    in
+                    (match addr, resp.Dns_wire.questions with
+                    | Some a, { Dns_wire.qname; _ } :: _ ->
+                        Hashtbl.replace t.dns_cache (Dns_wire.normalize_name qname) a
+                    | _ -> ());
+                    if addr = None then t.st.dns_failures <- t.st.dns_failures + 1;
+                    k addr)
+                | None -> ())
+            | Ok _ | Error _ -> ())
+        | Packet.Ipv4 (_, (Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ | Packet.Raw_l4 _)) -> ()
+        | Packet.Raw_l3 _ -> ())

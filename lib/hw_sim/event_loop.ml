@@ -15,7 +15,10 @@ module Pq = struct
     h.heap.(i) <- h.heap.(j);
     h.heap.(j) <- tmp
 
-  let less (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
+  (* annotated so that both comparisons compile to a float and an int
+     compare, not to calls to the polymorphic compare *)
+  let less ((t1 : float), (s1 : int), _) ((t2 : float), (s2 : int), _) =
+    t1 < t2 || (t1 = t2 && s1 < s2)
 
   let push h item =
     if h.size = Array.length h.heap then begin

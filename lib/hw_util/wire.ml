@@ -21,49 +21,37 @@ module Reader = struct
 
   let u8 t ~field =
     need t ~field 1;
-    let v = Char.code t.buf.[t.pos] in
+    let v = String.get_uint8 t.buf t.pos in
     t.pos <- t.pos + 1;
     v
 
   let peek_u8 t ~field =
     need t ~field 1;
-    Char.code t.buf.[t.pos]
+    String.get_uint8 t.buf t.pos
 
   let u16 t ~field =
     need t ~field 2;
-    let v = (Char.code t.buf.[t.pos] lsl 8) lor Char.code t.buf.[t.pos + 1] in
+    let v = String.get_uint16_be t.buf t.pos in
     t.pos <- t.pos + 2;
     v
 
   let u32 t ~field =
     need t ~field 4;
-    let b i = Int32.of_int (Char.code t.buf.[t.pos + i]) in
-    let v =
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-    in
+    let v = String.get_int32_be t.buf t.pos in
     t.pos <- t.pos + 4;
     v
 
   let u32_int t ~field =
     need t ~field 4;
-    let b i = Char.code t.buf.[t.pos + i] in
-    let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+    let v = Int32.to_int (String.get_int32_be t.buf t.pos) land 0xffff_ffff in
     t.pos <- t.pos + 4;
     v
 
   let u64 t ~field =
     need t ~field 8;
-    let b i = Int64.of_int (Char.code t.buf.[t.pos + i]) in
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor (Int64.shift_left !v 8) (b i)
-    done;
+    let v = String.get_int64_be t.buf t.pos in
     t.pos <- t.pos + 8;
-    !v
+    v
 
   let bytes t ~field n =
     need t ~field n;
@@ -74,56 +62,113 @@ module Reader = struct
   let sub_reader t ~field n = of_string (bytes t ~field n)
 end
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external get16u : string -> int -> int = "%caml_string_get16u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap16 : int -> int = "%bswap16"
+
+let get64u_be s i = if Sys.big_endian then get64u s i else bswap64 (get64u s i)
+let get16u_be s i = if Sys.big_endian then get16u s i else bswap16 (get16u s i)
+
+(* The one ones'-complement loop: every checksum in the code base, over
+   a string or over a writer's bytes, sums through here. It reads eight
+   bytes a step and adds them as two 32-bit words: 2^16 = 1 modulo
+   0xffff, so a 32-bit word adds what its two 16-bit halves add, once
+   carries are folded. *)
+let ones_complement_sum s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wire.ones_complement_sum";
+  let stop = off + len in
+  let sum = ref 0 in
+  let i = ref off in
+  while !i + 8 <= stop do
+    let v = get64u_be s !i in
+    sum := !sum + Int64.to_int (Int64.shift_right_logical v 32) + (Int64.to_int v land 0xffff_ffff);
+    i := !i + 8
+  done;
+  while !i + 1 < stop do
+    sum := !sum + get16u_be s !i;
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Char.code (String.unsafe_get s !i) lsl 8);
+  !sum
+
+let checksum_of_sum sum =
+  let sum = ref sum in
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xffff) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xffff
+
 module Writer = struct
-  type t = Buffer.t
+  (* [buf.[0 .. len-1]] holds what was written. [shared]: [contents]
+     handed [buf] out as a string (it was exactly full), so the next write
+     into the existing bytes must copy them first; appends always grow
+     into a fresh buffer when full, so only [patch_u16] checks it. *)
+  type t = { mutable buf : bytes; mutable len : int; mutable shared : bool }
 
-  let create ?(initial_capacity = 64) () = Buffer.create initial_capacity
-  let length = Buffer.length
-  let u8 t v = Buffer.add_char t (Char.chr (v land 0xff))
+  let create ?(initial_capacity = 64) () =
+    { buf = Bytes.create (max 0 initial_capacity); len = 0; shared = false }
 
-  let u16 t v =
-    u8 t (v lsr 8);
-    u8 t v
+  let length t = t.len
 
-  let u32 t v =
-    let b n = Int32.to_int (Int32.logand (Int32.shift_right_logical v n) 0xffl) in
-    u8 t (b 24);
-    u8 t (b 16);
-    u8 t (b 8);
-    u8 t (b 0)
+  let grow t n =
+    let cap = ref (max 16 (Bytes.length t.buf)) in
+    while !cap < t.len + n do
+      cap := 2 * !cap
+    done;
+    let bigger = Bytes.create !cap in
+    Bytes.blit t.buf 0 bigger 0 t.len;
+    t.buf <- bigger;
+    t.shared <- false
 
-  let u32_int t v =
-    u8 t (v lsr 24);
-    u8 t (v lsr 16);
-    u8 t (v lsr 8);
-    u8 t v
+  (* claims [n] bytes at the end and returns their offset *)
+  let reserve t n =
+    if t.len + n > Bytes.length t.buf then grow t n;
+    let pos = t.len in
+    t.len <- pos + n;
+    pos
 
-  let u64 t v =
-    for i = 7 downto 0 do
-      u8 t (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL))
-    done
+  let u8 t v = Bytes.set_uint8 t.buf (reserve t 1) (v land 0xff)
+  let u16 t v = Bytes.set_uint16_be t.buf (reserve t 2) (v land 0xffff)
+  let u32 t v = Bytes.set_int32_be t.buf (reserve t 4) v
+  let u32_int t v = Bytes.set_int32_be t.buf (reserve t 4) (Int32.of_int v)
+  let u64 t v = Bytes.set_int64_be t.buf (reserve t 8) v
 
-  let string t s = Buffer.add_string t s
-  let zeros t n = Buffer.add_string t (String.make n '\000')
+  let string t s =
+    let n = String.length s in
+    Bytes.blit_string s 0 t.buf (reserve t n) n
+
+  let zeros t n =
+    if n < 0 then invalid_arg "Wire.Writer.zeros";
+    Bytes.fill t.buf (reserve t n) n '\000'
 
   let fixed_string t ~len s =
-    let n = String.length s in
-    if n >= len then Buffer.add_string t (String.sub s 0 len)
-    else begin
-      Buffer.add_string t s;
-      zeros t (len - n)
-    end
+    if len < 0 then invalid_arg "Wire.Writer.fixed_string";
+    let n = min len (String.length s) in
+    let pos = reserve t len in
+    Bytes.blit_string s 0 t.buf pos n;
+    Bytes.fill t.buf (pos + n) (len - n) '\000'
 
   let patch_u16 t ~pos v =
-    (* Buffer has no in-place mutation; rebuild via an intermediate copy.
-       Length patching is rare (once per message), so this is acceptable. *)
-    let s = Buffer.to_bytes t in
-    Bytes.set s pos (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set s (pos + 1) (Char.chr (v land 0xff));
-    Buffer.clear t;
-    Buffer.add_bytes t s
+    if pos < 0 || pos > t.len - 2 then invalid_arg "Wire.Writer.patch_u16";
+    if t.shared then begin
+      t.buf <- Bytes.copy t.buf;
+      t.shared <- false
+    end;
+    Bytes.set_uint16_be t.buf pos (v land 0xffff)
 
-  let contents = Buffer.contents
+  let ones_complement_sum t ~off ~len =
+    if off < 0 || len < 0 || off > t.len - len then
+      invalid_arg "Wire.Writer.ones_complement_sum";
+    ones_complement_sum (Bytes.unsafe_to_string t.buf) ~off ~len
+
+  let contents t =
+    if t.len = Bytes.length t.buf then begin
+      t.shared <- true;
+      Bytes.unsafe_to_string t.buf
+    end
+    else Bytes.sub_string t.buf 0 t.len
 end
 
 let hex_dump s =
@@ -149,21 +194,6 @@ let hex_dump s =
   line 0;
   Buffer.contents buf
 
-let checksum_ones_complement_range s ~off ~len =
-  if off < 0 || len < 0 || off > String.length s - len then
-    invalid_arg "Wire.checksum_ones_complement_range";
-  let stop = off + len in
-  let sum = ref 0 in
-  let i = ref off in
-  while !i + 1 < stop do
-    sum :=
-      !sum + ((Char.code (String.unsafe_get s !i) lsl 8) lor Char.code (String.unsafe_get s (!i + 1)));
-    i := !i + 2
-  done;
-  if len land 1 = 1 then sum := !sum + (Char.code (String.unsafe_get s (stop - 1)) lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xffff
+let checksum_ones_complement_range s ~off ~len = checksum_of_sum (ones_complement_sum s ~off ~len)
 
 let checksum_ones_complement s = checksum_ones_complement_range s ~off:0 ~len:(String.length s)

@@ -137,10 +137,12 @@ let test_stats_callback_correlation () =
   in
   (* reply with a different xid first: must not fire *)
   inject_xid fs (Int32.add xid 7l)
-    (Ofp_message.Stats_reply (Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description));
+    (Ofp_message.Stats_reply
+       { more = false; reply = Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description });
   Alcotest.(check bool) "wrong xid ignored" true (!got = None);
   inject_xid fs xid
-    (Ofp_message.Stats_reply (Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description));
+    (Ofp_message.Stats_reply
+       { more = false; reply = Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description });
   Alcotest.(check bool) "right xid fires" true (!got <> None)
 
 let test_barrier_callback () =

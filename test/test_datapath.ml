@@ -336,13 +336,15 @@ let test_stats_pipeline () =
             sr_out_port = Ofp_action.Port.none;
           }));
   (match !(h.to_controller) with
-  | [ (_, Ofp_message.Stats_reply (Ofp_message.Flow_stats_reply [ fs ])) ] ->
+  | [ (_, Ofp_message.Stats_reply { more = false; reply = Ofp_message.Flow_stats_reply [ fs ] }) ]
+    ->
       Alcotest.(check int64) "one packet" 1L fs.Ofp_message.fs_packet_count
   | _ -> Alcotest.fail "flow stats broken");
   h.to_controller := [];
   send_to_dp h (Ofp_message.Stats_request (Ofp_message.Port_stats_request Ofp_action.Port.none));
   (match !(h.to_controller) with
-  | [ (_, Ofp_message.Stats_reply (Ofp_message.Port_stats_reply entries)) ] ->
+  | [ (_, Ofp_message.Stats_reply { more = false; reply = Ofp_message.Port_stats_reply entries }) ]
+    ->
       Alcotest.(check int) "three ports" 3 (List.length entries);
       let p1 = List.find (fun p -> p.Ofp_message.ps_port_no = 1) entries in
       Alcotest.(check int64) "rx on port 1" 1L p1.Ofp_message.rx_packets
@@ -350,7 +352,8 @@ let test_stats_pipeline () =
   h.to_controller := [];
   send_to_dp h (Ofp_message.Stats_request Ofp_message.Table_stats_request);
   match !(h.to_controller) with
-  | [ (_, Ofp_message.Stats_reply (Ofp_message.Table_stats_reply [ ts ])) ] ->
+  | [ (_, Ofp_message.Stats_reply { more = false; reply = Ofp_message.Table_stats_reply [ ts ] }) ]
+    ->
       Alcotest.(check int32) "one active flow" 1l ts.Ofp_message.ts_active_count
   | _ -> Alcotest.fail "table stats broken"
 

@@ -417,6 +417,42 @@ let test_flows_idle_out () =
   Home.run_for home 30.;
   Alcotest.(check int) "table drained" 0 (Router.flows_installed (Home.router home))
 
+(* 1,000 installed flows make the 1 s poll's flow-stats reply ~96 KB,
+   more than one OpenFlow message can carry: it must cross the channel
+   in parts rather than as one message with a wrapped length, which the
+   controller would misparse, detaching the datapath and wiping the
+   table on the reconnect's resync. *)
+let test_flow_stats_reply_over_64k () =
+  let home = Home.create () in
+  let router = Home.router home in
+  Home.run_for home 0.5;
+  let conn =
+    match Hw_controller.Controller.connections (Router.controller router) with
+    | [ conn ] -> conn
+    | _ -> Alcotest.fail "no OpenFlow connection"
+  in
+  for i = 0 to 999 do
+    let m =
+      {
+        Hw_openflow.Ofp_match.wildcard_all with
+        Hw_openflow.Ofp_match.dl_type = Some 0x0800;
+        nw_proto = Some 17;
+        nw_src = Some (Ip.of_octets 10 0 (i / 256) (i mod 256), 32);
+        nw_dst = Some (Ip.of_octets 93 184 216 34, 32);
+      }
+    in
+    Hw_controller.Controller.install_flow conn m [ Hw_openflow.Ofp_action.output 1 ]
+  done;
+  Alcotest.(check int) "installed" 1000 (Router.flows_installed router);
+  Home.run_for home 3.;
+  let leaves =
+    Hw_metrics.Counter.value
+      (Hw_metrics.Registry.counter (Router.metrics router) "ctrl_datapath_leave_total")
+  in
+  Alcotest.(check int) "no datapath leave" 0 leaves;
+  Alcotest.(check int) "flows survive three polls" 1000 (Router.flows_installed router);
+  Alcotest.(check int) "every flow has a baseline" 1000 (Router.flow_baseline_count router)
+
 let test_soak_one_hour_bounded_state () =
   (* one virtual hour of a full household with NAT: every stateful
      structure must stay bounded (flows idle out, hwdb rings cap, NAT
@@ -577,6 +613,7 @@ let () =
         [
           Alcotest.test_case "flows idle out" `Quick test_flows_idle_out;
           Alcotest.test_case "nat mode" `Quick test_nat_mode;
+          Alcotest.test_case "flow-stats reply over 64 KiB" `Quick test_flow_stats_reply_over_64k;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
         ] );
     ]

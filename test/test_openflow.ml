@@ -272,24 +272,36 @@ let test_stats_roundtrips () =
       fs_actions = [ Ofp_action.output 1 ];
     }
   in
-  (match msg_roundtrip (Ofp_message.Stats_reply (Ofp_message.Flow_stats_reply [ entry; entry ])) with
-  | Ofp_message.Stats_reply (Ofp_message.Flow_stats_reply entries) ->
+  (match
+     msg_roundtrip
+       (Ofp_message.Stats_reply
+          { more = false; reply = Ofp_message.Flow_stats_reply [ entry; entry ] })
+   with
+  | Ofp_message.Stats_reply { more = false; reply = Ofp_message.Flow_stats_reply entries } ->
       Alcotest.(check int) "two entries" 2 (List.length entries);
       Alcotest.(check int64) "bytes" 8L (List.hd entries).Ofp_message.fs_byte_count
   | _ -> Alcotest.fail "wrong stats");
   (* desc *)
-  (match msg_roundtrip (Ofp_message.Stats_reply (Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description)) with
-  | Ofp_message.Stats_reply (Ofp_message.Desc_reply d) ->
+  (match
+     msg_roundtrip
+       (Ofp_message.Stats_reply
+          { more = false; reply = Ofp_message.Desc_reply Hw_datapath.Datapath.stats_description })
+   with
+  | Ofp_message.Stats_reply { more = false; reply = Ofp_message.Desc_reply d } ->
       Alcotest.(check string) "dp_desc" "bridge dp0" d.Ofp_message.dp_desc
   | _ -> Alcotest.fail "wrong stats");
   (* aggregate *)
   (match
      msg_roundtrip
        (Ofp_message.Stats_reply
-          (Ofp_message.Aggregate_reply
-             { Ofp_message.ag_packet_count = 1L; ag_byte_count = 2L; ag_flow_count = 3l }))
+          {
+            more = false;
+            reply =
+              Ofp_message.Aggregate_reply
+                { Ofp_message.ag_packet_count = 1L; ag_byte_count = 2L; ag_flow_count = 3l };
+          })
    with
-  | Ofp_message.Stats_reply (Ofp_message.Aggregate_reply a) ->
+  | Ofp_message.Stats_reply { more = false; reply = Ofp_message.Aggregate_reply a } ->
       Alcotest.(check int32) "flows" 3l a.Ofp_message.ag_flow_count
   | _ -> Alcotest.fail "wrong stats");
   (* port stats request/reply *)
@@ -299,7 +311,10 @@ let test_stats_roundtrips () =
   match
     msg_roundtrip
       (Ofp_message.Stats_reply
-         (Ofp_message.Port_stats_reply
+         {
+           more = false;
+           reply =
+             Ofp_message.Port_stats_reply
             [
               {
                 Ofp_message.ps_port_no = 1;
@@ -312,9 +327,10 @@ let test_stats_roundtrips () =
                 rx_errors = 0L;
                 tx_errors = 0L;
               };
-            ]))
+            ];
+         })
   with
-  | Ofp_message.Stats_reply (Ofp_message.Port_stats_reply [ ps ]) ->
+  | Ofp_message.Stats_reply { more = false; reply = Ofp_message.Port_stats_reply [ ps ] } ->
       Alcotest.(check int64) "tx bytes" 4L ps.Ofp_message.tx_bytes
   | _ -> Alcotest.fail "wrong port stats"
 
@@ -379,6 +395,57 @@ let test_framing_partial () =
   match Ofp_message.Framing.pop b with
   | Some (Ok (1l, Ofp_message.Echo_request "hello")) -> ()
   | _ -> Alcotest.fail "message lost"
+
+(* A flow-stats reply too long for one message (1,000 one-action flows,
+   96 bytes each) leaves as several, each within the 16-bit length and
+   all but the last flagged more; decoded and joined, the parts give back
+   every entry in order. A reply that fits stays one message, and one
+   message over the limit is refused rather than sent with a wrapped
+   length. *)
+let test_stats_reply_parts () =
+  let entry i =
+    {
+      Ofp_message.fs_table_id = 0;
+      fs_match = Ofp_match.exact_of_fields { sample_fields with Ofp_match.f_tp_src = i };
+      fs_duration_sec = 1l;
+      fs_duration_nsec = 0l;
+      fs_priority = 0x8000;
+      fs_idle_timeout = 0;
+      fs_hard_timeout = 0;
+      fs_cookie = Int64.of_int i;
+      fs_packet_count = Int64.of_int (2 * i);
+      fs_byte_count = Int64.of_int (100 * i);
+      fs_actions = [ Ofp_action.output 1 ];
+    }
+  in
+  let reply n = Ofp_message.Flow_stats_reply (List.init n entry) in
+  let parts =
+    List.map
+      (fun msg ->
+        let bytes = Ofp_message.encode ~xid:9l msg in
+        Alcotest.(check bool) "within the 16-bit length" true
+          (String.length bytes <= Ofp_message.max_length);
+        match Ofp_message.decode bytes with
+        | Ok (9l, Ofp_message.Stats_reply { more; reply }) -> (more, reply)
+        | _ -> Alcotest.fail "part does not decode")
+      (Ofp_message.stats_reply_parts (reply 1000))
+  in
+  Alcotest.(check (list bool)) "more on all but the last" [ true; false ] (List.map fst parts);
+  (match Ofp_message.join_stats_reply_parts (List.map snd parts) with
+  | Ofp_message.Flow_stats_reply entries ->
+      Alcotest.(check (list int64)) "every entry, in order"
+        (List.init 1000 Int64.of_int)
+        (List.map (fun e -> e.Ofp_message.fs_cookie) entries);
+      Alcotest.(check bool) "entries intact" true (entries = List.init 1000 entry)
+  | _ -> Alcotest.fail "joined reply changed kind");
+  (* 682 entries are 65,484 bytes: one message; 683 are 65,580 bytes *)
+  Alcotest.(check int) "682 fit one message" 1
+    (List.length (Ofp_message.stats_reply_parts (reply 682)));
+  Alcotest.(check int) "683 do not" 2 (List.length (Ofp_message.stats_reply_parts (reply 683)));
+  let too_long = Ofp_message.Stats_reply { more = false; reply = reply 683 } in
+  match Ofp_message.encode ~xid:1l too_long with
+  | _ -> Alcotest.fail "a 65,580-byte message was encoded"
+  | exception Invalid_argument _ -> ()
 
 let test_framing_kills_bad_stream () =
   let b = Ofp_message.Framing.create () in
@@ -844,5 +911,6 @@ let () =
           Alcotest.test_case "byte-by-byte reassembly" `Quick test_framing_reassembly;
           Alcotest.test_case "partial message" `Quick test_framing_partial;
           Alcotest.test_case "bad stream dies" `Quick test_framing_kills_bad_stream;
+          Alcotest.test_case "stats reply parts" `Quick test_stats_reply_parts;
         ] );
     ]

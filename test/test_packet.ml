@@ -296,6 +296,134 @@ let prop_truncated_never_crashes =
       let cut = min cut (String.length bytes) in
       match Packet.decode (String.sub bytes 0 cut) with Ok _ | Error _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* One-pass encoder against the string-per-layer reference             *)
+(* ------------------------------------------------------------------ *)
+
+(* Frames of every shape [Packet.encode] handles, with full-range
+   addresses (the pseudo-header sum must handle an int32's sign bit),
+   payloads of 0-1,500 bytes, IPv4 and TCP options and fragment flags.
+   The Ethernet and IPv4 records' own [payload] fields hold bytes the
+   encoders must ignore. *)
+let frame_gen =
+  let open QCheck.Gen in
+  let u16 = int_bound 0xffff in
+  let u32 =
+    map2 (fun hi lo -> Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo)) u16 u16
+  in
+  let ip = map Ip.of_int32 u32 in
+  let mac = map Mac.of_bytes (string_size ~gen:char (return 6)) in
+  let payload = string_size ~gen:char (oneof [ int_bound 64; int_bound 1500 ]) in
+  let options = string_size ~gen:char (map (fun n -> 4 * n) (int_bound 10)) in
+  let ipv4 protocol =
+    map3
+      (fun (src, dst) (dscp, ident, ttl) (df, mf, frag, opts) ->
+        {
+          (Ipv4.make ~ttl ~ident ~protocol ~src ~dst "ignored by encode") with
+          Ipv4.dscp;
+          dont_fragment = df;
+          more_fragments = mf;
+          fragment_offset = frag;
+          options = opts;
+        })
+      (pair ip ip)
+      (triple (int_bound 63) u16 (int_bound 255))
+      (quad bool bool (oneof [ return 0; int_bound 0x1fff ]) (oneof [ return ""; options ]))
+  in
+  let flags =
+    map (fun v -> { Tcp.fin = v land 1 <> 0; syn = v land 2 <> 0; rst = v land 4 <> 0;
+                    psh = v land 8 <> 0; ack = v land 16 <> 0; urg = v land 32 <> 0 })
+      (int_bound 63)
+  in
+  let l4 =
+    oneof
+      [
+        map2
+          (fun (sp, dp) p ->
+            (Ipv4.proto_udp, Packet.Udp { Udp.src_port = sp; dst_port = dp; payload = p }))
+          (pair u16 u16) payload;
+        map3
+          (fun (sp, dp) (seq, ack_no, window) (f, opts, p) ->
+            ( Ipv4.proto_tcp,
+              Packet.Tcp
+                { Tcp.src_port = sp; dst_port = dp; seq; ack_no; flags = f; window;
+                  options = opts; payload = p } ))
+          (pair u16 u16) (triple u32 u32 u16)
+          (triple flags (oneof [ return ""; options ]) payload);
+        map3
+          (fun (typ, code) rest p ->
+            (Ipv4.proto_icmp, Packet.Icmp { Icmp.typ; code; rest; payload = p }))
+          (pair (int_bound 255) (int_bound 255)) u32 payload;
+        map2 (fun proto p -> (proto, Packet.Raw_l4 p)) (int_bound 255) payload;
+      ]
+  in
+  let l3 =
+    frequency
+      [
+        ( 6,
+          l4 >>= fun (proto, l4) ->
+          map (fun ip -> (Ethernet.ethertype_ipv4, Packet.Ipv4 (ip, l4))) (ipv4 proto) );
+        ( 1,
+          map3
+            (fun op (sm, tm) (si, ti) ->
+              ( Ethernet.ethertype_arp,
+                Packet.Arp
+                  { Arp.op = (if op then Arp.Request else Arp.Reply); sender_mac = sm;
+                    sender_ip = si; target_mac = tm; target_ip = ti } ))
+            bool (pair mac mac) (pair ip ip) );
+        (1, map2 (fun ty p -> (ty, Packet.Raw_l3 p)) u16 payload);
+      ]
+  in
+  map3
+    (fun dst src (ethertype, l3) ->
+      { Packet.eth = { Ethernet.dst; src; ethertype; payload = "ignored by encode" }; l3 })
+    mac mac l3
+
+let arb_frame = QCheck.make frame_gen ~print:(Format.asprintf "%a" Packet.pp)
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"one-pass encode = string-per-layer reference" ~count:10_000 arb_frame
+    (fun pkt ->
+      let bytes = Packet.encode pkt in
+      String.equal bytes (Packet_ref.encode pkt) && Packet.wire_size pkt = String.length bytes)
+
+(* Every generated unfragmented UDP/TCP frame passes the decoders'
+   checksum check, which sums a pseudo-header built as a string: this
+   pins [Ipv4.pseudo_sum]'s arithmetic against it. *)
+let prop_decoders_accept_checksums =
+  QCheck.Test.make ~name:"udp/tcp decode ~pseudo_header accept encode" ~count:2_000 arb_frame
+    (fun pkt ->
+      match pkt.Packet.l3 with
+      | Packet.Ipv4 (ip, ((Packet.Udp _ | Packet.Tcp _) as l4))
+        when not (ip.Ipv4.more_fragments || ip.Ipv4.fragment_offset <> 0) -> (
+          let frame = Packet.encode pkt in
+          let ip' = ok (Ipv4.decode (String.sub frame 14 (String.length frame - 14))) in
+          let seg = ip'.Ipv4.payload in
+          let pseudo_header = Ipv4.pseudo_header ip (String.length seg) in
+          match l4 with
+          | Packet.Udp _ -> Result.is_ok (Udp.decode ~pseudo_header seg)
+          | _ -> Result.is_ok (Tcp.decode ~pseudo_header seg))
+      | _ -> true)
+
+(* A datagram whose checksum computes to 0 must carry 0xffff (RFC 768:
+   0 means "no checksum"). The 2-byte payload is chosen to bring the
+   ones'-complement sum to 0xffff. *)
+let test_udp_zero_checksum_sent_as_ffff () =
+  let frame payload =
+    Packet.udp_packet ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~src_port:5000
+      ~dst_port:53 payload
+  in
+  let csum_at f = (Char.code f.[40] lsl 8) lor Char.code f.[41] in
+  (* with a zero payload word the sum is 0xffff minus the checksum sent;
+     a payload word equal to that checksum brings the sum to 0xffff *)
+  let x = csum_at (Packet.encode (frame "\000\000")) in
+  let pkt = frame (String.init 2 (fun i -> Char.chr (if i = 0 then x lsr 8 else x land 0xff))) in
+  let bytes = Packet.encode pkt in
+  Alcotest.(check int) "checksum field" 0xffff (csum_at bytes);
+  Alcotest.(check string) "same as the reference" (Packet_ref.encode pkt) bytes;
+  let ph = Ipv4.pseudo_header (Ipv4.make ~protocol:Ipv4.proto_udp ~src:ip_a ~dst:ip_b "") 10 in
+  ignore (ok (Udp.decode ~pseudo_header:ph (String.sub bytes 34 10)))
+
 let () =
   Alcotest.run "hw_packet"
     [
@@ -331,5 +459,12 @@ let () =
           Alcotest.test_case "bad cookie" `Quick test_dhcp_bad_cookie;
           Alcotest.test_case "unknown option preserved" `Quick test_dhcp_unknown_option_preserved;
           QCheck_alcotest.to_alcotest prop_dhcp_roundtrip;
+        ] );
+      ( "encode",
+        [
+          QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+          QCheck_alcotest.to_alcotest prop_decoders_accept_checksums;
+          Alcotest.test_case "udp zero checksum sent as 0xffff" `Quick
+            test_udp_zero_checksum_sent_as_ffff;
         ] );
     ]

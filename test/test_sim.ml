@@ -451,6 +451,58 @@ let test_device_wireless_stats () =
   let far = Option.get (Device.rssi device) in
   Alcotest.(check bool) "near stronger" true (near > far)
 
+(* A station parses only frames addressed to it (or broadcast): a who-has
+   for its own address, unicast to another MAC on the shared medium, is
+   neither counted nor answered. *)
+let test_device_ignores_other_stations_frames () =
+  let loop = Event_loop.create () in
+  let sent = ref [] in
+  let device =
+    Device.create
+      ~config:(Device.wired ~name:"station" ~mac:client_mac [])
+      ~loop
+      ~send:(fun frame -> sent := frame :: !sent)
+      ()
+  in
+  Device.start device;
+  Event_loop.run_for loop 0.1;
+  let xid =
+    match decode_all !sent with
+    | [ { Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ } ] ->
+        (Result.get_ok (Dhcp_wire.decode u.Udp.payload)).Dhcp_wire.xid
+    | _ -> Alcotest.fail "no discover"
+  in
+  let server_mac = Mac.local 0xaa and server_ip = Ip.of_octets 10 0 0 1 in
+  let yiaddr = Ip.of_octets 10 0 0 77 in
+  let reply kind =
+    Packet.encode
+      (Packet.dhcp_packet ~src_mac:server_mac ~dst_mac:Mac.broadcast ~src_ip:server_ip
+         ~dst_ip:Ip.broadcast
+         (Dhcp_wire.make_reply ~options:[ Dhcp_wire.Server_id server_ip ] ~xid ~chaddr:client_mac
+            ~yiaddr ~siaddr:server_ip kind))
+  in
+  Device.deliver device (reply Dhcp_wire.Offer);
+  Device.deliver device (reply Dhcp_wire.Ack);
+  Alcotest.(check bool) "bound" true (Device.ip device = Some yiaddr);
+  let who_has ~dst =
+    let pkt =
+      Packet.arp_packet ~src_mac:server_mac
+        (Arp.request ~sender_mac:server_mac ~sender_ip:server_ip ~target_ip:yiaddr)
+    in
+    Packet.encode { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst } }
+  in
+  let rx () = (Device.stats device).Device.rx_packets in
+  let before = rx () in
+  sent := [];
+  Device.deliver device (who_has ~dst:(Mac.local 2));
+  Alcotest.(check int) "not counted" before (rx ());
+  Alcotest.(check int) "not answered" 0 (List.length !sent);
+  Device.deliver device (who_has ~dst:client_mac);
+  Alcotest.(check int) "counted when addressed to it" (before + 1) (rx ());
+  match decode_all !sent with
+  | [ { Packet.l3 = Packet.Arp { Arp.op = Arp.Reply; _ }; _ } ] -> ()
+  | _ -> Alcotest.fail "no ARP reply when addressed to it"
+
 let () =
   Alcotest.run "hw_sim"
     [
@@ -490,5 +542,7 @@ let () =
           Alcotest.test_case "dhcp against script" `Quick test_device_dhcp_against_script;
           Alcotest.test_case "nak denies + retries" `Quick test_device_nak_denies_and_retries;
           Alcotest.test_case "wireless stats" `Quick test_device_wireless_stats;
+          Alcotest.test_case "ignores other stations' frames" `Quick
+            test_device_ignores_other_stations_frames;
         ] );
     ]

@@ -207,6 +207,109 @@ let prop_checksum_range_is_sub =
       | _ -> false
       | exception Invalid_argument _ -> true)
 
+(* The checksum loop reads eight bytes a step; a byte-at-a-time sum of
+   16-bit words, folded, is the reference, over ranges of every length
+   and alignment. *)
+let prop_checksum_matches_naive =
+  QCheck.Test.make ~name:"checksum = byte-at-a-time 16-bit sum" ~count:1000
+    QCheck.(triple (string_of_size (Gen.int_bound 200)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      let sum = ref 0 in
+      for k = 0 to len - 1 do
+        let byte = Char.code s.[off + k] in
+        sum := !sum + if k land 1 = 0 then byte lsl 8 else byte
+      done;
+      while !sum lsr 16 <> 0 do
+        sum := (!sum land 0xffff) + (!sum lsr 16)
+      done;
+      Wire.checksum_ones_complement_range s ~off ~len = lnot !sum land 0xffff)
+
+(* The Writer against a plain model (a list of bytes): random sequences
+   of every write, from a small initial capacity so the buffer grows, and
+   with [contents] taken mid-sequence, which must neither change later
+   nor be changed by later writes and patches. *)
+type writer_op =
+  | U8 of int
+  | U16 of int
+  | U32 of int32
+  | U32_int of int
+  | U64 of int64
+  | Str of string
+  | Zeros of int
+  | Fixed of int * string
+  | Patch of int * int
+  | Contents
+
+let writer_op_gen =
+  let open QCheck.Gen in
+  let any_int = map2 (fun a b -> (a lsl 30) lxor b) int int in
+  let small_string = string_size ~gen:char (int_bound 20) in
+  frequency
+    [
+      (3, map (fun v -> U8 v) any_int);
+      (3, map (fun v -> U16 v) any_int);
+      (2, map (fun v -> U32 (Int32.of_int v)) any_int);
+      (2, map (fun v -> U32_int v) any_int);
+      (2, map (fun v -> U64 (Int64.of_int v)) any_int);
+      (2, map (fun s -> Str s) small_string);
+      (1, map (fun n -> Zeros n) (int_bound 20));
+      (1, map2 (fun n s -> Fixed (n, s)) (int_bound 20) small_string);
+      (2, map2 (fun p v -> Patch (p, v)) nat any_int);
+      (1, return Contents);
+    ]
+
+let model_bytes_of_op = function
+  | U8 v -> [ v land 0xff ]
+  | U16 v -> [ (v lsr 8) land 0xff; v land 0xff ]
+  | U32 v ->
+      List.init 4 (fun i -> Int32.to_int (Int32.shift_right_logical v (8 * (3 - i))) land 0xff)
+  | U32_int v -> List.init 4 (fun i -> (v lsr (8 * (3 - i))) land 0xff)
+  | U64 v ->
+      List.init 8 (fun i -> Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff)
+  | Str s -> List.init (String.length s) (fun i -> Char.code s.[i])
+  | Zeros n -> List.init n (fun _ -> 0)
+  | Fixed (n, s) -> List.init n (fun i -> if i < String.length s then Char.code s.[i] else 0)
+  | Patch _ | Contents -> []
+
+let prop_writer_matches_model =
+  QCheck.Test.make ~name:"writer = byte-list model, growth and patches included" ~count:1000
+    QCheck.(pair (int_bound 8) (list_of_size (Gen.int_bound 60) (make writer_op_gen)))
+    (fun (capacity, ops) ->
+      let w = Wire.Writer.create ~initial_capacity:capacity () in
+      let model = ref [||] in
+      let snapshots = ref [] in
+      let to_string bytes = String.init (Array.length bytes) (fun i -> Char.chr bytes.(i)) in
+      List.iter
+        (fun op ->
+          (match op with
+          | U8 v -> Wire.Writer.u8 w v
+          | U16 v -> Wire.Writer.u16 w v
+          | U32 v -> Wire.Writer.u32 w v
+          | U32_int v -> Wire.Writer.u32_int w v
+          | U64 v -> Wire.Writer.u64 w v
+          | Str s -> Wire.Writer.string w s
+          | Zeros n -> Wire.Writer.zeros w n
+          | Fixed (len, s) -> Wire.Writer.fixed_string w ~len s
+          | Patch (p, v) ->
+              let n = Array.length !model in
+              if n >= 2 then begin
+                let pos = p mod (n - 1) in
+                Wire.Writer.patch_u16 w ~pos v;
+                (!model).(pos) <- (v lsr 8) land 0xff;
+                (!model).(pos + 1) <- v land 0xff
+              end
+          | Contents ->
+              let s = Wire.Writer.contents w in
+              snapshots := (s, to_string !model) :: !snapshots);
+          model := Array.append !model (Array.of_list (model_bytes_of_op op)))
+        ops;
+      Wire.Writer.length w = Array.length !model
+      && String.equal (Wire.Writer.contents w) (to_string !model)
+      && List.for_all (fun (got, want) -> String.equal got want) !snapshots)
+
 let () =
   Alcotest.run "hw_util"
     [
@@ -239,5 +342,7 @@ let () =
           Alcotest.test_case "hex dump shape" `Quick test_hex_dump_shape;
           QCheck_alcotest.to_alcotest prop_checksum_zero_roundtrip;
           QCheck_alcotest.to_alcotest prop_checksum_range_is_sub;
+          QCheck_alcotest.to_alcotest prop_checksum_matches_naive;
+          QCheck_alcotest.to_alcotest prop_writer_matches_model;
         ] );
     ]
