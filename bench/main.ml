@@ -587,13 +587,14 @@ let micro_tests () =
              ignore (Hw_dns.Dns_proxy.check_flow proxy ~src_ip:kid_ip ~dst_ip:fb_ip)));
     ]
   in
-  (* PERF6: end-to-end fast path through the datapath. Each case is a
-     two-port datapath holding one exact flow for its frame. *)
+  (* PERF6: end-to-end fast path through the datapath. Each fast-path
+     case is a two-port datapath holding one exact flow for its frame;
+     the miss case holds none. *)
   let perf6_tests () =
+    let port n =
+      { Hw_datapath.Datapath.port_no = n; name = Printf.sprintf "p%d" n; mac = Mac.local (0xb0 + n) }
+    in
     let dp_with_flow ~dpid frame actions =
-      let port n =
-        { Hw_datapath.Datapath.port_no = n; name = Printf.sprintf "p%d" n; mac = Mac.local (0xb0 + n) }
-      in
       let dp =
         Hw_datapath.Datapath.create ~dpid ~ports:[ port 1; port 2 ]
           ~transmit:(fun ~port_no:_ _ -> ()) ~to_controller:(fun _ -> ()) ~now:(fun () -> 0.) ()
@@ -636,6 +637,16 @@ let micro_tests () =
            ~dst_port:9000 (String.make 1000 'u'))
     in
     let big = dp_with_flow ~dpid:12L stream [ Hw_openflow.Ofp_action.output 2 ] in
+    (* the datapath's share of a new flow's first packet with tracing on:
+       each miss roots a dp.packet_in trace carrying the frame's
+       addresses, buffers the frame and sends the packet-in into a sink.
+       Its budget fails if the span site renders addresses again. *)
+    let missing =
+      Hw_datapath.Datapath.create ~dpid:13L ~ports:[ port 1; port 2 ]
+        ~trace:
+          (Hw_trace.Tracer.create ~metrics:(Hw_metrics.Registry.create ()) ~now:(fun () -> 0.) ())
+        ~transmit:(fun ~port_no:_ _ -> ()) ~to_controller:(fun _ -> ()) ~now:(fun () -> 0.) ()
+    in
     [
       Test.make ~name:"datapath_fast_path_per_packet"
         (Staged.stage (fun () -> Hw_datapath.Datapath.receive_frame fast ~in_port:1 lan));
@@ -645,6 +656,8 @@ let micro_tests () =
         (Staged.stage (fun () -> Hw_datapath.Datapath.receive_frames batched batch));
       Test.make ~name:"datapath_fast_path_1000B"
         (Staged.stage (fun () -> Hw_datapath.Datapath.receive_frame big ~in_port:1 stream));
+      Test.make ~name:"datapath_miss_traced"
+        (Staged.stage (fun () -> Hw_datapath.Datapath.receive_frame missing ~in_port:1 lan));
     ]
   in
   (* PERF7: tracer hot path. The untraced/disabled cases are the cost every

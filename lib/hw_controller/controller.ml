@@ -23,13 +23,20 @@ type conn = {
 type packet_in_event = {
   conn : conn;
   pi : Ofp_message.packet_in;
-  packet : Packet.t option;
+  packet : Packet.t option Lazy.t;
   fields : Ofp_match.fields option;
 }
 
 type disposition = Continue | Stop
 
 module Tracer = Hw_trace.Tracer
+
+type packet_in_handler = {
+  name : string;
+  span : string; (* "ctrl.handler." ^ name, built at registration *)
+  hist : Hw_metrics.Histogram.t Lazy.t;
+  run : packet_in_event -> disposition;
+}
 
 type t = {
   now : unit -> float;
@@ -39,8 +46,7 @@ type t = {
   mutable next_conn_id : int;
   mutable join_handlers : (string * (conn -> Ofp_message.switch_features -> unit)) list;
   mutable leave_handlers : (string * (conn -> unit)) list;
-  mutable packet_in_handlers :
-    (string * Hw_metrics.Histogram.t Lazy.t * (packet_in_event -> disposition)) list;
+  mutable packet_in_handlers : packet_in_handler list;
   mutable flow_removed_handlers : (string * (conn -> Ofp_message.flow_removed -> unit)) list;
   mutable port_status_handlers :
     (string * (conn -> Ofp_message.port_status_reason -> Ofp_message.phy_port -> unit)) list;
@@ -94,7 +100,8 @@ let on_packet_in t ~name f =
          (Printf.sprintf "ctrl_handler_%s_seconds" (Hw_metrics.Registry.sanitize_name name))
          ~help:(Printf.sprintf "Latency of the %S packet-in handler" name))
   in
-  t.packet_in_handlers <- t.packet_in_handlers @ [ (name, hist, f) ]
+  t.packet_in_handlers <-
+    t.packet_in_handlers @ [ { name; span = "ctrl.handler." ^ name; hist; run = f } ]
 
 let on_flow_removed t ~name f =
   t.flow_removed_handlers <- t.flow_removed_handlers @ [ (name, f) ]
@@ -102,7 +109,7 @@ let on_flow_removed t ~name f =
 let on_port_status t ~name f = t.port_status_handlers <- t.port_status_handlers @ [ (name, f) ]
 
 let handler_names t =
-  List.map (fun (name, _, _) -> name) t.packet_in_handlers @ List.map fst t.join_handlers
+  List.map (fun h -> h.name) t.packet_in_handlers @ List.map fst t.join_handlers
   |> List.sort_uniq compare
 
 let packet_in_total t = t.packet_in_total
@@ -177,23 +184,29 @@ let detach_switch t conn =
 let dispatch_packet_in t conn (pi : Ofp_message.packet_in) =
   t.packet_in_total <- t.packet_in_total + 1;
   Hw_metrics.Counter.incr t.m_packet_in;
-  let packet = Result.to_option (Packet.decode pi.Ofp_message.data) in
-  let fields =
-    Option.map (fun p -> Ofp_match.fields_of_packet ~in_port:pi.Ofp_message.in_port p) packet
+  (* the fields come from the bytes in place, as the datapath reads
+     them; the full decode waits until a handler needs more than the
+     fields (it is [None] exactly when the fields are) *)
+  let data = pi.Ofp_message.data in
+  let fields = Ofp_match.fields_of_frame ~in_port:pi.Ofp_message.in_port data in
+  let packet =
+    match fields with
+    | None -> Lazy.from_val None
+    | Some _ -> lazy (Result.to_option (Packet.decode data))
   in
   let ev = { conn; pi; packet; fields } in
   let rec run = function
     | [] -> ()
-    | (name, hist, handler) :: rest -> (
+    | h :: rest -> (
         let invoke () =
-          Hw_metrics.Histogram.observe_span (Lazy.force hist) ~now:t.now (fun () -> handler ev)
+          Hw_metrics.Histogram.observe_span (Lazy.force h.hist) ~now:t.now (fun () -> h.run ev)
         in
-        match Tracer.with_span t.trace ("ctrl.handler." ^ name) invoke with
-        | Stop -> if Tracer.in_trace t.trace then Tracer.set_attr t.trace "stopped_by" (Tracer.Str name)
+        match Tracer.with_span t.trace h.span invoke with
+        | Stop -> if Tracer.in_trace t.trace then Tracer.set_attr t.trace "stopped_by" (Tracer.Str h.name)
         | Continue -> run rest
         | exception exn ->
             Hw_metrics.Counter.incr t.m_handler_errors;
-            Log.err (fun m -> m "packet-in handler %s raised %s" name (Printexc.to_string exn));
+            Log.err (fun m -> m "packet-in handler %s raised %s" h.name (Printexc.to_string exn));
             run rest)
   in
   (* Roots a trace when the packet-in arrived without one (a foreign

@@ -16,8 +16,14 @@ type conn
 type packet_in_event = {
   conn : conn;
   pi : Ofp_message.packet_in;
-  packet : Packet.t option;    (** parsed from [pi.data]; None if undecodable *)
+  packet : Packet.t option Lazy.t;
+      (** [pi.data] decoded by {!Packet.decode}, on first force and at
+          most once per event however many handlers force it; [None] if
+          undecodable, exactly when [fields] is [None]. A handler that
+          can decide from [fields] should not force it. *)
   fields : Ofp_match.fields option;
+      (** read from [pi.data] in place by {!Ofp_match.fields_of_frame},
+          as the datapath classifies frames; [None] if undecodable *)
 }
 
 type disposition = Continue | Stop
@@ -35,8 +41,9 @@ val create :
     [trace] (default {!Hw_trace.Tracer.disabled}) wraps packet-in
     dispatch in a [ctrl.dispatch] span (a trace root when the event did
     not come from a traced datapath) and each handler invocation in a
-    [ctrl.handler.<name>] child span; a handler that raises marks its
-    span — and hence the trace — errored. *)
+    [ctrl.handler.<name>] child span, whose name is built once, when the
+    handler registers; a handler that raises marks its span — and hence
+    the trace — errored. *)
 
 val metrics : t -> Hw_metrics.Registry.t
 

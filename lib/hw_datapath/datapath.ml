@@ -308,8 +308,9 @@ let buffer_frame t ~in_port frame =
 let buffered_count t = Hashtbl.length t.buffers
 
 (* Root-span attributes: dpid, rx port and as much of the five-tuple as
-   the frame carries. Only computed on the (already slow) miss path, and
-   only when tracing is enabled. *)
+   the frame carries, built as one list. Only computed on the (already
+   slow) miss path, and only when tracing is enabled; addresses stay
+   typed until a kept trace is exported. *)
 let trace_attrs t (f : Ofp_match.fields) =
   if not (Tracer.enabled t.trace) then []
   else
@@ -318,25 +319,19 @@ let trace_attrs t (f : Ofp_match.fields) =
       else if f.Ofp_match.f_dl_type <> Ethernet.ethertype_ipv4 then []
       else
         let proto = f.Ofp_match.f_nw_proto in
-        let ports =
-          if proto = Ipv4.proto_udp || proto = Ipv4.proto_tcp then
-            [ ("tp_src", Tracer.Int f.Ofp_match.f_tp_src); ("tp_dst", Tracer.Int f.Ofp_match.f_tp_dst) ]
-          else []
-        in
-        [
-          ("nw_src", Tracer.Str (Ip.to_string f.Ofp_match.f_nw_src));
-          ("nw_dst", Tracer.Str (Ip.to_string f.Ofp_match.f_nw_dst));
-          ("nw_proto", Tracer.Int proto);
-        ]
-        @ ports
+        ("nw_src", Tracer.Ip f.Ofp_match.f_nw_src)
+        :: ("nw_dst", Tracer.Ip f.Ofp_match.f_nw_dst)
+        :: ("nw_proto", Tracer.Int proto)
+        ::
+        (if proto = Ipv4.proto_udp || proto = Ipv4.proto_tcp then
+           [ ("tp_src", Tracer.Int f.Ofp_match.f_tp_src); ("tp_dst", Tracer.Int f.Ofp_match.f_tp_dst) ]
+         else [])
     in
-    [
-      ("dpid", Tracer.Int (Int64.to_int t.dpid));
-      ("in_port", Tracer.Int f.Ofp_match.f_in_port);
-      ("eth_src", Tracer.Str (Mac.to_string f.Ofp_match.f_dl_src));
-      ("eth_dst", Tracer.Str (Mac.to_string f.Ofp_match.f_dl_dst));
-    ]
-    @ l3
+    ("dpid", Tracer.Int (Int64.to_int t.dpid))
+    :: ("in_port", Tracer.Int f.Ofp_match.f_in_port)
+    :: ("eth_src", Tracer.Mac f.Ofp_match.f_dl_src)
+    :: ("eth_dst", Tracer.Mac f.Ofp_match.f_dl_dst)
+    :: l3
 
 (* Batched-input accumulator: registry counters are bumped once per batch
    (in [flush_rx_stats]) rather than once per frame, so the per-frame hot

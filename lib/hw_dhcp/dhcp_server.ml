@@ -40,17 +40,18 @@ type event =
   | Request_denied of { mac : Mac.t; hostname : string }
   | Device_pending of { mac : Mac.t; hostname : string }
 
-let event_to_string = function
-  | Lease_granted l ->
-      Printf.sprintf "grant %s -> %s" (Mac.to_string l.Lease_db.mac) (Ip.to_string l.Lease_db.ip)
-  | Lease_renewed l ->
-      Printf.sprintf "renew %s -> %s" (Mac.to_string l.Lease_db.mac) (Ip.to_string l.Lease_db.ip)
-  | Lease_revoked l ->
-      Printf.sprintf "revoke %s (%s)" (Mac.to_string l.Lease_db.mac) (Ip.to_string l.Lease_db.ip)
-  | Lease_released l ->
-      Printf.sprintf "release %s (%s)" (Mac.to_string l.Lease_db.mac) (Ip.to_string l.Lease_db.ip)
-  | Request_denied { mac; _ } -> Printf.sprintf "deny %s" (Mac.to_string mac)
-  | Device_pending { mac; _ } -> Printf.sprintf "pending %s" (Mac.to_string mac)
+let event_to_string ev =
+  let lease verb (l : Lease_db.lease) ~arrow =
+    let mac = Mac.to_string l.Lease_db.mac and ip = Ip.to_string l.Lease_db.ip in
+    if arrow then verb ^ " " ^ mac ^ " -> " ^ ip else verb ^ " " ^ mac ^ " (" ^ ip ^ ")"
+  in
+  match ev with
+  | Lease_granted l -> lease "grant" l ~arrow:true
+  | Lease_renewed l -> lease "renew" l ~arrow:true
+  | Lease_revoked l -> lease "revoke" l ~arrow:false
+  | Lease_released l -> lease "release" l ~arrow:false
+  | Request_denied { mac; _ } -> "deny " ^ Mac.to_string mac
+  | Device_pending { mac; _ } -> "pending " ^ Mac.to_string mac
 
 type device = {
   mutable decision : device_state option; (* None = no explicit user decision *)
@@ -335,8 +336,7 @@ let handle_packet t (pkt : Packet.t) =
       | Ok req when req.Dhcp_wire.op = Dhcp_wire.Bootrequest ->
           Tracer.with_span t.trace "dhcp.handle" (fun () ->
               if Tracer.in_trace t.trace then begin
-                Tracer.set_attr t.trace "mac"
-                  (Tracer.Str (Mac.to_string req.Dhcp_wire.chaddr));
+                Tracer.set_attr t.trace "mac" (Tracer.Mac req.Dhcp_wire.chaddr);
                 Tracer.set_attr t.trace "msg_type"
                   (Tracer.Str
                      (match Dhcp_wire.find_message_type req with

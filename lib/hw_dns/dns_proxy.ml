@@ -204,7 +204,7 @@ let handle_query_inner t ~src_ip ~src_port (query : Dns_wire.t) =
 let handle_query t ~src_ip ~src_port (query : Dns_wire.t) =
   Tracer.with_span t.trace "dns.query" (fun () ->
       if Tracer.in_trace t.trace then begin
-        Tracer.set_attr t.trace "src" (Tracer.Str (Ip.to_string src_ip));
+        Tracer.set_attr t.trace "src" (Tracer.Ip src_ip);
         match query.Dns_wire.questions with
         | { Dns_wire.qname; _ } :: _ -> Tracer.set_attr t.trace "qname" (Tracer.Str qname)
         | [] -> ()
@@ -276,8 +276,8 @@ let check_flow t ~src_ip ~dst_ip =
       | Flow_block _ -> Hw_metrics.Counter.incr t.m_flow_blocked
       | Flow_reverse_lookup _ -> ());
       if Tracer.in_trace t.trace then begin
-        Tracer.set_attr t.trace "src" (Tracer.Str (Ip.to_string src_ip));
-        Tracer.set_attr t.trace "dst" (Tracer.Str (Ip.to_string dst_ip));
+        Tracer.set_attr t.trace "src" (Tracer.Ip src_ip);
+        Tracer.set_attr t.trace "dst" (Tracer.Ip dst_ip);
         Tracer.set_attr t.trace "verdict"
           (Tracer.Str
              (match verdict with

@@ -312,8 +312,9 @@ module Server = struct
     | Ok (Request { seq; statement; ctx }) -> (
         (* (sender, seq, statement) identifies a request across retries;
            a hit replays the cached response without re-executing, so a
-           retried INSERT is applied exactly once *)
-        let dkey = Printf.sprintf "%s#%ld#%s" from seq statement in
+           retried INSERT is applied exactly once. Built without Printf,
+           which no other per-request path runs. *)
+        let dkey = from ^ "#" ^ Int32.to_string seq ^ "#" ^ statement in
         match Hashtbl.find_opt t.dedup dkey with
         | Some cached ->
             Hw_metrics.Counter.incr t.m_dedup_hits;

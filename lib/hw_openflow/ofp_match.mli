@@ -39,17 +39,18 @@ type fields = {
   f_tp_dst : int;
 }
 
-val fields_of_packet : in_port:int -> Packet.t -> fields
-(** For ARP, [f_nw_proto] carries the ARP opcode and nw_src/nw_dst the
-    protocol addresses, as OF 1.0 specifies. An IPv4 fragment ([Raw_l4])
-    has [f_tp_src = f_tp_dst = 0]. *)
-
 val fields_of_frame : in_port:int -> string -> fields option
 (** The fields of a raw Ethernet frame, read in place from its bytes: the
-    datapath's per-frame classifier input. Equal to
-    [Result.to_option (Result.map (fields_of_packet ~in_port) (Packet.decode frame))]
-    for every string, so it rejects exactly the frames {!Packet.decode}
-    rejects. A frame is accepted when
+    datapath's per-frame classifier input, and the controller's for each
+    packet-in. Equal to the fields of [Packet.decode frame] for every
+    string, so it rejects exactly the frames {!Packet.decode} rejects:
+    the Ethernet addresses and type; for IPv4 the TOS ([dscp lsl 2]),
+    protocol and addresses, with the UDP or TCP ports or the ICMP type
+    and code as [tp_src]/[tp_dst] (0 and 0 for a fragment or another
+    protocol); for ARP the opcode as [f_nw_proto] and the protocol
+    addresses as nw_src/nw_dst, as OF 1.0 specifies; zeros elsewhere.
+    [f_dl_vlan] is 0xffff and [f_dl_vlan_pcp] 0. A frame is accepted
+    when
     - it holds a 14-byte Ethernet header, and by its ethertype
     - ARP (0x0806): the payload has at least 28 bytes, htype 1, ptype
       0x0800, hlen 6, plen 4 and opcode 1 or 2;

@@ -13,22 +13,46 @@ let of_octets a b c d =
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
 
-let octet t n = Int32.to_int (Int32.logand (Int32.shift_right_logical t (8 * (3 - n))) 0xffl)
+let digits v = if v >= 100 then 3 else if v >= 10 then 2 else 1
+let[@inline] put_digit b pos d = Bytes.unsafe_set b pos (Char.unsafe_chr (48 + d))
 
+(* octet [v] in decimal at [pos]; the position after it *)
+let put_decimal b pos v =
+  let n = digits v in
+  if n = 3 then put_digit b pos (v / 100);
+  if n >= 2 then put_digit b (pos + n - 2) (v / 10 mod 10);
+  put_digit b (pos + n - 1) (v mod 10);
+  pos + n
+
+(* Dotted quad written straight into a string of its exact length: this
+   renders every address attribute a kept trace exports and every Flows
+   row, so it avoids Printf's format interpretation. *)
 let to_string t =
-  Printf.sprintf "%d.%d.%d.%d" (octet t 0) (octet t 1) (octet t 2) (octet t 3)
+  let v = Int32.to_int t land 0xffffffff in
+  let a = v lsr 24 and b = (v lsr 16) land 0xff and c = (v lsr 8) land 0xff and d = v land 0xff in
+  let buf = Bytes.make (digits a + digits b + digits c + digits d + 3) '.' in
+  let pos = put_decimal buf 0 a in
+  let pos = put_decimal buf (pos + 1) b in
+  let pos = put_decimal buf (pos + 1) c in
+  ignore (put_decimal buf (pos + 1) d);
+  Bytes.unsafe_to_string buf
+
+(* A number from 0 to [max] (at most 255) as 1 to 3 ASCII decimal digits
+   with no leading zero, so that each value has one spelling: the one
+   [to_string] writes. Unlike [int_of_string] it rejects signs,
+   [0x]/[0o]/[0b] prefixes and [_]. *)
+let decimal ~max p =
+  let n = String.length p in
+  if n = 0 || n > 3 || (n > 1 && p.[0] = '0')
+     || not (String.for_all (fun c -> c >= '0' && c <= '9') p)
+  then None
+  else
+    let v = int_of_string p in
+    if v <= max then Some v else None
 
 let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      try
-        let parse p =
-          match int_of_string_opt p with
-          | Some v when v >= 0 && v <= 255 -> v
-          | _ -> failwith "octet"
-        in
-        Some (of_octets (parse a) (parse b) (parse c) (parse d))
-      with _ -> None)
+  match List.map (decimal ~max:255) (String.split_on_char '.' s) with
+  | [ Some a; Some b; Some c; Some d ] -> Some (of_octets a b c d)
   | _ -> None
 
 let of_string_exn s =
@@ -70,11 +94,11 @@ module Prefix = struct
     | Some i -> (
         let addr = String.sub s 0 i in
         let bits = String.sub s (i + 1) (String.length s - i - 1) in
-        match of_string addr, int_of_string_opt bits with
-        | Some a, Some b when b >= 0 && b <= 32 -> Some (make a b)
+        match of_string addr, decimal ~max:32 bits with
+        | Some a, Some b -> Some (make a b)
         | _ -> None)
 
-  let to_string t = Printf.sprintf "%s/%d" (to_string t.network) t.bits
+  let to_string t = to_string t.network ^ "/" ^ string_of_int t.bits
   let network t = t.network
   let bits t = t.bits
   let netmask t = mask_of_bits t.bits

@@ -7,6 +7,10 @@ val of_int32 : int32 -> t
 val to_int32 : t -> int32
 val of_octets : int -> int -> int -> int -> t
 val of_string : string -> t option
+(** A dotted quad of four octets, each 1 to 3 ASCII decimal digits with
+    no leading zero and at most 255: exactly the strings {!to_string}
+    writes. Signs, [0x]/[0o]/[0b] prefixes and [_] are rejected. *)
+
 val of_string_exn : string -> t
 val to_string : t -> string
 val any : t
@@ -33,7 +37,8 @@ module Prefix : sig
       Host bits of [network] are zeroed. *)
 
   val of_string : string -> t option
-  (** ["192.168.0.0/24"] *)
+  (** ["192.168.0.0/24"]: an {!Ip.of_string} address, then a length of
+      1 or 2 ASCII decimal digits with no leading zero, at most 32. *)
 
   val to_string : t -> string
   val network : t -> addr

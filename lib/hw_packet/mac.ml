@@ -6,24 +6,40 @@ let of_bytes s =
 
 let to_bytes t = t
 
-let to_string t =
-  Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" (Char.code t.[0]) (Char.code t.[1])
-    (Char.code t.[2]) (Char.code t.[3]) (Char.code t.[4]) (Char.code t.[5])
+let hex_digits = "0123456789abcdef"
 
+(* "aa:bb:cc:dd:ee:ff" written straight into its 17 bytes, without
+   Printf: trace export and Links rows render every MAC through here. *)
+let to_string t =
+  let b = Bytes.make 17 ':' in
+  for i = 0 to 5 do
+    let c = Char.code (String.unsafe_get t i) in
+    Bytes.unsafe_set b (3 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b ((3 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Some (Char.code c - 48)
+  | 'a' .. 'f' -> Some (Char.code c - 87)
+  | 'A' .. 'F' -> Some (Char.code c - 55)
+  | _ -> None
+
+(* exactly two hex digits per byte: unlike [int_of_string "0x.."] this
+   refuses [_] and signs *)
 let of_string s =
-  let parts = String.split_on_char (if String.contains s '-' then '-' else ':') s in
-  if List.length parts <> 6 then None
-  else
-    try
-      let bytes =
-        List.map
-          (fun p ->
-            if String.length p <> 2 then failwith "len";
-            Char.chr (int_of_string ("0x" ^ p)))
-          parts
-      in
-      Some (String.init 6 (List.nth bytes))
-    with _ -> None
+  let byte p =
+    if String.length p <> 2 then None
+    else
+      match hex_value p.[0], hex_value p.[1] with
+      | Some hi, Some lo -> Some (Char.chr ((hi lsl 4) lor lo))
+      | _ -> None
+  in
+  match List.map byte (String.split_on_char (if String.contains s '-' then '-' else ':') s) with
+  | [ Some a; Some b; Some c; Some d; Some e; Some f ] ->
+      Some (String.of_seq (List.to_seq [ a; b; c; d; e; f ]))
+  | _ -> None
 
 let of_string_exn s =
   match of_string s with

@@ -72,10 +72,14 @@ let of_strings ~days ~window =
               | (Error _ as e), _ | _, (Error _ as e) -> e)
           | _ -> Error (Printf.sprintf "bad window %S (expected HH:MM-HH:MM)" window)))
 
+(* what [Printf.sprintf "%02d"] writes, without Printf: inserting a USB
+   key renders its rules' windows, and no other hot path uses Printf *)
+let two_digits n = if n >= 0 && n < 10 then "0" ^ string_of_int n else string_of_int n
+
 let tod_to_string tod =
   let h = int_of_float (tod /. 3600.) in
   let m = int_of_float (Float.rem tod 3600. /. 60.) in
-  Printf.sprintf "%02d:%02d" h m
+  two_digits h ^ ":" ^ two_digits m
 
 let to_strings t =
   let days =
@@ -83,7 +87,7 @@ let to_strings t =
   in
   let window =
     if t.start_tod = 0. && t.end_tod = Hw_time.seconds_per_day then "always"
-    else Printf.sprintf "%s-%s" (tod_to_string t.start_tod) (tod_to_string t.end_tod)
+    else tod_to_string t.start_tod ^ "-" ^ tod_to_string t.end_tod
   in
   (days, window)
 

@@ -377,87 +377,94 @@ let handle_ip_admission t ~(ev : Controller.packet_in_event) fields =
            now-warm cache *)
   end
 
+(* IPv4 is decided from the fields alone; only an ARP frame is decoded,
+   because the reply is built from the request *)
 let switching_component t (ev : Controller.packet_in_event) =
-  match ev.Controller.fields, ev.Controller.packet with
-  | Some fields, Some pkt -> (
+  match ev.Controller.fields with
+  | None -> Controller.Stop
+  | Some fields ->
       (* learn the station's port *)
       let src = fields.Ofp_match.f_dl_src in
       if not (Mac.is_multicast src) then
         Hashtbl.replace t.mac_table src fields.Ofp_match.f_in_port;
-      match pkt.Packet.l3 with
-      | Packet.Arp arp ->
-          (* the router answers for its own address; everything else floods
-             (the upstream node proxy-ARPs for the internet) *)
-          if arp.Arp.op = Arp.Request && Ip.equal arp.Arp.target_ip (router_ip t) then begin
-            let reply = Arp.reply_to arp ~responder_mac:(router_mac t) in
-            packet_out_port t ~port:fields.Ofp_match.f_in_port
-              (Packet.arp_packet ~src_mac:(router_mac t) reply);
-            Controller.Stop
-          end
-          else begin
-            if Mac.is_broadcast pkt.Packet.eth.Ethernet.dst then
-              flood_packet t ~in_port:fields.Ofp_match.f_in_port
-                ev.Controller.pi.Ofp_message.data
-            else forward_or_flood t ~ev fields;
-            Controller.Stop
-          end
-      | Packet.Ipv4 _ when Mac.is_broadcast pkt.Packet.eth.Ethernet.dst
-                           || Mac.is_multicast pkt.Packet.eth.Ethernet.dst ->
-          flood_packet t ~in_port:fields.Ofp_match.f_in_port ev.Controller.pi.Ofp_message.data;
-          Controller.Stop
-      | Packet.Ipv4 (_, _) ->
-          handle_ip_admission t ~ev fields;
-          Controller.Stop
-      | Packet.Raw_l3 _ -> Controller.Stop)
-  | _ -> Controller.Stop
+      let in_port = fields.Ofp_match.f_in_port and dst = fields.Ofp_match.f_dl_dst in
+      (if fields.Ofp_match.f_dl_type = Ethernet.ethertype_ipv4 then
+         if Mac.is_broadcast dst || Mac.is_multicast dst then
+           flood_packet t ~in_port ev.Controller.pi.Ofp_message.data
+         else handle_ip_admission t ~ev fields
+       else if fields.Ofp_match.f_dl_type = Ethernet.ethertype_arp then
+         match Lazy.force ev.Controller.packet with
+         | Some { Packet.l3 = Packet.Arp arp; _ } ->
+             (* the router answers for its own address; everything else
+                floods (the upstream node proxy-ARPs for the internet) *)
+             if arp.Arp.op = Arp.Request && Ip.equal arp.Arp.target_ip (router_ip t) then
+               packet_out_port t ~port:in_port
+                 (Packet.arp_packet ~src_mac:(router_mac t)
+                    (Arp.reply_to arp ~responder_mac:(router_mac t)))
+             else if Mac.is_broadcast dst then
+               flood_packet t ~in_port ev.Controller.pi.Ofp_message.data
+             else forward_or_flood t ~ev fields
+         | Some _ | None -> ());
+      Controller.Stop
 
 (* ------------------------------------------------------------------ *)
 (* DHCP component                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* a UDP fragment reads ports 0 in its fields, so a port test after this
+   one matches only a datagram that decodes with that UDP header *)
+let is_udp (f : Ofp_match.fields) =
+  f.Ofp_match.f_dl_type = Ethernet.ethertype_ipv4 && f.Ofp_match.f_nw_proto = Ipv4.proto_udp
+
 let dhcp_component t (ev : Controller.packet_in_event) =
-  match ev.Controller.packet with
-  | Some ({ Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ } as pkt)
-    when u.Udp.dst_port = Dhcp_wire.server_port ->
-      (match ev.Controller.fields with
-      | Some fields ->
-          Hashtbl.replace t.mac_table fields.Ofp_match.f_dl_src fields.Ofp_match.f_in_port
-      | None -> ());
-      let replies = Dhcp_server.handle_packet t.dhcp pkt in
-      List.iter
-        (fun reply ->
-          packet_out_port t ~port:ev.Controller.pi.Ofp_message.in_port reply)
-        replies;
-      Controller.Stop
+  match ev.Controller.fields with
+  | Some fields when is_udp fields && fields.Ofp_match.f_tp_dst = Dhcp_wire.server_port -> (
+      match Lazy.force ev.Controller.packet with
+      | Some pkt ->
+          Hashtbl.replace t.mac_table fields.Ofp_match.f_dl_src fields.Ofp_match.f_in_port;
+          let replies = Dhcp_server.handle_packet t.dhcp pkt in
+          List.iter
+            (fun reply ->
+              packet_out_port t ~port:ev.Controller.pi.Ofp_message.in_port reply)
+            replies;
+          Controller.Stop
+      | None -> Controller.Continue)
   | _ -> Controller.Continue
 
 (* ------------------------------------------------------------------ *)
 (* DNS component                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* the DNS message a UDP packet-in carries, decoded on demand *)
+let dns_message (ev : Controller.packet_in_event) =
+  match Lazy.force ev.Controller.packet with
+  | Some { Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ } -> Dns_wire.decode u.Udp.payload
+  | Some _ | None -> Error "not a UDP packet"
+
 let dns_component t (ev : Controller.packet_in_event) =
-  match ev.Controller.packet with
-  | Some { Packet.l3 = Packet.Ipv4 (ip_hdr, Packet.Udp u); eth }
-    when u.Udp.dst_port = 53 && ev.Controller.pi.Ofp_message.in_port <> upstream_port ->
+  match ev.Controller.fields with
+  | Some f
+    when is_udp f && f.Ofp_match.f_tp_dst = 53 && f.Ofp_match.f_in_port <> upstream_port ->
       (* outgoing DNS request: intercept *)
-      (match Dns_wire.decode u.Udp.payload with
+      (match dns_message ev with
       | Ok query when not query.Dns_wire.is_response ->
           let actions =
-            Dns_proxy.handle_query t.dns ~src_ip:ip_hdr.Ipv4.src ~src_port:u.Udp.src_port query
+            Dns_proxy.handle_query t.dns ~src_ip:f.Ofp_match.f_nw_src
+              ~src_port:f.Ofp_match.f_tp_src query
           in
-          run_dns_actions t ~fallback_mac:(Some eth.Ethernet.src)
-            ~fallback_port:(Some ev.Controller.pi.Ofp_message.in_port) actions
+          run_dns_actions t ~fallback_mac:(Some f.Ofp_match.f_dl_src)
+            ~fallback_port:(Some f.Ofp_match.f_in_port) actions
       | Ok _ | Error _ -> ());
       Controller.Stop
-  | Some { Packet.l3 = Packet.Ipv4 (ip_hdr, Packet.Udp u); _ }
-    when u.Udp.src_port = 53
-         && (Ip.equal ip_hdr.Ipv4.dst (router_ip t)
+  | Some f
+    when is_udp f && f.Ofp_match.f_tp_src = 53
+         && (Ip.equal f.Ofp_match.f_nw_dst (router_ip t)
             || match t.cfg.nat with
-               | Some w -> Ip.equal ip_hdr.Ipv4.dst w
+               | Some w -> Ip.equal f.Ofp_match.f_nw_dst w
                | None -> false)
-         && u.Udp.dst_port = dns_forward_port -> (
+         && f.Ofp_match.f_tp_dst = dns_forward_port -> (
       (* response from the upstream resolver to the proxy *)
-      match Dns_wire.decode u.Udp.payload with
+      match dns_message ev with
       | Ok response when response.Dns_wire.is_response ->
           run_dns_actions t ~fallback_mac:None ~fallback_port:None
             (Dns_proxy.handle_upstream t.dns response);

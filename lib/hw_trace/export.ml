@@ -5,6 +5,8 @@ let attr_json = function
   | Tracer.Int i -> Json.Int i
   | Tracer.Bool b -> Json.Bool b
   | Tracer.Real f -> Json.Float f
+  | Tracer.Ip a -> Json.String (Hw_packet.Ip.to_string a)
+  | Tracer.Mac m -> Json.String (Hw_packet.Mac.to_string m)
 
 let attrs_json attrs =
   Json.Obj (List.rev_map (fun (k, v) -> (k, attr_json v)) attrs)

@@ -1,6 +1,12 @@
 module Ring = Hw_util.Ring
 
-type attr = Str of string | Int of int | Bool of bool | Real of float
+type attr =
+  | Str of string
+  | Int of int
+  | Bool of bool
+  | Real of float
+  | Ip of Hw_packet.Ip.t
+  | Mac of Hw_packet.Mac.t
 
 type span = {
   span_id : int;
@@ -30,6 +36,7 @@ type t = {
      synchronous call stack (datapath rx -> controller -> handlers ->
      hwdb), so per-trace state can live flat in the tracer. *)
   mutable trace_id : int; (* 0 when no trace is active *)
+  mutable next_span_id : int; (* span ids are dense in open order, from 1 *)
   mutable stack : span list; (* open spans, innermost first *)
   mutable finished : span list; (* closed spans, completion order reversed *)
   mutable errored : bool;
@@ -50,6 +57,7 @@ let make ~enabled ~capacity ~sample_every ~slow_threshold ~counter ~histogram ~n
     sample_every;
     recorder = Ring.create ~capacity;
     trace_id = 0;
+    next_span_id = 1;
     stack = [];
     finished = [];
     errored = false;
@@ -99,8 +107,8 @@ let open_span ?parent t name attrs =
     | Some p -> p
     | None -> ( match t.stack with [] -> 0 | p :: _ -> p.span_id)
   in
-  (* span ids are allocated densely in open order, starting at 1 *)
-  let span_id = List.length t.finished + List.length t.stack + 1 in
+  let span_id = t.next_span_id in
+  t.next_span_id <- span_id + 1;
   let s =
     { span_id; parent; name; start = t.now (); duration = 0.; attrs; error = None }
   in
@@ -141,6 +149,7 @@ let finish_trace t root =
   end
   else Hw_metrics.Counter.incr t.m_dropped;
   t.trace_id <- 0;
+  t.next_span_id <- 1;
   t.stack <- [];
   t.finished <- [];
   t.errored <- false
@@ -234,6 +243,8 @@ let attr_to_string = function
   | Int i -> string_of_int i
   | Bool b -> string_of_bool b
   | Real f -> Printf.sprintf "%g" f
+  | Ip a -> Hw_packet.Ip.to_string a
+  | Mac m -> Hw_packet.Mac.to_string m
 
 let attrs_to_string attrs =
   String.concat ","

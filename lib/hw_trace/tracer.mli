@@ -18,11 +18,26 @@
     kept 1-in-[sample_every] following the [Hw_metrics.Sampled]
     discipline (first completion sampled, then every N-th). *)
 
-type attr = Str of string | Int of int | Bool of bool | Real of float
-(** Typed span attributes (dpid, five-tuple fields, MAC, verdict, ...). *)
+type attr =
+  | Str of string
+  | Int of int
+  | Bool of bool
+  | Real of float
+  | Ip of Hw_packet.Ip.t
+  | Mac of Hw_packet.Mac.t
+(** Typed span attributes (dpid, five-tuple fields, MAC, verdict, ...).
+    An address is stored as the address, not as its text: it is rendered
+    ({!attr_to_string}, [Export]) only when a kept trace is exported —
+    as a [Traces] row, by [GET /traces] or as Chrome JSON — with exactly
+    the bytes [Ip.to_string] / [Mac.to_string] give, so the export reads
+    as if the span site had rendered it. Most traces are never exported
+    (the flight recorder overwrites them), so a span site never pays for
+    the text. *)
 
 type span = {
-  span_id : int; (** dense, open order, 1 = root *)
+  span_id : int;
+      (** dense, open order, 1 = root: taken from a per-trace counter
+          that restarts when the trace completes *)
   parent : int; (** [span_id] of the enclosing span; 0 for the root *)
   name : string;
   start : float;
@@ -146,6 +161,7 @@ val dropped : t -> int
 (** {2 Rendering helpers} *)
 
 val attr_to_string : attr -> string
+(** The attribute's export text; [Ip]/[Mac] render here. *)
 
 val attrs_to_string : (string * attr) list -> string
 (** ["k=v,k=v"] in insertion order (as the hwdb Traces table stores). *)

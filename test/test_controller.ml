@@ -112,6 +112,69 @@ let test_packet_in_dispatch_and_parse () =
   | _ -> Alcotest.fail "fields not parsed");
   Alcotest.(check int) "counted" 1 (Controller.packet_in_total fs.ctrl)
 
+(* a frame [Packet.decode] rejects (an IPv4 header with a bad checksum)
+   still reaches the handlers, with no fields and nothing to decode *)
+let test_undecodable_packet_in () =
+  let fs = make_fake () in
+  let seen = ref [] in
+  Controller.on_packet_in fs.ctrl ~name:"probe" (fun ev ->
+      seen := (ev.Controller.fields, Lazy.force ev.Controller.packet) :: !seen;
+      Controller.Continue);
+  handshake fs;
+  let frame =
+    Bytes.of_string
+      (Packet.encode
+         (Packet.udp_packet ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:(Ip.of_octets 10 0 0 2)
+            ~dst_ip:(Ip.of_octets 10 0 0 3) ~src_port:1 ~dst_port:2 "x"))
+  in
+  Bytes.set frame 24 (Char.chr (Char.code (Bytes.get frame 24) lxor 0xff));
+  let data = Bytes.to_string frame in
+  Alcotest.(check bool) "Packet.decode rejects it" true (Result.is_error (Packet.decode data));
+  inject fs
+    (Ofp_message.Packet_in
+       {
+         Ofp_message.buffer_id = None;
+         total_len = String.length data;
+         in_port = 1;
+         reason = Ofp_message.No_match;
+         data;
+       });
+  match !seen with
+  | [ (None, None) ] -> ()
+  | [ _ ] -> Alcotest.fail "an undecodable frame got fields or a packet"
+  | l -> Alcotest.failf "handler ran %d times" (List.length l)
+
+(* the fields come from the frame in place; the packet is decoded when a
+   handler first forces it, and every later handler shares that value.
+   The handlers only record: the controller catches what they raise. *)
+let test_decode_shared_by_handlers () =
+  let fs = make_fake () in
+  let forced_at = ref [] and first = ref None and second = ref None and fields = ref None in
+  let note name ev = forced_at := (name, Lazy.is_val ev.Controller.packet) :: !forced_at in
+  Controller.on_packet_in fs.ctrl ~name:"fields-only" (fun ev ->
+      note "fields-only" ev;
+      Controller.Continue);
+  Controller.on_packet_in fs.ctrl ~name:"decoder" (fun ev ->
+      note "decoder" ev;
+      first := Lazy.force ev.Controller.packet;
+      Controller.Continue);
+  Controller.on_packet_in fs.ctrl ~name:"reader" (fun ev ->
+      note "reader" ev;
+      second := Lazy.force ev.Controller.packet;
+      fields := ev.Controller.fields;
+      Controller.Stop);
+  handshake fs;
+  inject fs (packet_in_msg ());
+  Alcotest.(check (list (pair string bool))) "forced by the decoder, not before"
+    [ ("fields-only", false); ("decoder", false); ("reader", true) ]
+    (List.rev !forced_at);
+  match !first, !second, !fields with
+  | Some a, Some b, Some f ->
+      Alcotest.(check bool) "one decode, shared" true (a == b);
+      Alcotest.(check bool) "fields = the decoded packet's" true
+        (f = Ofp_match_ref.fields_of_packet ~in_port:1 a)
+  | _ -> Alcotest.fail "decodable frame without fields or packet"
+
 let test_handler_exception_isolated () =
   let fs = make_fake () in
   let reached = ref false in
@@ -353,5 +416,10 @@ let () =
           Alcotest.test_case "two switches" `Quick test_two_switches_one_controller;
           Alcotest.test_case "aggregate stats" `Quick test_aggregate_stats_via_controller;
           Alcotest.test_case "keepalive liveness" `Quick test_keepalive_liveness;
+        ] );
+      ( "decode",
+        [
+          Alcotest.test_case "undecodable packet-in" `Quick test_undecodable_packet_in;
+          Alcotest.test_case "decode shared by handlers" `Quick test_decode_shared_by_handlers;
         ] );
     ]

@@ -253,7 +253,7 @@ let test_flow_mod_then_fast_path () =
   (* install a flow referencing the buffer: the buffered frame must be
      forwarded immediately *)
   let pkt = Result.get_ok (Packet.decode frame) in
-  let m = Ofp_match.exact_of_fields (Ofp_match.fields_of_packet ~in_port:1 pkt) in
+  let m = Ofp_match.exact_of_fields (Ofp_match_ref.fields_of_packet ~in_port:1 pkt) in
   send_to_dp h
     (Ofp_message.Flow_mod
        {
@@ -685,7 +685,7 @@ let test_receive_frames_batch () =
   let h = make_harness () in
   let frame = sample_frame () in
   let pkt = Result.get_ok (Packet.decode frame) in
-  let m = Ofp_match.exact_of_fields (Ofp_match.fields_of_packet ~in_port:1 pkt) in
+  let m = Ofp_match.exact_of_fields (Ofp_match_ref.fields_of_packet ~in_port:1 pkt) in
   send_to_dp h (Ofp_message.Flow_mod (Ofp_message.add_flow m [ Ofp_action.output 2 ]));
   Datapath.receive_frames h.dp [ (1, frame); (1, frame); (1, frame) ];
   Alcotest.(check int) "all three forwarded" 3 (List.length !(h.transmitted));
@@ -757,7 +757,7 @@ let test_ipv4_fragments_forwarded () =
           (match Packet.decode frame with
           | Ok ({ Packet.l3 = Packet.Ipv4 (_, Packet.Raw_l4 _); _ } as pkt) ->
               Alcotest.(check bool) "fields_of_packet agrees" true
-                (Ofp_match.fields_of_packet ~in_port:1 pkt = f)
+                (Ofp_match_ref.fields_of_packet ~in_port:1 pkt = f)
           | Ok _ -> Alcotest.fail "fragment's L4 parsed"
           | Error e -> Alcotest.failf "fragment undecodable: %s" e))
     fragments

@@ -571,6 +571,105 @@ let test_status_endpoint () =
   Alcotest.(check int) "device count" 2 (Json.to_int (Json.member "devices" j));
   Alcotest.(check bool) "packet_ins positive" true (Json.to_int (Json.member "packet_ins" j) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Packet-in decode                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* How many times the router decodes one frame on its way from
+   [Router.receive_frame] to the components, counted by the one copy of
+   the Ethernet payload each [Packet.decode] makes: the frame is sent
+   with and without [pad] bytes of Ethernet padding, which every header
+   ignores, and the words the padding adds beyond what it adds on a bare
+   datapath (the packet-in and the OpenFlow channel) are divided by its
+   size. Each figure is the least of three sends, so that a one-off
+   table resize does not count. *)
+let pad = 1024
+
+(* every copy of a padded frame is below the 256-word limit for minor
+   allocation, so the minor heap counts all of them *)
+let words_allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let padding_words send next_frame =
+  let least padding =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let frame = next_frame () ^ String.make padding '\000' in
+           words_allocated (fun () -> send frame)))
+  in
+  least pad -. least 0
+
+let bare_datapath_padding_words next_frame =
+  let module Datapath = Hw_datapath.Datapath in
+  let module Ofp_message = Hw_openflow.Ofp_message in
+  let framing = Ofp_message.Framing.create () in
+  let port n = { Datapath.port_no = n; name = Printf.sprintf "p%d" n; mac = Mac.local (0xc0 + n) } in
+  let dp =
+    Datapath.create ~dpid:1L ~ports:[ port 1; port 2 ]
+      ~transmit:(fun ~port_no:_ _ -> ())
+      ~to_controller:(fun bytes ->
+        Ofp_message.Framing.input framing bytes;
+        ignore (Ofp_message.Framing.pop_all framing))
+      ~now:(fun () -> 0.) ()
+  in
+  (* whole frames in packet-ins, as the router's controller configures *)
+  Datapath.input_from_controller dp
+    (Ofp_message.encode ~xid:1l (Ofp_message.Set_config { flags = 0; miss_send_len = 0xffff }));
+  padding_words (fun frame -> Datapath.receive_frame dp ~in_port:1 frame) next_frame
+
+let test_packet_in_decodes () =
+  let home, devices = small_home 1 in
+  Home.run_for home 30.;
+  let r = Home.router home in
+  let dev = List.hd devices in
+  let dev_mac = Device.mac dev and dev_ip = Option.get (Device.ip dev) in
+  let in_port = Router.wireless_port in
+  let decodes what next_frame =
+    let extra =
+      padding_words (fun frame -> Router.receive_frame r ~in_port frame) next_frame
+      -. bare_datapath_padding_words next_frame
+    in
+    let n = extra /. float_of_int (pad / (Sys.word_size / 8)) in
+    Alcotest.(check bool) (Printf.sprintf "%s: a whole number of decodes (%.2f)" what n) true
+      (Float.abs (n -. Float.round n) < 0.2);
+    Float.to_int (Float.round n)
+  in
+  (* an outbound TCP flow: a fresh source port each time, so each frame
+     is a new flow's first packet *)
+  let port = ref 40000 in
+  let flows = Router.flows_installed r in
+  let tcp () =
+    incr port;
+    Packet.encode
+      (Packet.tcp_packet ~src_mac:dev_mac ~dst_mac:Hw_sim.Internet.mac ~src_ip:dev_ip
+         ~dst_ip:(Ip.of_octets 93 184 216 34) ~src_port:!port ~dst_port:80 "GET /")
+  in
+  Alcotest.(check int) "LAN->WAN TCP setup never decodes" 0 (decodes "tcp" tcp);
+  Alcotest.(check bool) "each TCP frame installed a flow" true
+    (Router.flows_installed r - flows >= 6);
+  let dhcp () =
+    Packet.encode
+      (Packet.dhcp_packet ~src_mac:dev_mac ~dst_mac:Mac.broadcast ~src_ip:Ip.any
+         ~dst_ip:Ip.broadcast
+         (Dhcp_wire.make_request ~xid:7l ~chaddr:dev_mac Dhcp_wire.Discover))
+  in
+  Alcotest.(check int) "DHCP decodes once" 1 (decodes "dhcp" dhcp);
+  let dns () =
+    Packet.encode
+      (Packet.dns_query_packet ~src_mac:dev_mac ~dst_mac:(Router.router_mac r) ~src_ip:dev_ip
+         ~dst_ip:(Router.router_ip r) ~src_port:5353
+         (Dns_wire.query ~id:9 "example.com" Dns_wire.A))
+  in
+  Alcotest.(check int) "DNS decodes once" 1 (decodes "dns" dns);
+  let arp () =
+    Packet.encode
+      (Packet.arp_packet ~src_mac:dev_mac
+         (Arp.request ~sender_mac:dev_mac ~sender_ip:dev_ip ~target_ip:(Router.router_ip r)))
+  in
+  Alcotest.(check int) "ARP decodes once" 1 (decodes "arp" arp)
+
 let () =
   Alcotest.run "integration"
     [
@@ -616,4 +715,6 @@ let () =
           Alcotest.test_case "flow-stats reply over 64 KiB" `Quick test_flow_stats_reply_over_64k;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
         ] );
+      ( "decode",
+        [ Alcotest.test_case "packet-in decodes per path" `Quick test_packet_in_decodes ] );
     ]

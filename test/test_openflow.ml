@@ -91,7 +91,7 @@ let test_fields_of_arp () =
   let pkt =
     Packet.arp_packet ~src_mac:mac_a (Arp.request ~sender_mac:mac_a ~sender_ip:ip_a ~target_ip:ip_b)
   in
-  let f = Ofp_match.fields_of_packet ~in_port:2 pkt in
+  let f = Ofp_match_ref.fields_of_packet ~in_port:2 pkt in
   Alcotest.(check int) "dl_type arp" 0x0806 f.Ofp_match.f_dl_type;
   Alcotest.(check int) "nw_proto = arp opcode" 1 f.Ofp_match.f_nw_proto;
   Alcotest.(check bool) "nw_src = sender" true (Ip.equal ip_a f.Ofp_match.f_nw_src)
@@ -799,7 +799,7 @@ module Frame_gen = struct
 end
 
 let decode_then_fields ~in_port frame =
-  Result.to_option (Result.map (Ofp_match.fields_of_packet ~in_port) (Packet.decode frame))
+  Result.to_option (Result.map (Ofp_match_ref.fields_of_packet ~in_port) (Packet.decode frame))
 
 let pp_fields = function
   | None -> "None"

@@ -35,6 +35,27 @@ let test_ip_parse_print () =
   Alcotest.(check bool) "too few" true (Ip.of_string "10.0.0" = None);
   Alcotest.(check string) "high bit" "255.255.255.255" (Ip.to_string Ip.broadcast)
 
+(* Octets and prefix lengths are plain decimal: OCaml literal syntax (hex,
+   octal, binary, underscores, signs) and leading zeros are refused, so
+   each address has one spelling. MAC bytes are two hex digits each. *)
+let test_strict_parsing () =
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " rejected") true (Ip.of_string s = None))
+    [
+      "0x0a.0.0.1"; "0o12.0.0.1"; "0b1.0.0.1"; "1_0.0.0.1"; "+10.0.0.1"; "-0.0.0.0";
+      "010.0.0.1"; "10.0.0.00"; "10.0.0.0255"; "10.0.0."; "10..0.1"; " 10.0.0.1"; "10.0.0.1 ";
+    ];
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " rejected") true (Ip.Prefix.of_string s = None))
+    [ "10.0.0.0/0x18"; "10.0.0.0/+24"; "10.0.0.0/024"; "10.0.0.0/2_4"; "10.0.0.0/33"; "10.0.0.0/" ];
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " rejected") true (Mac.of_string s = None))
+    [ "_a:bb:cc:dd:ee:ff"; "aa:bb:cc:dd:ee:_f"; "+1:bb:cc:dd:ee:ff"; "aa:bb:cc:dd:ee:f" ];
+  Alcotest.(check bool) "0.0.0.0" true (Ip.of_string "0.0.0.0" = Some Ip.any);
+  Alcotest.(check bool) "/0" true
+    (Option.map Ip.Prefix.bits (Ip.Prefix.of_string "0.0.0.0/0") = Some 0);
+  Alcotest.(check bool) "upper-case hex" true (Mac.of_string "AA:BB:CC:DD:EE:FF" = Some mac_a)
+
 let test_ip_arith () =
   Alcotest.(check string) "succ" "10.0.0.6" (Ip.to_string (Ip.succ ip_a));
   Alcotest.(check string) "add" "10.0.0.15" (Ip.to_string (Ip.add ip_a 10));
@@ -238,6 +259,51 @@ let prop_ip_string_roundtrip =
     (QCheck.make ip_gen ~print:Ip.to_string)
     (fun ip -> Ip.of_string (Ip.to_string ip) = Some ip)
 
+(* Strings near the dotted-quad grammar: renderings with one character
+   changed or inserted, and short strings over the characters a lax
+   parser might accept. [of_string] must accept exactly the renderings. *)
+let prop_ip_of_string_accepts_only_renderings =
+  let near =
+    let open QCheck.Gen in
+    let alphabet = oneofl [ '0'; '1'; '2'; '5'; '9'; '.'; '+'; '-'; '_'; 'x'; 'o'; 'b'; ' ' ] in
+    let mutate s =
+      let* i = int_bound (String.length s - 1) in
+      let* c = alphabet in
+      let* replace = bool in
+      let rest = if replace then i + 1 else i in
+      return (String.sub s 0 i ^ String.make 1 c ^ String.sub s rest (String.length s - rest))
+    in
+    oneof
+      [
+        map Ip.to_string ip_gen;
+        ip_gen >>= (fun ip -> mutate (Ip.to_string ip));
+        string_size ~gen:alphabet (int_range 1 15);
+      ]
+  in
+  QCheck.Test.make ~name:"ip parse inverts print (10k)" ~count:10_000
+    (QCheck.make near ~print:(Printf.sprintf "%S"))
+    (fun s -> match Ip.of_string s with None -> true | Some ip -> Ip.to_string ip = s)
+
+(* The renderers against the Printf formats they replaced, with the
+   octets and bytes where the digit count or a hex nibble changes forced
+   into most cases. *)
+let prop_renderers_match_printf =
+  let open QCheck.Gen in
+  let octet = oneof [ oneofl [ 0; 9; 10; 99; 100; 255 ]; int_bound 255 ] in
+  let byte = oneof [ oneofl [ 0x00; 0x0f; 0xf0; 0xff ]; int_bound 255 ] in
+  let gen = pair (list_repeat 4 octet) (list_repeat 6 byte) in
+  QCheck.Test.make ~name:"renderers = Printf (10k)" ~count:10_000
+    (QCheck.make gen)
+    (fun (octets, bytes) ->
+      let ip = match octets with [ a; b; c; d ] -> Ip.of_octets a b c d | _ -> assert false in
+      let mac = Mac.of_bytes (String.of_seq (List.to_seq (List.map Char.chr bytes))) in
+      let b i = Char.code (Mac.to_bytes mac).[i] in
+      Ip.to_string ip
+      = Printf.sprintf "%d.%d.%d.%d" (List.nth octets 0) (List.nth octets 1) (List.nth octets 2)
+          (List.nth octets 3)
+      && Mac.to_string mac
+         = Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" (b 0) (b 1) (b 2) (b 3) (b 4) (b 5))
+
 let packet_gen =
   let open QCheck.Gen in
   let payload = string_size ~gen:printable (int_bound 40) in
@@ -436,6 +502,9 @@ let () =
           Alcotest.test_case "prefix" `Quick test_prefix;
           QCheck_alcotest.to_alcotest prop_mac_string_roundtrip;
           QCheck_alcotest.to_alcotest prop_ip_string_roundtrip;
+          Alcotest.test_case "strict parsing" `Quick test_strict_parsing;
+          QCheck_alcotest.to_alcotest prop_ip_of_string_accepts_only_renderings;
+          QCheck_alcotest.to_alcotest prop_renderers_match_printf;
         ] );
       ( "frames",
         [

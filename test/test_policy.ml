@@ -74,6 +74,25 @@ let test_schedule_string_roundtrip () =
       | Error e -> Alcotest.fail e)
     [ Schedule.always; Schedule.weekdays ~start_hour:16 ~end_hour:21 (); Schedule.weekend () ]
 
+(* the window text against the Printf format it used to be written
+   with, for every minute of a day and for out-of-range and fractional
+   times [Schedule.make] accepts *)
+let test_schedule_window_text () =
+  let reference tod =
+    Printf.sprintf "%02d:%02d" (int_of_float (tod /. 3600.)) (int_of_float (Float.rem tod 3600. /. 60.))
+  in
+  let tods =
+    List.init (24 * 60) (fun m -> float_of_int (m * 60))
+    @ [ 59.; 86_399.; 90_000.; 400_000.; -60.; -3_600.; -36_000.; 5_430.5 ]
+  in
+  List.iter
+    (fun tod ->
+      let s = Schedule.make ~days:[ Hw_time.Mon ] ~start_tod:tod ~end_tod:(tod +. 60.) in
+      Alcotest.(check string) (Printf.sprintf "window at %g" tod)
+        (reference tod ^ "-" ^ reference (tod +. 60.))
+        (snd (Schedule.to_strings s)))
+    tods
+
 (* ------------------------------------------------------------------ *)
 (* Policy engine                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +344,7 @@ let () =
           Alcotest.test_case "wrapping window" `Quick test_schedule_wrapping_window;
           Alcotest.test_case "of_strings" `Quick test_schedule_of_strings;
           Alcotest.test_case "string roundtrip" `Quick test_schedule_string_roundtrip;
+          Alcotest.test_case "window text" `Quick test_schedule_window_text;
           QCheck_alcotest.to_alcotest prop_schedule_active_iff_day_listed;
         ] );
       ( "engine",

@@ -347,6 +347,119 @@ let test_home_trace_end_to_end () =
   let resp = Router.http r (Http.request Http.GET "/traces/nonsense") in
   Alcotest.(check int) "malformed id is 404" 404 resp.Http.status
 
+(* The exported bytes of two first-packet traces in a running home: a
+   DHCP join and an outbound TCP flow. For each pinned span, the Traces
+   row's [attrs] column and the span's Chrome-JSON [args] object are
+   compared as strings. The expected strings were recorded when every
+   address attribute was rendered eagerly at the span site, so any change
+   in how or when addresses are rendered must keep them byte-identical. *)
+
+let golden_dhcp_join =
+  [
+    ( "dp.packet_in",
+      "tp_dst=67,tp_src=68,nw_proto=17,nw_dst=255.255.255.255,nw_src=0.0.0.0,\
+       eth_dst=ff:ff:ff:ff:ff:ff,eth_src=02:00:00:00:00:01,in_port=1,dpid=1",
+      "{\"span_id\":1,\"parent\":0,\"tp_dst\":67,\"tp_src\":68,\"nw_proto\":17,\
+       \"nw_dst\":\"255.255.255.255\",\"nw_src\":\"0.0.0.0\",\"eth_dst\":\"ff:ff:ff:ff:ff:ff\",\
+       \"eth_src\":\"02:00:00:00:00:01\",\"in_port\":1,\"dpid\":1}" );
+    ( "dhcp.handle",
+      "mac=02:00:00:00:00:01,msg_type=request,dhcp.event=grant 02:00:00:00:00:01 -> 10.0.0.100",
+      "{\"span_id\":4,\"parent\":3,\"mac\":\"02:00:00:00:00:01\",\"msg_type\":\"request\",\
+       \"dhcp.event\":\"grant 02:00:00:00:00:01 -> 10.0.0.100\"}" );
+  ]
+
+let golden_tcp_flow =
+  [
+    ( "dp.packet_in",
+      "tp_dst=443,tp_src=40003,nw_proto=6,nw_dst=93.184.216.11,nw_src=10.0.0.100,\
+       eth_dst=02:ff:ff:ff:ff:fe,eth_src=02:00:00:00:00:01,in_port=1,dpid=1",
+      "{\"span_id\":1,\"parent\":0,\"tp_dst\":443,\"tp_src\":40003,\"nw_proto\":6,\
+       \"nw_dst\":\"93.184.216.11\",\"nw_src\":\"10.0.0.100\",\"eth_dst\":\"02:ff:ff:ff:ff:fe\",\
+       \"eth_src\":\"02:00:00:00:00:01\",\"in_port\":1,\"dpid\":1}" );
+    ( "dns.flow_check",
+      "src=10.0.0.100,dst=93.184.216.11,verdict=allow",
+      "{\"span_id\":6,\"parent\":5,\"src\":\"10.0.0.100\",\"dst\":\"93.184.216.11\",\
+       \"verdict\":\"allow\"}" );
+  ]
+
+let test_home_trace_export_golden () =
+  let home = Home.standard_home ~seed:11 () in
+  let r = Home.router home in
+  Home.permit_all home;
+  Home.run_for home 8.;
+  let rows =
+    match
+      Database.query (Router.db r) "SELECT trace_id, span_id, span, attrs FROM Traces [NOW]"
+    with
+    | Ok rs -> rs.Query.rows
+    | Error e -> Alcotest.fail e
+  in
+  let attrs_column id span_id =
+    match
+      List.find_map
+        (function
+          | [ Value.Int t; Value.Int s; _; Value.Str a ] when t = id && s = span_id -> Some a
+          | _ -> None)
+        rows
+    with
+    | Some a -> a
+    | None -> Alcotest.failf "trace %d span %d has no Traces row" id span_id
+  in
+  (* oldest first: the first qualifying trace is the same run to run *)
+  let in_table =
+    List.rev (Tracer.traces (Router.tracer r))
+    |> List.filter (fun (c : Tracer.completed) ->
+           List.exists (function Value.Int t :: _ -> t = c.Tracer.id | _ -> false) rows)
+  in
+  let has_attr (c : Tracer.completed) span key pred =
+    Array.exists
+      (fun (s : Tracer.span) ->
+        s.Tracer.name = span
+        && List.exists (fun (k, v) -> k = key && pred (Tracer.attr_to_string v)) s.Tracer.attrs)
+      c.Tracer.spans
+  in
+  let starts_with p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
+  let pick what f =
+    match List.find_opt f in_table with
+    | Some c -> c
+    | None -> Alcotest.failf "no %s trace in the exported Traces table" what
+  in
+  let join = pick "DHCP join" (fun c -> has_attr c "dhcp.handle" "dhcp.event" (starts_with "grant ")) in
+  let flow =
+    pick "outbound TCP flow" (fun c ->
+        has_attr c "dp.packet_in" "nw_proto" (String.equal "6")
+        && Array.exists (fun (s : Tracer.span) -> s.Tracer.name = "dns.flow_check") c.Tracer.spans)
+  in
+  let chrome_events (c : Tracer.completed) =
+    let resp = Router.http r (Http.request Http.GET (Printf.sprintf "/traces/%d" c.Tracer.id)) in
+    Alcotest.(check int) "GET /traces/:id ok" 200 resp.Http.status;
+    Json.get_list (Json.member "traceEvents" (Json.of_string resp.Http.body))
+  in
+  let actual (c : Tracer.completed) names =
+    let events = chrome_events c in
+    List.map
+      (fun name ->
+        let s = find_span c name in
+        let args =
+          match
+            List.find_opt
+              (fun e ->
+                Json.get_string (Json.member "name" e) = name
+                && Json.to_int (Json.member "span_id" (Json.member "args" e)) = s.Tracer.span_id)
+              events
+          with
+          | Some e -> Json.to_string (Json.member "args" e)
+          | None -> Alcotest.failf "span %s not in the Chrome JSON" name
+        in
+        (name, attrs_column c.Tracer.id s.Tracer.span_id, args))
+      names
+  in
+  let show = List.map (fun (n, a, j) -> Printf.sprintf "%s\n  attrs=%s\n  args=%s" n a j) in
+  Alcotest.(check (list string)) "DHCP join export" (show golden_dhcp_join)
+    (show (actual join [ "dp.packet_in"; "dhcp.handle" ]));
+  Alcotest.(check (list string)) "outbound TCP flow export" (show golden_tcp_flow)
+    (show (actual flow [ "dp.packet_in"; "dns.flow_check" ]))
+
 (* ------------------------------------------------------------------ *)
 (* Cross-node propagation and off-stack assembly                       *)
 (* ------------------------------------------------------------------ *)
@@ -471,5 +584,8 @@ let () =
       ( "log",
         [ Alcotest.test_case "stamps trace id" `Quick test_log_stamps_trace ] );
       ( "end to end",
-        [ Alcotest.test_case "home dhcp causal chain" `Quick test_home_trace_end_to_end ] );
+        [
+          Alcotest.test_case "home dhcp causal chain" `Quick test_home_trace_end_to_end;
+          Alcotest.test_case "home export golden" `Quick test_home_trace_export_golden;
+        ] );
     ]
