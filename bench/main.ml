@@ -950,6 +950,46 @@ let micro_tests () =
         (Staged.stage (fun () -> ignore (Hw_sim.Event_loop.step loop)));
     ]
   in
+  (* PERF14: the measurement poll in its 1 s tick. An otherwise idle
+     home holds 250 installed flows; before each tick 25 of them (the
+     next 25 in turn) count one more packet, so the tick polls 250
+     entries and writes 25 Flows rows, near churn's 215 entries for 28
+     rows. One op is one tick. *)
+  let poll_tests () =
+    let module Router = Hw_router.Router in
+    let module Home = Hw_router.Home in
+    let home = Home.create () in
+    let router = Home.router home in
+    Home.run_for home 0.5;
+    let conn = List.hd (Hw_controller.Controller.connections (Router.controller router)) in
+    for i = 0 to 249 do
+      Hw_controller.Controller.install_flow conn
+        {
+          Hw_openflow.Ofp_match.wildcard_all with
+          Hw_openflow.Ofp_match.dl_type = Some 0x0800;
+          nw_proto = Some 17;
+          nw_src = Some (Ip.of_octets 10 0 0 (1 + (i mod 200)), 32);
+          nw_dst = Some (Ip.of_octets 93 184 216 34, 32);
+          tp_src = Some (1024 + i);
+          tp_dst = Some 53;
+        }
+        [ Hw_openflow.Ofp_action.output Router.upstream_port ]
+    done;
+    Home.run_for home 2.;
+    let entries =
+      Array.of_list (Hw_datapath.Flow_table.entries (Hw_datapath.Datapath.flow_table (Router.datapath router)))
+    in
+    let next = ref 0 in
+    [
+      Test.make ~name:"tick/250_flows_25_moved"
+        (Staged.stage (fun () ->
+             for _ = 1 to 25 do
+               Hw_datapath.Flow_entry.touch entries.(!next) ~now:(Home.now home) ~bytes:100;
+               next := (!next + 1) mod Array.length entries
+             done;
+             Home.run_for home 1.0));
+    ]
+  in
   [
     ("PERF1 flow table", lookup_tests);
     ("PERF2 openflow codec", codec_tests);
@@ -964,6 +1004,7 @@ let micro_tests () =
     ("PERF11 rpc ctx", rpc_ctx_tests);
     ("PERF12 wal durability", wal_tests);
     ("PERF13 simulator", sim_tests);
+    ("PERF14 measurement poll", poll_tests);
   ]
 
 (* Rows computed from a group's measured rows (looked up by name) and

@@ -13,10 +13,9 @@ type conn = {
   mutable features : Ofp_message.switch_features option;
   mutable alive : bool;
   mutable last_heard : float;
-  (* per xid: the waiter, and the parts of its reply received so far
-     (flagged more, newest first) *)
-  stats_waiters :
-    (int32, (Ofp_message.stats_reply -> unit) * Ofp_message.stats_reply list) Hashtbl.t;
+  (* per xid: the reader of each part of a stats reply, given the part's
+     bytes; forgotten after the last part *)
+  stats_waiters : (int32, string -> (unit, string) result) Hashtbl.t;
   barrier_waiters : (int32, unit -> unit) Hashtbl.t;
 }
 
@@ -160,10 +159,33 @@ let send_packet conn ?in_port data actions =
 
 (* the waiter must be registered before the bytes go out: the in-process
    switch replies synchronously *)
-let request_stats conn req callback =
+let await_stats conn req read =
   let xid = alloc_xid conn in
-  Hashtbl.replace conn.stats_waiters xid (callback, []);
+  Hashtbl.replace conn.stats_waiters xid read;
   conn.send_bytes (Ofp_message.encode ~xid (Ofp_message.Stats_request req))
+
+(* a long reply arrives in parts; the callback runs once, on the last *)
+let request_stats conn req callback =
+  let parts = ref [] in
+  await_stats conn req (fun part ->
+      match Ofp_message.decode part with
+      | Ok (_, Ofp_message.Stats_reply { more; reply }) ->
+          parts := reply :: !parts;
+          if not more then callback (Ofp_message.join_stats_reply_parts (List.rev !parts));
+          Ok ()
+      | Ok (_, msg) -> Error ("stats waiter got " ^ Ofp_message.type_name msg)
+      | Error err -> Error err)
+
+let request_flow_stats conn on_part =
+  await_stats conn
+    (Ofp_message.Flow_stats_request
+       { sr_match = Ofp_match.wildcard_all; table_id = 0xff; sr_out_port = Ofp_action.Port.none })
+    (fun part ->
+      match Ofp_message.Flow_stats_part.validate part with
+      | Ok () ->
+          on_part part;
+          Ok ()
+      | Error _ as e -> e)
 
 let barrier conn callback =
   let xid = alloc_xid conn in
@@ -248,15 +270,9 @@ let handle_message t conn xid msg =
   | Ofp_message.Port_status (reason, port) ->
       Hw_metrics.Counter.incr t.m_port_status;
       List.iter (fun (_, f) -> f conn reason port) t.port_status_handlers
-  | Ofp_message.Stats_reply { more; reply } -> (
-      (* a long reply arrives in parts; the waiter runs once, on the last *)
-      match Hashtbl.find_opt conn.stats_waiters xid with
-      | Some (callback, parts) when more ->
-          Hashtbl.replace conn.stats_waiters xid (callback, reply :: parts)
-      | Some (callback, parts) ->
-          Hashtbl.remove conn.stats_waiters xid;
-          callback (Ofp_message.join_stats_reply_parts (List.rev (reply :: parts)))
-      | None -> Log.debug (fun m -> m "unsolicited stats reply xid=%ld" xid))
+  | Ofp_message.Stats_reply _ ->
+      (* a reply with a waiter went to it undecoded ([handle_frame]) *)
+      Log.debug (fun m -> m "unsolicited stats reply xid=%ld" xid)
   | Ofp_message.Barrier_reply -> (
       match Hashtbl.find_opt conn.barrier_waiters xid with
       | Some callback ->
@@ -311,13 +327,39 @@ let ping_stale t ~idle_after ~dead_after =
     (connections t);
   List.length dead
 
+let bad_frame t conn err =
+  Log.err (fun m -> m "bad frame from switch: %s" err);
+  detach_switch t conn
+
+(* A stats-reply part with a waiter goes to it as bytes, to validate or
+   decode as it needs; any other frame is decoded and dispatched. *)
+let handle_frame t conn frame =
+  let read =
+    if Ofp_message.Stats_part.is_reply frame then
+      Hashtbl.find_opt conn.stats_waiters (Ofp_message.Stats_part.xid frame)
+    else None
+  in
+  match read with
+  | Some read -> (
+      if not (Ofp_message.Stats_part.more frame) then
+        Hashtbl.remove conn.stats_waiters (Ofp_message.Stats_part.xid frame);
+      match read frame with Ok () -> () | Error err -> bad_frame t conn err)
+  | None -> (
+      match Ofp_message.decode frame with
+      | Ok (xid, msg) -> handle_message t conn xid msg
+      | Error err -> bad_frame t conn err)
+
+(* frames are handled in arrival order, including those a handler's own
+   round trip appends to the buffer *)
+let rec drain t conn =
+  match Ofp_message.Framing.pop_frame conn.framing with
+  | None -> ()
+  | Some (Ok frame) ->
+      handle_frame t conn frame;
+      drain t conn
+  | Some (Error err) -> bad_frame t conn err
+
 let input t conn bytes =
   conn.last_heard <- t.now ();
   Ofp_message.Framing.input conn.framing bytes;
-  List.iter
-    (function
-      | Ok (xid, msg) -> handle_message t conn xid msg
-      | Error err ->
-          Log.err (fun m -> m "bad frame from switch: %s" err);
-          detach_switch t conn)
-    (Ofp_message.Framing.pop_all conn.framing)
+  drain t conn

@@ -64,7 +64,8 @@ val attach_switch : t -> send:(string -> unit) -> conn
     via {!input}. *)
 
 val input : t -> conn -> string -> unit
-(** Feed switch→controller bytes. *)
+(** Feed switch→controller bytes. Whole messages are handled in arrival
+    order, those appended while a handler runs included. *)
 
 val detach_switch : t -> conn -> unit
 (** Connection lost: fires datapath-leave. *)
@@ -90,8 +91,28 @@ val install_flow :
 val send_packet : conn -> ?in_port:int -> string -> Ofp_action.t list -> unit
 (** Convenience packet-out carrying [data]. *)
 
+(** A stats request registers a waiter under its xid. Each STATS_REPLY
+    part that carries that xid goes to the waiter as the message's
+    bytes, in order, and is not decoded on the way; the part whose
+    [more] flag is clear is the last, and the waiter is forgotten then.
+    A part the waiter finds malformed detaches the switch, as any
+    undecodable message does; the parts before it have been delivered.
+    Other frames pay one header test for this: a packet-in allocates
+    nothing more than it would without it. *)
+
 val request_stats : conn -> Ofp_message.stats_request -> (Ofp_message.stats_reply -> unit) -> unit
-(** The callback fires when the reply with the matching xid arrives. *)
+(** The callback fires once, when the last part of the reply arrives,
+    with the parts decoded and joined
+    ({!Hw_openflow.Ofp_message.join_stats_reply_parts}). *)
+
+val request_flow_stats : conn -> (string -> unit) -> unit
+(** Requests the statistics of every flow (OFPST_FLOW, wildcard match,
+    all tables, any out port) and hands each part of the reply to the
+    waiter as its bytes, to be read in place with
+    {!Hw_openflow.Ofp_message.Flow_stats_part}. A part is validated
+    ({!Hw_openflow.Ofp_message.Flow_stats_part.validate}, which also
+    refuses a reply of another stats type) before the waiter sees it,
+    and is never decoded into records. *)
 
 val barrier : conn -> (unit -> unit) -> unit
 

@@ -482,94 +482,96 @@ let phy_port_of (p : port) =
   in
   { base with Ofp_message.state = (if p.up then 0l else 1l) }
 
+(* one entry of a flow-stats reply, written from the table entry itself *)
+let write_flow_stats ~now w (e : Flow_entry.t) =
+  Ofp_message.write_flow_stats_entry w ~table_id:0 ~duration_sec:(Flow_entry.duration_sec e ~now)
+    ~duration_nsec:(Flow_entry.duration_nsec e ~now) ~priority:e.Flow_entry.priority
+    ~idle_timeout:e.Flow_entry.idle_timeout ~hard_timeout:e.Flow_entry.hard_timeout
+    ~cookie:e.Flow_entry.cookie ~packet_count:e.Flow_entry.packet_count
+    ~byte_count:e.Flow_entry.byte_count e.Flow_entry.entry_match e.Flow_entry.actions
+
 let handle_stats_request t xid req =
-  let now = t.now () in
-  let reply =
-    match req with
-    | Ofp_message.Desc_request -> Ofp_message.Desc_reply stats_description
-    | Ofp_message.Flow_stats_request { sr_match; sr_out_port; _ } ->
-        let entries =
-          Flow_table.entries t.table
-          |> List.filter (fun (e : Flow_entry.t) ->
-                 Ofp_match.subsumes ~general:sr_match ~specific:e.Flow_entry.entry_match
-                 && (sr_out_port = Ofp_action.Port.none
-                    || List.exists
-                         (function
-                           | Ofp_action.Output { port; _ } -> port = sr_out_port
-                           | _ -> false)
-                         e.Flow_entry.actions))
-          |> List.map (fun (e : Flow_entry.t) ->
-                 let fs_duration_sec, fs_duration_nsec = Flow_entry.duration e ~now in
-                 {
-                   Ofp_message.fs_table_id = 0;
-                   fs_match = e.Flow_entry.entry_match;
-                   fs_duration_sec;
-                   fs_duration_nsec;
-                   fs_priority = e.Flow_entry.priority;
-                   fs_idle_timeout = e.Flow_entry.idle_timeout;
-                   fs_hard_timeout = e.Flow_entry.hard_timeout;
-                   fs_cookie = e.Flow_entry.cookie;
-                   fs_packet_count = e.Flow_entry.packet_count;
-                   fs_byte_count = e.Flow_entry.byte_count;
-                   fs_actions = e.Flow_entry.actions;
-                 })
-        in
-        Ofp_message.Flow_stats_reply entries
-    | Ofp_message.Aggregate_request { sr_match; _ } ->
-        let entries =
-          Flow_table.entries t.table
-          |> List.filter (fun (e : Flow_entry.t) ->
-                 Ofp_match.subsumes ~general:sr_match ~specific:e.Flow_entry.entry_match)
-        in
-        Ofp_message.Aggregate_reply
-          {
-            Ofp_message.ag_packet_count =
-              List.fold_left
-                (fun acc (e : Flow_entry.t) -> Int64.add acc e.Flow_entry.packet_count)
-                0L entries;
-            ag_byte_count =
-              List.fold_left
-                (fun acc (e : Flow_entry.t) -> Int64.add acc e.Flow_entry.byte_count)
-                0L entries;
-            ag_flow_count = Int32.of_int (List.length entries);
-          }
-    | Ofp_message.Table_stats_request ->
-        Ofp_message.Table_stats_reply
-          [
-            {
-              Ofp_message.ts_table_id = 0;
-              ts_name = "dp0";
-              ts_wildcards = 0x3fffffl;
-              ts_max_entries = Int32.of_int (Flow_table.max_entries t.table);
-              ts_active_count = Int32.of_int (Flow_table.length t.table);
-              ts_lookup_count = Flow_table.lookup_count t.table;
-              ts_matched_count = Flow_table.matched_count t.table;
-            };
-          ]
-    | Ofp_message.Port_stats_request port_no ->
-        let selected =
-          Hashtbl.fold
-            (fun no p acc ->
-              if port_no = Ofp_action.Port.none || no = port_no then p :: acc else acc)
-            t.ports []
-        in
-        Ofp_message.Port_stats_reply
-          (List.map
-             (fun p ->
-               {
-                 Ofp_message.ps_port_no = p.config.port_no;
-                 rx_packets = p.counters.rx_packets;
-                 tx_packets = p.counters.tx_packets;
-                 rx_bytes = p.counters.rx_bytes;
-                 tx_bytes = p.counters.tx_bytes;
-                 rx_dropped = p.counters.rx_dropped;
-                 tx_dropped = p.counters.tx_dropped;
-                 rx_errors = 0L;
-                 tx_errors = 0L;
-               })
-             (List.sort (fun a b -> compare a.config.port_no b.config.port_no) selected))
-  in
-  List.iter (send_with_xid t xid) (Ofp_message.stats_reply_parts reply)
+  let send_reply reply = List.iter (send_with_xid t xid) (Ofp_message.stats_reply_parts reply) in
+  match req with
+  | Ofp_message.Desc_request -> send_reply (Ofp_message.Desc_reply stats_description)
+  | Ofp_message.Flow_stats_request { sr_match; sr_out_port; _ } ->
+      (* written straight from the table entries, in the table's priority
+         order, with no record per entry; the measurement poll asks for
+         every flow, which needs no filtering *)
+      let entries = Flow_table.entries t.table in
+      let entries =
+        if Ofp_match.equal sr_match Ofp_match.wildcard_all && sr_out_port = Ofp_action.Port.none
+        then entries
+        else
+          List.filter
+            (fun (e : Flow_entry.t) ->
+              Ofp_match.subsumes ~general:sr_match ~specific:e.Flow_entry.entry_match
+              && (sr_out_port = Ofp_action.Port.none
+                 || List.exists
+                      (function Ofp_action.Output { port; _ } -> port = sr_out_port | _ -> false)
+                      e.Flow_entry.actions))
+            entries
+      in
+      List.iter t.to_controller
+        (Ofp_message.encode_flow_stats_reply ~xid
+           ~actions:(fun (e : Flow_entry.t) -> e.Flow_entry.actions)
+           ~write:(write_flow_stats ~now:(t.now ()))
+           entries)
+  | Ofp_message.Aggregate_request { sr_match; _ } ->
+      let entries =
+        Flow_table.entries t.table
+        |> List.filter (fun (e : Flow_entry.t) ->
+               Ofp_match.subsumes ~general:sr_match ~specific:e.Flow_entry.entry_match)
+      in
+      send_reply
+        (Ofp_message.Aggregate_reply
+           {
+             Ofp_message.ag_packet_count =
+               List.fold_left
+                 (fun acc (e : Flow_entry.t) -> Int64.add acc e.Flow_entry.packet_count)
+                 0L entries;
+             ag_byte_count =
+               List.fold_left
+                 (fun acc (e : Flow_entry.t) -> Int64.add acc e.Flow_entry.byte_count)
+                 0L entries;
+             ag_flow_count = Int32.of_int (List.length entries);
+           })
+  | Ofp_message.Table_stats_request ->
+      send_reply
+        (Ofp_message.Table_stats_reply
+           [
+             {
+               Ofp_message.ts_table_id = 0;
+               ts_name = "dp0";
+               ts_wildcards = 0x3fffffl;
+               ts_max_entries = Int32.of_int (Flow_table.max_entries t.table);
+               ts_active_count = Int32.of_int (Flow_table.length t.table);
+               ts_lookup_count = Flow_table.lookup_count t.table;
+               ts_matched_count = Flow_table.matched_count t.table;
+             };
+           ])
+  | Ofp_message.Port_stats_request port_no ->
+      let selected =
+        Hashtbl.fold
+          (fun no p acc -> if port_no = Ofp_action.Port.none || no = port_no then p :: acc else acc)
+          t.ports []
+      in
+      send_reply
+        (Ofp_message.Port_stats_reply
+           (List.map
+              (fun p ->
+                {
+                  Ofp_message.ps_port_no = p.config.port_no;
+                  rx_packets = p.counters.rx_packets;
+                  tx_packets = p.counters.tx_packets;
+                  rx_bytes = p.counters.rx_bytes;
+                  tx_bytes = p.counters.tx_bytes;
+                  rx_dropped = p.counters.rx_dropped;
+                  tx_dropped = p.counters.tx_dropped;
+                  rx_errors = 0L;
+                  tx_errors = 0L;
+                })
+              (List.sort (fun a b -> compare a.config.port_no b.config.port_no) selected)))
 
 let handle_packet_out t xid po =
   let frame =

@@ -46,11 +46,13 @@ let is_expired t ~now =
     Some Ofp_message.Removed_idle_timeout
   else None
 
-let duration t ~now =
-  let d = max 0. (now -. t.install_time) in
-  let sec = Float.to_int d in
-  let nsec = Float.to_int ((d -. float_of_int sec) *. 1e9) in
-  (Int32.of_int sec, Int32.of_int nsec)
+let duration_sec t ~now = Float.to_int (Float.max 0. (now -. t.install_time))
+
+let duration_nsec t ~now =
+  let d = Float.max 0. (now -. t.install_time) in
+  Float.to_int ((d -. Float.of_int (Float.to_int d)) *. 1e9)
+
+let duration t ~now = (Int32.of_int (duration_sec t ~now), Int32.of_int (duration_nsec t ~now))
 
 (* Two matches overlap when some packet could match both: every field's
    constraints must be mutually satisfiable (either side wildcarded, or

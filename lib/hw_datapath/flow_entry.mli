@@ -30,6 +30,10 @@ val is_expired : t -> now:float -> Ofp_message.flow_removed_reason option
 val duration : t -> now:float -> int32 * int32
 (** (seconds, nanoseconds) since install. *)
 
+val duration_sec : t -> now:float -> int
+val duration_nsec : t -> now:float -> int
+(** The two halves of {!duration}, without the pair. *)
+
 val overlaps : t -> t -> bool
 (** Same priority and some packet could match both: field-wise
     intersection of the two match structures. *)

@@ -280,10 +280,19 @@ let expire t ~now =
       | None -> assert false)
     removed
 
+let rec priority_ordered = function
+  | (a : Flow_entry.t) :: (b :: _ as rest) ->
+      a.Flow_entry.priority >= b.Flow_entry.priority && priority_ordered rest
+  | [ _ ] | [] -> true
+
 let entries t =
   let all = ref [] in
   iter_all t (fun e -> all := e :: !all);
-  List.sort (fun a b -> compare b.Flow_entry.priority a.Flow_entry.priority) !all
+  (* List.sort is a stable merge sort, so a list already in order (every
+     entry at one priority, as in a home without NAT) is its own result;
+     skipping the sort saves the poll ~27 words an entry *)
+  if priority_ordered !all then !all
+  else List.sort (fun a b -> compare b.Flow_entry.priority a.Flow_entry.priority) !all
 
 let clear t =
   Int_tbl.reset t.exact.t_tbl;

@@ -49,6 +49,23 @@ let size = function
 
 let list_size actions = List.fold_left (fun acc a -> acc + size a) 0 actions
 
+(* the bytes [decode_one] reads for an action of type [typ]; 0 for a
+   type it rejects *)
+let size_of_type = function
+  | 0 | 1 | 2 | 3 | 6 | 7 | 8 | 9 | 10 -> 8
+  | 4 | 5 | 11 -> 16
+  | _ -> 0
+
+let rec valid_run s off stop =
+  if off = stop then true
+  else if off + 4 > stop then false
+  else
+    let n = size_of_type (String.get_uint16_be s off) in
+    n > 0 && String.get_uint16_be s (off + 2) >= 8 && off + n <= stop && valid_run s (off + n) stop
+
+let valid_list s ~off ~len =
+  len >= 0 && off >= 0 && off + len <= String.length s && valid_run s off (off + len)
+
 let encode w t =
   match t with
   | Output { port; max_len } ->
@@ -110,7 +127,13 @@ let encode w t =
       Wire.Writer.zeros w 6;
       Wire.Writer.u32 w queue_id
 
-let encode_list w actions = List.iter (encode w) actions
+(* not [List.iter (encode w)], whose closure would cost each entry of a
+   flow-stats reply 5 words *)
+let rec encode_list w = function
+  | [] -> ()
+  | a :: rest ->
+      encode w a;
+      encode_list w rest
 
 let decode_one r =
   let typ = Wire.Reader.u16 r ~field:"action.type" in

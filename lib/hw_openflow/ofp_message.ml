@@ -280,7 +280,42 @@ let max_length = 65535
 (* OFPSF_REPLY_MORE: more stats-reply messages with this xid follow *)
 let reply_more = 1
 
-let flow_stats_size fs = 88 + Ofp_action.list_size fs.fs_actions
+(* ------------------------------------------------------------------ *)
+(* Flow-stats entries: the one owner of their layout                   *)
+(* ------------------------------------------------------------------ *)
+
+(* ofp_flow_stats, by offset: length (0, 2 bytes), table_id (2), pad,
+   match (4, 40), duration_sec (44, 4), duration_nsec (48, 4), priority
+   (52, 2), idle_timeout (54, 2), hard_timeout (56, 2), pad (58, 6),
+   cookie (64, 8), packet_count (72, 8), byte_count (80, 8), then the
+   actions from 88 to the entry's length *)
+let fs_fixed = 88
+let fs_match_at = 4
+let fs_priority_at = 52
+let fs_cookie_at = 64
+let fs_packets_at = 72
+let fs_bytes_at = 80
+
+let flow_stats_entry_size actions = fs_fixed + Ofp_action.list_size actions
+
+let write_flow_stats_entry w ~table_id ~duration_sec ~duration_nsec ~priority ~idle_timeout
+    ~hard_timeout ~cookie ~packet_count ~byte_count m actions =
+  Wire.Writer.u16 w (flow_stats_entry_size actions);
+  Wire.Writer.u8 w table_id;
+  Wire.Writer.u8 w 0;
+  Ofp_match.encode w m;
+  Wire.Writer.u32_int w duration_sec;
+  Wire.Writer.u32_int w duration_nsec;
+  Wire.Writer.u16 w priority;
+  Wire.Writer.u16 w idle_timeout;
+  Wire.Writer.u16 w hard_timeout;
+  Wire.Writer.zeros w 6;
+  Wire.Writer.u64 w cookie;
+  Wire.Writer.u64 w packet_count;
+  Wire.Writer.u64 w byte_count;
+  Ofp_action.encode_list w actions
+
+let flow_stats_size fs = flow_stats_entry_size fs.fs_actions
 
 let encode_phy_port w p =
   Wire.Writer.u16 w p.port_no;
@@ -425,20 +460,12 @@ let encode_body w = function
       | Flow_stats_reply entries ->
           List.iter
             (fun fs ->
-              Wire.Writer.u16 w (flow_stats_size fs);
-              Wire.Writer.u8 w fs.fs_table_id;
-              Wire.Writer.u8 w 0;
-              Ofp_match.encode w fs.fs_match;
-              Wire.Writer.u32 w fs.fs_duration_sec;
-              Wire.Writer.u32 w fs.fs_duration_nsec;
-              Wire.Writer.u16 w fs.fs_priority;
-              Wire.Writer.u16 w fs.fs_idle_timeout;
-              Wire.Writer.u16 w fs.fs_hard_timeout;
-              Wire.Writer.zeros w 6;
-              Wire.Writer.u64 w fs.fs_cookie;
-              Wire.Writer.u64 w fs.fs_packet_count;
-              Wire.Writer.u64 w fs.fs_byte_count;
-              Ofp_action.encode_list w fs.fs_actions)
+              write_flow_stats_entry w ~table_id:fs.fs_table_id
+                ~duration_sec:(Int32.to_int fs.fs_duration_sec)
+                ~duration_nsec:(Int32.to_int fs.fs_duration_nsec) ~priority:fs.fs_priority
+                ~idle_timeout:fs.fs_idle_timeout ~hard_timeout:fs.fs_hard_timeout
+                ~cookie:fs.fs_cookie ~packet_count:fs.fs_packet_count
+                ~byte_count:fs.fs_byte_count fs.fs_match fs.fs_actions)
             entries
       | Aggregate_reply a ->
           Wire.Writer.u64 w a.ag_packet_count;
@@ -483,44 +510,73 @@ let size_hint = function
   | Error_msg e -> String.length e.err_data
   | _ -> 0
 
-let encode ~xid t =
-  let w = Wire.Writer.create ~initial_capacity:(64 + size_hint t) () in
+let start_message w ~type_code ~xid =
   Wire.Writer.u8 w version;
-  Wire.Writer.u8 w (type_code t);
-  Wire.Writer.u16 w 0 (* length, patched below *);
-  Wire.Writer.u32 w xid;
-  encode_body w t;
+  Wire.Writer.u8 w type_code;
+  Wire.Writer.u16 w 0 (* length, patched by [finish_message] *);
+  Wire.Writer.u32 w xid
+
+let finish_message w ~what =
   let length = Wire.Writer.length w in
   if length > max_length then
     invalid_arg
-      (Printf.sprintf "Ofp_message.encode: a %d-byte %s exceeds the 16-bit length" length
-         (type_name t));
+      (Printf.sprintf "Ofp_message.encode: a %d-byte %s exceeds the 16-bit length" length what);
   Wire.Writer.patch_u16 w ~pos:2 length;
   Wire.Writer.contents w
 
-(* A stats reply is split into runs of whole entries; each run's message
-   (8-byte header, 4-byte stats header, entries) fits [max_length]. *)
-let stats_reply_parts reply =
+let encode ~xid t =
+  let w = Wire.Writer.create ~initial_capacity:(64 + size_hint t) () in
+  start_message w ~type_code:(type_code t) ~xid;
+  encode_body w t;
+  finish_message w ~what:(type_name t)
+
+(* The one splitter of a long stats reply: consecutive runs of whole
+   entries, in order, each run's message (8-byte header, 4-byte stats
+   header, entries) within [max_length]; an entry too long for any
+   message is a run of its own. Each run comes with its OFPSF_REPLY_MORE
+   flag, set on all but the last. *)
+let stats_reply_runs size entries =
   let room = max_length - 12 in
-  let runs size_of wrap entries =
-    let rec go parts run run_size = function
-      | [] -> List.rev (wrap (List.rev run) :: parts)
-      | e :: rest ->
-          let n = size_of e in
-          if run <> [] && run_size + n > room then go (wrap (List.rev run) :: parts) [ e ] n rest
-          else go parts (e :: run) (run_size + n) rest
-    in
-    go [] [] 0 entries
+  (* a reply that fits one message, as most do, is returned as it is,
+     without the run lists (6 words an entry of a flow-stats reply) *)
+  let rec total acc = function [] -> acc | e :: rest -> total (acc + size e) rest in
+  let rec go runs run run_size = function
+    | [] -> List.rev (List.rev run :: runs)
+    | e :: rest ->
+        let n = size e in
+        if run <> [] && run_size + n > room then go (List.rev run :: runs) [ e ] n rest
+        else go runs (e :: run) (run_size + n) rest
   in
-  let parts =
-    match reply with
-    | Desc_reply _ | Aggregate_reply _ -> [ reply ]
-    | Flow_stats_reply l -> runs flow_stats_size (fun l -> Flow_stats_reply l) l
-    | Table_stats_reply l -> runs (fun _ -> 64) (fun l -> Table_stats_reply l) l
-    | Port_stats_reply l -> runs (fun _ -> 104) (fun l -> Port_stats_reply l) l
+  if total 0 entries <= room then [ (false, entries) ]
+  else
+    let runs = go [] [] 0 entries in
+    let last = List.length runs - 1 in
+    List.mapi (fun i run -> (i < last, run)) runs
+
+let stats_reply_parts reply =
+  let parts size wrap entries =
+    List.map
+      (fun (more, run) -> Stats_reply { more; reply = wrap run })
+      (stats_reply_runs size entries)
   in
-  let last = List.length parts - 1 in
-  List.mapi (fun i reply -> Stats_reply { more = i < last; reply }) parts
+  match reply with
+  | Desc_reply _ | Aggregate_reply _ -> [ Stats_reply { more = false; reply } ]
+  | Flow_stats_reply l -> parts flow_stats_size (fun l -> Flow_stats_reply l) l
+  | Table_stats_reply l -> parts (fun _ -> 64) (fun l -> Table_stats_reply l) l
+  | Port_stats_reply l -> parts (fun _ -> 104) (fun l -> Port_stats_reply l) l
+
+let encode_flow_stats_reply ~xid ~actions ~write entries =
+  let size e = flow_stats_entry_size (actions e) in
+  List.map
+    (fun (more, run) ->
+      let bytes = List.fold_left (fun acc e -> acc + size e) 12 run in
+      let w = Wire.Writer.create ~initial_capacity:bytes () in
+      start_message w ~type_code:17 ~xid;
+      Wire.Writer.u16 w 1 (* OFPST_FLOW *);
+      Wire.Writer.u16 w (if more then reply_more else 0);
+      List.iter (write w) run;
+      finish_message w ~what:"STATS_REPLY")
+    (stats_reply_runs size entries)
 
 let join_stats_reply_parts = function
   | [] -> invalid_arg "Ofp_message.join_stats_reply_parts: no parts"
@@ -564,9 +620,12 @@ let decode_stats_request r =
       Ok (Port_stats_request port_no)
   | n -> Error (Printf.sprintf "stats_request: unknown type %d" n)
 
+(* The sequential reference decoder; the measurement poll reads the same
+   bytes in place with [Flow_stats_part], which rejects exactly the parts
+   this rejects. *)
 let decode_flow_stats_entries r =
   let rec loop acc =
-    if Wire.Reader.remaining r < 2 then Ok (List.rev acc)
+    if Wire.Reader.remaining r = 0 then Ok (List.rev acc)
     else begin
       let entry_start = Wire.Reader.pos r in
       let entry_len = Wire.Reader.u16 r ~field:"flow_stats.len" in
@@ -584,6 +643,10 @@ let decode_flow_stats_entries r =
       let fs_byte_count = Wire.Reader.u64 r ~field:"flow_stats.bytes" in
       let actions_len = entry_len - (Wire.Reader.pos r - entry_start) in
       let* fs_actions = Ofp_action.decode_list r actions_len in
+      (* an entry shorter than its 88 fixed bytes fails here too *)
+      if Wire.Reader.pos r <> entry_start + entry_len then
+        Error "flow_stats: an entry's length disagrees with its contents"
+      else
       loop
         ({
            fs_table_id;
@@ -807,6 +870,69 @@ let decode buf =
       Ok (xid, body)
   with Wire.Truncated f -> Error (Printf.sprintf "openflow: truncated at %s" f)
 
+let flow_identity ~priority m =
+  let w = Wire.Writer.create ~initial_capacity:(2 + Ofp_match.size) () in
+  Wire.Writer.u16 w priority;
+  Ofp_match.encode w m;
+  Wire.Writer.contents w
+
+module Stats_part = struct
+  (* an OFPT_STATS_REPLY (17): the 8-byte header, then the 4-byte stats
+     header (type, flags) *)
+  let is_reply frame = String.length frame >= 12 && Char.code frame.[1] = 17
+  let xid frame = String.get_int32_be frame 4
+  let more part = String.get_uint16_be part 10 land reply_more <> 0
+end
+
+module Flow_stats_part = struct
+  (* a [Stats_part] of type OFPST_FLOW (1), its entries after the stats
+     header *)
+  let entries_at = 12
+  let is_reply frame = Stats_part.is_reply frame && String.get_uint16_be frame 8 = 1
+
+  let rec valid_entries part n at =
+    if at = n then Ok ()
+    else if at + 2 > n then Error "flow_stats: truncated entry"
+    else
+      let len = String.get_uint16_be part at in
+      if len < fs_fixed then Error "flow_stats: an entry shorter than 88 bytes"
+      else if at + len > n then Error "flow_stats: an entry runs past the end"
+      else if not (Ofp_action.valid_list part ~off:(at + fs_fixed) ~len:(len - fs_fixed)) then
+        Error "flow_stats: bad actions"
+      else valid_entries part n (at + len)
+
+  let validate part =
+    let n = String.length part in
+    if n < entries_at || Char.code part.[0] <> version || not (is_reply part) then
+      Error "flow_stats: not a flow-stats reply"
+    else if String.get_uint16_be part 2 <> n then Error "openflow: length mismatch"
+    else valid_entries part n entries_at
+
+  let rec iter_from f part at =
+    if at < String.length part then begin
+      f at;
+      iter_from f part (at + String.get_uint16_be part at)
+    end
+
+  let iter f part = iter_from f part entries_at
+
+  let cookie part at = String.get_int64_be part (at + fs_cookie_at)
+  let priority part at = String.get_uint16_be part (at + fs_priority_at)
+  let packet_count part at = Int64.to_int (String.get_int64_be part (at + fs_packets_at))
+  let byte_count part at = Int64.to_int (String.get_int64_be part (at + fs_bytes_at))
+
+  let match_ part at =
+    let r = Wire.Reader.of_string part in
+    Wire.Reader.seek r (at + fs_match_at);
+    Ofp_match.decode r
+
+  let identity part at =
+    let b = Bytes.create (2 + Ofp_match.size) in
+    Bytes.blit_string part (at + fs_priority_at) b 0 2;
+    Bytes.blit_string part (at + fs_match_at) b 2 Ofp_match.size;
+    Bytes.unsafe_to_string b
+end
+
 let pp fmt t =
   match t with
   | Packet_in p ->
@@ -836,7 +962,7 @@ module Framing = struct
   let input b s =
     if not b.dead then b.pending <- (if b.pending = "" then s else b.pending ^ s)
 
-  let pop b =
+  let pop_frame b =
     if b.dead then None
     else if String.length b.pending < 4 then None
     else begin
@@ -857,14 +983,20 @@ module Framing = struct
         (* the common case, one whole message per input: no copy *)
         let msg = b.pending in
         b.pending <- "";
-        Some (decode msg)
+        Some (Ok msg)
       end
       else begin
         let msg = String.sub b.pending 0 length in
         b.pending <- String.sub b.pending length (String.length b.pending - length);
-        Some (decode msg)
+        Some (Ok msg)
       end
     end
+
+  let pop b =
+    match pop_frame b with
+    | None -> None
+    | Some (Ok msg) -> Some (decode msg)
+    | Some (Error _ as e) -> Some e
 
   let pop_all b =
     let rec loop acc = match pop b with None -> List.rev acc | Some m -> loop (m :: acc) in

@@ -211,7 +211,105 @@ val stats_reply_parts : stats_reply -> t list
 (** The [Stats_reply] messages that carry a reply, as OF 1.0 sends one
     that does not fit a single message: consecutive runs of its entries,
     in order, each message at most {!max_length} bytes, every part but
-    the last flagged [more]. A reply that fits is one message. *)
+    the last flagged [more]. A reply that fits is one message. The same
+    splitter cuts {!encode_flow_stats_reply}'s parts, so 682 one-action
+    flow entries (96 bytes each) fit one message and 683 take two. *)
+
+(** {2 Flow-stats entries}
+
+    One [ofp_flow_stats] entry is 88 fixed bytes — length, table id,
+    match (offset 4), durations, priority (52), timeouts, cookie (64),
+    packet count (72) and byte count (80) — then its actions. These
+    functions are the only code that knows that layout: the record
+    encoder above, the datapath's reply and the controller's in-place
+    read all go through them. *)
+
+val flow_stats_entry_size : Ofp_action.t list -> int
+(** 88 plus the actions' bytes. *)
+
+val write_flow_stats_entry :
+  Hw_util.Wire.Writer.t ->
+  table_id:int ->
+  duration_sec:int ->
+  duration_nsec:int ->
+  priority:int ->
+  idle_timeout:int ->
+  hard_timeout:int ->
+  cookie:int64 ->
+  packet_count:int64 ->
+  byte_count:int64 ->
+  Ofp_match.t ->
+  Ofp_action.t list ->
+  unit
+(** Writes one entry ({!flow_stats_entry_size} bytes). The durations are
+    written as their low 32 bits. *)
+
+val encode_flow_stats_reply :
+  xid:int32 ->
+  actions:('a -> Ofp_action.t list) ->
+  write:(Hw_util.Wire.Writer.t -> 'a -> unit) ->
+  'a list ->
+  string list
+(** The encoded OFPST_FLOW reply parts for [entries], written straight
+    from the caller's own representation of a flow: [write w e] writes
+    [e]'s entry with {!write_flow_stats_entry}, and [actions e] gives
+    the actions it will write, which fix its size. The parts are split
+    as {!stats_reply_parts} splits a [Flow_stats_reply] and are
+    byte-identical to encoding its [Stats_reply] messages; no
+    {!flow_stats} record is built. *)
+
+val flow_identity : priority:int -> Ofp_match.t -> string
+(** The 42 bytes that identify an OF 1.0 flow entry: its priority (2
+    bytes, big-endian) and its 40-byte wire match. Two entries have the
+    same identity exactly when an ADD of one replaces the other. Equal
+    to {!Flow_stats_part.identity} of the entry the datapath reports for
+    a flow installed with that priority and a decoded match. *)
+
+(** The header of one part of a stats reply, of any stats type, read in
+    place from the message's bytes. *)
+module Stats_part : sig
+  val is_reply : string -> bool
+  (** The frame is an OFPT_STATS_REPLY long enough for its stats header
+      (type and flags); nothing after the header is looked at. *)
+
+  val xid : string -> int32
+  (** The message's xid. *)
+
+  val more : string -> bool
+  (** OFPSF_REPLY_MORE: another part of this reply follows. *)
+end
+
+(** A flow-stats reply part read in place: the message's bytes, walked
+    without building records. An entry is addressed by its byte offset
+    [at] within the part, as {!iter} passes it; the header is read with
+    {!Stats_part}. *)
+module Flow_stats_part : sig
+  val validate : string -> (unit, string) result
+  (** Checks a whole part: version, type and stats type (OFPST_FLOW),
+      the header length equal to the string's, and entries that tile the
+      body exactly, each at least 88 bytes, none running past the end,
+      and each one's actions as {!Ofp_action.valid_list} requires. Among
+      the flow-stats replies, it rejects exactly those {!decode} rejects;
+      it rejects every other message. Allocation-free on success. *)
+
+  val iter : (int -> unit) -> string -> unit
+  (** [iter f part] calls [f at] on each entry of a validated part, in
+      order. *)
+
+  val cookie : string -> int -> int64
+  val priority : string -> int -> int
+
+  val packet_count : string -> int -> int
+  val byte_count : string -> int -> int
+  (** The 64-bit counters as native ints (63 bits). *)
+
+  val match_ : string -> int -> Ofp_match.t
+  (** The entry's match, decoded. *)
+
+  val identity : string -> int -> string
+  (** The entry's {!flow_identity}, copied from its priority and match
+      bytes (one 42-byte string, nothing decoded). *)
+end
 
 val join_stats_reply_parts : stats_reply list -> stats_reply
 (** Concatenates the entries of the parts of one reply, in order (parts
@@ -232,10 +330,14 @@ module Framing : sig
   val create : unit -> buffer
   val input : buffer -> string -> unit
 
+  val pop_frame : buffer -> (string, string) result option
+  (** The next whole message's bytes, not decoded. [None] until a
+      complete message has arrived. Malformed framing (bad version,
+      absurd length) yields [Some (Error _)] and drops the connection's
+      remaining bytes. *)
+
   val pop : buffer -> (int32 * t, string) result option
-  (** [None] until a complete message has arrived. Malformed framing
-      (bad version, absurd length) yields [Some (Error _)] and drops the
-      connection's remaining bytes. *)
+  (** {!pop_frame}, decoded. *)
 
   val pop_all : buffer -> (int32 * t, string) result list
 end

@@ -22,14 +22,19 @@ let upstream_port = 100
 let wired_port i = 10 + i
 let dns_forward_port = 5353
 
-(* Flow-stats baselines are keyed by the flow as installed: its priority
-   and match, the pair that identifies an OpenFlow 1.0 entry. *)
-module Flow_key = Hashtbl.Make (struct
-  type t = int * Ofp_match.t
+(* Flow-stats baselines are keyed by the flow's identity on the wire,
+   [Ofp_message.flow_identity]: its priority and match bytes, the pair
+   by which OF 1.0 tells entries apart (an ADD with both equal replaces
+   the entry and its counters). *)
+module Baselines = Hashtbl.Make (struct
+  type t = string
 
-  let equal (p, m) (q, n) = p = q && Ofp_match.equal m n
-  let hash (p, m) = (Ofp_match.hash_match m * 31) + p
+  let equal = String.equal
+  let hash = Hashtbl.hash
 end)
+
+(* the counters at the flow's last sample *)
+type baseline = { mutable packets : int; mutable bytes : int }
 
 (* Immutable configuration, hoisted out of the per-instance state so a
    fleet of thousands of identically-configured routers shares ONE
@@ -64,7 +69,7 @@ type t = {
   mutable rpc_send : to_:string -> string -> unit;
   api : Hw_control_api.Router.t option ref;
   mac_table : (Mac.t, int) Hashtbl.t;
-  flow_snapshots : (int64 * int64) Flow_key.t; (* packets, bytes at the last sample *)
+  baselines : baseline Baselines.t;
   policy_cache : (Mac.t, bool * string) Hashtbl.t; (* network_allowed, dns policy digest *)
   mutable transmit : port_no:int -> string -> unit;
   mutable blocked_flows : int;
@@ -113,7 +118,7 @@ let packet_ins t = Controller.packet_in_total t.ctrl
 let blocked_flow_count t = t.blocked_flows
 let nat_enabled t = t.cfg.nat <> None
 let nat_binding_count t = Hashtbl.length t.nat_by_cookie
-let flow_baseline_count t = Flow_key.length t.flow_snapshots
+let flow_baseline_count t = Baselines.length t.baselines
 let set_transmit t f = t.transmit <- f
 let receive_frame t ~in_port frame = Datapath.receive_frame t.dp ~in_port frame
 let receive_frames t frames = Datapath.receive_frames t.dp frames
@@ -203,14 +208,14 @@ let install_forward_flow t ~(ev : Controller.packet_in_event) fields out_port =
         [ Ofp_action.output out_port ]
 
 (* NAT: allocate a WAN port for (device, remote) and install the rewrite
-   pair. The outbound flow carries the binding's cookie with send_flow_rem,
-   so the binding and the inbound flow die when the flow idles out. *)
+   pair. Both flows carry the binding's cookie with send_flow_rem; the
+   binding and the inbound flow die when the outbound flow is removed. *)
 let nat_key ~proto ~device_ip ~device_port ~remote_ip ~remote_port =
   Printf.sprintf "%d|%ld:%d|%ld:%d" proto (Ip.to_int32 device_ip) device_port
     (Ip.to_int32 remote_ip) remote_port
 
-(* the inbound half of a binding: remote -> wan_ip:wan_port, installed
-   without send_flow_rem (it dies with the outbound flow) *)
+(* the inbound half of a binding: remote -> wan_ip:wan_port, told apart
+   from the outbound half by its priority *)
 let nat_inbound_priority = 0x9000
 
 let nat_inbound_match ~wan_ip b =
@@ -276,7 +281,7 @@ let install_nat_flows t ~(ev : Controller.packet_in_event) fields wan_ip =
     };
   (* inbound: rewritten back to the device *)
   Controller.install_flow ~cookie:binding.nat_cookie ~idle_timeout:t.cfg.flow_idle_timeout
-    ~priority:nat_inbound_priority t.conn
+    ~priority:nat_inbound_priority ~send_flow_rem:true t.conn
     (nat_inbound_match ~wan_ip binding)
     [
       Ofp_action.Set_nw_dst binding.device_ip;
@@ -294,18 +299,17 @@ let drop_nat_binding t cookie =
   match Hashtbl.find_opt t.nat_by_cookie cookie with
   | None -> ()
   | Some b ->
+      (* retire the inbound half while the binding still stands: its
+         flow-removed reaches measurement-final, which accounts the
+         inbound tail to the device before the binding is forgotten *)
+      (match t.cfg.nat with
+      | Some wan_ip ->
+          Controller.send_flow_mod t.conn (Ofp_message.delete_flow (nat_inbound_match ~wan_ip b))
+      | None -> ());
       Hashtbl.remove t.nat_by_cookie cookie;
       Hashtbl.remove t.nat_by_key
         (nat_key ~proto:b.nat_proto ~device_ip:b.device_ip ~device_port:b.device_port
-           ~remote_ip:b.remote_ip ~remote_port:b.remote_port);
-      (* retire the paired inbound flow and its measurement baseline: it
-         sends no flow-removed, so nothing else would forget it *)
-      match t.cfg.nat with
-      | Some wan_ip ->
-          let inbound = nat_inbound_match ~wan_ip b in
-          Controller.send_flow_mod t.conn (Ofp_message.delete_flow inbound);
-          Flow_key.remove t.flow_snapshots (nat_inbound_priority, inbound)
-      | None -> ()
+           ~remote_ip:b.remote_ip ~remote_port:b.remote_port)
 
 (* drop flows carry a reserved cookie so the measurement plane can skip
    them: Figure 1 shows admitted traffic, not refused attempts *)
@@ -476,47 +480,80 @@ let dns_component t (ev : Controller.packet_in_event) =
 (* Measurement: flow stats -> hwdb Flows                               *)
 (* ------------------------------------------------------------------ *)
 
-let record_flow_sample t (fs : Ofp_message.flow_stats) =
-  let m = fs.Ofp_message.fs_match in
-  if Int64.equal fs.Ofp_message.fs_cookie drop_cookie then ()
-  else
-  match m.Ofp_match.nw_src, m.Ofp_match.nw_dst, m.Ofp_match.nw_proto with
-  | Some (src_ip, _), Some (dst_ip, _), Some proto when proto <> 0 ->
-      let key = (fs.Ofp_message.fs_priority, m) in
-      let prev_p, prev_b =
-        Option.value (Flow_key.find_opt t.flow_snapshots key) ~default:(0L, 0L)
+(* A flow is measured when its match names the five-tuple a Flows row
+   reports; drop flows are not, by their cookie. *)
+let measured (m : Ofp_match.t) =
+  match (m.Ofp_match.nw_src, m.Ofp_match.nw_dst, m.Ofp_match.nw_proto) with
+  | Some _, Some _, Some proto -> proto <> 0
+  | _ -> false
+
+(* One Flows row for a measured flow's counters since its last sample. *)
+let record_flow_row t ~cookie (m : Ofp_match.t) ~packets ~bytes =
+  match (m.Ofp_match.nw_src, m.Ofp_match.nw_dst, m.Ofp_match.nw_proto) with
+  | Some (src_ip, _), Some (dst_ip, _), Some proto -> (
+      (* NAT: account inbound rewritten flows to the device, not the WAN
+         address, so Figure 1 keeps per-device attribution; with the
+         binding gone there is no device to account them to *)
+      let dst =
+        match t.cfg.nat with
+        | Some wan_ip when Ip.equal dst_ip wan_ip -> (
+            match Hashtbl.find_opt t.nat_by_cookie cookie with
+            | Some b -> Some (b.device_ip, b.device_port)
+            | None -> None)
+        | _ -> Some (dst_ip, Option.value m.Ofp_match.tp_dst ~default:0)
       in
-      let dp = Int64.sub fs.Ofp_message.fs_packet_count prev_p in
-      let db_ = Int64.sub fs.Ofp_message.fs_byte_count prev_b in
-      Flow_key.replace t.flow_snapshots key
-        (fs.Ofp_message.fs_packet_count, fs.Ofp_message.fs_byte_count);
-      if Int64.compare dp 0L > 0 then begin
-        (* NAT: account inbound rewritten flows to the device, not the WAN
-           address, so Figure 1 keeps per-device attribution *)
-        let dst_ip, dst_port =
-          match Hashtbl.find_opt t.nat_by_cookie fs.Ofp_message.fs_cookie with
-          | Some b when t.cfg.nat <> None && Ip.equal dst_ip (Option.get t.cfg.nat) ->
-              (b.device_ip, b.device_port)
-          | _ -> (dst_ip, Option.value m.Ofp_match.tp_dst ~default:0)
-        in
-        Database.record_flow t.database ~proto ~src_ip:(Ip.to_string src_ip)
-          ~dst_ip:(Ip.to_string dst_ip)
-          ~src_port:(Option.value m.Ofp_match.tp_src ~default:0)
-          ~dst_port ~packets:(Int64.to_int dp) ~bytes:(Int64.to_int db_)
-      end
+      match dst with
+      | Some (dst_ip, dst_port) ->
+          Database.record_flow t.database ~proto ~src_ip:(Ip.to_string src_ip)
+            ~dst_ip:(Ip.to_string dst_ip)
+            ~src_port:(Option.value m.Ofp_match.tp_src ~default:0)
+            ~dst_port ~packets ~bytes
+      | None -> ())
   | _ -> ()
 
+(* One entry of a flow-stats reply part, read in place. An unchanged
+   flow costs its cookie, counters and identity and one lookup; its
+   match is decoded only when it is first seen and when it moved. *)
+let sample_flow_entry t part at =
+  let module P = Ofp_message.Flow_stats_part in
+  let cookie = P.cookie part at in
+  if not (Int64.equal cookie drop_cookie) then begin
+    let packets = P.packet_count part at and bytes = P.byte_count part at in
+    let key = P.identity part at in
+    match Baselines.find t.baselines key with
+    | b ->
+        let dp = packets - b.packets and db = bytes - b.bytes in
+        b.packets <- packets;
+        b.bytes <- bytes;
+        if dp > 0 then record_flow_row t ~cookie (P.match_ part at) ~packets:dp ~bytes:db
+    | exception Not_found ->
+        let m = P.match_ part at in
+        if measured m then begin
+          Baselines.replace t.baselines key { packets; bytes };
+          if packets > 0 then record_flow_row t ~cookie m ~packets ~bytes
+        end
+  end
+
 let poll_flow_stats t =
-  Controller.request_stats t.conn
-    (Ofp_message.Flow_stats_request
-       {
-         sr_match = Ofp_match.wildcard_all;
-         table_id = 0xff;
-         sr_out_port = Ofp_action.Port.none;
-       })
-    (function
-      | Ofp_message.Flow_stats_reply entries -> List.iter (record_flow_sample t) entries
-      | _ -> ())
+  Controller.request_flow_stats t.conn (fun part ->
+      Ofp_message.Flow_stats_part.iter (sample_flow_entry t part) part)
+
+(* A removed flow's tail since the last poll, and the end of its
+   baseline, so that a re-installed identical flow starts clean. *)
+let sample_removed_flow t (fr : Ofp_message.flow_removed) =
+  let key = Ofp_message.flow_identity ~priority:fr.Ofp_message.fr_priority fr.Ofp_message.fr_match in
+  let cookie = fr.Ofp_message.fr_cookie in
+  if (not (Int64.equal cookie drop_cookie)) && measured fr.Ofp_message.fr_match then begin
+    let packets = Int64.to_int fr.Ofp_message.packet_count
+    and bytes = Int64.to_int fr.Ofp_message.byte_count in
+    let dp, db =
+      match Baselines.find_opt t.baselines key with
+      | Some b -> (packets - b.packets, bytes - b.bytes)
+      | None -> (packets, bytes)
+    in
+    if dp > 0 then record_flow_row t ~cookie fr.Ofp_message.fr_match ~packets:dp ~bytes:db
+  end;
+  Baselines.remove t.baselines key
 
 let report_link t ~mac ~rssi ~retries ~packets =
   Database.record_link t.database ~mac:(Mac.to_string mac) ~rssi ~retries ~packets
@@ -879,28 +916,6 @@ let recover_dhcp_leases ~db server =
       if n > 0 then Log.info (fun m -> m "recovered %d lease(s) from hwdb" n);
       n
 
-(* Deprecation shim for [?restore_leases_from]: render the old
-   database's durable tables into a fresh in-memory WAL store, so the
-   pre-WAL replay path and a real WAL recovery are one code path (the
-   regression test in test_chaos holds them to identical results). *)
-let wal_store_of_db old_db =
-  let store = Hw_wal.Store.mem () in
-  (* scratch registry: the shim's WAL accounting must not pollute the
-     new router's metrics *)
-  let scratch = Hw_metrics.Registry.create () in
-  List.iter
-    (fun name ->
-      match Database.table old_db name with
-      | None -> ()
-      | Some tbl ->
-          let wal, _ = Hw_wal.Wal.open_ ~metrics:scratch ~store ~name () in
-          List.iter
-            (fun row -> Hw_wal.Wal.append wal (Hw_hwdb.Wal_codec.encode_row row))
-            (Hw_hwdb.Table.scan tbl);
-          Hw_wal.Wal.flush wal)
-    [ "Leases"; "Policies" ];
-  store
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -929,7 +944,7 @@ let config ?(dhcp_config = Dhcp_server.default_config) ?(flow_idle_timeout = 10)
   }
 
 let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolate_devices
-    ?hwdb_capacity ?(fault_seed = 0x4a11) ?restore_leases_from ?wal_store ~loop () =
+    ?hwdb_capacity ?(fault_seed = 0x4a11) ?wal_store ~loop () =
   (* a fleet builds ONE [config] up front and shares it; the per-field
      optional arguments remain for single-router callers *)
   let cfg =
@@ -959,15 +974,6 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
   in
   let uptime = Hw_metrics.Build_info.register ~registry:metrics () in
   let started_at = now () in
-  (* Durable control state: an explicit WAL store, or the deprecated
-     [restore_leases_from] shim which renders the old database's durable
-     tables into an in-memory store — one recovery path either way. *)
-  let wal_store =
-    match (wal_store, restore_leases_from) with
-    | (Some _ as s), _ -> s
-    | None, Some old_db -> Some (wal_store_of_db old_db)
-    | None, None -> None
-  in
   (* WAL record writes pass through the disk choke point of the fault
      plane (short write / torn write / bit-flip / crash-at-boundary) *)
   let wal_interpose record ~write =
@@ -1045,7 +1051,7 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
       rpc_send = (fun ~to_:_ _ -> ());
       api = ref None;
       mac_table = Hashtbl.create 64;
-      flow_snapshots = Flow_key.create 256;
+      baselines = Baselines.create 256;
       policy_cache = Hashtbl.create 16;
       transmit = (fun ~port_no:_ _ -> ());
       blocked_flows = 0;
@@ -1071,28 +1077,15 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
   Controller.on_packet_in ctrl ~name:"dhcp" (dhcp_component t);
   Controller.on_packet_in ctrl ~name:"dns" (dns_component t);
   Controller.on_packet_in ctrl ~name:"switching" (switching_component t);
-  (* NAT bindings die with their outbound flow *)
+  (* account the tail of the flow that the periodic poll missed *)
   Controller.on_flow_removed ctrl ~name:"measurement-final" (fun _conn fr ->
-      (* account the tail of the flow that the periodic poll missed *)
-      record_flow_sample t
-        {
-          Ofp_message.fs_table_id = 0;
-          fs_match = fr.Ofp_message.fr_match;
-          fs_duration_sec = fr.Ofp_message.duration_sec;
-          fs_duration_nsec = fr.Ofp_message.duration_nsec;
-          fs_priority = fr.Ofp_message.fr_priority;
-          fs_idle_timeout = fr.Ofp_message.fr_idle_timeout;
-          fs_hard_timeout = 0;
-          fs_cookie = fr.Ofp_message.fr_cookie;
-          fs_packet_count = fr.Ofp_message.packet_count;
-          fs_byte_count = fr.Ofp_message.byte_count;
-          fs_actions = [];
-        };
-      (* and forget the snapshot so a re-installed identical flow starts clean *)
-      Flow_key.remove t.flow_snapshots (fr.Ofp_message.fr_priority, fr.Ofp_message.fr_match));
+      sample_removed_flow t fr);
+  (* NAT bindings die with their outbound flow *)
   Controller.on_flow_removed ctrl ~name:"nat-gc" (fun _conn fr ->
-      if not (Int64.equal fr.Ofp_message.fr_cookie 0L) then
-        drop_nat_binding t fr.Ofp_message.fr_cookie);
+      if
+        fr.Ofp_message.fr_priority <> nat_inbound_priority
+        && not (Int64.equal fr.Ofp_message.fr_cookie 0L)
+      then drop_nat_binding t fr.Ofp_message.fr_cookie);
   (* DHCP events land in hwdb Leases (grant / renew / revoke / deny) *)
   Dhcp_server.on_event dhcp_server (fun ev ->
       let record action (l : Hw_dhcp.Lease_db.lease) =
@@ -1143,7 +1136,7 @@ let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolat
      survives into the new one. *)
   Controller.on_datapath_join ctrl ~name:"resync" (fun conn _features ->
       Controller.send_flow_mod conn (Ofp_message.delete_flow Ofp_match.wildcard_all);
-      Flow_key.reset t.flow_snapshots);
+      Baselines.reset t.baselines);
   let reconnect () =
     if Controller.connections ctrl = [] then begin
       (* the old framing buffer may have died on injected garbage *)

@@ -46,7 +46,6 @@ val create :
   ?isolate_devices:bool ->
   ?hwdb_capacity:int ->
   ?fault_seed:int ->
-  ?restore_leases_from:Hw_hwdb.Database.t ->
   ?wal_store:Hw_wal.Store.t ->
   loop:Hw_sim.Event_loop.t ->
   unit ->
@@ -75,10 +74,6 @@ val create :
     [Event_loop.create ~start:(Home.now old)]) so recovered rows keep
     their ring ordering.
 
-    [restore_leases_from] is the deprecated pre-WAL spelling: it renders
-    that database's durable tables into an in-memory store and recovers
-    exactly as [wal_store] would (ignored when [wal_store] is given).
-
     [isolate_devices] (default false) refuses IP flows between two home
     devices — the paper's "avoiding direct Ethernet-layer communication
     between devices" as an explicit wireless-isolation control (traffic
@@ -88,8 +83,17 @@ val create :
     outbound TCP/UDP flows are installed with source rewrites to
     [wan_ip:port] and a paired inbound flow translates back, exercising
     the OpenFlow set-field actions. Bindings are garbage-collected when
-    the outbound flow idles out. Measurement samples are translated back
-    to device addresses so per-device attribution survives NAT. *)
+    the outbound flow is removed, and the inbound flow is deleted first.
+    When the channel delivers the inbound flow's flow-removed at once
+    and in order, as the in-process channel does, it arrives while the
+    binding still stands, and the traffic that flow carried since the
+    last poll is accounted to the device. Under a [chan] fault plan that
+    delays or reorders it, it arrives after the binding is gone and that
+    tail writes no row; one that drops it also leaves the flow's
+    measurement baseline in place until the datapath next joins.
+    Measurement samples are translated back to device addresses so
+    per-device attribution survives NAT; a sample addressed to the WAN
+    address whose binding is gone writes no row. *)
 
 (** {2 Dataplane wiring (the simulated NICs)} *)
 
@@ -124,10 +128,6 @@ val faults : t -> Hw_fault.Fault.plane
     four are disarmed (one-branch overhead) until a plan is installed
     with [Hw_fault.Fault.set_plan]. *)
 
-val recover_dhcp_leases : db:Hw_hwdb.Database.t -> Hw_dhcp.Dhcp_server.t -> int
-(** Replay [db]'s [Leases] log into a DHCP server (see
-    [Hw_dhcp.Dhcp_server.restore]); returns the number restored. *)
-
 val dhcp : t -> Hw_dhcp.Dhcp_server.t
 val dns : t -> Hw_dns.Dns_proxy.t
 val policy : t -> Hw_policy.Policy.t
@@ -152,6 +152,19 @@ val set_rpc_send : t -> (to_:string -> string -> unit) -> unit
 
 (** {2 Measurement-plane inputs} *)
 
+val poll_flow_stats : t -> unit
+(** One measurement poll, as the 1 s tick runs it: requests every flow's
+    statistics and writes a [Flows] row for each measured flow whose
+    packet count moved since its last sample (the difference), keeping
+    one baseline per measured flow keyed by its
+    {!Hw_openflow.Ofp_message.flow_identity}. The reply is read in place
+    ({!Hw_controller.Controller.request_flow_stats}): a drop flow is
+    skipped by its cookie before anything else, and an unchanged flow
+    costs its counters, its identity and one lookup — its match is
+    decoded only when the flow is first seen and when it writes a row. A
+    flow's removal writes its tail the same way and forgets its
+    baseline. *)
+
 val report_link : t -> mac:Mac.t -> rssi:int -> retries:int -> packets:int -> unit
 (** Link-layer observation for one wireless station (the wlan driver's
     view); lands in the hwdb [Links] table. *)
@@ -171,8 +184,9 @@ val nat_binding_count : t -> int
 
 val flow_baseline_count : t -> int
 (** Flow-stats baselines the measurement plane holds: one per sampled
-    flow, forgotten when the flow is removed (a NAT binding's inbound
-    flow, which reports no removal, with its binding). *)
+    flow, forgotten when the flow's removal is reported (every flow the
+    router installs asks for that, both halves of a NAT binding
+    included). *)
 
 val apply_policies_now : t -> unit
 (** Re-evaluates policy rules immediately (normally every second). *)

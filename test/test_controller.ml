@@ -351,6 +351,94 @@ let test_aggregate_stats_via_controller () =
       Alcotest.(check int64) "one packet" 1L a.Ofp_message.ag_packet_count
   | _ -> Alcotest.fail "no aggregate reply"
 
+(* The flow-stats waiter gets each part as bytes, in order, and is
+   forgotten after the last; a later reply with that xid is decoded like
+   any unsolicited message. *)
+let test_flow_stats_parts_to_waiter () =
+  let fs = make_fake () in
+  handshake fs;
+  fs.received := [];
+  let got = ref [] in
+  Controller.request_flow_stats fs.conn (fun part -> got := part :: !got);
+  let xid =
+    match !(fs.received) with
+    | [ (xid, Ofp_message.Stats_request (Ofp_message.Flow_stats_request r)) ] ->
+        Alcotest.(check bool) "every flow" true (Ofp_match.equal r.sr_match Ofp_match.wildcard_all);
+        xid
+    | _ -> Alcotest.fail "flow-stats request not sent"
+  in
+  let entries =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 3 |]) ~n:700
+      (Flow_stats_gen.entry_gen ~actions:(QCheck.Gen.return [ Ofp_action.output 1 ]) ())
+  in
+  let parts = Flow_stats_gen.parts ~xid entries in
+  Alcotest.(check int) "two parts" 2 (List.length parts);
+  List.iter (Controller.input fs.ctrl fs.conn) parts;
+  Alcotest.(check (list string)) "both parts, in order, as sent" parts (List.rev !got);
+  List.iter (Controller.input fs.ctrl fs.conn) parts;
+  Alcotest.(check int) "waiter gone after the last part" 2 (List.length !got);
+  Alcotest.(check int) "still attached" 1 (List.length (Controller.connections fs.ctrl))
+
+(* A long reply to [request_stats] is decoded part by part and joined:
+   its callback runs once, on the last part, with every entry in order. *)
+let test_stats_parts_joined () =
+  let fs = make_fake () in
+  handshake fs;
+  fs.received := [];
+  let got = ref [] in
+  Controller.request_stats fs.conn
+    (Ofp_message.Flow_stats_request
+       { sr_match = Ofp_match.wildcard_all; table_id = 0xff; sr_out_port = Ofp_action.Port.none })
+    (fun reply -> got := reply :: !got);
+  let xid = match !(fs.received) with [ (xid, _) ] -> xid | _ -> Alcotest.fail "no request" in
+  let entries =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:700
+      (Flow_stats_gen.entry_gen ~actions:(QCheck.Gen.return [ Ofp_action.output 1 ]) ())
+  in
+  match Flow_stats_gen.parts ~xid entries with
+  | [ first; last ] -> (
+      Controller.input fs.ctrl fs.conn first;
+      Alcotest.(check int) "nothing before the last part" 0 (List.length !got);
+      Controller.input fs.ctrl fs.conn last;
+      match !got with
+      | [ Ofp_message.Flow_stats_reply l ] ->
+          Alcotest.(check bool) "every entry, in order" true (l = entries)
+      | _ -> Alcotest.fail "callback did not run once with the flow stats")
+  | _ -> Alcotest.fail "700 entries are not two parts"
+
+(* A malformed part detaches the switch, with the waiter never called,
+   exactly as the same bytes do when no waiter claims them and they fail
+   to decode, whether [request_flow_stats] or [request_stats] is
+   waiting. A header length that disagrees with the bytes is the
+   framing's to catch, and is the same in all three cases. *)
+let prop_malformed_part_detaches =
+  QCheck.Test.make ~name:"malformed flow-stats part detaches as a decode error does" ~count:200
+    (QCheck.make Flow_stats_gen.malformed_gen ~print:Flow_stats_gen.malformed_print)
+    (fun (entries, mu) ->
+      let outcome request =
+        let fs = make_fake () in
+        let left = ref 0 and parts = ref 0 in
+        Controller.on_datapath_leave fs.ctrl ~name:"t" (fun _ -> incr left);
+        handshake fs;
+        fs.received := [];
+        request fs (fun () -> incr parts);
+        let xid = match !(fs.received) with [ (xid, _) ] -> xid | _ -> 999l in
+        let part = List.hd (Flow_stats_gen.parts ~xid entries) in
+        Controller.input fs.ctrl fs.conn (Flow_stats_gen.mutate part mu);
+        (!left, !parts, List.length (Controller.connections fs.ctrl))
+      in
+      let in_place = outcome (fun fs f -> Controller.request_flow_stats fs.conn (fun _ -> f ())) in
+      let decoded =
+        outcome (fun fs f ->
+            Controller.request_stats fs.conn
+              (Ofp_message.Flow_stats_request
+                 { sr_match = Ofp_match.wildcard_all; table_id = 0xff; sr_out_port = Ofp_action.Port.none })
+              (fun _ -> f ()))
+      in
+      in_place = outcome (fun _ _ -> ())
+      && decoded = in_place
+      && match mu with Flow_stats_gen.Header_length _ -> true | _ -> in_place = (1, 0, 0))
+
 let test_keepalive_liveness () =
   let now = ref 0. in
   let received = ref [] in
@@ -416,6 +504,9 @@ let () =
           Alcotest.test_case "two switches" `Quick test_two_switches_one_controller;
           Alcotest.test_case "aggregate stats" `Quick test_aggregate_stats_via_controller;
           Alcotest.test_case "keepalive liveness" `Quick test_keepalive_liveness;
+          Alcotest.test_case "flow-stats parts to the waiter" `Quick test_flow_stats_parts_to_waiter;
+          Alcotest.test_case "stats parts joined" `Quick test_stats_parts_joined;
+          QCheck_alcotest.to_alcotest prop_malformed_part_detaches;
         ] );
       ( "decode",
         [

@@ -453,11 +453,9 @@ let test_flow_stats_reply_over_64k () =
   Alcotest.(check int) "flows survive three polls" 1000 (Router.flows_installed router);
   Alcotest.(check int) "every flow has a baseline" 1000 (Router.flow_baseline_count router)
 
-let test_soak_one_hour_bounded_state () =
-  (* one virtual hour of a full household with NAT: every stateful
-     structure must stay bounded (flows idle out, hwdb rings cap, NAT
-     bindings die with their flows, leases renew rather than accrete) *)
-  let home = Home.create ~nat:(Ip.of_octets 81 2 3 4) () in
+(* A home with NAT and four devices, each on its own apps. *)
+let nat_home ~seed =
+  let home = Home.create ~seed ~nat:(Ip.of_octets 81 2 3 4) () in
   let router = Home.router home in
   List.iteri
     (fun i apps ->
@@ -466,17 +464,25 @@ let test_soak_one_hour_bounded_state () =
         (Home.add_device home
            (if i mod 2 = 0 then
               Device.wireless ~distance_m:(3. +. (3. *. float_of_int i))
-                ~name:(Printf.sprintf "soak%d" i) ~mac:(mac i) apps
-            else Device.wired ~name:(Printf.sprintf "soak%d" i) ~mac:(mac i) apps)))
+                ~name:(Printf.sprintf "nat%d" i) ~mac:(mac i) apps
+            else Device.wired ~name:(Printf.sprintf "nat%d" i) ~mac:(mac i) apps)))
     [
       [ App_profile.web; App_profile.video ];
       [ App_profile.p2p ];
       [ App_profile.voip; App_profile.https ];
       [ App_profile.iot_telemetry ];
     ];
+  home
+
+let test_soak_one_hour_bounded_state () =
+  (* one virtual hour of a full household with NAT: every stateful
+     structure must stay bounded (flows idle out, hwdb rings cap, NAT
+     bindings die with their flows, leases renew rather than accrete) *)
+  let home = nat_home ~seed:7 in
+  let router = Home.router home in
   let max_flows = ref 0 and max_bindings = ref 0 and max_baselines = ref 0 in
-  (* a measurement baseline belongs to an installed flow, or to the
-     inbound half of a live NAT binding that idled out first *)
+  (* a measurement baseline belongs to an installed flow: both halves of
+     a NAT binding report their removal *)
   let orphan_baselines = ref 0 in
   for _ = 1 to 60 do
     Home.run_for home 60.;
@@ -486,7 +492,7 @@ let test_soak_one_hour_bounded_state () =
     max_flows := max !max_flows flows;
     max_bindings := max !max_bindings bindings;
     max_baselines := max !max_baselines baselines;
-    orphan_baselines := max !orphan_baselines (baselines - flows - bindings)
+    orphan_baselines := max !orphan_baselines (baselines - flows)
   done;
   (* all devices still online after an hour of renewals *)
   List.iter
@@ -515,6 +521,152 @@ let test_soak_one_hour_bounded_state () =
   (* and the internet never saw a private source (NAT held for an hour) *)
   Alcotest.(check int) "no lan leaks" 0
     (List.length (Hw_sim.Internet.lan_source_leaks (Home.internet home)))
+
+(* Every row of the Flows table, timestamps included, as one string. *)
+let flows_dump home =
+  let tbl = Option.get (Hw_hwdb.Database.table (Router.db (Home.router home)) "Flows") in
+  Alcotest.(check bool) "every Flows row retained" true
+    (Hw_hwdb.Table.total_inserted tbl <= Hw_hwdb.Table.capacity tbl);
+  let row (tu : Hw_hwdb.Value.tuple) =
+    Printf.sprintf "%h|%s" tu.Hw_hwdb.Value.ts
+      (String.concat "|" (Array.to_list (Array.map Hw_hwdb.Value.to_string tu.Hw_hwdb.Value.values)))
+  in
+  let rows = Hw_hwdb.Table.scan tbl in
+  (List.length rows, Digest.to_hex (Digest.string (String.concat "\n" (List.map row rows))))
+
+(* The Flows rows of two seeded 300 s homes, one with NAT, equal those
+   the full-decode poll wrote (its row count and a digest of every row,
+   captured before the poll read its reply in place). *)
+let test_flows_golden () =
+  let standard = Home.standard_home ~seed:11 () in
+  Home.permit_all standard;
+  Home.run_for standard 300.;
+  Alcotest.(check (pair int string))
+    "standard home" (1345, "081ad6bf976e15d4467bf07962ab80ee") (flows_dump standard);
+  let nat = nat_home ~seed:12 in
+  Home.run_for nat 300.;
+  Alcotest.(check (pair int string))
+    "NAT home" (921, "ebfd203dfd4bc3c45eb0281b09c4b0ad") (flows_dump nat)
+
+(* Bytes are conserved from the datapath to Flows in a NAT home whose
+   device is denied mid-traffic, 0.6 s after a poll, six times: every
+   byte a measured flow counted, inbound halves included, reaches a
+   Flows row once the table has drained. The datapath's side is read
+   from its flow table, sampled every 0.25 s and just before each deny;
+   a removed entry keeps its final counters, so seeing each entry once
+   suffices (none lives less than 0.25 s: flows idle out after 10 s and
+   the denies are sampled). *)
+let test_nat_inbound_tail_conserved () =
+  let home = nat_home ~seed:5 in
+  let router = Home.router home in
+  let table = Hw_datapath.Datapath.flow_table (Router.datapath router) in
+  let seen = Hashtbl.create 512 in
+  let sample () =
+    List.iter
+      (fun (e : Hw_datapath.Flow_entry.t) ->
+        let m = e.Hw_datapath.Flow_entry.entry_match in
+        let open Hw_openflow.Ofp_match in
+        match (m.nw_src, m.nw_dst, m.nw_proto) with
+        | Some _, Some _, Some proto when proto <> 0 && e.Hw_datapath.Flow_entry.actions <> [] ->
+            Hashtbl.replace seen
+              (e.Hw_datapath.Flow_entry.priority, m, e.Hw_datapath.Flow_entry.install_time)
+              e
+        | _ -> ())
+      (Hw_datapath.Flow_table.entries table)
+  in
+  Hw_sim.Event_loop.every (Home.loop home) 0.25 sample;
+  let every_device verb =
+    List.iter
+      (fun d ->
+        let path = Printf.sprintf "/api/devices/%s/%s" (Mac.to_string (Device.mac d)) verb in
+        Alcotest.(check int) (verb ^ " accepted") 200
+          (http home (Http.request Http.POST path)).Http.status)
+      (Home.devices home)
+  in
+  for cycle = 0 to 5 do
+    let at = 30. +. (20. *. float_of_int cycle) in
+    Home.run_until home (at +. 0.6);
+    sample ();
+    every_device "deny";
+    Home.run_until home (at +. 1.6);
+    every_device "permit"
+  done;
+  List.iter Device.stop (Home.devices home);
+  Home.run_for home 40.;
+  Alcotest.(check int) "flows drained" 0 (Router.flows_installed router);
+  let counted =
+    Hashtbl.fold
+      (fun _ (e : Hw_datapath.Flow_entry.t) acc -> acc + Int64.to_int e.Hw_datapath.Flow_entry.byte_count)
+      seen 0
+  in
+  ignore (flows_dump home);
+  let recorded =
+    List.fold_left
+      (fun acc (tu : Hw_hwdb.Value.tuple) ->
+        match tu.Hw_hwdb.Value.values.(6) with Hw_hwdb.Value.Int b -> acc + b | _ -> acc)
+      0
+      (Hw_hwdb.Table.scan (Option.get (Hw_hwdb.Database.table (Router.db router) "Flows")))
+  in
+  Alcotest.(check bool) "traffic was measured" true (counted > 100_000);
+  Alcotest.(check int) "datapath bytes = Flows bytes" counted recorded
+
+(* The 1 s poll of 250 installed flows with no traffic writes no row and
+   allocates, per entry, less than one match decode does: an unchanged
+   flow is read in place, its match left undecoded. A poll that decodes
+   every entry into a record allocates ~200 words an entry; a match
+   decode allocates ~50. *)
+let test_poll_allocation_bound () =
+  let home = Home.create () in
+  let router = Home.router home in
+  Home.run_for home 0.5;
+  let conn =
+    match Hw_controller.Controller.connections (Router.controller router) with
+    | [ conn ] -> conn
+    | _ -> Alcotest.fail "no OpenFlow connection"
+  in
+  let n = 250 in
+  for i = 0 to n - 1 do
+    Hw_controller.Controller.install_flow conn
+      {
+        Hw_openflow.Ofp_match.wildcard_all with
+        Hw_openflow.Ofp_match.dl_type = Some 0x0800;
+        nw_proto = Some 17;
+        nw_src = Some (Ip.of_octets 10 0 (i / 256) (i mod 256), 32);
+        nw_dst = Some (Ip.of_octets 93 184 216 34, 32);
+        tp_src = Some (1024 + i);
+        tp_dst = Some 53;
+      }
+      [ Hw_openflow.Ofp_action.output Router.upstream_port ]
+  done;
+  (* the tick's polls have seen every flow once *)
+  Home.run_for home 2.;
+  Alcotest.(check int) "every flow has a baseline" n (Router.flow_baseline_count router);
+  let flows = Option.get (Hw_hwdb.Database.table (Router.db router) "Flows") in
+  let rows = Hw_hwdb.Table.total_inserted flows in
+  let least f =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let before = Gc.minor_words () in
+           f ();
+           Gc.minor_words () -. before))
+  in
+  let per_entry = least (fun () -> Router.poll_flow_stats router) /. float_of_int n in
+  Alcotest.(check int) "no row written" rows (Hw_hwdb.Table.total_inserted flows);
+  let wire =
+    let w = Hw_util.Wire.Writer.create () in
+    Hw_openflow.Ofp_match.encode w
+      (List.hd (Hw_datapath.Flow_table.entries (Hw_datapath.Datapath.flow_table (Router.datapath router))))
+        .Hw_datapath.Flow_entry.entry_match;
+    Hw_util.Wire.Writer.contents w
+  in
+  let decode_words =
+    least (fun () ->
+        ignore (Sys.opaque_identity (Hw_openflow.Ofp_match.decode (Hw_util.Wire.Reader.of_string wire))))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words an entry < %.0f, one match decode" per_entry decode_words)
+    true (per_entry < decode_words);
+  Alcotest.(check bool) (Printf.sprintf "%.1f words an entry <= 24" per_entry) true (per_entry <= 24.)
 
 let test_device_isolation () =
   let probe ~isolate =
@@ -713,6 +865,9 @@ let () =
           Alcotest.test_case "flows idle out" `Quick test_flows_idle_out;
           Alcotest.test_case "nat mode" `Quick test_nat_mode;
           Alcotest.test_case "flow-stats reply over 64 KiB" `Quick test_flow_stats_reply_over_64k;
+          Alcotest.test_case "poll allocation bound" `Quick test_poll_allocation_bound;
+          Alcotest.test_case "NAT inbound tail conserved" `Quick test_nat_inbound_tail_conserved;
+          Alcotest.test_case "Flows golden" `Quick test_flows_golden;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
         ] );
       ( "decode",

@@ -461,32 +461,102 @@ let test_framing_kills_bad_stream () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let match_gen =
-  let open QCheck.Gen in
-  let opt g = oneof [ return None; map Option.some g ] in
-  let mac = map (fun i -> Mac.of_int64 (Int64.of_int i)) big_nat in
-  let ip = map (fun i -> Ip.of_int32 (Int32.of_int i)) big_nat in
-  let prefix = pair ip (int_range 1 32) in
-  let port = int_bound 0xffff in
-  map
-    (fun ((in_port, dl_src, dl_dst, dl_type), (nw_proto, nw_src, nw_dst, tp_src, tp_dst)) ->
-      {
-        Ofp_match.in_port;
-        dl_src;
-        dl_dst;
-        dl_vlan = None;
-        dl_vlan_pcp = None;
-        dl_type;
-        nw_tos = None;
-        nw_proto;
-        nw_src;
-        nw_dst;
-        tp_src;
-        tp_dst;
-      })
-    (pair
-       (quad (opt port) (opt mac) (opt mac) (opt (int_bound 0xffff)))
-       (tup5 (opt (int_bound 255)) (opt prefix) (opt prefix) (opt port) (opt port)))
+let match_gen = Flow_stats_gen.match_gen
+
+(* ------------------------------------------------------------------ *)
+(* Flow-stats parts read in place                                      *)
+(* ------------------------------------------------------------------ *)
+
+module P = Ofp_message.Flow_stats_part
+
+let walk part =
+  let acc = ref [] in
+  P.iter
+    (fun at ->
+      let counters = (P.packet_count part at, P.byte_count part at) in
+      acc := (P.cookie part at, P.priority part at, fst counters, snd counters, P.match_ part at) :: !acc)
+    part;
+  List.rev !acc
+
+let fields_of fs =
+  ( fs.Ofp_message.fs_cookie,
+    fs.Ofp_message.fs_priority,
+    Int64.to_int fs.Ofp_message.fs_packet_count,
+    Int64.to_int fs.Ofp_message.fs_byte_count,
+    fs.Ofp_message.fs_match )
+
+let same_fields (c, p, n, b, m) (c', p', n', b', m') =
+  Int64.equal c c' && p = p' && n = n' && b = b' && Ofp_match.equal m m'
+
+(* The in-place walker reads what the sequential decoder decodes, part by
+   part, across the split at 682 one-action entries; the parts written
+   straight from a table are byte-identical to the record encoder's. *)
+let prop_in_place_equals_decoder =
+  QCheck.Test.make ~name:"in-place flow stats = sequential decoder, 682/683 split" ~count:60
+    (QCheck.make Flow_stats_gen.table_gen ~print:(fun l -> Printf.sprintf "%d entries" (List.length l)))
+    (fun entries ->
+      let parts = Flow_stats_gen.parts entries in
+      let records =
+        List.map (Ofp_message.encode ~xid:7l)
+          (Ofp_message.stats_reply_parts (Ofp_message.Flow_stats_reply entries))
+      in
+      let one_part_each =
+        List.for_all
+          (fun part ->
+            Ofp_message.Stats_part.is_reply part
+            && P.validate part = Ok ()
+            &&
+            match Ofp_message.decode part with
+            | Ok (7l, Ofp_message.Stats_reply { more; reply = Ofp_message.Flow_stats_reply l }) ->
+                more = Ofp_message.Stats_part.more part && List.equal same_fields (walk part) (List.map fields_of l)
+            | _ -> false)
+          parts
+      in
+      let sizes =
+        List.map (fun fs -> Ofp_message.flow_stats_entry_size fs.Ofp_message.fs_actions) entries
+      in
+      parts = records && one_part_each
+      && List.equal same_fields (List.concat_map walk parts) (List.map fields_of entries)
+      && List.length parts = if 12 + List.fold_left ( + ) 0 sizes <= Ofp_message.max_length then 1 else 2)
+
+(* Every way of breaking a part is refused by both readers. *)
+let prop_malformed_rejected =
+  QCheck.Test.make ~name:"malformed flow-stats parts rejected by both readers" ~count:700
+    (QCheck.make Flow_stats_gen.malformed_gen ~print:Flow_stats_gen.malformed_print)
+    (fun (entries, mu) ->
+      match Flow_stats_gen.parts entries with
+      | [ part ] ->
+          let bad = Flow_stats_gen.mutate part mu in
+          Result.is_error (P.validate bad) && Result.is_error (Ofp_message.decode bad)
+      | _ -> false)
+
+(* The identity the poll reads from a reply entry is the one the router
+   derives from the flow-removed record of the same flow. *)
+let prop_identity_stats_equals_removed =
+  QCheck.Test.make ~name:"flow identity: stats entry = flow-removed record" ~count:300
+    (QCheck.make (Flow_stats_gen.entry_gen ()))
+    (fun fs ->
+      let part = List.hd (Flow_stats_gen.parts [ fs ]) in
+      let removed =
+        Ofp_message.encode ~xid:1l
+          (Ofp_message.Flow_removed
+             {
+               Ofp_message.fr_match = fs.Ofp_message.fs_match;
+               fr_cookie = fs.Ofp_message.fs_cookie;
+               fr_priority = fs.Ofp_message.fs_priority;
+               fr_reason = Ofp_message.Removed_delete;
+               duration_sec = 1l;
+               duration_nsec = 0l;
+               fr_idle_timeout = 10;
+               packet_count = fs.Ofp_message.fs_packet_count;
+               byte_count = fs.Ofp_message.fs_byte_count;
+             })
+      in
+      match Ofp_message.decode removed with
+      | Ok (_, Ofp_message.Flow_removed fr) ->
+          String.equal (P.identity part 12)
+            (Ofp_message.flow_identity ~priority:fr.Ofp_message.fr_priority fr.Ofp_message.fr_match)
+      | _ -> false)
 
 let prop_match_roundtrip =
   QCheck.Test.make ~name:"match wire roundtrip" ~count:300
@@ -871,6 +941,9 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_match_wire_roundtrip;
           Alcotest.test_case "arp fields" `Quick test_fields_of_arp;
           QCheck_alcotest.to_alcotest prop_match_roundtrip;
+          QCheck_alcotest.to_alcotest prop_in_place_equals_decoder;
+          QCheck_alcotest.to_alcotest prop_malformed_rejected;
+          QCheck_alcotest.to_alcotest prop_identity_stats_equals_removed;
           QCheck_alcotest.to_alcotest prop_exact_always_matches_its_fields;
           QCheck_alcotest.to_alcotest prop_subsumes_implies_matches;
         ] );
