@@ -729,15 +729,15 @@ let micro_tests () =
       "SELECT src_ip, SUM(bytes) AS b FROM Flows [RANGE 10 SECONDS] WHERE dst_port = 80 \
        GROUP BY src_ip ORDER BY b DESC LIMIT 5"
     in
-    ignore (Hw_hwdb.Database.exec_raw db q) (* warm the plan cache *);
+    ignore (Hw_hwdb.Database.query db q) (* warm the plan cache *);
     let lookup = Hw_hwdb.Database.table db in
     [
       Test.make ~name:"prepared_select_cached"
-        (Staged.stage (fun () -> ignore (Hw_hwdb.Database.exec_raw db q)));
+        (Staged.stage (fun () -> ignore (Hw_hwdb.Database.query db q)));
       Test.make ~name:"interpreted_select_parse_exec"
         (Staged.stage (fun () ->
              match Hw_hwdb.Parser.parse_select q with
-             | Ok sel -> ignore (Hw_hwdb.Query.exec ~lookup ~now:!now sel)
+             | Ok sel -> ignore (Query_ref.exec ~lookup ~now:!now sel)
              | Error e -> failwith e));
     ]
   in
@@ -1387,7 +1387,7 @@ let ablation_idle_timeout () =
   Printf.printf "%12s %14s %16s %14s\n" "idle (s)" "packet-ins" "mean tbl size" "max tbl size";
   List.iter
     (fun idle ->
-      let home = Home.create ~seed:11 ~flow_idle_timeout:idle () in
+      let home = Home.create ~seed:11 ~config:(Router.config ~flow_idle_timeout:idle ()) () in
       let router = Home.router home in
       let mac = Mac.local 1 in
       Hw_dhcp.Dhcp_server.permit (Router.dhcp router) mac;

@@ -68,7 +68,9 @@ let () =
   Hw_hwdb.Rpc.Client.request c
     "SUBSCRIBE SELECT SUM(bytes) AS b FROM Flows [RANGE 5 SECONDS] EVERY 5 SECONDS"
     ~on_reply:print_result;
-  Hw_router.Home.run_for home 21.;
+  (* a plain SUBSCRIBE holds a 4-period (20 s) lease that nothing renews
+     here, so unsubscribe before it lapses *)
+  Hw_router.Home.run_for home 16.;
 
   section "Unsubscribe";
   Hw_hwdb.Rpc.Client.request c "UNSUBSCRIBE 1" ~on_reply:print_result;

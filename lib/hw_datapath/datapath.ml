@@ -660,13 +660,21 @@ let handle_message t xid msg =
   | Ofp_message.Barrier_reply ->
       Log.warn (fun m -> m "unexpected controller-bound message %s" (Ofp_message.type_name msg))
 
+(* one frame at a time, in arrival order, including frames a nested
+   input appends while one is being handled *)
+let rec drain t =
+  match Ofp_message.Framing.pop_frame t.framing with
+  | None -> ()
+  | Some (Ok frame) ->
+      (match Ofp_message.decode frame with
+      | Ok (xid, msg) -> handle_message t xid msg
+      | Error err -> Log.err (fun m -> m "bad frame from controller: %s" err));
+      drain t
+  | Some (Error err) -> Log.err (fun m -> m "bad frame from controller: %s" err)
+
 let input_from_controller t bytes =
   Ofp_message.Framing.input t.framing bytes;
-  List.iter
-    (function
-      | Ok (xid, msg) -> handle_message t xid msg
-      | Error err -> Log.err (fun m -> m "bad frame from controller: %s" err))
-    (Ofp_message.Framing.pop_all t.framing)
+  drain t
 
 let tick t =
   let now = t.now () in

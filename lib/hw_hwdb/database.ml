@@ -388,15 +388,13 @@ let cached_select t src =
           t.plan_memo <- Some (src, plan);
           run plan)
 
-let exec_raw t src =
+let query t src =
   match cached_select t src with
   | Some r -> r
   | None -> (
       match Parser.parse_select src with
       | Error _ as e -> e
       | Ok sel -> prepare_and_exec t ~text:(Some src) sel)
-
-let query = exec_raw
 
 let plan_cache_stats t = (t.plan_hits, t.plan_misses, t.plan_evictions)
 
@@ -406,78 +404,76 @@ let plan_cache_stats t = (t.plan_hits, t.plan_misses, t.plan_evictions)
 
 let max_trigger_depth = 8
 
+(* [f] over a list, left to right, stopping at the first error *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: rest -> Result.bind (f x) (fun y -> Result.map (fun ys -> y :: ys) (map_ok f rest))
+
 let create_trigger t ~watch ?condition ~target ~values () =
   match table t watch, table t target with
   | None, _ -> Error (Printf.sprintf "unknown table %s" watch)
   | _, None -> Error (Printf.sprintf "unknown table %s" target)
-  | Some watch_table, Some target_table ->
+  | Some watch_table, Some target_table -> (
       if values = [] then Error "trigger action needs at least one value"
       else if List.length values <> Value.schema_arity (Table.schema target_table) then
         Error
           (Printf.sprintf "trigger action arity %d does not match %s's %d columns"
              (List.length values) target
              (Value.schema_arity (Table.schema target_table)))
-      else begin
-        let id = t.next_trigger_id in
-        t.next_trigger_id <- id + 1;
-        let trig = { trig_id = id; trig_enabled = true } in
-        t.triggers <- trig :: t.triggers;
-        Table.on_insert watch_table (fun tuple ->
-            if trig.trig_enabled then begin
-              if t.trigger_depth >= max_trigger_depth then
-                Log.warn (fun m -> m "trigger %d: chain depth exceeded, skipping" id)
-              else begin
-                t.trigger_depth <- t.trigger_depth + 1;
-                Fun.protect
-                  ~finally:(fun () -> t.trigger_depth <- t.trigger_depth - 1)
-                  (fun () ->
-                    let fire =
-                      match condition with
-                      | None -> Ok true
-                      | Some c -> (
-                          match Query.eval_row watch_table tuple c with
-                          | Ok (Value.Bool b) -> Ok b
-                          | Ok v ->
-                              Error
-                                (Printf.sprintf "condition is not boolean: %s"
-                                   (Value.to_string v))
-                          | Error _ as e -> e)
-                    in
-                    match fire with
-                    | Ok false -> ()
-                    | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg)
-                    | Ok true ->
-                        Hw_metrics.Counter.incr t.m_trigger_fires;
-                        Tracer.with_span t.trace "hwdb.trigger"
-                          ~attrs:
-                            (if Tracer.in_trace t.trace then
-                               [
-                                 ("trigger_id", Tracer.Int id);
-                                 ("target", Tracer.Str target);
-                               ]
-                             else [])
-                          (fun () ->
-                        let row =
-                          List.fold_left
-                            (fun acc e ->
-                              match acc, Query.eval_row watch_table tuple e with
-                              | Ok vs, Ok v -> Ok (v :: vs)
-                              | (Error _ as err), _ -> err
-                              | Ok _, (Error _ as err) -> err)
-                            (Ok []) values
+      else
+        let compile = map_ok (Plan.compile_row watch_table) in
+        match compile (Option.to_list condition), compile values with
+        | (Error _ as e), _ | _, (Error _ as e) -> e
+        | Ok condition, Ok values ->
+            let id = t.next_trigger_id in
+            t.next_trigger_id <- id + 1;
+            let trig = { trig_id = id; trig_enabled = true } in
+            t.triggers <- trig :: t.triggers;
+            Table.on_insert watch_table (fun tuple ->
+                if trig.trig_enabled then begin
+                  if t.trigger_depth >= max_trigger_depth then
+                    Log.warn (fun m -> m "trigger %d: chain depth exceeded, skipping" id)
+                  else begin
+                    t.trigger_depth <- t.trigger_depth + 1;
+                    Fun.protect
+                      ~finally:(fun () -> t.trigger_depth <- t.trigger_depth - 1)
+                      (fun () ->
+                        let row = Array.append [| Value.Ts tuple.Value.ts |] tuple.Value.values in
+                        let fire =
+                          match condition with
+                          | [] -> Ok true
+                          | c :: _ -> (
+                              match c row with
+                              | Ok (Value.Bool b) -> Ok b
+                              | Ok v ->
+                                  Error
+                                    (Printf.sprintf "condition is not boolean: %s"
+                                       (Value.to_string v))
+                              | Error _ as e -> e)
                         in
-                        match row with
+                        match fire with
+                        | Ok false -> ()
                         | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg)
-                        | Ok rev_vs -> (
-                            match
-                              Table.insert target_table ~now:(t.now ()) (List.rev rev_vs)
-                            with
-                            | Ok () -> ()
-                            | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg))))
-              end
-            end);
-        Ok id
-      end
+                        | Ok true ->
+                            Hw_metrics.Counter.incr t.m_trigger_fires;
+                            Tracer.with_span t.trace "hwdb.trigger"
+                              ~attrs:
+                                (if Tracer.in_trace t.trace then
+                                   [
+                                     ("trigger_id", Tracer.Int id);
+                                     ("target", Tracer.Str target);
+                                   ]
+                                 else [])
+                              (fun () ->
+                            match map_ok (fun f -> f row) values with
+                            | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg)
+                            | Ok vs -> (
+                                match Table.insert target_table ~now:(t.now ()) vs with
+                                | Ok () -> ()
+                                | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg))))
+                  end
+                end);
+            Ok id)
 
 let drop_trigger t id =
   match List.find_opt (fun trig -> trig.trig_id = id && trig.trig_enabled) t.triggers with

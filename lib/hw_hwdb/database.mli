@@ -100,12 +100,8 @@ val insert : t -> table:string -> Value.t list -> (unit, string) result
 val query : t -> string -> (Query.result_set, string) result
 (** Runs a SELECT through the prepared-plan cache: the first execution
     of a statement text parses and compiles it ({!Plan.prepare}), every
-    later one executes the cached plan directly. Alias of
-    {!exec_raw}. *)
-
-val exec_raw : t -> string -> (Query.result_set, string) result
-(** Executes raw SELECT text via the bounded plan cache (keyed by the
-    exact statement text, FIFO eviction, instrumented as
+    later one executes the cached plan directly. The cache is bounded
+    (keyed by the exact statement text, FIFO eviction, instrumented as
     [hwdb_plan_cache_{hits,misses,evictions}_total]). Only successful
     prepares are cached, so a statement naming a not-yet-created table
     re-prepares after [CREATE TABLE]. *)
@@ -143,8 +139,12 @@ val create_trigger :
 (** [ON INSERT INTO watch WHEN condition DO INSERT INTO target VALUES
     (values…)]: after each insert into [watch] whose row satisfies
     [condition], evaluate [values] over that row and insert into
-    [target]. Chains are bounded (depth 8) so self-referential triggers
-    cannot loop; failing conditions or actions are logged and skipped. *)
+    [target]. [condition] and each of [values] are compiled once, here,
+    by {!Plan.compile_row}: a trigger naming a column [watch] does not
+    have is refused with an [unknown column] error and never registered.
+    Chains are bounded (depth 8) so self-referential triggers cannot
+    loop; a condition or action that fails on a row (a type error, a
+    value the target rejects) is logged and skipped. *)
 
 val drop_trigger : t -> trigger_id -> bool
 val trigger_count : t -> int

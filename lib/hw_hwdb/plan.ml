@@ -2,11 +2,12 @@
    over [Value.t array] rows. Column names resolve to array offsets at
    prepare time; WHERE / projection / GROUP BY keys / HAVING become
    direct closures, so the hot path never walks the AST and never does
-   the per-row, per-column [resolve bindings] list scan the interpreter
-   pays. [Query.exec] is kept untouched as the reference model; the
-   differential suite in test/plan_diff.ml pins this module to it.
+   a per-row, per-column name lookup. ECA trigger expressions compile
+   here too ([compile_row]): this is hwdb's one evaluator. The
+   differential suite in test/plan_diff.ml pins it to the per-row
+   reference interpreter in test/ref/query_ref.ml.
 
-   One visible semantic shift: the interpreter resolves columns lazily
+   One visible semantic shift: the reference resolves columns lazily
    (per row), so a SELECT naming an unknown or ambiguous column over an
    empty window succeeds there; [prepare] resolves eagerly and reports
    the error regardless of data. Every other error message is produced
@@ -78,7 +79,7 @@ let star_columns bindings =
 
 (* -- expression compilation ---------------------------------------- *)
 
-(* Mirrors [Query.eval] case by case (same evaluation order, same
+(* Mirrors the reference [eval] case by case (same evaluation order, same
    short-circuiting, same error strings), but with all name resolution
    hoisted out of the row loop. *)
 let rec compile bindings expr : compiled =
@@ -259,9 +260,9 @@ let single_table t = match t.p_tables with [ tbl ] -> Some tbl | _ -> None
 
 (* One mutable cell per (group, aggregate): groups never materialize
    their rows, the scan folds each row into every aggregate as it goes.
-   Row-order error semantics mirror [Query.eval_agg]: the first failing
-   row of an aggregate is recorded and raised only when that aggregate
-   is actually evaluated — i.e. its group survived HAVING. (One
+   Row-order error semantics mirror the reference [eval_agg]: the first
+   failing row of an aggregate is recorded and raised only when that
+   aggregate is actually evaluated — i.e. its group survived HAVING. (One
    message-level divergence: the interpreter evaluates all of a MIN/MAX
    group's arguments before comparing any, so an argument error in a
    late row wins over an earlier incomparable pair; streaming reports
@@ -330,8 +331,8 @@ let s_finalize sa =
   | A_min _ | A_max _ -> ( match sa.sa_best with Some v -> v | None -> Value.Str "")
   | A_invalid msg -> fail_str msg
 
-(* the value [Query.eval_agg] yields over zero rows, for the synthetic
-   empty global group *)
+(* the value the reference [eval_agg] yields over zero rows, for the
+   synthetic empty global group *)
 let empty_agg_value = function
   | A_count | A_count_if _ -> Value.Int 0
   | A_sum _ -> Value.Real 0.
@@ -493,6 +494,18 @@ let prepare ~lookup (q : Ast.select) =
         p_order = order;
         p_limit = q.Ast.limit;
       }
+  with Plan_error msg -> Error msg
+
+let compile_row table expr =
+  try
+    let _, bindings = bindings_of_from ~lookup:(fun _ -> Some table) [ (Table.name table, None) ] in
+    let f = compile bindings expr in
+    Ok
+      (fun row ->
+        match f row with
+        | v -> Ok v
+        | exception Plan_error msg -> Error msg
+        | exception Invalid_argument msg -> Error msg)
   with Plan_error msg -> Error msg
 
 (* -- one-shot execution -------------------------------------------- *)
@@ -768,7 +781,7 @@ module Inc = struct
      (WHERE, scalar projection) poison the whole window for as long as
      the offending row is inside it; aggregate-argument errors are held
      per group per aggregate and only surface if that group survives
-     HAVING — exactly when [Query.eval_agg] would have raised. *)
+     HAVING — exactly when the reference [eval_agg] would have raised. *)
 
   let value_class = function
     | Value.Int _ | Value.Real _ | Value.Ts _ -> 0

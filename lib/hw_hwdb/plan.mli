@@ -1,14 +1,16 @@
 (** Compiled query plans: a SELECT lowered once into closures over
     [Value.t array] rows (column names resolved to array offsets, WHERE /
     projection / GROUP BY key / HAVING compiled), so the hot path never
-    re-parses text or interprets the AST. {!Query.exec} remains the
-    reference interpreter; plans are pinned to it by the differential
-    property suite.
+    re-parses text or interprets the AST. This is hwdb's one evaluator:
+    SELECTs, subscriptions and ECA trigger expressions ({!compile_row})
+    all run compiled. A per-row reference interpreter lives with the
+    tests (test/ref/query_ref.ml); the differential property suite pins
+    plans to it.
 
-    Unlike the interpreter, which resolves column names lazily per row,
-    {!prepare} resolves eagerly: a SELECT naming an unknown or ambiguous
-    column fails at prepare time even if its window is empty. All other
-    error behavior matches the interpreter verbatim. *)
+    Unlike the reference, which resolves column names lazily per row,
+    this module resolves eagerly: a SELECT or trigger naming an unknown
+    or ambiguous column fails when it is compiled, even if its window is
+    empty. All other error behavior matches the reference verbatim. *)
 
 type t
 
@@ -18,10 +20,20 @@ val prepare : lookup:(string -> Table.t option) -> Ast.select -> (t, string) res
     aggregates, more than two FROM tables, or an ORDER BY target missing
     from the output — everything that cannot depend on data. *)
 
+val compile_row :
+  Table.t -> Ast.expr -> (Value.t array -> (Value.t, string) result, string) result
+(** [compile_row table e] compiles [e] over one row of [table], for the
+    ECA triggers: the row is [\[| Value.Ts ts; v1; ...; vn |\]], the
+    tuple's timestamp followed by its values in schema order. Columns
+    resolve unqualified or qualified by the table's name, with the
+    implicit [ts]. An unknown column fails here, as it does in
+    {!prepare}; the closure returns the errors a SELECT evaluating [e]
+    over that row reports (a type error, division by zero). *)
+
 val exec : t -> now:float -> (Query.result_set, string) result
 (** One-shot execution against the live tables, window relative to
-    [now]; same semantics (rows, values, error {e presence}) as
-    {!Query.exec}. Two message-level divergences: the streaming
+    [now]; same semantics (rows, values, error {e presence}) as the
+    reference interpreter. Two message-level divergences: the streaming
     aggregator records the first chronological bad argument of a
     MIN/MAX, where the interpreter reports whichever pair its fold
     compares first; and ORDER BY over mixed-class keys may name a
@@ -65,9 +77,9 @@ module Inc : sig
   val result : t -> now:float -> (Query.result_set, string) result
   (** The standing query's current answer: retracts rows that [now]
       pushed out of a RANGE window, then assembles (or returns the
-      cached result when nothing changed). Equal to
-      [Query.exec ~now (select plan)] modulo the eager-resolution
-      difference documented above. *)
+      cached result when nothing changed). Equal to the reference
+      interpreter's answer to [select plan] at [now], modulo the
+      eager-resolution difference documented above. *)
 
   val resyncs : t -> int
   (** Rebuild-from-scan events triggered by the safety valves (excludes

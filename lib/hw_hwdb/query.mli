@@ -1,24 +1,6 @@
-(** Query evaluation: runs a parsed SELECT against live tables. *)
+(** The answer to a SELECT, as {!Plan} produces it. *)
 
 type result_set = { columns : string list; rows : Value.t list list }
 
-val exec :
-  lookup:(string -> Table.t option) -> now:float -> Ast.select -> (result_set, string) result
-(** Evaluates the window relative to [now] ([RANGE s SECONDS] is the
-    closed interval [\[now -. s, now\]]; [NOW] is the newest-timestamp
-    batch — see {!Table.window}), consuming ring tuples via
-    {!Table.fold_window} without materializing scan lists. Supports projection,
-    arithmetic and boolean predicates, two-table joins (cartesian product
-    restricted by WHERE), GROUP BY with COUNT/SUM/AVG/MIN/MAX, ORDER BY on
-    an output column, and LIMIT. Every table exposes an implicit [ts]
-    timestamp column. *)
-
-val eval_row : Table.t -> Value.tuple -> Ast.expr -> (Value.t, string) result
-(** Evaluates an expression against one row of one table (the trigger
-    machinery); columns resolve unqualified or qualified by the table
-    name, with the implicit [ts]. *)
-
 val result_to_strings : result_set -> string list list
 (** Header row followed by data rows, for display. *)
-
-val pp_result : Format.formatter -> result_set -> unit

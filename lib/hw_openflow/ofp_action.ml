@@ -49,8 +49,8 @@ let size = function
 
 let list_size actions = List.fold_left (fun acc a -> acc + size a) 0 actions
 
-(* the bytes [decode_one] reads for an action of type [typ]; 0 for a
-   type it rejects *)
+(* the bytes of an action of type [typ], which its length field must
+   equal; 0 for a type [decode_one] rejects *)
 let size_of_type = function
   | 0 | 1 | 2 | 3 | 6 | 7 | 8 | 9 | 10 -> 8
   | 4 | 5 | 11 -> 16
@@ -61,7 +61,7 @@ let rec valid_run s off stop =
   else if off + 4 > stop then false
   else
     let n = size_of_type (String.get_uint16_be s off) in
-    n > 0 && String.get_uint16_be s (off + 2) >= 8 && off + n <= stop && valid_run s (off + n) stop
+    n > 0 && String.get_uint16_be s (off + 2) = n && off + n <= stop && valid_run s (off + n) stop
 
 let valid_list s ~off ~len =
   len >= 0 && off >= 0 && off + len <= String.length s && valid_run s off (off + len)
@@ -138,7 +138,9 @@ let rec encode_list w = function
 let decode_one r =
   let typ = Wire.Reader.u16 r ~field:"action.type" in
   let len = Wire.Reader.u16 r ~field:"action.len" in
-  if len < 8 then Error "action: length < 8"
+  let size = size_of_type typ in
+  if size > 0 && len <> size then
+    Error (Printf.sprintf "action: type %d has length %d, not %d" typ len size)
   else
     match typ with
     | 0 ->

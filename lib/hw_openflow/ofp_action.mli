@@ -41,14 +41,15 @@ val encode_list : Hw_util.Wire.Writer.t -> t list -> unit
 val decode_list : Hw_util.Wire.Reader.t -> int -> (t list, string) result
 (** [decode_list r len] reads actions until [len] bytes are consumed. An
     action's bytes are fixed by its type (8, or 16 for the [Set_dl_*]
-    and [Enqueue] types); its length field must be at least 8 but is not
-    otherwise read, so the last action may end past [len]. *)
+    and [Enqueue] types), and its length field must equal them; the
+    last action may end past [len]. *)
 
 val valid_list : string -> off:int -> len:int -> bool
 (** [valid_list s ~off ~len]: the [len] bytes of [s] at [off] are a run
     of actions that {!decode_list} accepts and that ends exactly at
     [off + len], checked in place without decoding: every type known,
-    every length field at least 8, every action inside the range.
+    every length field equal to its type's size, every action inside the
+    range.
     Allocation-free. *)
 
 val size : t -> int

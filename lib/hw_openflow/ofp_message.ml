@@ -991,14 +991,4 @@ module Framing = struct
         Some (Ok msg)
       end
     end
-
-  let pop b =
-    match pop_frame b with
-    | None -> None
-    | Some (Ok msg) -> Some (decode msg)
-    | Some (Error _ as e) -> Some e
-
-  let pop_all b =
-    let rec loop acc = match pop b with None -> List.rev acc | Some m -> loop (m :: acc) in
-    loop []
 end

@@ -335,9 +335,4 @@ module Framing : sig
       complete message has arrived. Malformed framing (bad version,
       absurd length) yields [Some (Error _)] and drops the connection's
       remaining bytes. *)
-
-  val pop : buffer -> (int32 * t, string) result option
-  (** {!pop_frame}, decoded. *)
-
-  val pop_all : buffer -> (int32 * t, string) result list
 end

@@ -6,7 +6,6 @@ type t = {
   sim_loop : Hw_sim.Event_loop.t;
   rt : Router.t;
   net : Hw_sim.Internet.t;
-  hop_delay : float;
   ingress : (int * string) Hw_sim.Delay_line.t;
       (* device -> router hop: frames sent at the same instant arrive as
          one batch through Router.receive_frames *)
@@ -22,17 +21,16 @@ let devices t = List.map (fun a -> a.device) t.attachments
 let seed t = t.the_seed
 let now t = Hw_sim.Event_loop.now t.sim_loop
 
-let create ?(seed = 7) ?(start = 0.) ?loop ?config ?dhcp_config ?flow_idle_timeout ?nat
-    ?isolate_devices ?wal_store ?(hop_delay = 0.001) () =
+(* propagation delay of each hop to and from the router *)
+let hop_delay = 0.001
+
+let create ?(seed = 7) ?(start = 0.) ?loop ?config ?wal_store () =
   (* [loop] lets a fleet place N homes on ONE event loop; without it the
      home owns a private loop as before *)
   let sim_loop =
     match loop with Some l -> l | None -> Hw_sim.Event_loop.create ~start ()
   in
-  let rt =
-    Router.create ?config ?dhcp_config ?flow_idle_timeout ?nat ?isolate_devices
-      ?wal_store ~loop:sim_loop ()
-  in
+  let rt = Router.create ?config ?wal_store ~loop:sim_loop () in
   let net_ref = ref None in
   let net =
     Hw_sim.Internet.create ~loop:sim_loop
@@ -46,11 +44,11 @@ let create ?(seed = 7) ?(start = 0.) ?loop ?config ?dhcp_config ?flow_idle_timeo
       ~deliver:(fun frames -> Router.receive_frames rt frames)
   in
   let t =
-    { sim_loop; rt; net; hop_delay; ingress; the_seed = seed; attachments = []; next_wired = 0 }
+    { sim_loop; rt; net; ingress; the_seed = seed; attachments = []; next_wired = 0 }
   in
   (* router port -> attached nodes *)
   Router.set_transmit rt (fun ~port_no frame ->
-      Hw_sim.Event_loop.after sim_loop t.hop_delay (fun () ->
+      Hw_sim.Event_loop.after sim_loop hop_delay (fun () ->
           if port_no = Router.upstream_port then Hw_sim.Internet.deliver net frame
           else
             List.iter

@@ -12,22 +12,18 @@ val create :
   ?start:Hw_time.timestamp ->
   ?loop:Hw_sim.Event_loop.t ->
   ?config:Router.config ->
-  ?dhcp_config:Hw_dhcp.Dhcp_server.config ->
-  ?flow_idle_timeout:int ->
-  ?nat:Hw_packet.Ip.t ->
-  ?isolate_devices:bool ->
   ?wal_store:Hw_wal.Store.t ->
-  ?hop_delay:float ->
   unit ->
   t
-(** Default hop delay 1 ms. [start] places the scenario in the week
+(** Every hop takes 1 ms. [start] places the scenario in the week
     (epoch is Monday 00:00), which matters for schedule-based policies.
 
-    [wal_store] passes through to {!Router.create}: the router's Leases
-    and Policies tables become durable in that store, and whatever it
-    already holds is recovered at construction — share one
-    [Hw_wal.Store.mem ()] between a crashed home and its successor
-    (created with [~start:(now crashed)]) to simulate restart-recovery.
+    [config] and [wal_store] pass through to {!Router.create}: with
+    [wal_store] the router's Leases and Policies tables become durable
+    in that store, and whatever it already holds is recovered at
+    construction — share one [Hw_wal.Store.mem ()] between a crashed
+    home and its successor (created with [~start:(now crashed)]) to
+    simulate restart-recovery.
 
     [loop] shares an external event loop (a fleet runs thousands of
     homes on one loop); [start] is ignored when [loop] is given. A

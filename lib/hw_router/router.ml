@@ -943,17 +943,7 @@ let config ?(dhcp_config = Dhcp_server.default_config) ?(flow_idle_timeout = 10)
              });
   }
 
-let create ?config:cfg ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolate_devices
-    ?hwdb_capacity ?(fault_seed = 0x4a11) ?wal_store ~loop () =
-  (* a fleet builds ONE [config] up front and shares it; the per-field
-     optional arguments remain for single-router callers *)
-  let cfg =
-    match cfg with
-    | Some c -> c
-    | None ->
-        config ?dhcp_config ?flow_idle_timeout ?wired_ports ?nat ?isolate_devices
-          ?hwdb_capacity ()
-  in
+let create ?config:(cfg = config ()) ?(fault_seed = 0x4a11) ?wal_store ~loop () =
   let dhcp_config = cfg.dhcp_config in
   let now () = Hw_sim.Event_loop.now loop in
   (* One registry per router instance: every subsystem reports into it, and

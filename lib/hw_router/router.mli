@@ -35,44 +35,7 @@ val config :
 (** [hwdb_capacity] (default 4096) sizes each hwdb table's ring buffer.
     Rings preallocate their slot array, so this dominates the per-router
     memory footprint: fleets of mostly-idle routers should pass a small
-    capacity (256 keeps hours of lease/flow history at home rates). *)
-
-val create :
-  ?config:config ->
-  ?dhcp_config:Hw_dhcp.Dhcp_server.config ->
-  ?flow_idle_timeout:int ->
-  ?wired_ports:int ->
-  ?nat:Ip.t ->
-  ?isolate_devices:bool ->
-  ?hwdb_capacity:int ->
-  ?fault_seed:int ->
-  ?wal_store:Hw_wal.Store.t ->
-  loop:Hw_sim.Event_loop.t ->
-  unit ->
-  t
-(** When [config] is given, the other per-field configuration arguments
-    are ignored (the fleet path); otherwise a fresh config is assembled
-    from them.
-
-    Builds and connects everything; periodic work (datapath timeouts, hwdb
-    subscription delivery, flow-stats measurement, policy evaluation) is
-    scheduled on [loop].
-
-    [fault_seed] seeds the router's {!faults} injection plane (disarmed
-    until a plan is installed; the seed fixes the whole fault schedule).
-
-    [wal_store] makes the router's control state durable: the hwdb
-    [Leases] and [Policies] tables are backed by write-ahead logs in
-    that store (group committed off the 1 s tick, snapshotted and
-    truncated automatically), and at construction whatever the store
-    already holds is recovered — the DHCP server re-serves identical
-    MAC→IP bindings and the policy engine replays its rule/group/token
-    declarations. Pass [Hw_wal.Store.mem ()] shared between the dead and
-    the restarted instance to simulate a crash, or
-    [Hw_wal.Store.file ~dir] for real on-disk durability. Restart the
-    event loop at or after the crashed instance's last timestamp (e.g.
-    [Event_loop.create ~start:(Home.now old)]) so recovered rows keep
-    their ring ordering.
+    capacity (256 keeps hours of lease/flow history at home rates).
 
     [isolate_devices] (default false) refuses IP flows between two home
     devices — the paper's "avoiding direct Ethernet-layer communication
@@ -94,6 +57,35 @@ val create :
     Measurement samples are translated back to device addresses so
     per-device attribution survives NAT; a sample addressed to the WAN
     address whose binding is gone writes no row. *)
+
+val create :
+  ?config:config ->
+  ?fault_seed:int ->
+  ?wal_store:Hw_wal.Store.t ->
+  loop:Hw_sim.Event_loop.t ->
+  unit ->
+  t
+(** [config] defaults to [config ()].
+
+    Builds and connects everything; periodic work (datapath timeouts, hwdb
+    subscription delivery, flow-stats measurement, policy evaluation) is
+    scheduled on [loop].
+
+    [fault_seed] seeds the router's {!faults} injection plane (disarmed
+    until a plan is installed; the seed fixes the whole fault schedule).
+
+    [wal_store] makes the router's control state durable: the hwdb
+    [Leases] and [Policies] tables are backed by write-ahead logs in
+    that store (group committed off the 1 s tick, snapshotted and
+    truncated automatically), and at construction whatever the store
+    already holds is recovered — the DHCP server re-serves identical
+    MAC→IP bindings and the policy engine replays its rule/group/token
+    declarations. Pass [Hw_wal.Store.mem ()] shared between the dead and
+    the restarted instance to simulate a crash, or
+    [Hw_wal.Store.file ~dir] for real on-disk durability. Restart the
+    event loop at or after the crashed instance's last timestamp (e.g.
+    [Event_loop.create ~start:(Home.now old)]) so recovered rows keep
+    their ring ordering. *)
 
 (** {2 Dataplane wiring (the simulated NICs)} *)
 

@@ -123,6 +123,8 @@ type mutation =
   | Past_the_end of int * int  (** entry index, bytes beyond the end *)
   | Unknown_action of int * int  (** entry index, action type >= 12 *)
   | Short_action of int * int  (** entry index, action length < 8 *)
+  | Mislengthed_action of int * int
+      (** entry index, an action length >= 8 other than its type's size *)
   | Overrunning_action of int  (** entry index: its last action ends past it *)
   | Header_length of int  (** a header length other than the part's *)
   | Trailing of int  (** bytes appended, header length kept consistent *)
@@ -136,6 +138,7 @@ let mutation_gen =
       map2 (fun e k -> Past_the_end (e, k)) i (int_range 1 200);
       map2 (fun e t -> Unknown_action (e, t)) i (int_range 12 0xffff);
       map2 (fun e l -> Short_action (e, l)) i (int_bound 7);
+      map2 (fun e l -> Mislengthed_action (e, l)) i (int_range 8 0xffff);
       map (fun e -> Overrunning_action e) i;
       map (fun d -> Header_length d) (int_range 1 11);
       map (fun k -> Trailing k) (int_range 1 87);
@@ -161,6 +164,9 @@ let mutate part mu =
       set_u16 part at (min 0xffff (n - at + k))
   | Unknown_action (e, t) -> set_u16 part (entry e + 88) t
   | Short_action (e, l) -> set_u16 part (entry e + 90) l
+  | Mislengthed_action (e, l) ->
+      let at = entry e + 88 in
+      set_u16 part (at + 2) (if l = action_bytes (String.get_uint16_be part at) then l + 1 else l)
   | Overrunning_action e ->
       let at = entry e in
       let a = last_action at in
@@ -175,7 +181,8 @@ let pp_mutation = function
   | Short_entry (e, l) -> Printf.sprintf "entry %d length %d" e l
   | Past_the_end (e, k) -> Printf.sprintf "entry %d %d bytes past the end" e k
   | Unknown_action (e, t) -> Printf.sprintf "entry %d action type %d" e t
-  | Short_action (e, l) -> Printf.sprintf "entry %d action length %d" e l
+  | Short_action (e, l) | Mislengthed_action (e, l) ->
+      Printf.sprintf "entry %d action length %d" e l
   | Overrunning_action e -> Printf.sprintf "entry %d last action overruns" e
   | Header_length d -> Printf.sprintf "header length +%d" d
   | Trailing k -> Printf.sprintf "%d trailing bytes" k

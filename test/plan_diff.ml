@@ -1,7 +1,10 @@
 (* Differential properties pinning the compiled-plan engine to the
-   reference interpreter: [Plan.prepare]/[Plan.exec] and the incremental
-   [Plan.Inc] view must answer exactly what [Query.exec] answers, on
-   random tables, random queries and random insert/clock/clear streams.
+   reference interpreter (test/ref/query_ref.ml): [Plan.prepare]/
+   [Plan.exec] and the incremental [Plan.Inc] view must answer exactly
+   what [Query_ref.exec] answers, on random tables, random queries and
+   random insert/clock/clear streams; a trigger's [Plan.compile_row]
+   expression must evaluate to what [Query_ref.eval_row] does, on random
+   rows.
 
    Generator ground rules, chosen so true equivalence is decidable:
    - only columns that exist (and, under a join, are unambiguous) are
@@ -349,7 +352,7 @@ let exec_case_lookup c =
 
 let exec_prop c =
   let lookup = exec_case_lookup c in
-  let reference = Query.exec ~lookup ~now:c.c_now c.c_sel in
+  let reference = Query_ref.exec ~lookup ~now:c.c_now c.c_sel in
   let candidate =
     match Plan.prepare ~lookup c.c_sel with
     | Error e -> Error e
@@ -425,7 +428,7 @@ let stream_prop c =
               | Op_advance d -> clock := !clock +. d
               | Op_clear -> Table.clear tbl
               | Op_check ->
-                  let reference = Query.exec ~lookup ~now:!clock c.s_sel in
+                  let reference = Query_ref.exec ~lookup ~now:!clock c.s_sel in
                   let candidate = Plan.Inc.result inc ~now:!clock in
                   if not (same_result reference candidate) then
                     QCheck.Test.fail_reportf "op %d (t=%g):\ninterpreter: %s\nincremental: %s" i
@@ -438,9 +441,43 @@ let stream_equivalence ~count =
     (QCheck.make ~print:print_stream_case gen_stream_case)
     stream_prop
 
+(* -- property 3: trigger row expressions ------------------------------ *)
+
+type row_case = { r_expr : Ast.expr; r_ts : float; r_values : Value.t list }
+
+let gen_row_case st =
+  let r_expr = if Gen.bool st then gen_any single_cols st else gen_bool single_cols 2 st in
+  { r_expr; r_ts = 100. +. dyadic_real st; r_values = gen_row t_schema st }
+
+let print_row_case c =
+  Format.asprintf "%a over (ts=%g, %s)" Ast.pp_expr c.r_expr c.r_ts
+    (String.concat "," (List.map Value.to_string c.r_values))
+
+let row_prop c =
+  let tbl = Table.create ~name:"T" ~capacity:1 t_schema in
+  let values = Array.of_list c.r_values in
+  let reference = Query_ref.eval_row tbl { Value.ts = c.r_ts; values } c.r_expr in
+  let candidate =
+    match Plan.compile_row tbl c.r_expr with
+    | Error e -> Error e
+    | Ok f -> f (Array.append [| Value.Ts c.r_ts |] values)
+  in
+  match (reference, candidate) with
+  | Ok a, Ok b when Value.equal a b -> true
+  | Error _, Error _ -> true
+  | _ ->
+      let show = function Ok v -> Value.to_string v | Error e -> "Error: " ^ e in
+      QCheck.Test.fail_reportf "interpreter: %s\ncompiled:    %s" (show reference) (show candidate)
+
+let row_equivalence ~count =
+  QCheck.Test.make ~count ~name:"Plan.compile_row = Query_ref.eval_row on random rows"
+    (QCheck.make ~print:print_row_case gen_row_case)
+    row_prop
+
 (* -- seeded entry point (chaos matrix) ------------------------------- *)
 
 let check_seeded ~seed ~count =
   let rand = Random.State.make [| seed |] in
   QCheck.Test.check_exn ~rand (exec_equivalence ~count);
-  QCheck.Test.check_exn ~rand (stream_equivalence ~count:(max 1 (count / 4)))
+  QCheck.Test.check_exn ~rand (stream_equivalence ~count:(max 1 (count / 4)));
+  QCheck.Test.check_exn ~rand (row_equivalence ~count)

@@ -27,7 +27,7 @@ let make_fake () =
           (function
             | Ok msg -> received := msg :: !received
             | Error e -> Alcotest.failf "controller sent bad bytes: %s" e)
-          (Ofp_message.Framing.pop_all framing))
+          (Ofp_frames.decoded framing))
   in
   { ctrl; conn; received; next_xid = 100l }
 
@@ -281,7 +281,7 @@ let test_two_switches_one_controller () =
     Ofp_message.Framing.input framing bytes;
     List.iter
       (function Ok msg -> sink := msg :: !sink | Error e -> Alcotest.failf "bad: %s" e)
-      (Ofp_message.Framing.pop_all framing)
+      (Ofp_frames.decoded framing)
   in
   let conn_a = Controller.attach_switch ctrl ~send:(collect framing_a received_a) in
   let conn_b = Controller.attach_switch ctrl ~send:(collect framing_b received_b) in
@@ -449,7 +449,7 @@ let test_keepalive_liveness () =
         Ofp_message.Framing.input framing bytes;
         List.iter
           (function Ok m -> received := m :: !received | Error _ -> ())
-          (Ofp_message.Framing.pop_all framing))
+          (Ofp_frames.decoded framing))
   in
   let left = ref false in
   Controller.on_datapath_leave ctrl ~name:"t" (fun _ -> left := true);

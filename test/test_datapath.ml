@@ -217,7 +217,7 @@ let make_harness ?(ports = [ 1; 2; 3 ]) () =
           (function
             | Ok (xid, msg) -> to_controller := (xid, msg) :: !to_controller
             | Error e -> Alcotest.failf "bad controller frame: %s" e)
-          (Ofp_message.Framing.pop_all framing))
+          (Ofp_frames.decoded framing))
       ~now:(fun () -> match !h with Some harness -> harness.now | None -> 0.) ()
   in
   let harness = { dp; transmitted; to_controller; now = 0. } in
@@ -400,6 +400,35 @@ let test_undecodable_frame_dropped () =
   match Datapath.port_counters h.dp 1 with
   | Some c -> Alcotest.(check int64) "counted as drop" 1L c.Datapath.rx_dropped
   | None -> Alcotest.fail "no counters"
+
+(* Two frames arrive in one input; handling the first makes the
+   controller answer at once with a third, which re-enters the datapath
+   while the second is still buffered. All three are handled in arrival
+   order. *)
+let test_controller_frames_in_arrival_order () =
+  let echo xid = Ofp_message.encode ~xid (Ofp_message.Echo_request "") in
+  let framing = Ofp_message.Framing.create () in
+  let dp = ref None in
+  let answered = ref [] in
+  let to_controller bytes =
+    Ofp_message.Framing.input framing bytes;
+    List.iter
+      (function
+        | Ok (xid, Ofp_message.Echo_reply _) ->
+            answered := xid :: !answered;
+            if xid = 1l then Datapath.input_from_controller (Option.get !dp) (echo 3l)
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "bad controller frame: %s" e)
+      (Ofp_frames.decoded framing)
+  in
+  let port = { Datapath.port_no = 1; name = "p1"; mac = Mac.local 0x51 } in
+  dp :=
+    Some
+      (Datapath.create ~dpid:42L ~ports:[ port ]
+         ~transmit:(fun ~port_no:_ _ -> ())
+         ~to_controller ~now:(fun () -> 0.) ());
+  Datapath.input_from_controller (Option.get !dp) (echo 1l ^ echo 2l);
+  Alcotest.(check (list int32)) "answered in arrival order" [ 1l; 2l; 3l ] (List.rev !answered)
 
 let test_port_mod_up_down () =
   let h = make_harness () in
@@ -1025,6 +1054,8 @@ let () =
           Alcotest.test_case "barrier" `Quick test_barrier;
           Alcotest.test_case "port hotplug" `Quick test_port_status_on_hotplug;
           Alcotest.test_case "garbage frames dropped" `Quick test_undecodable_frame_dropped;
+          Alcotest.test_case "controller frames in arrival order" `Quick
+            test_controller_frames_in_arrival_order;
           Alcotest.test_case "unknown buffer errors" `Quick test_unknown_buffer_packet_out;
           Alcotest.test_case "port mod up/down" `Quick test_port_mod_up_down;
           Alcotest.test_case "modify with no match acts as add" `Quick

@@ -24,7 +24,7 @@ let test_lease_pool_exhaustion () =
       default_permit = true;
     }
   in
-  let home = Home.create ~dhcp_config:config () in
+  let home = Home.create ~config:(Router.config ~dhcp_config:config ()) () in
   let devices =
     List.init 10 (fun i ->
         Home.add_device home (Device.wired ~name:(Printf.sprintf "d%d" i) ~mac:(mac i) []))
@@ -47,7 +47,7 @@ let test_pool_recycles_after_release () =
       default_permit = true;
     }
   in
-  let home = Home.create ~dhcp_config:config () in
+  let home = Home.create ~config:(Router.config ~dhcp_config:config ()) () in
   let d1 = Home.add_device home (Device.wired ~name:"first" ~mac:(mac 1) []) in
   Home.run_for home 10.;
   Alcotest.(check bool) "first bound" true (Device.dhcp_state d1 = Device.Bound);

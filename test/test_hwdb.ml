@@ -644,6 +644,26 @@ let test_trigger_validation () =
   Alcotest.(check int) "source insert unaffected" 1
     (List.length (rows_of db "SELECT * FROM Flows"))
 
+let test_trigger_unknown_column_refused () =
+  let db = fresh_db () in
+  ignore (exec_ok db "CREATE TABLE Log (ip VARCHAR)");
+  let before = Database.trigger_count db in
+  List.iter
+    (fun stmt ->
+      match Database.execute db stmt with
+      | Ok _ -> Alcotest.failf "accepted %S" stmt
+      | Error e ->
+          Alcotest.(check bool) (e ^ " names an unknown column") true
+            (Re.execp (Re.compile (Re.str "unknown column")) e))
+    [
+      "ON INSERT INTO Flows WHEN ghost > 1 DO INSERT INTO Log VALUES (src_ip)";
+      "ON INSERT INTO Flows DO INSERT INTO Log VALUES (ghost)";
+      "ON INSERT INTO Flows WHEN Leases.mac = 'x' DO INSERT INTO Log VALUES (src_ip)";
+    ];
+  Alcotest.(check int) "none registered" before (Database.trigger_count db);
+  seed_flows db [ (1., "a", 80, 1) ];
+  Alcotest.(check int) "nothing fired" 0 (List.length (rows_of db "SELECT * FROM Log"))
+
 let test_trigger_statement_roundtrip () =
   let q = "ON INSERT INTO Flows WHEN (bytes > 1000) DO INSERT INTO Alerts VALUES (src_ip, (bytes * 8))" in
   match Parser.parse q with
@@ -979,6 +999,7 @@ let () =
           Alcotest.test_case "chain loop guard" `Quick test_trigger_chain_and_loop_guard;
           Alcotest.test_case "validation" `Quick test_trigger_validation;
           Alcotest.test_case "statement roundtrip" `Quick test_trigger_statement_roundtrip;
+          Alcotest.test_case "unknown column refused" `Quick test_trigger_unknown_column_refused;
         ] );
       ( "rpc",
         [

@@ -353,7 +353,7 @@ let test_rpc_through_router () =
 
 let test_nat_mode () =
   let wan_ip = Ip.of_octets 81 2 3 4 in
-  let home = Home.create ~nat:wan_ip () in
+  let home = Home.create ~config:(Router.config ~nat:wan_ip ()) () in
   let router = Home.router home in
   Alcotest.(check bool) "nat on" true (Router.nat_enabled router);
   Dhcp_server.permit (Router.dhcp router) (mac 0);
@@ -455,7 +455,7 @@ let test_flow_stats_reply_over_64k () =
 
 (* A home with NAT and four devices, each on its own apps. *)
 let nat_home ~seed =
-  let home = Home.create ~seed ~nat:(Ip.of_octets 81 2 3 4) () in
+  let home = Home.create ~seed ~config:(Router.config ~nat:(Ip.of_octets 81 2 3 4) ()) () in
   let router = Home.router home in
   List.iteri
     (fun i apps ->
@@ -670,7 +670,7 @@ let test_poll_allocation_bound () =
 
 let test_device_isolation () =
   let probe ~isolate =
-    let home = Home.create ~isolate_devices:isolate () in
+    let home = Home.create ~config:(Router.config ~isolate_devices:isolate ()) () in
     let router = Home.router home in
     Dhcp_server.permit (Router.dhcp router) (mac 0);
     Dhcp_server.permit (Router.dhcp router) (mac 1);
@@ -763,7 +763,7 @@ let bare_datapath_padding_words next_frame =
       ~transmit:(fun ~port_no:_ _ -> ())
       ~to_controller:(fun bytes ->
         Ofp_message.Framing.input framing bytes;
-        ignore (Ofp_message.Framing.pop_all framing))
+        ignore (Ofp_frames.decoded framing))
       ~now:(fun () -> 0.) ()
   in
   (* whole frames in packet-ins, as the router's controller configures *)

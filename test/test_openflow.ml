@@ -226,6 +226,24 @@ let test_flow_mod_roundtrip () =
       Alcotest.(check int) "actions" 2 (List.length fm'.Ofp_message.actions)
   | _ -> Alcotest.fail "wrong message"
 
+(* An action's length field must equal its type's size (OUTPUT 8 bytes,
+   SET_DL_DST 16); a flow-mod that says otherwise is refused. *)
+let test_flow_mod_action_length () =
+  let actions = [ Ofp_action.output 4; Ofp_action.Set_dl_dst mac_b ] in
+  let fm = Ofp_message.add_flow ~priority:5 (Ofp_match.exact_of_fields sample_fields) actions in
+  let wire = Ofp_message.encode ~xid:3l (Ofp_message.Flow_mod fm) in
+  let at = String.length wire - Ofp_action.list_size actions in
+  let with_length action len =
+    let b = Bytes.of_string wire in
+    Bytes.set_uint16_be b (action + 2) len;
+    Bytes.to_string b
+  in
+  Alcotest.(check bool) "as encoded" true (Result.is_ok (Ofp_message.decode wire));
+  Alcotest.(check bool) "OUTPUT of length 16" true
+    (Result.is_error (Ofp_message.decode (with_length at 16)));
+  Alcotest.(check bool) "SET_DL_DST of length 8" true
+    (Result.is_error (Ofp_message.decode (with_length (at + 8) 8)))
+
 let test_packet_out_roundtrip () =
   let po = Ofp_message.packet_out ~in_port:2 ~data:"bytes" [ Ofp_action.output 7 ] in
   match msg_roundtrip (Ofp_message.Packet_out po) with
@@ -382,7 +400,7 @@ let test_framing_reassembly () =
   let stream = m1 ^ m2 in
   (* feed byte by byte *)
   String.iter (fun c -> Ofp_message.Framing.input b (String.make 1 c)) stream;
-  match Ofp_message.Framing.pop_all b with
+  match Ofp_frames.decoded b with
   | [ Ok (1l, Ofp_message.Hello); Ok (2l, Ofp_message.Echo_request "x") ] -> ()
   | results -> Alcotest.failf "unexpected framing results (%d)" (List.length results)
 
@@ -390,10 +408,10 @@ let test_framing_partial () =
   let b = Ofp_message.Framing.create () in
   let m = Ofp_message.encode ~xid:1l (Ofp_message.Echo_request "hello") in
   Ofp_message.Framing.input b (String.sub m 0 5);
-  Alcotest.(check bool) "incomplete" true (Ofp_message.Framing.pop b = None);
+  Alcotest.(check bool) "incomplete" true (Ofp_message.Framing.pop_frame b = None);
   Ofp_message.Framing.input b (String.sub m 5 (String.length m - 5));
-  match Ofp_message.Framing.pop b with
-  | Some (Ok (1l, Ofp_message.Echo_request "hello")) -> ()
+  match Ofp_frames.decoded b with
+  | [ Ok (1l, Ofp_message.Echo_request "hello") ] -> ()
   | _ -> Alcotest.fail "message lost"
 
 (* A flow-stats reply too long for one message (1,000 one-action flows,
@@ -450,12 +468,12 @@ let test_stats_reply_parts () =
 let test_framing_kills_bad_stream () =
   let b = Ofp_message.Framing.create () in
   Ofp_message.Framing.input b "\x09\x00\x00\x08garbage-that-should-be-dropped";
-  (match Ofp_message.Framing.pop b with
+  (match Ofp_message.Framing.pop_frame b with
   | Some (Error _) -> ()
   | _ -> Alcotest.fail "bad version not reported");
   (* stream is dead: further input ignored *)
   Ofp_message.Framing.input b (Ofp_message.encode ~xid:1l Ofp_message.Hello);
-  Alcotest.(check bool) "dead stream" true (Ofp_message.Framing.pop b = None)
+  Alcotest.(check bool) "dead stream" true (Ofp_message.Framing.pop_frame b = None)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -972,6 +990,7 @@ let () =
           Alcotest.test_case "features reply" `Quick test_features_reply;
           Alcotest.test_case "packet in" `Quick test_packet_in_roundtrip;
           Alcotest.test_case "flow mod" `Quick test_flow_mod_roundtrip;
+          Alcotest.test_case "flow mod action length" `Quick test_flow_mod_action_length;
           Alcotest.test_case "packet out" `Quick test_packet_out_roundtrip;
           Alcotest.test_case "flow removed" `Quick test_flow_removed_roundtrip;
           Alcotest.test_case "stats" `Quick test_stats_roundtrips;

@@ -1,5 +1,6 @@
-(* Compiled query plans: the differential suite pinning Plan/Plan.Inc to
-   the Query interpreter, plus unit tests for the plan cache and the
+(* Compiled query plans: the differential suite pinning Plan/Plan.Inc and
+   the trigger expressions to the reference interpreter
+   (test/ref/query_ref.ml), plus unit tests for the plan cache and the
    incremental subscription machinery. *)
 
 open Hw_hwdb
@@ -109,7 +110,7 @@ let test_eager_resolution_divergence () =
   let db, _ = mkdb () in
   exec db "CREATE TABLE E (n INTEGER)";
   let tbl name = Database.table db name in
-  (match Query.exec ~lookup:tbl ~now:100. (sel_of "SELECT ghost FROM E") with
+  (match Query_ref.exec ~lookup:tbl ~now:100. (sel_of "SELECT ghost FROM E") with
   | Ok rs -> Alcotest.(check int) "interpreter: lazily fine on empty window" 0 (List.length rs.Query.rows)
   | Error e -> Alcotest.fail ("interpreter changed behavior: " ^ e));
   match Database.query db "SELECT ghost FROM E" with
@@ -254,6 +255,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest (Plan_diff.exec_equivalence ~count:8_000);
           QCheck_alcotest.to_alcotest (Plan_diff.stream_equivalence ~count:2_500);
+          QCheck_alcotest.to_alcotest (Plan_diff.row_equivalence ~count:4_000);
         ] );
       ( "plan_cache",
         [
