@@ -531,6 +531,67 @@ let micro_tests () =
     ]
     @ window_scan_tests
   in
+  (* PERF3, a stored row's cost: its own group, so the window fixtures
+     above (~83k resident rows, which make every per-sample GC
+     stabilization compact a large heap) do not distort it *)
+  let hwdb_row_tests () =
+    (* perfbench's one-shot UI query (and the fleet survey) over 1,000
+       Links rows in 16 groups: a grouped scan's per-row cost *)
+    let links_db =
+      let now = ref 0. in
+      let db = Hw_hwdb.Database.create ~now:(fun () -> !now) () in
+      for i = 0 to 999 do
+        now := float_of_int i *. 0.05;
+        Hw_hwdb.Database.record_link db
+          ~mac:(Printf.sprintf "02:00:00:00:00:%02x" (i mod 16))
+          ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7) ~packets:i
+      done;
+      db
+    in
+    (* the tick's Metrics/Traces re-stamp: 1,000 rows rendered once,
+       appended again at every tick into a full table without hooks. The
+       ring is sized so a slot outlives minor collections, as it does in
+       a running router, where a Traces row stays ~11 ticks in its 4,096
+       slots while the router's other allocation turns the minor heap
+       over several times a second; a 4,096-slot ring here, with nothing
+       else allocating, would reclaim whatever a re-stamp allocates
+       before it is ever promoted *)
+    let restamp_table, cached_rows =
+      let schema = Hw_hwdb.Database.traces_schema in
+      let t = Hw_hwdb.Table.create ~name:"Traces" ~capacity:65536 schema in
+      let rows =
+        List.init 1000 (fun i ->
+            [|
+              Hw_hwdb.Value.Int (i / 8);
+              Hw_hwdb.Value.Int i;
+              Hw_hwdb.Value.Int (i - 1);
+              Hw_hwdb.Value.Str "ctrl.handler.dhcp";
+              Hw_hwdb.Value.Real (float_of_int i);
+              Hw_hwdb.Value.Real 1e-6;
+              Hw_hwdb.Value.Str "";
+              Hw_hwdb.Value.Str "";
+            |])
+      in
+      for _ = 1 to 66 do
+        List.iter (Hw_hwdb.Table.append t ~now:0.) rows
+      done;
+      (t, rows)
+    in
+    let tick = ref 0. in
+    [
+      Test.make ~name:"oneshot_group_by/1000_rows_16_groups"
+        (Staged.stage (fun () ->
+             ignore
+               (Hw_hwdb.Database.query links_db
+                  "SELECT mac, AVG(rssi) AS rssi, MAX(retries) AS retries FROM Links [RANGE 60 \
+                   SECONDS] GROUP BY mac")));
+      Test.make ~name:"restamp/1000_cached_rows"
+        (Staged.stage (fun () ->
+             tick := !tick +. 1.;
+             let now = !tick in
+             List.iter (Hw_hwdb.Table.append restamp_table ~now) cached_rows));
+    ]
+  in
   (* PERF4: DHCP transaction *)
   let dhcp_tests () =
     let server = Hw_dhcp.Dhcp_server.create ~config:{ Hw_dhcp.Dhcp_server.default_config with Hw_dhcp.Dhcp_server.default_permit = true } ~now:(fun () -> 0.) () in
@@ -994,6 +1055,7 @@ let micro_tests () =
     ("PERF1 flow table", lookup_tests);
     ("PERF2 openflow codec", codec_tests);
     ("PERF3 hwdb", hwdb_tests);
+    ("PERF3 hwdb rows", hwdb_row_tests);
     ("PERF4 dhcp", dhcp_tests);
     ("PERF5 dns proxy", dns_tests);
     ("PERF6 pipeline", perf6_tests);

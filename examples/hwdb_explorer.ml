@@ -82,6 +82,7 @@ let () =
   let recorder =
     Hw_hwdb.Recorder.attach
       ~now:(fun () -> Hw_router.Home.now home)
+      ~schedule:(fun d f -> Hw_sim.Event_loop.after loop d f)
       ~client:c
       ~statement:
         "SUBSCRIBE SELECT COUNT(*) AS flows, SUM(bytes) AS bytes FROM Flows [RANGE 5 SECONDS] \

@@ -30,10 +30,8 @@ type subscription = {
 
 type trigger_id = int
 
-type trigger = {
-  trig_id : trigger_id;
-  mutable trig_enabled : bool;
-}
+(* a live trigger: dropping it detaches its hook from the watched table *)
+type trigger = { trig_id : trigger_id; trig_table : Table.t; trig_hook : Table.hook_id }
 
 module Tracer = Hw_trace.Tracer
 
@@ -427,10 +425,8 @@ let create_trigger t ~watch ?condition ~target ~values () =
         | Ok condition, Ok values ->
             let id = t.next_trigger_id in
             t.next_trigger_id <- id + 1;
-            let trig = { trig_id = id; trig_enabled = true } in
-            t.triggers <- trig :: t.triggers;
-            Table.on_insert watch_table (fun tuple ->
-                if trig.trig_enabled then begin
+            let hook =
+              Table.add_hook watch_table (fun tuple ->
                   if t.trigger_depth >= max_trigger_depth then
                     Log.warn (fun m -> m "trigger %d: chain depth exceeded, skipping" id)
                   else begin
@@ -471,18 +467,21 @@ let create_trigger t ~watch ?condition ~target ~values () =
                                 match Table.insert target_table ~now:(t.now ()) vs with
                                 | Ok () -> ()
                                 | Error msg -> Log.warn (fun m -> m "trigger %d: %s" id msg))))
-                  end
-                end);
+                  end)
+            in
+            t.triggers <-
+              { trig_id = id; trig_table = watch_table; trig_hook = hook } :: t.triggers;
             Ok id)
 
 let drop_trigger t id =
-  match List.find_opt (fun trig -> trig.trig_id = id && trig.trig_enabled) t.triggers with
+  match List.find_opt (fun trig -> trig.trig_id = id) t.triggers with
   | Some trig ->
-      trig.trig_enabled <- false;
+      Table.remove_hook trig.trig_table trig.trig_hook;
+      t.triggers <- List.filter (fun other -> other != trig) t.triggers;
       true
   | None -> false
 
-let trigger_count t = List.length (List.filter (fun trig -> trig.trig_enabled) t.triggers)
+let trigger_count t = List.length t.triggers
 
 (* -- standing-query views ------------------------------------------- *)
 
@@ -576,10 +575,11 @@ let subscription_count t = Hashtbl.length t.subs
    flight recorder, each batch stamped with one instant so
    [SELECT ... FROM Metrics|Traces [NOW]] reads one coherent dump. A row
    is rendered and validated once and then re-stamped through
-   Table.append, so a tick costs one row record per exported row plus the
-   rendering of what changed since the last one. The export bypasses
-   [insert]: it must neither count as database load nor re-enter the
-   tracer. *)
+   Table.append, which stores the cached array again with a new stamp, so
+   a tick costs the rendering of what changed since the last one, plus a
+   tuple per exported row only while the table has insert hooks. The
+   export bypasses [insert]: it must neither count as database load nor
+   re-enter the tracer. *)
 
 let checked_row tbl ~what values =
   match Value.validate (Table.schema tbl) values with

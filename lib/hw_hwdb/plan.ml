@@ -24,7 +24,18 @@ let fail_str s = raise (Plan_error s)
 
 type binding = { quals : string list; col : string; index : int }
 
-let bindings_of_from ~lookup from =
+(* A single-table plan reads each stored row in place: column [i] of the
+   schema is [row.(i)], and the implicit [ts] column, which the stored
+   row does not hold, is read from the plan's stamp cell, written by the
+   scan for each row. A join (and a trigger's row, see [compile_row])
+   reads combined rows [| ts; v1..vn; ts'; v1'..vm' |] instead. *)
+type stamp_cell = { mutable ts : float } (* all floats: a write does not box *)
+
+let stamp_index = -1
+
+type scope = { binds : binding list; cell : stamp_cell }
+
+let bindings_of_from ~lookup ~in_place from =
   let offset = ref 0 in
   let all = ref [] in
   let tables =
@@ -36,9 +47,10 @@ let bindings_of_from ~lookup from =
             let quals =
               table_name :: (match alias with Some a -> [ a ] | None -> [])
             in
-            all := { quals; col = "ts"; index = !offset } :: !all;
+            let ts_index, first = if in_place then (stamp_index, 0) else (!offset, !offset + 1) in
+            all := { quals; col = "ts"; index = ts_index } :: !all;
             List.iteri
-              (fun i (col, _ty) -> all := { quals; col; index = !offset + 1 + i } :: !all)
+              (fun i (col, _ty) -> all := { quals; col; index = first + i } :: !all)
               (Table.schema table);
             offset := !offset + 1 + List.length (Table.schema table);
             table)
@@ -46,10 +58,10 @@ let bindings_of_from ~lookup from =
   in
   (tables, List.rev !all)
 
-(* prepare-time accounting: set when a compiled closure will read
-   row.(0), the ts cell. When nothing does, the single-table scan skips
-   refreshing it per row — see [fold_combined_rows]. Reset at each
-   [prepare]; this module is single-threaded. *)
+(* prepare-time accounting: set when a compiled closure will read the
+   stamp cell. When nothing does, the single-table scan never reads a
+   row's timestamp — see [fold_rows]. Reset at each [prepare]; this
+   module is single-threaded. *)
 let ts_used = ref false
 
 let resolve bindings (qual, name) =
@@ -62,7 +74,7 @@ let resolve bindings (qual, name) =
   in
   match candidates with
   | [ b ] ->
-      if b.index = 0 then ts_used := true;
+      if b.index = stamp_index then ts_used := true;
       b.index
   | [] -> fail "unknown column %s" (match qual with Some q -> q ^ "." ^ name | None -> name)
   | _ :: _ ->
@@ -82,29 +94,32 @@ let star_columns bindings =
 (* Mirrors the reference [eval] case by case (same evaluation order, same
    short-circuiting, same error strings), but with all name resolution
    hoisted out of the row loop. *)
-let rec compile bindings expr : compiled =
+let rec compile scope expr : compiled =
   match expr with
   | Ast.Lit v -> fun _ -> v
   | Ast.Col (q, n) ->
-      let i = resolve bindings (q, n) in
-      fun row -> row.(i)
+      let i = resolve scope.binds (q, n) in
+      if i = stamp_index then
+        let cell = scope.cell in
+        fun _ -> Value.Ts cell.ts
+      else fun row -> row.(i)
   | Ast.Unop (Ast.Neg, e) -> (
-      let f = compile bindings e in
+      let f = compile scope e in
       fun row ->
         match f row with
         | Value.Int i -> Value.Int (-i)
         | Value.Real x -> Value.Real (-.x)
         | v -> fail "cannot negate %s" (Value.to_string v))
   | Ast.Unop (Ast.Not, e) -> (
-      let f = compile bindings e in
+      let f = compile scope e in
       fun row ->
         match f row with
         | Value.Bool b -> Value.Bool (not b)
         | v -> fail "NOT applied to non-boolean %s" (Value.to_string v))
-  | Ast.Binop (op, a, b) -> compile_binop bindings op a b
+  | Ast.Binop (op, a, b) -> compile_binop scope op a b
 
-and compile_binop bindings op a b =
-  let fa = compile bindings a and fb = compile bindings b in
+and compile_binop scope op a b =
+  let fa = compile scope a and fb = compile scope b in
   match op with
   | Ast.And -> (
       fun row ->
@@ -171,25 +186,25 @@ and compile_binop bindings op a b =
    non-boolean subterm appears ("WHERE clause is not boolean" at the
    top, "AND/OR/NOT applied to non-boolean" underneath), so the
    compiler carries that context down. *)
-let rec compile_pred bindings ~ctx expr : Value.t array -> bool =
+let rec compile_pred scope ~ctx expr : Value.t array -> bool =
   match expr with
   | Ast.Binop (Ast.And, a, b) ->
-      let pa = compile_pred bindings ~ctx:`And a and pb = compile_pred bindings ~ctx:`And b in
+      let pa = compile_pred scope ~ctx:`And a and pb = compile_pred scope ~ctx:`And b in
       fun row -> if pa row then pb row else false
   | Ast.Binop (Ast.Or, a, b) ->
-      let pa = compile_pred bindings ~ctx:`Or a and pb = compile_pred bindings ~ctx:`Or b in
+      let pa = compile_pred scope ~ctx:`Or a and pb = compile_pred scope ~ctx:`Or b in
       fun row -> if pa row then true else pb row
   | Ast.Unop (Ast.Not, e) ->
-      let p = compile_pred bindings ~ctx:`Not e in
+      let p = compile_pred scope ~ctx:`Not e in
       fun row -> not (p row)
   | Ast.Binop (Ast.Eq, a, b) ->
-      let fa = compile bindings a and fb = compile bindings b in
+      let fa = compile scope a and fb = compile scope b in
       fun row -> Value.equal (fa row) (fb row)
   | Ast.Binop (Ast.Neq, a, b) ->
-      let fa = compile bindings a and fb = compile bindings b in
+      let fa = compile scope a and fb = compile scope b in
       fun row -> not (Value.equal (fa row) (fb row))
   | Ast.Binop ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) -> (
-      let fa = compile bindings a and fb = compile bindings b in
+      let fa = compile scope a and fb = compile scope b in
       fun row ->
         let va = fa row and vb = fb row in
         match Value.compare_values va vb with
@@ -202,7 +217,7 @@ let rec compile_pred bindings ~ctx expr : Value.t array -> bool =
             | _ -> assert false)
         | exception Invalid_argument msg -> fail "%s" msg)
   | e ->
-      let f = compile bindings e in
+      let f = compile scope e in
       let non_bool v =
         match ctx with
         | `Where -> fail "WHERE clause is not boolean: %s" (Value.to_string v)
@@ -245,7 +260,8 @@ type t = {
   p_tables : Table.t list;
   p_window : Ast.window;
   p_where : (Value.t array -> bool) option;
-  p_needs_ts : bool; (* some closure reads row.(0) *)
+  p_cell : stamp_cell; (* a single-table plan's current row's timestamp *)
+  p_needs_ts : bool; (* some closure reads [p_cell] *)
   p_columns : string list;
   p_shape : shape;
   p_order : (int * Ast.order) option;
@@ -267,15 +283,21 @@ let single_table t = match t.p_tables with [ tbl ] -> Some tbl | _ -> None
    group's arguments before comparing any, so an argument error in a
    late row wins over an earlier incomparable pair; streaming reports
    whichever row failed first. Error presence is identical.) *)
+(* a float alone in a record is stored flat, so an update writes the
+   field in place; a [float ref] or a mutable float field beside others
+   would box a fresh float on every update *)
+type total = { mutable sum : float }
+
 type sstate = {
   sa_spec : agg;
-  mutable sa_n : int;
-  sa_total : float ref; (* a ref keeps the accumulator unboxed across updates *)
-  mutable sa_best : Value.t option; (* min/max running best, first-wins on ties *)
+  mutable sa_n : int; (* rows counted, summed, or compared for MIN/MAX *)
+  sa_total : total;
+  mutable sa_best : Value.t; (* min/max running best once [sa_n > 0], first-wins on ties *)
   mutable sa_err : string option;
 }
 
-let s_fresh spec = { sa_spec = spec; sa_n = 0; sa_total = ref 0.; sa_best = None; sa_err = None }
+let s_fresh spec =
+  { sa_spec = spec; sa_n = 0; sa_total = { sum = 0. }; sa_best = Value.Str ""; sa_err = None }
 
 let s_apply sa row =
   match sa.sa_err with
@@ -290,13 +312,13 @@ let s_apply sa row =
           | exception Plan_error msg -> sa.sa_err <- Some msg
           | exception Invalid_argument msg -> sa.sa_err <- Some msg)
       | (A_sum f | A_avg f) as a -> (
-          let add x =
-            sa.sa_total := !(sa.sa_total) +. x;
-            sa.sa_n <- sa.sa_n + 1
-          in
           match f row with
-          | Value.Int i -> add (float_of_int i)
-          | Value.Real x | Value.Ts x -> add x
+          | Value.Int i ->
+              sa.sa_total.sum <- sa.sa_total.sum +. float_of_int i;
+              sa.sa_n <- sa.sa_n + 1
+          | Value.Real x | Value.Ts x ->
+              sa.sa_total.sum <- sa.sa_total.sum +. x;
+              sa.sa_n <- sa.sa_n + 1
           | Value.Str _ | Value.Bool _ ->
               sa.sa_err <-
                 Some
@@ -307,15 +329,17 @@ let s_apply sa row =
       | (A_min f | A_max f) as a -> (
           match f row with
           | v -> (
-              match sa.sa_best with
-              | None -> sa.sa_best <- Some v
-              | Some best -> (
-                  let is_min = match a with A_min _ -> true | _ -> false in
-                  match Value.compare_values best v with
-                  | c ->
-                      if (is_min && c <= 0) || ((not is_min) && c >= 0) then ()
-                      else sa.sa_best <- Some v
-                  | exception Invalid_argument msg -> sa.sa_err <- Some msg))
+              if sa.sa_n = 0 then begin
+                sa.sa_best <- v;
+                sa.sa_n <- 1
+              end
+              else
+                let is_min = match a with A_min _ -> true | _ -> false in
+                match Value.compare_values sa.sa_best v with
+                | c ->
+                    if (is_min && c <= 0) || ((not is_min) && c >= 0) then ()
+                    else sa.sa_best <- v
+                | exception Invalid_argument msg -> sa.sa_err <- Some msg)
           | exception Plan_error msg -> sa.sa_err <- Some msg
           | exception Invalid_argument msg -> sa.sa_err <- Some msg)
       | A_invalid _ -> () (* finalize raises unconditionally *))
@@ -324,11 +348,11 @@ let s_finalize sa =
   (match sa.sa_err with Some msg -> fail_str msg | None -> ());
   match sa.sa_spec with
   | A_count | A_count_if _ -> Value.Int sa.sa_n
-  | A_sum _ -> Value.Real !(sa.sa_total)
+  | A_sum _ -> Value.Real sa.sa_total.sum
   | A_avg _ ->
       if sa.sa_n = 0 then Value.Real 0.
-      else Value.Real (!(sa.sa_total) /. float_of_int sa.sa_n)
-  | A_min _ | A_max _ -> ( match sa.sa_best with Some v -> v | None -> Value.Str "")
+      else Value.Real (sa.sa_total.sum /. float_of_int sa.sa_n)
+  | A_min _ | A_max _ -> sa.sa_best (* [Str ""] over no rows, as the reference *)
   | A_invalid msg -> fail_str msg
 
 (* the value the reference [eval_agg] yields over zero rows, for the
@@ -385,8 +409,11 @@ let item_name = function
 let prepare ~lookup (q : Ast.select) =
   try
     ts_used := false;
-    let tables, bindings = bindings_of_from ~lookup q.Ast.from in
+    let in_place = List.compare_length_with q.Ast.from 1 = 0 in
+    let tables, bindings = bindings_of_from ~lookup ~in_place q.Ast.from in
     if List.length tables > 2 then fail "FROM supports one or two tables";
+    let cell = { ts = 0. } in
+    let scope = { binds = bindings; cell } in
     let grouped = has_aggregate q.Ast.items || q.Ast.group_by <> [] || q.Ast.having <> None in
     let columns =
       List.concat_map
@@ -397,17 +424,18 @@ let prepare ~lookup (q : Ast.select) =
           | _ -> [ item_name item ])
         q.Ast.items
     in
-    let where = Option.map (compile_pred bindings ~ctx:`Where) q.Ast.where in
+    let where = Option.map (compile_pred scope ~ctx:`Where) q.Ast.where in
     let shape =
       if not grouped then begin
         let projectors =
           List.map
             (function
-              | Ast.Sel_star ->
-                  ts_used := true (* the row's ts cell is part of the output *);
-                  fun row -> Array.to_list row
+              | Ast.Sel_star when in_place ->
+                  ts_used := true (* the row's timestamp is part of the output *);
+                  fun row -> Value.Ts cell.ts :: Array.to_list row
+              | Ast.Sel_star -> fun row -> Array.to_list row
               | Ast.Sel_expr (e, _) ->
-                  let f = compile bindings e in
+                  let f = compile scope e in
                   fun row -> [ f row ]
               | Ast.Sel_agg _ -> assert false)
             q.Ast.items
@@ -421,11 +449,11 @@ let prepare ~lookup (q : Ast.select) =
           let a =
             match fn, arg with
             | Ast.Count, None -> A_count
-            | Ast.Count, Some e -> A_count_if (compile bindings e)
-            | Ast.Sum, Some e -> A_sum (compile bindings e)
-            | Ast.Avg, Some e -> A_avg (compile bindings e)
-            | Ast.Min, Some e -> A_min (compile bindings e)
-            | Ast.Max, Some e -> A_max (compile bindings e)
+            | Ast.Count, Some e -> A_count_if (compile scope e)
+            | Ast.Sum, Some e -> A_sum (compile scope e)
+            | Ast.Avg, Some e -> A_avg (compile scope e)
+            | Ast.Min, Some e -> A_min (compile scope e)
+            | Ast.Max, Some e -> A_max (compile scope e)
             | (Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), None ->
                 A_invalid (Printf.sprintf "%s requires an argument" (Ast.agg_to_string fn))
           in
@@ -438,7 +466,7 @@ let prepare ~lookup (q : Ast.select) =
           List.map
             (function
               | Ast.Sel_star -> assert false (* rejected while computing columns *)
-              | Ast.Sel_expr (e, _) -> O_expr (compile bindings e)
+              | Ast.Sel_expr (e, _) -> O_expr (compile scope e)
               | Ast.Sel_agg (fn, arg, _) -> O_agg (add_agg fn arg))
             q.Ast.items
         in
@@ -448,13 +476,13 @@ let prepare ~lookup (q : Ast.select) =
               let h_subject =
                 match subject with
                 | Ast.H_agg (fn, arg) -> H_agg (add_agg fn arg)
-                | Ast.H_col (qual, name) -> H_col (compile bindings (Ast.Col (qual, name)))
+                | Ast.H_col (qual, name) -> H_col (compile scope (Ast.Col (qual, name)))
               in
               { h_subject; h_op = op; h_lit = lit })
             q.Ast.having
         in
         let key_fns =
-          List.map (fun (qual, name) -> compile bindings (Ast.Col (qual, name))) q.Ast.group_by
+          List.map (fun (qual, name) -> compile scope (Ast.Col (qual, name))) q.Ast.group_by
         in
         P_grouped
           {
@@ -488,6 +516,7 @@ let prepare ~lookup (q : Ast.select) =
         p_tables = tables;
         p_window = q.Ast.window;
         p_where = where;
+        p_cell = cell;
         p_needs_ts = !ts_used;
         p_columns = columns;
         p_shape = shape;
@@ -498,8 +527,10 @@ let prepare ~lookup (q : Ast.select) =
 
 let compile_row table expr =
   try
-    let _, bindings = bindings_of_from ~lookup:(fun _ -> Some table) [ (Table.name table, None) ] in
-    let f = compile bindings expr in
+    let _, bindings =
+      bindings_of_from ~lookup:(fun _ -> Some table) ~in_place:false [ (Table.name table, None) ]
+    in
+    let f = compile { binds = bindings; cell = { ts = 0. } } expr in
     Ok
       (fun row ->
         match f row with
@@ -516,33 +547,41 @@ let window_spec ~now : Ast.window -> Table.window = function
   | Ast.W_rows n -> `Last_rows n
   | Ast.W_now -> `Now now
 
-let row_of_tuple (tu : Value.tuple) =
-  let vs = tu.Value.values in
+(* A combined row [| ts; v1..vn |] for the join path, fresh per row. *)
+let full_row table p =
+  let vs = Table.row table p in
   let n = Array.length vs in
-  let row = Array.make (n + 1) (Value.Ts tu.Value.ts) in
+  let row = Array.make (n + 1) (Value.Ts (Table.stamp table p)) in
   Array.blit vs 0 row 1 n;
   row
 
-(* The single-table path reuses one scratch array for every row, so the
-   callback must not retain the row past the call — anything kept (like
-   a group's representative row) has to be copied. Join rows are fresh
-   per pair. *)
-let fold_combined_rows ~now ~needs_ts window tables ~init ~f =
-  let spec = window_spec ~now window in
-  match tables with
+(* Folds [f] over the rows of the plan's window that pass its WHERE. A
+   single-table plan hands [f] each stored row in place (never mutate
+   or extend it; keeping it is safe, stored rows are immutable) and
+   writes the row's timestamp to [p_cell] only when a closure reads it.
+   Join rows are fresh per pair. *)
+let fold_rows t ~now ~init ~f =
+  let spec = window_spec ~now t.p_window in
+  let f =
+    match t.p_where with
+    | None -> f
+    | Some pred -> fun acc row -> if pred row then f acc row else acc
+  in
+  match t.p_tables with
   | [ table ] ->
-      let scratch = Array.make (List.length (Table.schema table) + 1) (Value.Bool false) in
-      Table.fold_window table spec ~init ~f:(fun acc tu ->
-          let vs = tu.Value.values in
-          if needs_ts then scratch.(0) <- Value.Ts tu.Value.ts;
-          Array.blit vs 0 scratch 1 (Array.length vs);
-          f acc scratch)
+      if t.p_needs_ts then begin
+        let cell = t.p_cell in
+        Table.fold_window table spec ~init ~f:(fun acc p ->
+            cell.ts <- Table.stamp table p;
+            f acc (Table.row table p))
+      end
+      else Table.fold_window table spec ~init ~f:(fun acc p -> f acc (Table.row table p))
   | [ left; right ] ->
       let right_rows =
-        List.rev (Table.fold_window right spec ~init:[] ~f:(fun acc tu -> row_of_tuple tu :: acc))
+        List.rev (Table.fold_window right spec ~init:[] ~f:(fun acc p -> full_row right p :: acc))
       in
-      Table.fold_window left spec ~init ~f:(fun acc tu ->
-          let l = row_of_tuple tu in
+      Table.fold_window left spec ~init ~f:(fun acc p ->
+          let l = full_row left p in
           List.fold_left (fun acc r -> f acc (Array.append l r)) acc right_rows)
   | _ -> fail "FROM supports one or two tables"
 
@@ -596,12 +635,32 @@ let apply_limit t out_rows =
 type gslot = {
   gs_fp : int; (* cheap fingerprint: probes reject on an int compare *)
   gs_k1 : string; (* bare key when the query groups by a single column *)
-  gs_key : string list;
-  gs_rep : Value.t array; (* first row seen, private copy *)
+  gs_key : string list; (* the key otherwise *)
+  gs_rep : Value.t array; (* first row seen: stored rows are immutable, join rows fresh *)
+  gs_rep_ts : float; (* its timestamp, for a single-table plan that reads it *)
   gs_states : sstate array;
 }
 
-let dummy_slot = { gs_fp = 0; gs_k1 = ""; gs_key = []; gs_rep = [||]; gs_states = [||] }
+let no_group =
+  { gs_fp = 0; gs_k1 = ""; gs_key = []; gs_rep = [||]; gs_rep_ts = 0.; gs_states = [||] }
+
+module Str_tbl = Hashtbl.Make (String)
+
+(* The groups of one exec. Up to [max_linear_groups] live in a small
+   array probed linearly — queries rarely have more than a handful of
+   groups, and an int fingerprint compare beats hashing there; past
+   that every group moves to a table, keyed on the bare string when the
+   query groups by one column, and only the table is probed. Probes
+   return [no_group] on a miss, so a row that finds its group allocates
+   nothing. *)
+type groups = {
+  gt_linear : gslot array;
+  mutable gt_n : int;
+  mutable gt_by_k1 : gslot Str_tbl.t option;
+  mutable gt_by_key : (string list, gslot) Hashtbl.t option;
+  mutable gt_order : gslot list; (* reversed first-appearance order *)
+}
+
 let max_linear_groups = 8
 
 (* length + first/last chars of each key part: group keys usually share a
@@ -625,136 +684,147 @@ let rec key_eq a b =
   | x :: a', y :: b' -> String.equal x y && key_eq a' b'
   | _ -> false
 
+let rec probe_k1 linear n fp k i =
+  if i >= n then no_group
+  else
+    let s = Array.unsafe_get linear i in
+    if s.gs_fp = fp && String.equal s.gs_k1 k then s else probe_k1 linear n fp k (i + 1)
+
+let rec probe_key linear n fp key i =
+  if i >= n then no_group
+  else
+    let s = Array.unsafe_get linear i in
+    if s.gs_fp = fp && key_eq s.gs_key key then s else probe_key linear n fp key (i + 1)
+
+let find_k1 gt fp k =
+  match gt.gt_by_k1 with
+  | Some h -> ( match Str_tbl.find h k with s -> s | exception Not_found -> no_group)
+  | None -> probe_k1 gt.gt_linear gt.gt_n fp k 0
+
+let find_key gt fp key =
+  match gt.gt_by_key with
+  | Some h -> ( match Hashtbl.find h key with s -> s | exception Not_found -> no_group)
+  | None -> probe_key gt.gt_linear gt.gt_n fp key 0
+
+let add_group gt ~single s =
+  (if gt.gt_n < max_linear_groups then begin
+     gt.gt_linear.(gt.gt_n) <- s;
+     gt.gt_n <- gt.gt_n + 1
+   end
+   else if single then begin
+     let h =
+       match gt.gt_by_k1 with
+       | Some h -> h
+       | None ->
+           let h = Str_tbl.create 64 in
+           Array.iter (fun s -> Str_tbl.replace h s.gs_k1 s) gt.gt_linear;
+           gt.gt_by_k1 <- Some h;
+           h
+     in
+     Str_tbl.replace h s.gs_k1 s
+   end
+   else
+     let h =
+       match gt.gt_by_key with
+       | Some h -> h
+       | None ->
+           let h = Hashtbl.create 64 in
+           Array.iter (fun s -> Hashtbl.replace h s.gs_key s) gt.gt_linear;
+           gt.gt_by_key <- Some h;
+           h
+     in
+     Hashtbl.replace h s.gs_key s);
+  gt.gt_order <- s :: gt.gt_order
+
+let apply_states states row =
+  for i = 0 to Array.length states - 1 do
+    s_apply (Array.unsafe_get states i) row
+  done
+
+(* the synthetic empty global group has no row to read a column from: a
+   HAVING column fails as the reference's read of an empty row does *)
+let no_row_column () = invalid_arg "index out of bounds"
+
+let exec_grouped t g ~now =
+  let gt =
+    {
+      gt_linear = Array.make max_linear_groups no_group;
+      gt_n = 0;
+      gt_by_k1 = None;
+      gt_by_key = None;
+      gt_order = [];
+    }
+  in
+  let cell = t.p_cell in
+  let single = g.g_key1 <> None in
+  let new_group ~fp ~k1 ~key row =
+    let s =
+      {
+        gs_fp = fp;
+        gs_k1 = k1;
+        gs_key = key;
+        gs_rep = row;
+        gs_rep_ts = cell.ts;
+        gs_states = Array.map s_fresh g.g_aggs;
+      }
+    in
+    add_group gt ~single s;
+    s
+  in
+  (match g.g_key1 with
+  | Some kf ->
+      fold_rows t ~now ~init:() ~f:(fun () row ->
+          let k = Value.to_string (kf row) in
+          let fp = fp_str 0 k in
+          let s = find_k1 gt fp k in
+          let s = if s == no_group then new_group ~fp ~k1:k ~key:[] row else s in
+          apply_states s.gs_states row)
+  | None ->
+      fold_rows t ~now ~init:() ~f:(fun () row ->
+          let key = g.g_key row in
+          let fp = key_fp key in
+          let s = find_key gt fp key in
+          let s = if s == no_group then new_group ~fp ~k1:"" ~key row else s in
+          apply_states s.gs_states row));
+  let groups =
+    if g.g_no_group_by && gt.gt_order = [] then
+      [ { no_group with gs_states = Array.map s_fresh g.g_aggs } ]
+    else List.rev gt.gt_order
+  in
+  let group_passes s =
+    match g.g_having with
+    | None -> true
+    | Some h ->
+        let subject =
+          match h.h_subject with
+          | H_agg i -> s_finalize s.gs_states.(i)
+          | H_col _ when Array.length s.gs_rep = 0 -> no_row_column ()
+          | H_col f -> f s.gs_rep
+        in
+        compare_having h.h_op subject h.h_lit
+  in
+  List.filter_map
+    (fun s ->
+      cell.ts <- s.gs_rep_ts;
+      if not (group_passes s) then None
+      else
+        Some
+          (List.map
+             (function
+               | O_expr f ->
+                   if Array.length s.gs_rep = 0 then fail "cannot project a column from zero rows";
+                   f s.gs_rep
+               | O_agg i -> s_finalize s.gs_states.(i))
+             g.g_outs))
+    groups
+
 let exec t ~now =
   try
-    let fold_rows init f =
-      let f =
-        match t.p_where with
-        | None -> f
-        | Some pred -> fun acc row -> if pred row then f acc row else acc
-      in
-      fold_combined_rows ~now ~needs_ts:t.p_needs_ts t.p_window t.p_tables ~init ~f
-    in
     let out_rows =
       match t.p_shape with
-      | P_scalar project -> List.rev (fold_rows [] (fun acc row -> project row :: acc))
-      | P_grouped g ->
-          (* single pass: each group slot holds a private copy of its
-             first row (the projection representative — the scan row is
-             a reused scratch) and one sstate per aggregate. Slots live
-             in a small linear-probe array — queries rarely have more
-             than a handful of groups, and a linear String.equal scan
-             beats hashing there — spilling to a hashtable beyond it. *)
-          let linear = Array.make max_linear_groups dummy_slot in
-          let n_linear = ref 0 in
-          let spill = ref None in
-          let slots = ref [] in
-          (* reversed first-appearance order *)
-          let new_slot fp k1 key row =
-            let s =
-              {
-                gs_fp = fp;
-                gs_k1 = k1;
-                gs_key = key;
-                gs_rep = Array.copy row;
-                gs_states = Array.map s_fresh g.g_aggs;
-              }
-            in
-            (if !n_linear < max_linear_groups then begin
-               linear.(!n_linear) <- s;
-               incr n_linear
-             end
-             else
-               let h =
-                 match !spill with
-                 | Some h -> h
-                 | None ->
-                     let h = Hashtbl.create 64 in
-                     spill := Some h;
-                     h
-               in
-               Hashtbl.replace h key s);
-            slots := s :: !slots;
-            s
-          in
-          (match g.g_key1 with
-          | Some kf ->
-              (* single GROUP BY column: probe on the bare string, no
-                 per-row key cons *)
-              let find1 fp k =
-                let rec scan i =
-                  if i >= !n_linear then
-                    match !spill with None -> None | Some h -> Hashtbl.find_opt h [ k ]
-                  else
-                    let s = Array.unsafe_get linear i in
-                    if s.gs_fp = fp && String.equal s.gs_k1 k then Some s else scan (i + 1)
-                in
-                scan 0
-              in
-              fold_rows () (fun () row ->
-                  let k = Value.to_string (kf row) in
-                  let fp = fp_str 0 k in
-                  let slot =
-                    match find1 fp k with Some s -> s | None -> new_slot fp k [ k ] row
-                  in
-                  Array.iter (fun sa -> s_apply sa row) slot.gs_states)
-          | None ->
-              let find_slot fp key =
-                let rec scan i =
-                  if i >= !n_linear then
-                    match !spill with None -> None | Some h -> Hashtbl.find_opt h key
-                  else
-                    let s = Array.unsafe_get linear i in
-                    if s.gs_fp = fp && key_eq s.gs_key key then Some s else scan (i + 1)
-                in
-                scan 0
-              in
-              fold_rows () (fun () row ->
-                  let key = g.g_key row in
-                  let fp = key_fp key in
-                  let slot =
-                    match find_slot fp key with
-                    | Some s -> s
-                    | None -> new_slot fp "" key row
-                  in
-                  Array.iter (fun sa -> s_apply sa row) slot.gs_states));
-          if g.g_no_group_by && !slots = [] then
-            slots :=
-              [
-                {
-                  gs_fp = 0;
-                  gs_k1 = "";
-                  gs_key = [];
-                  gs_rep = [||];
-                  gs_states = Array.map s_fresh g.g_aggs;
-                };
-              ];
-          let group_passes states representative =
-            match g.g_having with
-            | None -> true
-            | Some h ->
-                let subject =
-                  match h.h_subject with
-                  | H_agg i -> s_finalize states.(i)
-                  | H_col f -> f representative
-                in
-                compare_having h.h_op subject h.h_lit
-          in
-          List.filter_map
-            (fun s ->
-              let representative = s.gs_rep in
-              if not (group_passes s.gs_states representative) then None
-              else
-                Some
-                  (List.map
-                     (function
-                       | O_expr f ->
-                           if Array.length representative = 0 then
-                             fail "cannot project a column from zero rows";
-                           f representative
-                       | O_agg i -> s_finalize s.gs_states.(i))
-                     g.g_outs))
-            (List.rev !slots)
+      | P_scalar project ->
+          List.rev (fold_rows t ~now ~init:[] ~f:(fun acc row -> project row :: acc))
+      | P_grouped g -> exec_grouped t g ~now
     in
     let out_rows = apply_limit t (apply_order t out_rows) in
     Ok { Query.columns = t.p_columns; rows = out_rows }
@@ -1041,7 +1111,9 @@ module Inc = struct
     | Ast.W_now when (not (Queue.is_empty t.i_buf)) && ts > t.i_newest -> reset_window t
     | _ -> ());
     t.i_newest <- ts;
-    let row = row_of_tuple tu in
+    (* the stored row itself: immutable, so the view may keep it *)
+    let row = tu.Value.values in
+    t.i_plan.p_cell.ts <- ts;
     let seq = t.i_seq in
     t.i_seq <- seq + 1;
     let kind = classify t row in
@@ -1109,7 +1181,7 @@ module Inc = struct
       (* synthetic empty global group: aggregates over zero rows *)
       let subject_of = function
         | H_agg i -> empty_agg_value g.g_aggs.(i)
-        | H_col f -> f [||]
+        | H_col _ -> no_row_column ()
       in
       if not (passes subject_of) then []
       else
@@ -1124,7 +1196,9 @@ module Inc = struct
     else
       List.filter_map
         (fun gr ->
-          let representative = (Queue.peek gr.gr_entries).e_row in
+          let first = Queue.peek gr.gr_entries in
+          let representative = first.e_row in
+          t.i_plan.p_cell.ts <- first.e_ts;
           let subject_of = function
             | H_agg i -> finalize gr.gr_aggs.(i)
             | H_col f -> f representative

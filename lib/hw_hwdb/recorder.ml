@@ -3,37 +3,31 @@ open Hw_util
 type status = Pending | Active of int | Failed of string
 
 type t = {
-  now : unit -> float;
-  client : Rpc.Client.t;
   snapshots : (float * Query.result_set) Ring.t;
-  mutable state : status;
-  mutable stopped : bool;
+  (* the lease keeper, or why the statement cannot be one *)
+  keeper : (Rpc.Subscriber.t, string) result;
 }
 
-let attach ?(max_snapshots = 1024) ~now ~client ~statement () =
-  let t =
-    {
-      now;
-      client;
-      snapshots = Ring.create ~capacity:max_snapshots;
-      state = Pending;
-      stopped = false;
-    }
+let attach ?(max_snapshots = 1024) ~now ~schedule ~client ~statement () =
+  let snapshots = Ring.create ~capacity:max_snapshots in
+  let keeper =
+    match Parser.parse statement with
+    | Ok (Ast.Subscribe (_, period)) ->
+        Ok
+          (Rpc.Subscriber.attach ~now ~schedule ~client ~statement ~period
+             ~on_result:(fun rs -> Ring.push snapshots (now (), rs))
+             ())
+    | Ok _ -> Error "statement was not a SUBSCRIBE"
+    | Error msg -> Error msg
   in
-  Rpc.Client.on_publish client (fun ~subscription rs ->
-      let mine =
-        match t.state with Active id -> id = subscription | Pending | Failed _ -> false
-      in
-      if mine && not t.stopped then Ring.push t.snapshots (t.now (), rs));
-  Rpc.Client.request client statement ~on_reply:(fun reply ->
-      t.state <-
-        (match reply with
-        | Ok (Some { Query.rows = [ [ Value.Int id ] ]; _ }) -> Active id
-        | Ok _ -> Failed "statement was not a SUBSCRIBE"
-        | Error msg -> Failed msg));
-  t
+  { snapshots; keeper }
 
-let status t = t.state
+let status t =
+  match t.keeper with
+  | Error msg -> Failed msg
+  | Ok keeper -> (
+      match Rpc.Subscriber.sub_id keeper with Some id -> Active id | None -> Pending)
+
 let snapshot_count t = Ring.length t.snapshots
 let last t = Ring.peek_newest t.snapshots
 
@@ -63,11 +57,4 @@ let to_csv t =
     t.snapshots;
   Buffer.contents buf
 
-let detach t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    match t.state with
-    | Active id ->
-        Rpc.Client.request t.client (Printf.sprintf "UNSUBSCRIBE %d" id) ~on_reply:(fun _ -> ())
-    | Pending | Failed _ -> ()
-  end
+let detach t = Result.iter Rpc.Subscriber.detach t.keeper

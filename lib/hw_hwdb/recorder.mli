@@ -1,29 +1,36 @@
 (** Client-side persistence for continuous queries.
 
     The paper: applications "subscribe to query results, persisting output
-    as desired". A recorder owns one SUBSCRIBE over an {!Rpc.Client},
-    stamps every publication with the receive time and accumulates them
-    (bounded), exporting CSV — what the Homework project's logging
-    satellites did with the measurement stream. *)
+    as desired". A recorder keeps one SUBSCRIBE alive over an
+    {!Rpc.Client} for as long as it is attached, stamps every
+    publication with the receive time and accumulates them (bounded),
+    exporting CSV — what the Homework project's logging satellites did
+    with the measurement stream. *)
 
 type t
 
 type status =
-  | Pending            (** subscribe sent, no reply processed yet *)
+  | Pending
+      (** no subscription id yet (also while re-subscribing, and after
+          {!detach}) *)
   | Active of int      (** subscription id *)
-  | Failed of string
+  | Failed of string   (** the statement is not a SUBSCRIBE *)
 
 val attach :
   ?max_snapshots:int ->
   now:(unit -> float) ->
+  schedule:(float -> (unit -> unit) -> unit) ->
   client:Rpc.Client.t ->
   statement:string ->
   unit ->
   t
-(** Sends [statement] (which must be a [SUBSCRIBE …]) and records its
-    publications. Default [max_snapshots] 1024; the oldest snapshots drop
-    beyond that, like every hwdb buffer. Pump the transport to move the
-    recorder out of [Pending]. *)
+(** Keeps [statement] (which must be a [SUBSCRIBE … EVERY p SECONDS])
+    subscribed through an {!Rpc.Subscriber}, which renews the server's
+    lease every [2p] and re-subscribes after [3p] of silence, and
+    records its publications. [schedule delay f] runs [f] after [delay]
+    seconds; it drives the renewals. Default [max_snapshots] 1024; the
+    oldest snapshots drop beyond that, like every hwdb buffer. Pump the
+    transport to move the recorder out of [Pending]. *)
 
 val status : t -> status
 val snapshot_count : t -> int
@@ -35,4 +42,5 @@ val to_csv : t -> string
     Fields containing commas, quotes or newlines are quoted. *)
 
 val detach : t -> unit
-(** Sends UNSUBSCRIBE (when the id is known) and stops recording. *)
+(** Stops renewing, sends UNSUBSCRIBE (when the id is known) and stops
+    recording. *)

@@ -6,20 +6,30 @@ type hook_id = int
 
 type hook = { h_id : hook_id; h_fn : Value.tuple -> unit }
 
+type pos = int
+
+(* A stored row is its validated value array, with its timestamp unboxed
+   in [stamps] at the same slot: no option, no tuple record, no float
+   box. One array may fill many slots (a re-stamped cached row). *)
 type t = {
   name : string;
   schema : Value.schema;
-  ring : Value.tuple Ring.t;
+  slots : Ring.Slots.t;
+  rows : Value.t array array;
+  stamps : Float.Array.t;
   mutable triggers : hook list; (* newest registration first *)
   mutable next_hook : int;
   mutable durable : bool;
 }
 
 let create ~name ~capacity schema =
+  let slots = Ring.Slots.create ~capacity in
   {
     name;
     schema;
-    ring = Ring.create ~capacity;
+    slots;
+    rows = Array.make capacity [||];
+    stamps = Float.Array.make capacity 0.;
     triggers = [];
     next_hook = 0;
     durable = false;
@@ -27,9 +37,16 @@ let create ~name ~capacity schema =
 
 let name t = t.name
 let schema t = t.schema
-let capacity t = Ring.capacity t.ring
-let length t = Ring.length t.ring
-let total_inserted t = Ring.total_pushed t.ring
+let capacity t = Ring.Slots.capacity t.slots
+let length t = Ring.Slots.length t.slots
+let total_inserted t = Ring.Slots.total_pushed t.slots
+let row t p = Array.unsafe_get t.rows p
+let stamp t p = Float.Array.unsafe_get t.stamps p
+
+let store t ~now values =
+  let s = Ring.Slots.push t.slots in
+  Array.unsafe_set t.rows s values;
+  Float.Array.unsafe_set t.stamps s now
 
 (* registration order matters to trigger chains, so the reversed list is
    replayed back-to-front *)
@@ -40,9 +57,10 @@ let rec fire_triggers tuple = function
       hook.h_fn tuple
 
 let append t ~now values =
-  let tuple = { Value.ts = now; values } in
-  Ring.push t.ring tuple;
-  fire_triggers tuple t.triggers
+  store t ~now values;
+  match t.triggers with
+  | [] -> ()
+  | hooks -> fire_triggers { Value.ts = now; values } hooks
 
 let insert t ~now values =
   match Value.validate t.schema values with
@@ -56,41 +74,43 @@ let insert t ~now values =
    durability hook, which would re-log it). Rows must arrive in their
    original (non-decreasing timestamp) order, which log order
    guarantees. *)
-let restore t tuple = Ring.push t.ring tuple
+let restore t (tuple : Value.tuple) = store t ~now:tuple.ts tuple.values
 
 let durable t = t.durable
 let set_durable t flag = t.durable <- flag
 
-(* Tuples are appended in non-decreasing timestamp order, so every window
+(* Rows are appended in non-decreasing timestamp order, so every window
    is a contiguous slice of the ring whose start (and, for [`Now], end) is
-   found by binary search instead of scanning the whole buffer. *)
+   found by binary search over the timestamps alone. *)
 let window_bounds t = function
-  | `All -> (0, Ring.length t.ring)
+  | `All -> (0, length t)
   | `Last_seconds (range, now) ->
       let cutoff = now -. range in
-      let pos = Ring.lower_bound (fun tu -> tu.Value.ts >= cutoff) t.ring in
-      (pos, Ring.length t.ring - pos)
+      let pos = Ring.Slots.lower_bound (fun s -> stamp t s >= cutoff) t.slots in
+      (pos, length t - pos)
   | `Last_rows n ->
-      let len = Ring.length t.ring in
+      let len = length t in
       let keep = min (max 0 n) len in
       (len - keep, keep)
   | `Now now ->
-      let stop = Ring.lower_bound (fun tu -> tu.Value.ts > now) t.ring in
+      let stop = Ring.Slots.lower_bound (fun s -> stamp t s > now) t.slots in
       if stop = 0 then (0, 0)
       else begin
-        let newest = (Ring.get t.ring (stop - 1)).Value.ts in
-        let pos = Ring.lower_bound (fun tu -> tu.Value.ts >= newest) t.ring in
+        let newest = stamp t (Ring.Slots.slot t.slots (stop - 1)) in
+        let pos = Ring.Slots.lower_bound (fun s -> stamp t s >= newest) t.slots in
         (pos, stop - pos)
       end
 
 let fold_window t window ~init ~f =
   let pos, len = window_bounds t window in
-  Ring.fold_range f init t.ring ~pos ~len
+  Ring.Slots.fold_range f init t.slots ~pos ~len
+
+let tuple t p = { Value.ts = stamp t p; values = row t p }
 
 let scan_window t window =
-  List.rev (fold_window t window ~init:[] ~f:(fun acc tu -> tu :: acc))
+  List.rev (fold_window t window ~init:[] ~f:(fun acc p -> tuple t p :: acc))
 
-let scan t = Ring.to_list t.ring
+let scan t = scan_window t `All
 
 let add_hook t fn =
   let id = t.next_hook in
@@ -100,4 +120,8 @@ let add_hook t fn =
 
 let remove_hook t id = t.triggers <- List.filter (fun h -> h.h_id <> id) t.triggers
 let on_insert t trigger = ignore (add_hook t trigger)
-let clear t = Ring.clear t.ring
+
+let clear t =
+  Ring.Slots.clear t.slots;
+  (* let the GC have the rows *)
+  Array.fill t.rows 0 (capacity t) [||]

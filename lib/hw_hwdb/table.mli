@@ -1,7 +1,13 @@
-(** One hwdb table: a schema over a fixed-size ring of timestamped tuples.
+(** One hwdb table: a schema over a fixed-size ring of timestamped rows.
 
     This is the paper's "active ephemeral stream database ... stores
-    ephemeral events into a fixed size memory buffer". *)
+    ephemeral events into a fixed size memory buffer". A stored row is
+    the validated [Value.t array] itself; its timestamp sits unboxed in a
+    float array beside the rows, so a row costs no option, no
+    {!Value.tuple} record and no float box, and window bounds
+    binary-search the timestamps alone. One array may fill many slots:
+    a row rendered once and re-stamped every tick is stored, not
+    copied. *)
 
 type t
 
@@ -38,7 +44,8 @@ val append : t -> now:float -> Value.t array -> unit
     stamps it [now], evicts like {!insert} and fires the insert hooks
     (views, triggers, the WAL). The array is stored, not copied, so a
     caller may re-stamp one cached row every tick — and must never
-    mutate it afterwards. *)
+    mutate it afterwards. A table without hooks allocates nothing here;
+    with hooks, one {!Value.tuple} per append carries the row to them. *)
 
 val restore : t -> Value.tuple -> unit
 (** WAL replay: append an already-validated row with its original
@@ -56,13 +63,24 @@ val set_durable : t -> bool -> unit
 val scan : t -> Value.tuple list
 (** All live rows, oldest first. *)
 
-val fold_window : t -> window -> init:'acc -> f:('acc -> Value.tuple -> 'acc) -> 'acc
-(** Folds oldest-first over exactly the rows selected by [window],
-    locating the window boundary in O(log length) and iterating in place
-    — no intermediate list. This is the query executor's scan primitive. *)
+type pos
+(** Where a stored row sits; valid until the next append, restore or
+    clear. *)
+
+val fold_window : t -> window -> init:'acc -> f:('acc -> pos -> 'acc) -> 'acc
+(** Folds oldest-first over the positions of exactly the rows selected
+    by [window], locating the window boundary in O(log length) and
+    allocating nothing per row. Read a position with {!row} and
+    {!stamp}. This is the query executor's scan primitive. *)
+
+val row : t -> pos -> Value.t array
+(** The stored row itself (the array {!append} was given): never mutate
+    it. *)
+
+val stamp : t -> pos -> float
 
 val scan_window : t -> window -> Value.tuple list
-(** [fold_window] materialized as a list, oldest first. *)
+(** The rows [window] selects as fresh tuples, oldest first. *)
 
 val on_insert : t -> (Value.tuple -> unit) -> unit
 (** Registers a trigger fired after each successful insert (the "active"

@@ -1,84 +1,92 @@
+module Slots = struct
+  type t = {
+    mutable start : int; (* slot of the oldest element *)
+    mutable len : int;
+    mutable pushed : int;
+    cap : int;
+  }
+
+  let create ~capacity =
+    if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
+    { start = 0; len = 0; pushed = 0; cap = capacity }
+
+  let capacity t = t.cap
+  let length t = t.len
+  let total_pushed t = t.pushed
+
+  (* [start + i] wraps at most once: a compare, no [mod] *)
+  let slot t i =
+    let j = t.start + i in
+    if j >= t.cap then j - t.cap else j
+
+  let push t =
+    let s = slot t t.len in
+    if t.len = t.cap then t.start <- (if t.start + 1 = t.cap then 0 else t.start + 1)
+    else t.len <- t.len + 1;
+    t.pushed <- t.pushed + 1;
+    s
+
+  let rec fold_seg f acc lo hi = if lo > hi then acc else fold_seg f (f acc lo) (lo + 1) hi
+
+  let fold_range f acc t ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > t.len then
+      invalid_arg "Ring.fold_range: window out of range";
+    let first = slot t pos in
+    (* at most two contiguous runs of slots *)
+    if first + len <= t.cap then fold_seg f acc first (first + len - 1)
+    else fold_seg f (fold_seg f acc first (t.cap - 1)) 0 (first + len - t.cap - 1)
+
+  let lower_bound p t =
+    (* invariant: every index < lo fails [p], every index >= hi satisfies it *)
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if p (slot t mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let clear t =
+    t.start <- 0;
+    t.len <- 0
+end
+
 type 'a t = {
-  mutable data : 'a option array;
-  mutable start : int; (* index of oldest element *)
-  mutable len : int;
-  mutable pushed : int;
-  cap : int;
+  slots : Slots.t;
+  (* empty until the first push fills every slot with that element, so no
+     slot holds an option and a [float t] stores its elements unboxed *)
+  mutable data : 'a array;
 }
 
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { data = Array.make capacity None; start = 0; len = 0; pushed = 0; cap = capacity }
-
-let capacity t = t.cap
-let length t = t.len
-let is_empty t = t.len = 0
-let is_full t = t.len = t.cap
-let total_pushed t = t.pushed
+let create ~capacity = { slots = Slots.create ~capacity; data = [||] }
+let capacity t = Slots.capacity t.slots
+let length t = Slots.length t.slots
+let is_empty t = length t = 0
+let is_full t = length t = capacity t
+let total_pushed t = Slots.total_pushed t.slots
 
 let push t x =
-  let slot = (t.start + t.len) mod t.cap in
-  t.data.(slot) <- Some x;
-  if t.len = t.cap then t.start <- (t.start + 1) mod t.cap
-  else t.len <- t.len + 1;
-  t.pushed <- t.pushed + 1
+  if Array.length t.data = 0 then t.data <- Array.make (capacity t) x;
+  Array.unsafe_set t.data (Slots.push t.slots) x
+
+let unsafe_get t i = Array.unsafe_get t.data (Slots.slot t.slots i)
 
 let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
-  match t.data.((t.start + i) mod t.cap) with
-  | Some x -> x
-  | None -> assert false
+  if i < 0 || i >= length t then invalid_arg "Ring.get: index out of range";
+  unsafe_get t i
 
-let peek_oldest t = if t.len = 0 then None else Some (get t 0)
-let peek_newest t = if t.len = 0 then None else Some (get t (t.len - 1))
-
-let unsafe_get t i =
-  match t.data.((t.start + i) mod t.cap) with Some x -> x | None -> assert false
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (unsafe_get t i)
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
+let peek_oldest t = if is_empty t then None else Some (unsafe_get t 0)
+let peek_newest t = if is_empty t then None else Some (unsafe_get t (length t - 1))
 
 let fold_range f acc t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then
-    invalid_arg "Ring.fold_range: window out of range";
-  let acc = ref acc in
-  let seg lo hi =
-    (* contiguous slice: no per-element [mod] *)
-    for j = lo to hi do
-      match Array.unsafe_get t.data j with
-      | Some x -> acc := f !acc x
-      | None -> assert false
-    done
-  in
-  let first = (t.start + pos) mod t.cap in
-  if first + len <= t.cap then seg first (first + len - 1)
-  else begin
-    seg first (t.cap - 1);
-    seg 0 (first + len - t.cap - 1)
-  end;
-  !acc
+  Slots.fold_range (fun acc s -> f acc (Array.unsafe_get t.data s)) acc t.slots ~pos ~len
 
-let lower_bound p t =
-  (* invariant: every index < lo fails [p], every index >= hi satisfies it *)
-  let lo = ref 0 and hi = ref t.len in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if p (unsafe_get t mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
+let fold f acc t = fold_range f acc t ~pos:0 ~len:(length t)
+let iter f t = fold (fun () x -> f x) () t
+let lower_bound p t = Slots.lower_bound (fun s -> p (Array.unsafe_get t.data s)) t.slots
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 let to_list_newest_first t = fold (fun acc x -> x :: acc) [] t
 let filter p t = List.filter p (to_list t)
 
 let clear t =
-  Array.fill t.data 0 t.cap None;
-  t.start <- 0;
-  t.len <- 0
+  Slots.clear t.slots;
+  t.data <- [||]

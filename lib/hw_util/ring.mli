@@ -3,7 +3,48 @@
     The buffer keeps at most [capacity] elements; pushing into a full buffer
     silently evicts the oldest element. This is the storage discipline of
     the Homework Database ("stores ephemeral events into a fixed size memory
-    buffer"). *)
+    buffer").
+
+    A slot holds the element itself, with no option around it: the backing
+    array is allocated by the first push, filled with that element, so a
+    [float t] stores its elements unboxed. *)
+
+(** The ring's index arithmetic on its own, for a caller that keeps one
+    array per field of its elements (hwdb tables keep their rows in one
+    array and the rows' timestamps, unboxed, in a float array beside it).
+    Logical index 0 is the oldest element; a {e slot} is the physical
+    array index an element occupies, stable until it is evicted. *)
+module Slots : sig
+  type t
+
+  val create : capacity:int -> t
+  (** @raise Invalid_argument if [capacity <= 0]. *)
+
+  val capacity : t -> int
+  val length : t -> int
+  val total_pushed : t -> int
+
+  val push : t -> int
+  (** Claims the slot for a new newest element, evicting the oldest when
+      full, and returns it. The caller writes its arrays at that slot. *)
+
+  val slot : t -> int -> int
+  (** The slot of logical index [i]; unchecked, requires
+      [0 <= i < length t]. *)
+
+  val fold_range : ('acc -> int -> 'acc) -> 'acc -> t -> pos:int -> len:int -> 'acc
+  (** Folds oldest-first over the slots of the [len] elements starting at
+      logical index [pos], in at most two contiguous runs, allocating
+      nothing.
+      @raise Invalid_argument if the range exceeds the stored elements. *)
+
+  val lower_bound : (int -> bool) -> t -> int
+  (** The smallest logical index whose {e slot} satisfies [p], or
+      [length t]; [p] must be monotone over logical order. *)
+
+  val clear : t -> unit
+  (** Empties the ring; [total_pushed] keeps counting. *)
+end
 
 type 'a t
 

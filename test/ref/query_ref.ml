@@ -204,22 +204,19 @@ let window_spec ~now : Ast.window -> Table.window = function
 
 let row_of_tuple (tu : Value.tuple) = Array.append [| Value.Ts tu.Value.ts |] tu.Value.values
 
-(* Folds over the combined (joined) rows of the FROM clause without
-   materializing the window as a list: single-table scans consume ring
-   tuples in place; two-table joins materialize only the right side once
-   and stream the left. *)
+(* Folds over the combined (joined) rows of the FROM clause: each row
+   of a window as [| ts; v1..vn |], and a join as every left row
+   followed by every right row. *)
 let fold_combined_rows ~now window tables ~init ~f =
   let spec = window_spec ~now window in
+  let rows table = List.map row_of_tuple (Table.scan_window table spec) in
   match tables with
-  | [ table ] ->
-      Table.fold_window table spec ~init ~f:(fun acc tu -> f acc (row_of_tuple tu))
+  | [ table ] -> List.fold_left f init (rows table)
   | [ left; right ] ->
-      let right_rows =
-        List.rev (Table.fold_window right spec ~init:[] ~f:(fun acc tu -> row_of_tuple tu :: acc))
-      in
-      Table.fold_window left spec ~init ~f:(fun acc tu ->
-          let l = row_of_tuple tu in
-          List.fold_left (fun acc r -> f acc (Array.append l r)) acc right_rows)
+      let right_rows = rows right in
+      List.fold_left
+        (fun acc l -> List.fold_left (fun acc r -> f acc (Array.append l r)) acc right_rows)
+        init (rows left)
   | _ -> fail "FROM supports one or two tables"
 
 let star_columns bindings =

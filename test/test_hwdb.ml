@@ -29,6 +29,13 @@ let seed_flows db samples =
         ~dst_port ~packets:1 ~bytes)
     samples
 
+(* minor-heap words [f] allocates ([Gc.minor_words] itself allocates
+   nothing) *)
+let alloc_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -120,21 +127,43 @@ let test_window_wraparound () =
   Alcotest.(check bool) "now" true (vals (`Now 20.) = [ Value.Int 20 ])
 
 let prop_window_scan_matches_reference =
-  (* the index-backed scan returns exactly what a naive filter over the
-     full ring returns, for every window kind, including wrapped rings and
-     duplicate timestamps *)
+  (* the index-backed scan returns exactly what a naive filter over a
+     model of the ring returns, for every window kind, including wrapped
+     rings, duplicate timestamps, rows re-stamped from one shared array,
+     WAL-style restores and clears *)
   QCheck.Test.make ~name:"index-backed windows match the naive scan" ~count:300
-    QCheck.(triple (int_range 1 12) (small_list (int_bound 3)) (int_bound 24))
+    QCheck.(triple (int_range 1 12) (small_list (pair (int_bound 3) (int_bound 9))) (int_bound 24))
     (fun (cap, steps, wparam) ->
       let t = Table.create ~name:"T" ~capacity:cap [ ("v", Value.T_int) ] in
+      let shared = [| Value.Int (-1) |] in
       let clock = ref 0. in
+      let model = ref [] (* live rows, oldest first *) in
+      let add (tu : Value.tuple) =
+        let rows = !model @ [ tu ] in
+        let n = List.length rows in
+        model := List.filteri (fun i _ -> i >= n - cap) rows
+      in
       List.iteri
-        (fun i step ->
+        (fun i (step, op) ->
           clock := !clock +. (float_of_int step /. 4.);
-          Result.get_ok (Table.insert t ~now:!clock [ Value.Int i ]))
+          let ts = !clock in
+          match op with
+          | 9 ->
+              Table.clear t;
+              model := []
+          | 8 ->
+              let tu = { Value.ts; values = [| Value.Int i |] } in
+              Table.restore t tu;
+              add tu
+          | 6 | 7 ->
+              Table.append t ~now:ts shared;
+              add { Value.ts; values = shared }
+          | _ ->
+              Result.get_ok (Table.insert t ~now:ts [ Value.Int i ]);
+              add { Value.ts; values = [| Value.Int i |] })
         steps;
       let now = !clock in
-      let all = Table.scan t in
+      let all = !model in
       let reference = function
         | `All -> all
         | `Last_seconds (r, n) -> List.filter (fun (tu : Value.tuple) -> tu.Value.ts >= n -. r) all
@@ -148,14 +177,15 @@ let prop_window_scan_matches_reference =
                 let newest = (List.nth visible (List.length visible - 1)).Value.ts in
                 List.filter (fun (tu : Value.tuple) -> tu.Value.ts = newest) all)
       in
-      List.for_all
-        (fun w -> Table.scan_window t w = reference w)
-        [
-          `All;
-          `Last_seconds (float_of_int wparam /. 2., now);
-          `Last_rows (wparam mod 7);
-          `Now (now -. (float_of_int wparam /. 8.));
-        ])
+      Table.scan t = all
+      && List.for_all
+           (fun w -> Table.scan_window t w = reference w)
+           [
+             `All;
+             `Last_seconds (float_of_int wparam /. 2., now);
+             `Last_rows (wparam mod 7);
+             `Now (now -. (float_of_int wparam /. 8.));
+           ])
 
 let test_table_eviction_is_fifo () =
   let t = Table.create ~name:"T" ~capacity:3 [ ("v", Value.T_int) ] in
@@ -177,6 +207,59 @@ let test_table_triggers () =
   Alcotest.(check bool) "bad insert rejected" true
     (Result.is_error (Table.insert t ~now:0. [ Value.Str "no" ]));
   Alcotest.(check int) "no trigger on reject" 2 !fired
+
+let test_table_append_allocates_nothing () =
+  (* a full table without hooks: storing a validated row writes the row
+     and its timestamp in place — no option, tuple record or float box *)
+  let t = Table.create ~name:"T" ~capacity:64 [ ("v", Value.T_int) ] in
+  let row = [| Value.Int 1 |] in
+  let now = 5. in
+  for _ = 1 to 64 do
+    Table.append t ~now row
+  done;
+  let words =
+    alloc_words (fun () ->
+        for _ = 1 to 1000 do
+          Table.append t ~now row
+        done)
+  in
+  Alcotest.(check (float 0.)) "words for 1000 appends" 0. words;
+  Alcotest.(check int) "full" 64 (Table.length t)
+
+let test_table_hook_gets_stored_row () =
+  (* with a hook, an append builds only the tuple it hands over, and the
+     tuple carries the stored array itself *)
+  let t = Table.create ~name:"T" ~capacity:4 [ ("v", Value.T_int) ] in
+  let seen = ref [] in
+  Table.on_insert t (fun tu -> seen := tu :: !seen);
+  let row = [| Value.Int 7 |] in
+  Table.append t ~now:3. row;
+  Table.append t ~now:4. row;
+  (match !seen with
+  | [ b; a ] ->
+      Alcotest.(check (float 0.)) "first stamp" 3. a.Value.ts;
+      Alcotest.(check (float 0.)) "second stamp" 4. b.Value.ts;
+      Alcotest.(check bool) "the stored array" true (a.Value.values == row && b.Value.values == row)
+  | l -> Alcotest.failf "hook fired %d times" (List.length l));
+  Alcotest.(check bool) "scan returns the stored array" true
+    (List.for_all (fun (tu : Value.tuple) -> tu.Value.values == row) (Table.scan t));
+  let last = ref { Value.ts = 0.; values = [||] } in
+  let u = Table.create ~name:"U" ~capacity:4 [ ("v", Value.T_int) ] in
+  Table.on_insert u (fun tu -> last := tu);
+  for _ = 1 to 4 do
+    Table.append u ~now:3. row
+  done;
+  let n = 1000 in
+  let words =
+    alloc_words (fun () ->
+        for _ = 1 to n do
+          Table.append u ~now:3. row
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "one tuple per hooked append (%.1f words)" (words /. float_of_int n))
+    true
+    (words /. float_of_int n < 4.)
 
 let test_trigger_registration_order () =
   (* triggers are stored newest-first for O(1) registration but must keep
@@ -503,6 +586,32 @@ let test_query_errors () =
   Alcotest.(check bool) "ambiguous column in join" true
     (String.length (q_error db "SELECT ts FROM Flows f, Leases l") > 0)
 
+(* perfbench's one-shot UI query and fleet survey *)
+let oneshot_statement =
+  "SELECT mac, AVG(rssi) AS rssi, MAX(retries) AS retries FROM Links [RANGE 60 SECONDS] GROUP \
+   BY mac"
+
+let test_grouped_scan_allocates_per_group () =
+  (* a grouped query folds each row into its group's accumulators in
+     place: what it allocates follows the groups, not the rows *)
+  List.iter
+    (fun groups ->
+      let db = fresh_db () in
+      let rows = 1000 in
+      for i = 0 to rows - 1 do
+        now := float_of_int i *. 0.05;
+        Database.record_link db
+          ~mac:(Printf.sprintf "02:00:00:00:00:%02x" (i mod groups))
+          ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7) ~packets:i
+      done;
+      Alcotest.(check int) "one row per group" groups (List.length (rows_of db oneshot_statement));
+      let words = alloc_words (fun () -> ignore (Database.query db oneshot_statement)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d groups: %.0f words over %d rows" groups words rows)
+        true
+        (words /. float_of_int rows < 2.))
+    [ 16; 6 ]
+
 let test_division_by_zero_is_error () =
   let db = fresh_db () in
   seed_flows db [ (1., "a", 80, 1) ];
@@ -614,6 +723,29 @@ let test_trigger_without_condition_and_drop () =
   Alcotest.(check int) "no longer fires" 2 (List.length (rows_of db "SELECT * FROM Log"));
   Alcotest.(check bool) "double drop fails" true
     (Result.is_error (Database.execute db (Printf.sprintf "DROP TRIGGER %d" id)))
+
+let test_dropped_trigger_detaches_hook () =
+  (* a dropped trigger leaves no hook on its table: an append into a
+     table with no hooks allocates nothing *)
+  let db = Database.create_empty ~now:clock () in
+  ignore (exec_ok db "CREATE TABLE E (v INTEGER)");
+  ignore (exec_ok db "CREATE TABLE L (v INTEGER)");
+  let id =
+    match exec_ok db "ON INSERT INTO E DO INSERT INTO L VALUES (v)" with
+    | Some { Query.rows = [ [ Value.Int id ] ]; _ } -> id
+    | _ -> Alcotest.fail "no trigger id"
+  in
+  ignore (exec_ok db (Printf.sprintf "DROP TRIGGER %d" id));
+  let e = Option.get (Database.table db "E") in
+  let row = [| Value.Int 1 |] in
+  let words =
+    alloc_words (fun () ->
+        for _ = 1 to 1000 do
+          Table.append e ~now:1. row
+        done)
+  in
+  Alcotest.(check (float 0.)) "words for 1000 appends" 0. words;
+  Alcotest.(check int) "nothing mirrored" 0 (List.length (rows_of db "SELECT * FROM L"))
 
 let test_trigger_chain_and_loop_guard () =
   let db = fresh_db () in
@@ -891,6 +1023,7 @@ let test_recorder_persists_publications () =
   let recorder =
     Recorder.attach
       ~now:(fun () -> !rec_now)
+      ~schedule:(fun _ _ -> ())
       ~client ~statement:"SUBSCRIBE SELECT COUNT(*) AS n FROM Flows EVERY 2 SECONDS" ()
   in
   Alcotest.(check bool) "pending before pump" true (Recorder.status recorder = Recorder.Pending);
@@ -928,12 +1061,47 @@ let test_recorder_rejects_non_subscribe () =
   let db = fresh_db () in
   let _server, client, pump = make_rpc_pair db in
   let r =
-    Recorder.attach ~now:(fun () -> 0.) ~client ~statement:"SELECT * FROM Flows" ()
+    Recorder.attach ~now:(fun () -> 0.) ~schedule:(fun _ _ -> ()) ~client
+      ~statement:"SELECT * FROM Flows" ()
   in
   pump ();
   match Recorder.status r with
   | Recorder.Failed _ -> ()
   | _ -> Alcotest.fail "non-subscribe accepted"
+
+let test_recorder_renews_its_lease () =
+  (* the server evicts a subscriber that does not renew within 4 periods
+     (20 s here); the recorder renews, so it records for the whole run *)
+  let module Home = Hw_router.Home in
+  let home = Home.standard_home () in
+  let router = Home.router home in
+  let loop = Home.loop home in
+  let addr = "10.0.0.100:48000" in
+  let client = ref None in
+  Hw_router.Router.set_rpc_send router (fun ~to_ datagram ->
+      if String.equal to_ addr then
+        Hw_sim.Event_loop.after loop 0.001 (fun () ->
+            Option.iter (fun c -> Rpc.Client.handle_datagram c datagram) !client));
+  let c =
+    Rpc.Client.create
+      ~send:(fun datagram ->
+        Hw_sim.Event_loop.after loop 0.001 (fun () ->
+            Hw_router.Router.rpc_datagram router ~from:addr datagram))
+      ()
+  in
+  client := Some c;
+  let recorder =
+    Recorder.attach
+      ~now:(fun () -> Home.now home)
+      ~schedule:(fun d f -> Hw_sim.Event_loop.after loop d f)
+      ~client:c ~statement:"SUBSCRIBE SELECT COUNT(*) AS n FROM Flows EVERY 5 SECONDS" ()
+  in
+  Home.run_for home 60.;
+  let n = Recorder.snapshot_count recorder in
+  Alcotest.(check bool) (Printf.sprintf "%d snapshots in 60 s" n) true (n >= 11);
+  match Recorder.status recorder with
+  | Recorder.Active _ -> ()
+  | _ -> Alcotest.fail "recorder not active after 60 s"
 
 let prop_rpc_decode_never_crashes =
   QCheck.Test.make ~name:"rpc decode total on junk" ~count:300 QCheck.string (fun s ->
@@ -957,6 +1125,8 @@ let () =
           Alcotest.test_case "fifo eviction" `Quick test_table_eviction_is_fifo;
           Alcotest.test_case "triggers" `Quick test_table_triggers;
           Alcotest.test_case "trigger registration order" `Quick test_trigger_registration_order;
+          Alcotest.test_case "append allocates nothing" `Quick test_table_append_allocates_nothing;
+          Alcotest.test_case "hooks get the stored row" `Quick test_table_hook_gets_stored_row;
         ] );
       ( "language",
         [
@@ -982,6 +1152,8 @@ let () =
           Alcotest.test_case "ts column" `Quick test_query_ts_column;
           Alcotest.test_case "errors" `Quick test_query_errors;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero_is_error;
+          Alcotest.test_case "grouped scan allocates per group" `Quick
+            test_grouped_scan_allocates_per_group;
           QCheck_alcotest.to_alcotest prop_where_filter_sound;
           QCheck_alcotest.to_alcotest prop_limit_is_prefix;
         ] );
@@ -1000,6 +1172,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_trigger_validation;
           Alcotest.test_case "statement roundtrip" `Quick test_trigger_statement_roundtrip;
           Alcotest.test_case "unknown column refused" `Quick test_trigger_unknown_column_refused;
+          Alcotest.test_case "drop detaches the hook" `Quick test_dropped_trigger_detaches_hook;
         ] );
       ( "rpc",
         [
@@ -1013,6 +1186,7 @@ let () =
           Alcotest.test_case "recorder persists" `Quick test_recorder_persists_publications;
           Alcotest.test_case "recorder rejects non-subscribe" `Quick
             test_recorder_rejects_non_subscribe;
+          Alcotest.test_case "recorder renews its lease" `Quick test_recorder_renews_its_lease;
           QCheck_alcotest.to_alcotest prop_rpc_decode_never_crashes;
         ] );
     ]
