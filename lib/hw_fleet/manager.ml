@@ -98,6 +98,7 @@ let attach_sub t s fs =
   s.s_subs <- (fs, sub) :: s.s_subs
 
 let subscribe t ~statement ~period ~on_event =
+  if not (period > 0.) then invalid_arg "Manager.subscribe: period must be positive";
   (* the statement is still shipped (routers are the authority on their
      own schemas), but text the fleet's parser rejects outright will
      fail on every router — say so once here instead of N times in

@@ -121,7 +121,8 @@ val subscribe :
     arrive in the single [on_event] rollup stream, tagged with the
     router id. Callbacks are synchronous: a slow consumer back-pressures
     the event loop, not the routers (publishes ride the simulated
-    transport and are simply processed later). *)
+    transport and are simply processed later).
+    @raise Invalid_argument if [period <= 0]. *)
 
 val unsubscribe : t -> fleet_sub -> unit
 (** Detach the subscriber on every session (sends UNSUBSCRIBE down each). *)

@@ -12,11 +12,12 @@ let attach ?(max_snapshots = 1024) ~now ~schedule ~client ~statement () =
   let snapshots = Ring.create ~capacity:max_snapshots in
   let keeper =
     match Parser.parse statement with
-    | Ok (Ast.Subscribe (_, period)) ->
+    | Ok (Ast.Subscribe (_, period)) when period > 0. ->
         Ok
           (Rpc.Subscriber.attach ~now ~schedule ~client ~statement ~period
              ~on_result:(fun rs -> Ring.push snapshots (now (), rs))
              ())
+    | Ok (Ast.Subscribe _) -> Error "subscription period must be positive"
     | Ok _ -> Error "statement was not a SUBSCRIBE"
     | Error msg -> Error msg
   in
@@ -26,7 +27,10 @@ let status t =
   match t.keeper with
   | Error msg -> Failed msg
   | Ok keeper -> (
-      match Rpc.Subscriber.sub_id keeper with Some id -> Active id | None -> Pending)
+      match (Rpc.Subscriber.sub_id keeper, Rpc.Subscriber.refusal keeper) with
+      | Some id, _ -> Active id
+      | None, Some msg -> Failed msg
+      | None, None -> Pending)
 
 let snapshot_count t = Ring.length t.snapshots
 let last t = Ring.peek_newest t.snapshots

@@ -14,7 +14,11 @@ type status =
       (** no subscription id yet (also while re-subscribing, and after
           {!detach}) *)
   | Active of int      (** subscription id *)
-  | Failed of string   (** the statement is not a SUBSCRIBE *)
+  | Failed of string
+      (** the statement is not a SUBSCRIBE with a positive period, or the
+          server refused the latest SUBSCRIBE; in the second case the
+          recorder keeps retrying and turns [Active] once one is
+          accepted *)
 
 val attach :
   ?max_snapshots:int ->

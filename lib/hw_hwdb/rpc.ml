@@ -428,6 +428,10 @@ module Client = struct
     let z = Int64.logxor z (Int64.shift_right_logical z 31) in
     Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992. (* [0,1) *)
 
+  (* the start of the error a request settles with when no attempt was
+     answered, which [Subscriber] tells apart from a server's refusal *)
+  let timed_out = "rpc: timed out"
+
   (* Arm the retransmit timer for attempt [p.p_attempt]. Retries reuse
      the original sequence number — that IS the idempotency key the
      server's dedup window matches on. Capped exponential backoff with
@@ -455,7 +459,7 @@ module Client = struct
                   | Some f -> f ~attempts:attempt
                   | None -> ());
                   p.p_reply
-                    (Error (Printf.sprintf "rpc: timed out after %d attempts" attempt))
+                    (Error (Printf.sprintf "%s after %d attempts" timed_out attempt))
                 end
                 else begin
                   p.p_attempt <- attempt + 1;
@@ -525,6 +529,7 @@ module Subscriber = struct
     silence_after : float;
     on_result : Query.result_set -> unit;
     mutable sub_id : int option;
+    mutable refusal : string option;
     mutable last_heard : float;
     mutable last_renewal : float;
     mutable resubscribes : int;
@@ -538,11 +543,18 @@ module Subscriber = struct
         match reply with
         | Ok (Some { Query.rows = [ [ Value.Int id ] ]; _ }) ->
             t.sub_id <- Some id;
+            t.refusal <- None;
             t.last_heard <- t.now ()
-        | _ -> () (* lost or rejected; the watchdog will try again *))
+        | Error msg when not (String.starts_with ~prefix:Client.timed_out msg) ->
+            (* refused; the watchdog still tries again, since a datagram
+               damaged on the way reads as a refusal too *)
+            t.refusal <- Some msg
+        | Ok _ | Error _ -> () (* lost; the watchdog will try again *))
 
   let attach ?(metrics = Hw_metrics.Registry.default) ?renew_every ?silence_after ~now
       ~schedule ~client ~statement ~period ~on_result () =
+    (* the watchdog reschedules itself every [period] *)
+    if not (period > 0.) then invalid_arg "Rpc.Subscriber.attach: period must be positive";
     let t =
       {
         client;
@@ -552,6 +564,7 @@ module Subscriber = struct
         silence_after = Option.value silence_after ~default:(3. *. period);
         on_result;
         sub_id = None;
+        refusal = None;
         last_heard = now ();
         last_renewal = now ();
         resubscribes = 0;
@@ -593,5 +606,6 @@ module Subscriber = struct
           ~on_reply:(fun _ -> ())
 
   let sub_id t = t.sub_id
+  let refusal t = t.refusal
   let resubscribes t = t.resubscribes
 end

@@ -157,11 +157,19 @@ module Subscriber : sig
       EVERY interval in seconds. Renews every [renew_every] (default
       [2 * period]) and re-subscribes after [silence_after] (default
       [3 * period]) without a publish. [on_result] sees only publishes
-      matching the current subscription id. *)
+      matching the current subscription id.
+      @raise Invalid_argument if [period <= 0] (the watchdog runs every
+      [period]). *)
 
   val detach : t -> unit
   (** Stops the watchdog and sends UNSUBSCRIBE for the live id, if any. *)
 
   val sub_id : t -> int option
+
+  val refusal : t -> string option
+  (** The server's error reply to the latest SUBSCRIBE it refused, until
+      one is accepted. A request that timed out is not a refusal. The
+      subscriber keeps retrying either way. *)
+
   val resubscribes : t -> int
 end

@@ -40,8 +40,13 @@ let schema t = t.schema
 let capacity t = Ring.Slots.capacity t.slots
 let length t = Ring.Slots.length t.slots
 let total_inserted t = Ring.Slots.total_pushed t.slots
-let row t p = Array.unsafe_get t.rows p
-let stamp t p = Float.Array.unsafe_get t.stamps p
+
+(* exported, so bounds-checked: nothing ties a [pos] to its table *)
+let row t p = t.rows.(p)
+let stamp t p = Float.Array.get t.stamps p
+
+(* unchecked: only for slots this table's [Ring.Slots] handed out *)
+let stamp_at t s = Float.Array.unsafe_get t.stamps s
 
 let store t ~now values =
   let s = Ring.Slots.push t.slots in
@@ -86,18 +91,18 @@ let window_bounds t = function
   | `All -> (0, length t)
   | `Last_seconds (range, now) ->
       let cutoff = now -. range in
-      let pos = Ring.Slots.lower_bound (fun s -> stamp t s >= cutoff) t.slots in
+      let pos = Ring.Slots.lower_bound (fun s -> stamp_at t s >= cutoff) t.slots in
       (pos, length t - pos)
   | `Last_rows n ->
       let len = length t in
       let keep = min (max 0 n) len in
       (len - keep, keep)
   | `Now now ->
-      let stop = Ring.Slots.lower_bound (fun s -> stamp t s > now) t.slots in
+      let stop = Ring.Slots.lower_bound (fun s -> stamp_at t s > now) t.slots in
       if stop = 0 then (0, 0)
       else begin
-        let newest = stamp t (Ring.Slots.slot t.slots (stop - 1)) in
-        let pos = Ring.Slots.lower_bound (fun s -> stamp t s >= newest) t.slots in
+        let newest = stamp_at t (Ring.Slots.slot t.slots (stop - 1)) in
+        let pos = Ring.Slots.lower_bound (fun s -> stamp_at t s >= newest) t.slots in
         (pos, stop - pos)
       end
 

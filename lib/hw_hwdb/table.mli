@@ -75,9 +75,13 @@ val fold_window : t -> window -> init:'acc -> f:('acc -> pos -> 'acc) -> 'acc
 
 val row : t -> pos -> Value.t array
 (** The stored row itself (the array {!append} was given): never mutate
-    it. *)
+    it.
+    @raise Invalid_argument if [pos] lies beyond this table's capacity
+    (a position taken from a larger table). *)
 
 val stamp : t -> pos -> float
+(** The row's timestamp.
+    @raise Invalid_argument as {!row}. *)
 
 val scan_window : t -> window -> Value.tuple list
 (** The rows [window] selects as fresh tuples, oldest first. *)

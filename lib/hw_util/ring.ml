@@ -50,25 +50,21 @@ module Slots = struct
     t.len <- 0
 end
 
-type 'a t = {
-  slots : Slots.t;
-  (* empty until the first push fills every slot with that element, so no
-     slot holds an option and a [float t] stores its elements unboxed *)
-  mutable data : 'a array;
-}
+type 'a t = { slots : Slots.t; data : 'a option array }
 
-let create ~capacity = { slots = Slots.create ~capacity; data = [||] }
+let create ~capacity =
+  let slots = Slots.create ~capacity in
+  { slots; data = Array.make capacity None }
+
 let capacity t = Slots.capacity t.slots
 let length t = Slots.length t.slots
 let is_empty t = length t = 0
 let is_full t = length t = capacity t
 let total_pushed t = Slots.total_pushed t.slots
+let push t x = Array.unsafe_set t.data (Slots.push t.slots) (Some x)
 
-let push t x =
-  if Array.length t.data = 0 then t.data <- Array.make (capacity t) x;
-  Array.unsafe_set t.data (Slots.push t.slots) x
-
-let unsafe_get t i = Array.unsafe_get t.data (Slots.slot t.slots i)
+let at t s = match Array.unsafe_get t.data s with Some x -> x | None -> assert false
+let unsafe_get t i = at t (Slots.slot t.slots i)
 
 let get t i =
   if i < 0 || i >= length t then invalid_arg "Ring.get: index out of range";
@@ -78,15 +74,20 @@ let peek_oldest t = if is_empty t then None else Some (unsafe_get t 0)
 let peek_newest t = if is_empty t then None else Some (unsafe_get t (length t - 1))
 
 let fold_range f acc t ~pos ~len =
-  Slots.fold_range (fun acc s -> f acc (Array.unsafe_get t.data s)) acc t.slots ~pos ~len
+  Slots.fold_range (fun acc s -> f acc (at t s)) acc t.slots ~pos ~len
 
 let fold f acc t = fold_range f acc t ~pos:0 ~len:(length t)
-let iter f t = fold (fun () x -> f x) () t
-let lower_bound p t = Slots.lower_bound (fun s -> p (Array.unsafe_get t.data s)) t.slots
+
+let iter f t =
+  for i = 0 to length t - 1 do
+    f (unsafe_get t i)
+  done
+
+let lower_bound p t = Slots.lower_bound (fun s -> p (at t s)) t.slots
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 let to_list_newest_first t = fold (fun acc x -> x :: acc) [] t
 let filter p t = List.filter p (to_list t)
 
 let clear t =
   Slots.clear t.slots;
-  t.data <- [||]
+  Array.fill t.data 0 (capacity t) None

@@ -3,11 +3,7 @@
     The buffer keeps at most [capacity] elements; pushing into a full buffer
     silently evicts the oldest element. This is the storage discipline of
     the Homework Database ("stores ephemeral events into a fixed size memory
-    buffer").
-
-    A slot holds the element itself, with no option around it: the backing
-    array is allocated by the first push, filled with that element, so a
-    [float t] stores its elements unboxed. *)
+    buffer"). *)
 
 (** The ring's index arithmetic on its own, for a caller that keeps one
     array per field of its elements (hwdb tables keep their rows in one

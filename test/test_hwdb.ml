@@ -226,6 +226,23 @@ let test_table_append_allocates_nothing () =
   Alcotest.(check (float 0.)) "words for 1000 appends" 0. words;
   Alcotest.(check int) "full" 64 (Table.length t)
 
+let test_table_position_checked () =
+  (* nothing ties a position to its table: one read on another, smaller
+     table raises instead of reading past its arrays *)
+  let big = Table.create ~name:"B" ~capacity:8 [ ("v", Value.T_int) ] in
+  let small = Table.create ~name:"S" ~capacity:2 [ ("v", Value.T_int) ] in
+  for i = 1 to 8 do
+    Table.append big ~now:(float_of_int i) [| Value.Int i |]
+  done;
+  Table.append small ~now:1. [| Value.Int 0 |];
+  let newest = Option.get (Table.fold_window big `All ~init:None ~f:(fun _ p -> Some p)) in
+  Alcotest.(check bool) "own table" true (Table.row big newest = [| Value.Int 8 |]);
+  Alcotest.(check (float 0.)) "own stamp" 8. (Table.stamp big newest);
+  Alcotest.check_raises "row" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Table.row small newest));
+  Alcotest.check_raises "stamp" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Table.stamp small newest))
+
 let test_table_hook_gets_stored_row () =
   (* with a hook, an append builds only the tuple it hands over, and the
      tuple carries the stored array itself *)
@@ -1103,6 +1120,72 @@ let test_recorder_renews_its_lease () =
   | Recorder.Active _ -> ()
   | _ -> Alcotest.fail "recorder not active after 60 s"
 
+let test_recorder_rejects_zero_period () =
+  (* the lease watchdog runs every period: a period of 0 would reschedule
+     it at the same instant forever *)
+  let loop = Hw_sim.Event_loop.create () in
+  let client = Rpc.Client.create ~send:(fun _ -> ()) () in
+  let now () = Hw_sim.Event_loop.now loop in
+  let schedule d f = Hw_sim.Event_loop.after loop d f in
+  let r =
+    Recorder.attach ~now ~schedule ~client
+      ~statement:"SUBSCRIBE SELECT COUNT(*) AS n FROM Flows EVERY 0 SECONDS" ()
+  in
+  Hw_sim.Event_loop.run_for loop 1.;
+  (match Recorder.status r with
+  | Recorder.Failed _ -> ()
+  | _ -> Alcotest.fail "period 0 accepted");
+  Alcotest.check_raises "subscriber"
+    (Invalid_argument "Rpc.Subscriber.attach: period must be positive") (fun () ->
+      ignore
+        (Rpc.Subscriber.attach ~now ~schedule ~client ~statement:"SUBSCRIBE SELECT"
+           ~period:0. ~on_result:ignore ()))
+
+let test_recorder_reports_refusal () =
+  (* a server that refuses the SUBSCRIBE: the recorder reads Failed with
+     the server's reason, keeps retrying, and turns Active once a
+     SUBSCRIBE is accepted *)
+  let loop = Hw_sim.Event_loop.create () in
+  let accept = ref false in
+  let client = ref None in
+  let reply frame =
+    Hw_sim.Event_loop.after loop 0.001 (fun () ->
+        Option.iter (fun c -> Rpc.Client.handle_datagram c (Rpc.encode frame)) !client)
+  in
+  let c =
+    Rpc.Client.create
+      ~send:(fun datagram ->
+        match Rpc.decode datagram with
+        | Ok (Rpc.Request { seq; _ }) ->
+            reply
+              (if !accept then
+                 Rpc.Response_ok
+                   {
+                     seq;
+                     result =
+                       Some { Query.columns = [ "subscription_id" ]; rows = [ [ Value.Int 7 ] ] };
+                   }
+               else Rpc.Response_error { seq; message = "subscriptions disabled" })
+        | _ -> ())
+      ()
+  in
+  client := Some c;
+  let r =
+    Recorder.attach
+      ~now:(fun () -> Hw_sim.Event_loop.now loop)
+      ~schedule:(fun d f -> Hw_sim.Event_loop.after loop d f)
+      ~client:c ~statement:"SUBSCRIBE SELECT COUNT(*) AS n FROM Flows EVERY 5 SECONDS" ()
+  in
+  Hw_sim.Event_loop.run_for loop 1.;
+  (match Recorder.status r with
+  | Recorder.Failed "subscriptions disabled" -> ()
+  | _ -> Alcotest.fail "refusal not reported");
+  accept := true;
+  Hw_sim.Event_loop.run_for loop 30.;
+  match Recorder.status r with
+  | Recorder.Active 7 -> ()
+  | _ -> Alcotest.fail "not active once accepted"
+
 let prop_rpc_decode_never_crashes =
   QCheck.Test.make ~name:"rpc decode total on junk" ~count:300 QCheck.string (fun s ->
       match Rpc.decode s with Ok _ | Error _ -> true)
@@ -1127,6 +1210,7 @@ let () =
           Alcotest.test_case "trigger registration order" `Quick test_trigger_registration_order;
           Alcotest.test_case "append allocates nothing" `Quick test_table_append_allocates_nothing;
           Alcotest.test_case "hooks get the stored row" `Quick test_table_hook_gets_stored_row;
+          Alcotest.test_case "positions are checked" `Quick test_table_position_checked;
         ] );
       ( "language",
         [
@@ -1187,6 +1271,8 @@ let () =
           Alcotest.test_case "recorder rejects non-subscribe" `Quick
             test_recorder_rejects_non_subscribe;
           Alcotest.test_case "recorder renews its lease" `Quick test_recorder_renews_its_lease;
+          Alcotest.test_case "recorder rejects period 0" `Quick test_recorder_rejects_zero_period;
+          Alcotest.test_case "recorder reports a refusal" `Quick test_recorder_reports_refusal;
           QCheck_alcotest.to_alcotest prop_rpc_decode_never_crashes;
         ] );
     ]
