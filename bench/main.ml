@@ -1051,6 +1051,76 @@ let micro_tests () =
              Home.run_for home 1.0));
     ]
   in
+  (* PERF15: the telemetry export in the 1 s tick. A database whose
+     flight recorder holds 128 traces of 7 spans (a packet-in's shape,
+     with address attributes) and whose registry holds ~100 instruments;
+     before each tick 12 counters move and, in the second case, 25 new
+     traces arrive (churn renders ~25 a tick), handed in through
+     [Tracer.record] from a pool built once, so the op times the export
+     rather than the span sites. One op is one [Database.tick]. *)
+  let export_tests () =
+    let module Tracer = Hw_trace.Tracer in
+    let module Registry = Hw_metrics.Registry in
+    let fixture () =
+      let clock = ref 0. in
+      let now () = !clock in
+      let reg = Registry.create () in
+      let trace = Tracer.create ~capacity:128 ~metrics:reg ~now () in
+      let db = Hw_hwdb.Database.create ~metrics:reg ~trace ~now () in
+      let counters =
+        Array.init 80 (fun i -> Registry.counter reg (Printf.sprintf "bench_%d_total" i))
+      in
+      for i = 1 to 3 do
+        let h = Registry.histogram reg (Printf.sprintf "bench_%d_seconds" i) in
+        Hw_metrics.Histogram.observe h 1e-3
+      done;
+      let mac i =
+        Mac.of_bytes (Printf.sprintf "\002\000\000\000\000%c" (Char.chr (i land 0xff)))
+      in
+      for i = 1 to 153 do
+        Tracer.with_trace trace "dp.packet_in"
+          ~attrs:
+            [
+              ("in_port", Tracer.Int (1 + (i mod 4)));
+              ("eth_src", Tracer.Mac (mac i));
+              ("eth_dst", Tracer.Mac (mac (i + 1)));
+              ("nw_src", Tracer.Ip (Ip.of_octets 10 0 0 (i land 0xff)));
+              ("nw_dst", Tracer.Ip (Ip.of_octets 93 184 216 34));
+            ]
+          (fun () ->
+            Tracer.with_span trace "ctrl.dispatch" (fun () ->
+                List.iter
+                  (fun h ->
+                    Tracer.with_span trace h ~attrs:[ ("verdict", Tracer.Str "continue") ] ignore)
+                  [ "ctrl.handler.dhcp"; "ctrl.handler.dns"; "ctrl.handler.switching" ];
+                Tracer.with_span trace "of.flow_mod" ~attrs:[ ("priority", Tracer.Int 100) ] ignore;
+                Tracer.with_span trace "hwdb.insert" ~attrs:[ ("table", Tracer.Str "Flows") ] ignore))
+      done;
+      let pool = Array.of_list (List.rev (Tracer.traces trace)) in
+      (* the recorder's newest 128 are rendered before timing starts *)
+      clock := 1.;
+      Hw_hwdb.Database.tick db;
+      (clock, trace, db, counters, pool)
+    in
+    let tick ~fresh (clock, trace, db, counters, pool) =
+      let next = ref 0 in
+      fun () ->
+        clock := !clock +. 1.;
+        for i = 0 to 11 do
+          Hw_metrics.Counter.incr counters.(i)
+        done;
+        for _ = 1 to fresh do
+          Tracer.record trace pool.(!next);
+          next := (!next + 1) mod Array.length pool
+        done;
+        Hw_hwdb.Database.tick db
+    in
+    [
+      Test.make ~name:"tick/128_traces_0_new_12_moved" (Staged.stage (tick ~fresh:0 (fixture ())));
+      Test.make ~name:"tick/128_traces_25_new_12_moved"
+        (Staged.stage (tick ~fresh:25 (fixture ())));
+    ]
+  in
   [
     ("PERF1 flow table", lookup_tests);
     ("PERF2 openflow codec", codec_tests);
@@ -1067,6 +1137,7 @@ let micro_tests () =
     ("PERF12 wal durability", wal_tests);
     ("PERF13 simulator", sim_tests);
     ("PERF14 measurement poll", poll_tests);
+    ("PERF15 telemetry export", export_tests);
   ]
 
 (* Rows computed from a group's measured rows (looked up by name) and

@@ -34,21 +34,7 @@ type trigger_id = int
 type trigger = { trig_id : trigger_id; trig_table : Table.t; trig_hook : Table.hook_id }
 
 module Tracer = Hw_trace.Tracer
-
-(* One instrument's Metrics rows: the name/kind/stat cells are built once,
-   the rows again only when the instrument's version moves. *)
-type metric_rows = {
-  mr_instrument : Hw_metrics.Registry.instrument;
-  mr_metric : Value.t;
-  mr_kind : Value.t;
-  mr_stats : Value.t list;
-  mutable mr_version : float;
-  mutable mr_rows : Value.t array list;
-}
-
-(* One flight-recorded trace's Traces rows, rendered once: the spans of a
-   completed trace no longer change. *)
-type trace_rows = { tr_trace : Tracer.completed; tr_rows : Value.t array list }
+module Snapshot = Hw_metrics.Snapshot
 
 type t = {
   now : unit -> float;
@@ -75,10 +61,20 @@ type t = {
   (* durable tables' logs, in declaration order; flushed (group commit)
      at the top of every tick *)
   mutable wals : (string * Hw_wal.Wal.t) list;
-  (* the rendered Metrics and Traces exports, re-stamped every tick *)
-  mutable metric_rows : metric_rows list; (* registration order *)
-  mutable metrics_rendered : int; (* instruments in [metric_rows] *)
-  mutable trace_rows : trace_rows list; (* recorder order, oldest first *)
+  (* the rendered Metrics export, re-stamped every tick: instrument [i]
+     owns rows [metric_first.(i)] to [metric_first.(i + 1) - 1] of
+     [metric_rows], which are in Snapshot.rows order, and they were
+     built when its version read [metric_versions.(i)] *)
+  mutable metric_instruments : Hw_metrics.Registry.instrument array; (* registration order *)
+  mutable metric_versions : int array;
+  mutable metric_first : int array; (* one entry more than instruments *)
+  mutable metric_rows : Value.t array array;
+  (* the rendered Traces export: the rows of the trace the recorder
+     pushed at position [p] sit at [trace_blocks.(p mod capacity)], for
+     every [p] from [traces_lo] to [traces_synced - 1] *)
+  trace_blocks : Value.t array array array;
+  mutable traces_lo : int;
+  mutable traces_synced : int;
   metrics : Hw_metrics.Registry.t;
   m_inserts : Hw_metrics.Counter.t;
   m_insert_errors : Hw_metrics.Counter.t;
@@ -176,9 +172,13 @@ let create_empty ?(default_capacity = 4096) ?(metrics = Hw_metrics.Registry.defa
     next_trigger_id = 1;
     trigger_depth = 0;
     wals = [];
-    metric_rows = [];
-    metrics_rendered = 0;
-    trace_rows = [];
+    metric_instruments = [||];
+    metric_versions = [||];
+    metric_first = [| 0 |];
+    metric_rows = [||];
+    trace_blocks = Array.make (if Tracer.enabled trace then Tracer.capacity trace else 0) [||];
+    traces_lo = 0;
+    traces_synced = 0;
     metrics;
     m_inserts = counter ~help:"hwdb rows inserted" "hwdb_inserts_total";
     m_insert_errors = counter ~help:"hwdb inserts refused" "hwdb_insert_errors_total";
@@ -575,48 +575,73 @@ let subscription_count t = Hashtbl.length t.subs
    flight recorder, each batch stamped with one instant so
    [SELECT ... FROM Metrics|Traces [NOW]] reads one coherent dump. A row
    is rendered and validated once and then re-stamped through
-   Table.append, which stores the cached array again with a new stamp, so
-   a tick costs the rendering of what changed since the last one, plus a
-   tuple per exported row only while the table has insert hooks. The
-   export bypasses [insert]: it must neither count as database load nor
-   re-enter the tracer. *)
+   Table.append_rows, which stores the cached array again with a new
+   stamp, so a tick costs the rendering of what changed since the last
+   one, plus a tuple per exported row only while the table has insert
+   hooks. The export bypasses [insert]: it must neither count as
+   database load nor re-enter the tracer.
 
-let checked_row tbl ~what values =
-  match Value.validate (Table.schema tbl) values with
-  | Ok () -> Some (Array.of_list values)
-  | Error msg ->
-      Log.warn (fun m -> m "%s refresh: %s" what msg);
-      None
+   A row's validity depends only on its cells' types, and every row of
+   one export has the same types, so a trace's or an instrument's rows
+   are kept all or none. *)
 
-let read_metric tbl m =
-  m.mr_rows <-
-    List.filter_map (checked_row tbl ~what:"metrics")
-      (List.map2
-         (fun stat v -> [ m.mr_metric; m.mr_kind; stat; Value.Real v ])
-         m.mr_stats
-         (Hw_metrics.Snapshot.values m.mr_instrument))
+let all_valid tbl ~what rows =
+  let schema = Table.schema tbl in
+  let rec check i =
+    i >= Array.length rows
+    ||
+    match Value.validate schema rows.(i) with
+    | Ok () -> check (i + 1)
+    | Error msg ->
+        Log.warn (fun m -> m "%s refresh: %s" what msg);
+        false
+  in
+  check 0
 
 let render_metric tbl ((_, instrument) as entry) =
-  let sh = Hw_metrics.Snapshot.shape entry in
-  let m =
-    {
-      mr_instrument = instrument;
-      mr_metric = Value.Str sh.sh_metric;
-      mr_kind = Value.Str sh.sh_kind;
-      mr_stats = List.map (fun stat -> Value.Str stat) sh.sh_stats;
-      mr_version = Hw_metrics.Snapshot.version instrument;
-      mr_rows = [];
-    }
+  let sh = Snapshot.shape entry in
+  let metric = Value.Str sh.sh_metric and kind = Value.Str sh.sh_kind in
+  let rows =
+    Array.of_list
+      (List.mapi
+         (fun i stat ->
+           [| metric; kind; Value.Str stat; Value.Real (Snapshot.stat_value instrument i) |])
+         sh.sh_stats)
   in
-  read_metric tbl m;
-  m
+  if all_valid tbl ~what:"metrics" rows then rows else [||]
 
-let refresh_metric tbl m =
-  let v = Hw_metrics.Snapshot.version m.mr_instrument in
-  if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float m.mr_version)) then begin
-    m.mr_version <- v;
-    read_metric tbl m
-  end
+(* a registry only grows, at the end of its registration order *)
+let render_new_metrics t tbl =
+  let known = Array.length t.metric_instruments in
+  let fresh =
+    Array.of_list
+      (List.filteri (fun i _ -> i >= known) (Hw_metrics.Registry.instruments t.metrics))
+  in
+  let blocks = Array.map (render_metric tbl) fresh in
+  let first = Array.make (Array.length fresh) 0 in
+  let next = ref t.metric_first.(known) in
+  Array.iteri
+    (fun i rows ->
+      next := !next + Array.length rows;
+      first.(i) <- !next)
+    blocks;
+  t.metric_instruments <- Array.append t.metric_instruments (Array.map snd fresh);
+  t.metric_versions <-
+    Array.append t.metric_versions (Array.map (fun (_, i) -> Snapshot.version i) fresh);
+  t.metric_first <- Array.append t.metric_first first;
+  t.metric_rows <- Array.concat (t.metric_rows :: Array.to_list blocks)
+
+(* A moved instrument's rows are built again in place; the metric, kind
+   and stat cells are shared with the old rows, which the table may
+   still hold, so each row is a new array. *)
+let reread_metric t i =
+  let instrument = t.metric_instruments.(i) in
+  let first = t.metric_first.(i) in
+  for r = first to t.metric_first.(i + 1) - 1 do
+    let old = t.metric_rows.(r) in
+    t.metric_rows.(r) <-
+      [| old.(0); old.(1); old.(2); Value.Real (Snapshot.stat_value instrument (r - first)) |]
+  done
 
 (* One row per (instrument, stat), in Snapshot.rows order. *)
 let refresh_metrics t =
@@ -624,24 +649,23 @@ let refresh_metrics t =
   | None -> () (* create_empty databases opt out of the export *)
   | Some tbl ->
       let now = t.now () in
-      let registered = Hw_metrics.Registry.size t.metrics in
-      if registered > t.metrics_rendered then begin
-        (* a registry only grows, at the end of its registration order *)
-        let fresh =
-          List.filteri
-            (fun i _ -> i >= t.metrics_rendered)
-            (Hw_metrics.Registry.instruments t.metrics)
-        in
-        t.metric_rows <- t.metric_rows @ List.map (render_metric tbl) fresh;
-        t.metrics_rendered <- registered
-      end;
+      if Hw_metrics.Registry.size t.metrics > Array.length t.metric_instruments then
+        render_new_metrics t tbl;
       (* read every instrument before appending any row: insert hooks may
          move instruments, and the batch is one instant's snapshot *)
-      List.iter (refresh_metric tbl) t.metric_rows;
-      List.iter (fun m -> List.iter (Table.append tbl ~now) m.mr_rows) t.metric_rows
+      for i = 0 to Array.length t.metric_instruments - 1 do
+        let v = Snapshot.version t.metric_instruments.(i) in
+        if v <> t.metric_versions.(i) then begin
+          t.metric_versions.(i) <- v;
+          reread_metric t i
+        end
+      done;
+      Table.append_rows tbl ~now t.metric_rows
+
+let no_error = Value.Str ""
 
 let trace_row (c : Tracer.completed) (s : Tracer.span) =
-  [
+  [|
     Value.Int c.id;
     Value.Int s.span_id;
     Value.Int s.parent;
@@ -649,47 +673,40 @@ let trace_row (c : Tracer.completed) (s : Tracer.span) =
     Value.Real s.start;
     Value.Real s.duration;
     Value.Str (Tracer.attrs_to_string s.attrs);
-    Value.Str (Option.value s.error ~default:"");
-  ]
+    (match s.error with None -> no_error | Some e -> Value.Str e);
+  |]
 
 let render_trace tbl (c : Tracer.completed) =
-  {
-    tr_trace = c;
-    tr_rows =
-      List.filter_map
-        (fun s -> checked_row tbl ~what:"traces" (trace_row c s))
-        (Array.to_list c.spans);
-  }
-
-let rec drop_until c = function
-  | r :: _ as cached when r.tr_trace == c -> cached
-  | _ :: cached -> drop_until c cached
-  | [] -> []
-
-(* Walking the recorder oldest first, each kept trace is either the next
-   cached one (the recorder is FIFO) or one completed since the last
-   tick; cached traces passed over have left the recorder and are
-   forgotten. Traces match physically: a remote trace id may repeat. *)
-let[@tail_mod_cons] rec sync_traces tbl cached = function
-  | [] -> []
-  | c :: kept -> (
-      match drop_until c cached with
-      | r :: cached -> r :: sync_traces tbl cached kept
-      | [] ->
-          let r = render_trace tbl c in
-          r :: sync_traces tbl [] kept)
+  let rows = Array.map (trace_row c) c.spans in
+  if all_valid tbl ~what:"traces" rows then rows else [||]
 
 (* One row per span of every trace in the flight recorder, oldest trace
    first, so under ring pressure the newest traces' rows are the ones
-   that survive. *)
+   that survive. The recorder's push count says what changed: the
+   traces pushed since the last tick are new (a completed trace no
+   longer changes, so each is rendered once), and those below
+   [pushed - kept] have been evicted or cleared. *)
 let refresh_traces t =
   if Tracer.enabled t.trace then
     match table t "Traces" with
     | None -> ()
     | Some tbl ->
         let now = t.now () in
-        t.trace_rows <- sync_traces tbl t.trace_rows (List.rev (Tracer.traces t.trace));
-        List.iter (fun r -> List.iter (Table.append tbl ~now) r.tr_rows) t.trace_rows
+        let blocks = t.trace_blocks in
+        let cap = Array.length blocks in
+        let pushed = Tracer.pushed t.trace in
+        let lo = pushed - Tracer.kept t.trace in
+        for p = t.traces_lo to min lo t.traces_synced - 1 do
+          blocks.(p mod cap) <- [||]
+        done;
+        for p = max lo t.traces_synced to pushed - 1 do
+          blocks.(p mod cap) <- render_trace tbl (Tracer.get t.trace (p - lo))
+        done;
+        t.traces_lo <- lo;
+        t.traces_synced <- pushed;
+        for p = lo to pushed - 1 do
+          Table.append_rows tbl ~now blocks.(p mod cap)
+        done
 
 let tick t =
   Hw_metrics.Counter.incr t.m_ticks;

@@ -24,12 +24,24 @@
     Each tick appends the whole registry ([Hw_metrics.Snapshot.rows], in
     order) to [Metrics] and every span of every kept trace (oldest trace
     first) to [Traces], each batch stamped with one instant. The rows are
-    rendered once and re-stamped: a trace's rows on the first tick that
-    finds it in the recorder (they are forgotten once it leaves), an
-    instrument's name/kind/stat cells on the first tick that finds it
-    registered, and its rows again only when its value — for a
-    histogram, its count — changes. The exported rows are exactly those
-    a full re-render would write. *)
+    rendered once and re-stamped, so a tick costs what changed, not what
+    is retained:
+    - [Traces]: each trace's rows are one block, kept in a ring beside
+      the flight recorder with the recorder's capacity. The recorder's
+      push count ({!Hw_trace.Tracer.pushed}) tells a tick which traces
+      are new since the last one, so it renders only those and drops
+      the blocks of traces that have left the recorder (evicted, or
+      removed by a [clear]); a tick that finds no new trace renders
+      nothing and builds no list.
+    - [Metrics]: the rows sit in one flat array in
+      [Hw_metrics.Snapshot.rows] order. An instrument's name/kind/stat
+      cells are built on the first tick that finds it registered, and
+      its rows again, sharing those cells, only when its
+      {!Hw_metrics.Snapshot.version} moves.
+
+    The exported rows and the [total_inserted] count of each table are
+    exactly those a full re-render would give, and a table's insert
+    hooks see every re-stamped row, one by one. *)
 
 type t
 
@@ -197,7 +209,7 @@ val policies_schema : Value.schema
 val metrics_schema : Value.schema
 val traces_schema : Value.schema
 
-val trace_row : Hw_trace.Tracer.completed -> Hw_trace.Tracer.span -> Value.t list
+val trace_row : Hw_trace.Tracer.completed -> Hw_trace.Tracer.span -> Value.t array
 (** The [Traces] row of one span of a completed trace, shared by the
     tick export and [Hw_obs.Observer]. *)
 

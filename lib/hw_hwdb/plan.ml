@@ -22,7 +22,7 @@ let fail_str s = raise (Plan_error s)
 
 (* -- bindings (prepare-time only) ---------------------------------- *)
 
-type binding = { quals : string list; col : string; index : int }
+type binding = { quals : string list; col : string; index : int; ty : Value.ty }
 
 (* A single-table plan reads each stored row in place: column [i] of the
    schema is [row.(i)], and the implicit [ts] column, which the stored
@@ -48,9 +48,9 @@ let bindings_of_from ~lookup ~in_place from =
               table_name :: (match alias with Some a -> [ a ] | None -> [])
             in
             let ts_index, first = if in_place then (stamp_index, 0) else (!offset, !offset + 1) in
-            all := { quals; col = "ts"; index = ts_index } :: !all;
+            all := { quals; col = "ts"; index = ts_index; ty = Value.T_ts } :: !all;
             List.iteri
-              (fun i (col, _ty) -> all := { quals; col; index = first + i } :: !all)
+              (fun i (col, ty) -> all := { quals; col; index = first + i; ty } :: !all)
               (Table.schema table);
             offset := !offset + 1 + List.length (Table.schema table);
             table)
@@ -64,7 +64,7 @@ let bindings_of_from ~lookup ~in_place from =
    module is single-threaded. *)
 let ts_used = ref false
 
-let resolve bindings (qual, name) =
+let find_binding bindings (qual, name) =
   let candidates =
     List.filter
       (fun b ->
@@ -73,12 +73,15 @@ let resolve bindings (qual, name) =
       bindings
   in
   match candidates with
-  | [ b ] ->
-      if b.index = stamp_index then ts_used := true;
-      b.index
+  | [ b ] -> b
   | [] -> fail "unknown column %s" (match qual with Some q -> q ^ "." ^ name | None -> name)
   | _ :: _ ->
       fail "ambiguous column %s" (match qual with Some q -> q ^ "." ^ name | None -> name)
+
+let resolve bindings col =
+  let b = find_binding bindings col in
+  if b.index = stamp_index then ts_used := true;
+  b.index
 
 let star_columns bindings =
   List.map
@@ -244,8 +247,35 @@ type h_subject = H_agg of int | H_col of compiled
 
 type having = { h_subject : h_subject; h_op : Ast.binop; h_lit : Value.t }
 
+(* A GROUP BY key, one cell per column. A T_int, T_str or T_bool column
+   keys on its cell, which groups exactly as the cell's [Value.to_string]
+   text would: such a column holds only that one constructor. A T_real
+   or T_ts column keys on the text itself ([Value.Str]): "%g" and "%.6f"
+   round, and a real column may hold an integer literal, so only the
+   text says which of its values share a group. *)
+type key = Value.t list
+
+let key_cell (ty : Value.ty) (f : compiled) : compiled =
+  match ty with
+  | Value.T_int | Value.T_str | Value.T_bool -> f
+  | Value.T_real | Value.T_ts -> fun row -> Value.Str (Value.to_string (f row))
+
+(* cells at one position share a constructor: Int, Str or Bool *)
+let rec key_eq a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a', y :: b' -> Value.equal x y && key_eq a' b'
+  | _ -> false
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_eq
+  let hash = Hashtbl.hash
+end)
+
 type grouped = {
-  g_key : Value.t array -> string list;
+  g_key : Value.t array -> key;
   g_key1 : compiled option; (* single GROUP BY column: exec keys on the bare string *)
   g_no_group_by : bool;
   g_aggs : agg array;
@@ -484,12 +514,15 @@ let prepare ~lookup (q : Ast.select) =
         let key_fns =
           List.map (fun (qual, name) -> compile scope (Ast.Col (qual, name))) q.Ast.group_by
         in
+        let key_cells =
+          List.map2
+            (fun col f -> key_cell (find_binding scope.binds col).ty f)
+            q.Ast.group_by key_fns
+        in
+        let rec key row = function [] -> [] | f :: fs -> f row :: key row fs in
         P_grouped
           {
-            g_key =
-              (match key_fns with
-              | [ f ] -> fun row -> [ Value.to_string (f row) ]
-              | fns -> fun row -> List.map (fun f -> Value.to_string (f row)) fns);
+            g_key = (fun row -> key row key_cells);
             g_key1 = (match key_fns with [ f ] -> Some f | _ -> None);
             g_no_group_by = q.Ast.group_by = [];
             g_aggs = Array.of_list (List.rev !aggs);
@@ -635,7 +668,7 @@ let apply_limit t out_rows =
 type gslot = {
   gs_fp : int; (* cheap fingerprint: probes reject on an int compare *)
   gs_k1 : string; (* bare key when the query groups by a single column *)
-  gs_key : string list; (* the key otherwise *)
+  gs_key : key; (* the key otherwise *)
   gs_rep : Value.t array; (* first row seen: stored rows are immutable, join rows fresh *)
   gs_rep_ts : float; (* its timestamp, for a single-table plan that reads it *)
   gs_states : sstate array;
@@ -657,7 +690,7 @@ type groups = {
   gt_linear : gslot array;
   mutable gt_n : int;
   mutable gt_by_k1 : gslot Str_tbl.t option;
-  mutable gt_by_key : (string list, gslot) Hashtbl.t option;
+  mutable gt_by_key : gslot Key_tbl.t option;
   mutable gt_order : gslot list; (* reversed first-appearance order *)
 }
 
@@ -675,14 +708,13 @@ let fp_str acc s =
     lxor (Char.code (String.unsafe_get s 0) lsl 8)
     lxor Char.code (String.unsafe_get s (len - 1))
 
-let key_fp key =
-  match key with [ s ] -> fp_str 0 s | parts -> List.fold_left fp_str 7 parts
+let cell_fp acc = function
+  | Value.Str s -> fp_str acc s
+  | Value.Int i -> (acc * 31) lxor i
+  | Value.Bool b -> (acc * 31) lxor Bool.to_int b
+  | Value.Real _ | Value.Ts _ -> acc (* not a key cell *)
 
-let rec key_eq a b =
-  match (a, b) with
-  | [], [] -> true
-  | x :: a', y :: b' -> String.equal x y && key_eq a' b'
-  | _ -> false
+let key_fp key = List.fold_left cell_fp 7 key
 
 let rec probe_k1 linear n fp k i =
   if i >= n then no_group
@@ -703,7 +735,7 @@ let find_k1 gt fp k =
 
 let find_key gt fp key =
   match gt.gt_by_key with
-  | Some h -> ( match Hashtbl.find h key with s -> s | exception Not_found -> no_group)
+  | Some h -> ( match Key_tbl.find h key with s -> s | exception Not_found -> no_group)
   | None -> probe_key gt.gt_linear gt.gt_n fp key 0
 
 let add_group gt ~single s =
@@ -728,12 +760,12 @@ let add_group gt ~single s =
        match gt.gt_by_key with
        | Some h -> h
        | None ->
-           let h = Hashtbl.create 64 in
-           Array.iter (fun s -> Hashtbl.replace h s.gs_key s) gt.gt_linear;
+           let h = Key_tbl.create 64 in
+           Array.iter (fun s -> Key_tbl.replace h s.gs_key s) gt.gt_linear;
            gt.gt_by_key <- Some h;
            h
      in
-     Hashtbl.replace h s.gs_key s);
+     Key_tbl.replace h s.gs_key s);
   gt.gt_order <- s :: gt.gt_order
 
 let apply_states states row =
@@ -896,14 +928,14 @@ module Inc = struct
     | K_row of Value.t list
     | K_group of group * contrib array
 
-  and group = { gr_key : string list; gr_entries : entry Queue.t; gr_aggs : agg_state array }
+  and group = { gr_key : key; gr_entries : entry Queue.t; gr_aggs : agg_state array }
 
   type t = {
     i_plan : plan;
     i_table : Table.t;
     i_buf : entry Queue.t;
     i_poisons : (int * string) Queue.t;
-    i_groups : (string list, group) Hashtbl.t;
+    i_groups : group Key_tbl.t;
     mutable i_seq : int;
     mutable i_seen : int; (* Table.total_inserted at last processed insert *)
     mutable i_live : int; (* predicted ring length; divergence => resync *)
@@ -1044,7 +1076,7 @@ module Inc = struct
         | K_group (g, contribs) ->
             ignore (Queue.pop g.gr_entries);
             Array.iteri (fun i c -> retract_contrib g.gr_aggs.(i) c) contribs;
-            if Queue.is_empty g.gr_entries then Hashtbl.remove t.i_groups g.gr_key)
+            if Queue.is_empty g.gr_entries then Key_tbl.remove t.i_groups g.gr_key)
 
   let retract_expired t ~cutoff =
     let continue = ref true in
@@ -1057,7 +1089,7 @@ module Inc = struct
   let reset_window t =
     Queue.clear t.i_buf;
     Queue.clear t.i_poisons;
-    Hashtbl.reset t.i_groups;
+    Key_tbl.reset t.i_groups;
     t.i_dirty <- true
 
   let where_check t row =
@@ -1084,7 +1116,7 @@ module Inc = struct
         | P_grouped g ->
             let key = g.g_key row in
             let group =
-              match Hashtbl.find_opt t.i_groups key with
+              match Key_tbl.find_opt t.i_groups key with
               | Some gr -> gr
               | None ->
                   let gr =
@@ -1094,7 +1126,7 @@ module Inc = struct
                       gr_aggs = Array.map fresh_state g.g_aggs;
                     }
                   in
-                  Hashtbl.replace t.i_groups key gr;
+                  Key_tbl.replace t.i_groups key gr;
                   gr
             in
             let contribs =
@@ -1170,7 +1202,7 @@ module Inc = struct
   let front_seq g = (Queue.peek g.gr_entries).e_seq
 
   let assemble_groups t (g : grouped) =
-    let groups = Hashtbl.fold (fun _ gr acc -> gr :: acc) t.i_groups [] in
+    let groups = Key_tbl.fold (fun _ gr acc -> gr :: acc) t.i_groups [] in
     let groups = List.sort (fun a b -> compare (front_seq a) (front_seq b)) groups in
     let passes subject_of =
       match g.g_having with
@@ -1253,7 +1285,7 @@ module Inc = struct
             i_table = tbl;
             i_buf = Queue.create ();
             i_poisons = Queue.create ();
-            i_groups = Hashtbl.create 16;
+            i_groups = Key_tbl.create 16;
             i_seq = 0;
             i_seen = 0;
             i_live = 0;

@@ -388,6 +388,13 @@ module Client = struct
     mutable p_attempt : int;
   }
 
+  type handler_id = int
+
+  type publish_handler = {
+    ph_id : handler_id;
+    ph_fn : subscription:int -> Query.result_set -> unit;
+  }
+
   type t = {
     send : string -> unit;
     schedule : (float -> (unit -> unit) -> unit) option;
@@ -395,7 +402,10 @@ module Client = struct
     mutable jstate : int64; (* splitmix64 state for retry jitter *)
     mutable next_seq : int32;
     pending : (int32, pending) Hashtbl.t;
-    mutable publish_handlers : (subscription:int -> Query.result_set -> unit) list;
+    (* newest registration first, so registering is a cons; delivery
+       replays the list back to front, in registration order *)
+    mutable publish_handlers : publish_handler list;
+    mutable next_handler : int;
     m_retries : Hw_metrics.Counter.t;
     m_timeouts : Hw_metrics.Counter.t;
   }
@@ -410,6 +420,7 @@ module Client = struct
       next_seq = 1l;
       pending = Hashtbl.create 8;
       publish_handlers = [];
+      next_handler = 0;
       m_retries =
         Hw_metrics.Registry.counter metrics "rpc_retries_total"
           ~help:"Requests retransmitted after a timeout";
@@ -486,7 +497,23 @@ module Client = struct
     t.send (encode (Request { seq; statement; ctx }));
     arm t seq p
 
-  let on_publish t f = t.publish_handlers <- t.publish_handlers @ [ f ]
+  let add_publish_handler t f =
+    let id = t.next_handler in
+    t.next_handler <- id + 1;
+    t.publish_handlers <- { ph_id = id; ph_fn = f } :: t.publish_handlers;
+    id
+
+  let remove_publish_handler t id =
+    t.publish_handlers <- List.filter (fun h -> h.ph_id <> id) t.publish_handlers
+
+  let on_publish t f = ignore (add_publish_handler t f : handler_id)
+  let publish_handler_count t = List.length t.publish_handlers
+
+  let rec deliver ~subscription result = function
+    | [] -> ()
+    | h :: older ->
+        deliver ~subscription result older;
+        h.ph_fn ~subscription result
 
   let settle t seq outcome =
     match Hashtbl.find_opt t.pending seq with
@@ -503,7 +530,7 @@ module Client = struct
     | Ok (Response_ok { seq; result }) -> settle t seq (Ok result)
     | Ok (Response_error { seq; message }) -> settle t seq (Error message)
     | Ok (Publish { subscription; result }) ->
-        List.iter (fun f -> f ~subscription result) t.publish_handlers
+        deliver ~subscription result t.publish_handlers
     | Ok (Request _) | Error _ -> ()
 
   let pending_count t = Hashtbl.length t.pending
@@ -534,6 +561,7 @@ module Subscriber = struct
     mutable last_renewal : float;
     mutable resubscribes : int;
     mutable stopped : bool;
+    mutable handler : Client.handler_id;
     m_resubs : Hw_metrics.Counter.t;
   }
 
@@ -569,16 +597,18 @@ module Subscriber = struct
         last_renewal = now ();
         resubscribes = 0;
         stopped = false;
+        handler = -1;
         m_resubs =
           Hw_metrics.Registry.counter metrics "rpc_resubscribes_total"
             ~help:"SUBSCRIBEs re-sent on publish silence";
       }
     in
-    Client.on_publish client (fun ~subscription rs ->
-        if (not t.stopped) && t.sub_id = Some subscription then begin
-          t.last_heard <- t.now ();
-          t.on_result rs
-        end);
+    t.handler <-
+      Client.add_publish_handler client (fun ~subscription rs ->
+          if (not t.stopped) && t.sub_id = Some subscription then begin
+            t.last_heard <- t.now ();
+            t.on_result rs
+          end);
     subscribe t;
     let rec watchdog () =
       if not t.stopped then begin
@@ -597,6 +627,7 @@ module Subscriber = struct
     t
 
   let detach t =
+    if not t.stopped then Client.remove_publish_handler t.client t.handler;
     t.stopped <- true;
     match t.sub_id with
     | None -> ()

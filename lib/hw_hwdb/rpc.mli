@@ -124,6 +124,21 @@ module Client : sig
       settled by reply or by final timeout. *)
 
   val on_publish : t -> (subscription:int -> Query.result_set -> unit) -> unit
+  (** Registers a handler for every PUBLISH this client receives, for
+      the client's lifetime. Handlers run in registration order;
+      registering is O(1). *)
+
+  type handler_id
+
+  val add_publish_handler :
+    t -> (subscription:int -> Query.result_set -> unit) -> handler_id
+  (** {!on_publish}, with a handle to {!remove_publish_handler} it by. *)
+
+  val remove_publish_handler : t -> handler_id -> unit
+  (** The handler runs for no later PUBLISH; the others keep their
+      order. *)
+
+  val publish_handler_count : t -> int
 
   val handle_datagram : t -> string -> unit
   (** Feed datagrams arriving from the server. *)
@@ -162,7 +177,8 @@ module Subscriber : sig
       [period]). *)
 
   val detach : t -> unit
-  (** Stops the watchdog and sends UNSUBSCRIBE for the live id, if any. *)
+  (** Stops the watchdog, removes the subscriber's publish handler from
+      its client and sends UNSUBSCRIBE for the live id, if any. *)
 
   val sub_id : t -> int option
 

@@ -67,11 +67,19 @@ let append t ~now values =
   | [] -> ()
   | hooks -> fire_triggers { Value.ts = now; values } hooks
 
+(* each row is one [append]: hooks are read afresh per row, as a hook
+   may add or remove hooks *)
+let append_rows t ~now rows =
+  for i = 0 to Array.length rows - 1 do
+    append t ~now (Array.unsafe_get rows i)
+  done
+
 let insert t ~now values =
-  match Value.validate t.schema values with
+  let row = Array.of_list values in
+  match Value.validate t.schema row with
   | Error _ as e -> e
   | Ok () ->
-      append t ~now (Array.of_list values);
+      append t ~now row;
       Ok ()
 
 (* WAL replay: the row was validated when first inserted and nothing may

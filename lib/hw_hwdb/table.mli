@@ -47,6 +47,13 @@ val append : t -> now:float -> Value.t array -> unit
     mutate it afterwards. A table without hooks allocates nothing here;
     with hooks, one {!Value.tuple} per append carries the row to them. *)
 
+val append_rows : t -> now:float -> Value.t array array -> unit
+(** A run of {!append}s, one per row in array order, all stamped [now]:
+    each row is stored, not copied, evicts and fires the insert hooks
+    exactly as its own {!append} would. Without hooks it allocates
+    nothing, not even a tuple. The tick's [Metrics] and [Traces] export
+    re-stamps its cached rows through here. *)
+
 val restore : t -> Value.tuple -> unit
 (** WAL replay: append an already-validated row with its original
     timestamp, firing no triggers (in particular not the durability

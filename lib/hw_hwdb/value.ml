@@ -70,24 +70,24 @@ let type_accepts declared actual =
   | T_ts, (T_int | T_real) -> true
   | d, a -> d = a
 
-let validate schema values =
-  if List.length values <> List.length schema then
+let validate schema row =
+  let arity = List.length schema in
+  if Array.length row <> arity then
     Error
-      (Printf.sprintf "arity mismatch: schema has %d columns, row has %d"
-         (List.length schema) (List.length values))
+      (Printf.sprintf "arity mismatch: schema has %d columns, row has %d" arity
+         (Array.length row))
   else
-    let rec check cols vals =
-      match cols, vals with
-      | [], [] -> Ok ()
-      | (name, declared) :: cols, v :: vals ->
-          if type_accepts declared (type_of v) then check cols vals
+    let rec check i = function
+      | [] -> Ok ()
+      | (name, declared) :: cols ->
+          let v = Array.unsafe_get row i in
+          if type_accepts declared (type_of v) then check (i + 1) cols
           else
             Error
               (Printf.sprintf "column %s expects %s, got %s" name (ty_to_string declared)
                  (ty_to_string (type_of v)))
-      | _ -> assert false
     in
-    check schema values
+    check 0 schema
 
 type tuple = { ts : float; values : t array }
 

@@ -28,8 +28,9 @@ type schema = (string * ty) list
 
 val schema_arity : schema -> int
 
-val validate : schema -> t list -> (unit, string) result
-(** Arity and type check. Int is accepted where Real is declared. *)
+val validate : schema -> t array -> (unit, string) result
+(** Arity and type check of a row. Int is accepted where Real is
+    declared. *)
 
 type tuple = { ts : float; values : t array }
 (** A stored row: insertion timestamp plus the column values. *)

@@ -12,6 +12,11 @@ val create : ?labels:(string * string) list -> name:string -> help:string -> uni
 val set : t -> float -> unit
 val add : t -> float -> unit
 val value : t -> float
+
+val writes : t -> int
+(** {!set}s and {!add}s so far: an exporter that saw the same count saw
+    the same value. *)
+
 val name : t -> string
 val help : t -> string
 

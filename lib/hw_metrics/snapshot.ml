@@ -4,17 +4,17 @@ type row = { metric : string; kind : string; stat : string; value : float }
 
 let histogram_stat_names = [ "count"; "sum"; "max"; "p50"; "p90"; "p99" ]
 
-let histogram_values h =
-  [
-    float_of_int (Histogram.count h);
-    Histogram.sum h;
-    Histogram.max_value h;
-    Histogram.percentile h 50.;
-    Histogram.percentile h 90.;
-    Histogram.percentile h 99.;
-  ]
+(* the [i]-th of [histogram_stat_names] *)
+let histogram_stat h i =
+  match i with
+  | 0 -> float_of_int (Histogram.count h)
+  | 1 -> Histogram.sum h
+  | 2 -> Histogram.max_value h
+  | 3 -> Histogram.percentile h 50.
+  | 4 -> Histogram.percentile h 90.
+  | _ -> Histogram.percentile h 99.
 
-let histogram_stats h = List.combine histogram_stat_names (histogram_values h)
+let histogram_stats h = List.mapi (fun i name -> (name, histogram_stat h i)) histogram_stat_names
 
 (* The exposition format defines exactly three label-value escapes:
    backslash, double-quote and line feed. OCaml's %S is close but not
@@ -61,22 +61,23 @@ let shape (name, instrument) =
   | Registry.Histogram _ ->
       { sh_metric = name; sh_kind = "histogram"; sh_stats = histogram_stat_names }
 
-let values = function
-  | Registry.Counter c -> [ float_of_int (Counter.value c) ]
-  | Registry.Gauge g -> [ Gauge.value g ]
-  | Registry.Histogram h -> histogram_values h
+let stat_value instrument i =
+  match instrument with
+  | Registry.Counter c -> float_of_int (Counter.value c)
+  | Registry.Gauge g -> Gauge.value g
+  | Registry.Histogram h -> histogram_stat h i
 
 (* every histogram stat moves only on [observe], which bumps the count *)
 let version = function
-  | Registry.Counter c -> float_of_int (Counter.value c)
-  | Registry.Gauge g -> Gauge.value g
-  | Registry.Histogram h -> float_of_int (Histogram.count h)
+  | Registry.Counter c -> Counter.value c
+  | Registry.Gauge g -> Gauge.writes g
+  | Registry.Histogram h -> Histogram.count h
 
 let rows reg =
   List.concat_map
     (fun ((_, instrument) as entry) ->
       let { sh_metric = metric; sh_kind = kind; sh_stats } = shape entry in
-      List.map2 (fun stat value -> { metric; kind; stat; value }) sh_stats (values instrument))
+      List.mapi (fun i stat -> { metric; kind; stat; value = stat_value instrument i }) sh_stats)
     (Registry.instruments reg)
 
 let to_json reg =

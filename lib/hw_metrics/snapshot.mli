@@ -12,7 +12,8 @@ type row = {
 
 val rows : Registry.t -> row list
 (** Registration order; histograms contribute count/sum/max/p50/p90/p99.
-    Each instrument's rows are its {!shape} zipped with its {!values}. *)
+    An instrument's [i]-th row is the [i]-th stat of its {!shape} with
+    its {!stat_value} [i]. *)
 
 (** {2 The row definition}
 
@@ -30,13 +31,15 @@ type shape = {
 val shape : string * Registry.instrument -> shape
 (** For an entry of {!Registry.instruments}. *)
 
-val values : Registry.instrument -> float list
-(** Current value of each of the instrument's stats, in [sh_stats] order. *)
+val stat_value : Registry.instrument -> int -> float
+(** [stat_value i k]: the current value of the [k]-th stat in
+    [sh_stats] order ([0 <= k < List.length sh_stats]). *)
 
-val version : Registry.instrument -> float
-(** A reading that changes whenever {!values} may: a counter's or gauge's
-    value, a histogram's count. Equal versions (bit for bit) mean equal
-    values. *)
+val version : Registry.instrument -> int
+(** A reading that changes whenever a {!stat_value} may: a counter's
+    value, a gauge's {!Gauge.writes}, a histogram's count. Equal
+    versions mean equal values. An int, so reading one allocates
+    nothing. *)
 
 val to_json : Registry.t -> Hw_json.Json.t
 (** [{"name": {"kind": "counter", "value": n}, ...,

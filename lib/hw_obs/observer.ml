@@ -186,7 +186,7 @@ let export_traces t =
       t.last_trace_exported <- max t.last_trace_exported c.id;
       Array.iter
         (fun s ->
-          match Database.insert t.db ~table:"Traces" (Database.trace_row c s) with
+          match Database.insert t.db ~table:"Traces" (Array.to_list (Database.trace_row c s)) with
           | Ok () -> ()
           | Error e -> Log.err (fun m -> m "Traces insert: %s" e))
         c.spans)

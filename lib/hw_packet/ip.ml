@@ -37,6 +37,21 @@ let to_string t =
   ignore (put_decimal buf (pos + 1) d);
   Bytes.unsafe_to_string buf
 
+let add_octet buf v =
+  if v >= 100 then Buffer.add_char buf (Char.unsafe_chr (48 + (v / 100)));
+  if v >= 10 then Buffer.add_char buf (Char.unsafe_chr (48 + (v / 10 mod 10)));
+  Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+
+let add_to_buffer buf t =
+  let v = Int32.to_int t land 0xffffffff in
+  add_octet buf (v lsr 24);
+  Buffer.add_char buf '.';
+  add_octet buf ((v lsr 16) land 0xff);
+  Buffer.add_char buf '.';
+  add_octet buf ((v lsr 8) land 0xff);
+  Buffer.add_char buf '.';
+  add_octet buf (v land 0xff)
+
 (* A number from 0 to [max] (at most 255) as 1 to 3 ASCII decimal digits
    with no leading zero, so that each value has one spelling: the one
    [to_string] writes. Unlike [int_of_string] it rejects signs,

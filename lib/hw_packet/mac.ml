@@ -19,6 +19,14 @@ let to_string t =
   done;
   Bytes.unsafe_to_string b
 
+let add_to_buffer buf t =
+  for i = 0 to 5 do
+    let c = Char.code (String.unsafe_get t i) in
+    if i > 0 then Buffer.add_char buf ':';
+    Buffer.add_char buf hex_digits.[c lsr 4];
+    Buffer.add_char buf hex_digits.[c land 15]
+  done
+
 let hex_value c =
   match c with
   | '0' .. '9' -> Some (Char.code c - 48)

@@ -14,6 +14,11 @@ val of_string : string -> t option
 
 val of_string_exn : string -> t
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the bytes {!to_string} gives, without building them as a
+    string. *)
+
 val broadcast : t
 val zero : t
 val is_broadcast : t -> bool

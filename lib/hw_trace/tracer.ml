@@ -38,7 +38,9 @@ type t = {
   mutable trace_id : int; (* 0 when no trace is active *)
   mutable next_span_id : int; (* span ids are dense in open order, from 1 *)
   mutable stack : span list; (* open spans, innermost first *)
-  mutable finished : span list; (* closed spans, completion order reversed *)
+  (* span [i] of the active trace at slot [i - 1]: ids are dense, so a
+     kept trace copies a prefix and needs no sort; reused across traces *)
+  mutable slots : span array;
   mutable errored : bool;
   mutable left : int; (* Sampled-style 1-in-N countdown *)
   mutable next_trace_id : int;
@@ -59,7 +61,7 @@ let make ~enabled ~capacity ~sample_every ~slow_threshold ~counter ~histogram ~n
     trace_id = 0;
     next_span_id = 1;
     stack = [];
-    finished = [];
+    slots = [||];
     errored = false;
     left = 1; (* first completed trace is sampled, like Sampled.create *)
     next_trace_id = 1;
@@ -112,6 +114,12 @@ let open_span ?parent t name attrs =
   let s =
     { span_id; parent; name; start = t.now (); duration = 0.; attrs; error = None }
   in
+  if span_id > Array.length t.slots then begin
+    let grown = Array.make (max 8 (2 * span_id)) s in
+    Array.blit t.slots 0 grown 0 (Array.length t.slots);
+    t.slots <- grown
+  end;
+  Array.unsafe_set t.slots (span_id - 1) s;
   t.stack <- s :: t.stack;
   s
 
@@ -127,7 +135,6 @@ let close_span t (s : span) =
         | x :: rest -> if x == s then rest else drop rest
       in
       t.stack <- drop t.stack);
-  t.finished <- s :: t.finished;
   Hw_metrics.Counter.incr t.m_spans
 
 let finish_trace t root =
@@ -141,8 +148,7 @@ let finish_trace t root =
   else t.left <- t.left - 1;
   let keep = t.errored || duration >= t.slow_threshold || sampled in
   if keep then begin
-    let spans = Array.of_list t.finished in
-    Array.sort (fun a b -> compare a.span_id b.span_id) spans;
+    let spans = Array.sub t.slots 0 (t.next_span_id - 1) in
     Ring.push t.recorder
       { id = t.trace_id; start = root.start; duration; errored = t.errored; spans };
     Hw_metrics.Counter.incr t.m_kept
@@ -151,7 +157,6 @@ let finish_trace t root =
   t.trace_id <- 0;
   t.next_span_id <- 1;
   t.stack <- [];
-  t.finished <- [];
   t.errored <- false
 
 let with_span t ?(attrs = []) name f =
@@ -231,6 +236,8 @@ let record t (c : completed) =
 
 let time t = t.now ()
 let traces t = Ring.to_list_newest_first t.recorder
+let pushed t = Ring.total_pushed t.recorder
+let get t i = Ring.get t.recorder i
 let find t id = List.find_opt (fun c -> c.id = id) (Ring.to_list t.recorder)
 let kept t = Ring.length t.recorder
 let capacity t = Ring.capacity t.recorder
@@ -246,6 +253,44 @@ let attr_to_string = function
   | Ip a -> Hw_packet.Ip.to_string a
   | Mac m -> Hw_packet.Mac.to_string m
 
-let attrs_to_string attrs =
-  String.concat ","
-    (List.rev_map (fun (k, v) -> k ^ "=" ^ attr_to_string v) attrs)
+(* digits straight into the buffer, as [string_of_int] spells them *)
+let rec add_int buf i =
+  if i < 0 then
+    if i = min_int then Buffer.add_string buf (string_of_int i)
+    else begin
+      Buffer.add_char buf '-';
+      add_int buf (-i)
+    end
+  else begin
+    if i >= 10 then add_int buf (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+let add_attr buf = function
+  | Str s -> Buffer.add_string buf s
+  | Int i -> add_int buf i
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Real f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Ip a -> Hw_packet.Ip.add_to_buffer buf a
+  | Mac m -> Hw_packet.Mac.add_to_buffer buf m
+
+(* One buffer for every export: the text is built in place, with no
+   string per attribute, and copied out once. *)
+let attrs_buf = Buffer.create 256
+
+(* the list is newest first: write the older attributes, then this one *)
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: older ->
+      add_attrs buf older;
+      (match older with [] -> () | _ :: _ -> Buffer.add_char buf ',');
+      Buffer.add_string buf k;
+      Buffer.add_char buf '=';
+      add_attr buf v
+
+let attrs_to_string = function
+  | [] -> ""
+  | attrs ->
+      Buffer.clear attrs_buf;
+      add_attrs attrs_buf attrs;
+      Buffer.contents attrs_buf

@@ -151,6 +151,19 @@ val record : t -> completed -> unit
 val traces : t -> completed list
 (** Newest first. *)
 
+val pushed : t -> int
+(** Traces ever pushed into the flight recorder, those a {!clear} or an
+    eviction has since removed included: the recorder holds the traces
+    pushed at positions [pushed t - kept t] to [pushed t - 1]. A reader
+    that remembers the count it last saw knows which traces are new
+    without comparing any. *)
+
+val get : t -> int -> completed
+(** [get t i] is the [i]-th trace in the flight recorder, oldest first
+    ([0 <= i < kept t]): the one pushed at position
+    [pushed t - kept t + i].
+    @raise Invalid_argument outside that range. *)
+
 val find : t -> int -> completed option
 val kept : t -> int
 val capacity : t -> int
@@ -164,4 +177,7 @@ val attr_to_string : attr -> string
 (** The attribute's export text; [Ip]/[Mac] render here. *)
 
 val attrs_to_string : (string * attr) list -> string
-(** ["k=v,k=v"] in insertion order (as the hwdb Traces table stores). *)
+(** ["k=v,k=v"] in insertion order (as the hwdb Traces table stores),
+    each value as {!attr_to_string} spells it. The text is written into
+    one buffer reused across calls, so the result is the only string
+    built. *)

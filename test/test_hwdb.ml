@@ -43,13 +43,13 @@ let alloc_words f =
 let test_value_validate () =
   let schema = [ ("a", Value.T_int); ("b", Value.T_str); ("c", Value.T_real) ] in
   Alcotest.(check bool) "valid" true
-    (Value.validate schema [ Value.Int 1; Value.Str "x"; Value.Real 2. ] = Ok ());
+    (Value.validate schema [| Value.Int 1; Value.Str "x"; Value.Real 2. |] = Ok ());
   Alcotest.(check bool) "int into real" true
-    (Value.validate schema [ Value.Int 1; Value.Str "x"; Value.Int 2 ] = Ok ());
+    (Value.validate schema [| Value.Int 1; Value.Str "x"; Value.Int 2 |] = Ok ());
   Alcotest.(check bool) "arity" true
-    (Result.is_error (Value.validate schema [ Value.Int 1 ]));
+    (Result.is_error (Value.validate schema [| Value.Int 1 |]));
   Alcotest.(check bool) "type" true
-    (Result.is_error (Value.validate schema [ Value.Str "no"; Value.Str "x"; Value.Real 0. ]))
+    (Result.is_error (Value.validate schema [| Value.Str "no"; Value.Str "x"; Value.Real 0. |]))
 
 let test_value_compare () =
   Alcotest.(check bool) "int vs real" true (Value.compare_values (Value.Int 2) (Value.Real 2.5) < 0);
@@ -1186,6 +1186,70 @@ let test_recorder_reports_refusal () =
   | Recorder.Active 7 -> ()
   | _ -> Alcotest.fail "not active once accepted"
 
+let test_rpc_detach_removes_handler () =
+  (* a subscriber's publish handler leaves the client with it: a client
+     that attached and detached 1,000 subscribers calls none of their
+     handlers on a later publish, and the others keep registration order *)
+  let loop = Hw_sim.Event_loop.create () in
+  let client = ref None in
+  let next_id = ref 0 in
+  let reply frame =
+    Hw_sim.Event_loop.after loop 0.001 (fun () ->
+        Option.iter (fun c -> Rpc.Client.handle_datagram c (Rpc.encode frame)) !client)
+  in
+  let c =
+    Rpc.Client.create
+      ~send:(fun datagram ->
+        match Rpc.decode datagram with
+        | Ok (Rpc.Request { seq; statement; _ })
+          when String.starts_with ~prefix:"SUBSCRIBE" statement ->
+            incr next_id;
+            reply
+              (Rpc.Response_ok
+                 {
+                   seq;
+                   result =
+                     Some
+                       { Query.columns = [ "subscription_id" ]; rows = [ [ Value.Int !next_id ] ] };
+                 })
+        | Ok (Rpc.Request { seq; _ }) -> reply (Rpc.Response_ok { seq; result = None })
+        | _ -> ())
+      ()
+  in
+  client := Some c;
+  let base = Rpc.Client.publish_handler_count c in
+  let order = ref [] in
+  let attach i =
+    Rpc.Subscriber.attach
+      ~now:(fun () -> Hw_sim.Event_loop.now loop)
+      ~schedule:(fun d f -> Hw_sim.Event_loop.after loop d f)
+      ~client:c ~statement:"SUBSCRIBE SELECT COUNT(*) AS n FROM Flows EVERY 5 SECONDS" ~period:5.
+      ~on_result:(fun _ -> order := i :: !order)
+      ()
+  in
+  Rpc.Client.on_publish c (fun ~subscription:_ _ -> order := -1 :: !order);
+  let detached = List.init 1000 attach in
+  let kept = attach 1000 in
+  Rpc.Client.on_publish c (fun ~subscription:_ _ -> order := -2 :: !order);
+  Hw_sim.Event_loop.run_for loop 0.5;
+  Alcotest.(check (option int)) "the last subscriber holds id 1001" (Some 1001)
+    (Rpc.Subscriber.sub_id kept);
+  Alcotest.(check int) "every handler registered" (base + 1003) (Rpc.Client.publish_handler_count c);
+  List.iter Rpc.Subscriber.detach detached;
+  Alcotest.(check int) "detached handlers removed" (base + 3) (Rpc.Client.publish_handler_count c);
+  let result = { Query.columns = [ "n" ]; rows = [ [ Value.Int 1 ] ] } in
+  for subscription = 1 to 1001 do
+    Rpc.Client.handle_datagram c (Rpc.encode (Rpc.Publish { subscription; result }))
+  done;
+  (* each publish reaches both plain handlers; only id 1001's reaches the
+     subscriber still attached, between them *)
+  Alcotest.(check (list int))
+    "registration order, no detached subscriber"
+    (List.concat (List.init 1000 (fun _ -> [ -1; -2 ])) @ [ -1; 1000; -2 ])
+    (List.rev !order);
+  Rpc.Subscriber.detach kept;
+  Alcotest.(check int) "back to the plain handlers" (base + 2) (Rpc.Client.publish_handler_count c)
+
 let prop_rpc_decode_never_crashes =
   QCheck.Test.make ~name:"rpc decode total on junk" ~count:300 QCheck.string (fun s ->
       match Rpc.decode s with Ok _ | Error _ -> true)
@@ -1273,6 +1337,8 @@ let () =
           Alcotest.test_case "recorder renews its lease" `Quick test_recorder_renews_its_lease;
           Alcotest.test_case "recorder rejects period 0" `Quick test_recorder_rejects_zero_period;
           Alcotest.test_case "recorder reports a refusal" `Quick test_recorder_reports_refusal;
+          Alcotest.test_case "detach removes its publish handler" `Quick
+            test_rpc_detach_removes_handler;
           QCheck_alcotest.to_alcotest prop_rpc_decode_never_crashes;
         ] );
     ]

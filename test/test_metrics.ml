@@ -394,6 +394,241 @@ let test_export_matches_full_dump () =
       (Table.total_inserted (table "Traces") - traces_before)
   done
 
+(* The same contract over random interleavings: completed traces of
+   1-12 spans with every attribute kind and errors, repeated remote trace
+   ids, traces handed in through [Tracer.record], [Tracer.clear], moving
+   and newly registered instruments, and ticks, against a recorder of 8
+   so evictions are frequent. After each tick the exports must equal rows
+   built here from [Tracer.traces] and [Snapshot.rows], with their own
+   renderer for the attrs text. *)
+module Export_prop = struct
+  module Tracer = Hw_trace.Tracer
+  module Table = Hw_hwdb.Table
+  module Gen = QCheck.Gen
+
+  type node = {
+    attrs : (string * Tracer.attr) list;
+    late : (string * Tracer.attr) list; (* set after the span opens *)
+    err : string option;
+    kids : node list;
+  }
+
+  type op =
+    | Trace of node
+    | Remote of node (* under one propagated id, so ids repeat *)
+    | Record of int (* an assembled trace of n spans; 0 is refused *)
+    | Clear
+    | Move of int (* the n-th registered instrument, wrapping *)
+    | Register of int
+    | Tick
+
+  let gen_attr =
+    Gen.(
+      oneof
+        [
+          map (fun s -> Tracer.Str s) (string_size ~gen:printable (0 -- 5));
+          map (fun i -> Tracer.Int i) int;
+          map (fun b -> Tracer.Bool b) bool;
+          map (fun f -> Tracer.Real f) float;
+          map (fun i -> Tracer.Ip (Hw_packet.Ip.of_int32 (Int32.of_int i))) int;
+          map (fun s -> Tracer.Mac (Hw_packet.Mac.of_bytes s)) (string_size ~gen:char (return 6));
+        ])
+
+  let gen_attrs = Gen.(list_size (0 -- 3) (pair (oneofl [ "a"; "b"; "dst" ]) gen_attr))
+
+  let gen_node =
+    let rec sizes rest =
+      Gen.(if rest = 0 then return [] else 1 -- rest >>= fun k -> map (List.cons k) (sizes (rest - k)))
+    in
+    Gen.(
+      sized_size (1 -- 12)
+      @@ fix (fun self n ->
+             let* attrs = gen_attrs and* late = gen_attrs in
+             let* err = opt ~ratio:0.2 (oneofl [ "boom"; "timeout" ]) in
+             let* kids = sizes (n - 1) >>= fun ks -> flatten_l (List.map self ks) in
+             return { attrs; late; err; kids }))
+
+  let gen_op =
+    Gen.(
+      frequency
+        [
+          (6, map (fun n -> Trace n) gen_node);
+          (1, map (fun n -> Remote n) gen_node);
+          (1, map (fun n -> Record n) (0 -- 4));
+          (1, return Clear);
+          (4, map (fun i -> Move i) nat);
+          (1, map (fun i -> Register i) (0 -- 2));
+          (3, return Tick);
+        ])
+
+  let rec size n = 1 + List.fold_left (fun acc k -> acc + size k) 0 n.kids
+
+  let show = function
+    | Trace n -> Printf.sprintf "trace(%d)" (size n)
+    | Remote n -> Printf.sprintf "remote(%d)" (size n)
+    | Record n -> Printf.sprintf "record(%d)" n
+    | Clear -> "clear"
+    | Move i -> Printf.sprintf "move(%d)" i
+    | Register i -> Printf.sprintf "register(%d)" i
+    | Tick -> "tick"
+
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat " " (List.map show ops))
+      Gen.(list_size (1 -- 40) gen_op)
+
+  (* the attrs text, rendered here without the exporter's buffer *)
+  let attr_text = function
+    | Tracer.Str s -> s
+    | Tracer.Int i -> string_of_int i
+    | Tracer.Bool b -> string_of_bool b
+    | Tracer.Real f -> Printf.sprintf "%g" f
+    | Tracer.Ip a -> Hw_packet.Ip.to_string a
+    | Tracer.Mac m -> Hw_packet.Mac.to_string m
+
+  let attrs_text attrs =
+    String.concat "," (List.rev_map (fun (k, v) -> k ^ "=" ^ attr_text v) attrs)
+
+  let run ops =
+    let clock = ref 0. in
+    let now () = !clock in
+    let reg = Registry.create () in
+    let trace = Tracer.create ~capacity:8 ~metrics:reg ~now () in
+    let db = Database.create ~metrics:reg ~trace ~now () in
+    let table name = Option.get (Database.table db name) in
+    let select q =
+      match Database.query db q with Ok rs -> rs.Query.rows | Error e -> failwith e
+    in
+    let rec body n () =
+      List.iter (fun (k, v) -> Tracer.set_attr trace k v) n.late;
+      Option.iter (Tracer.mark_error trace) n.err;
+      List.iter (fun kid -> Tracer.with_span trace "child" ~attrs:kid.attrs (body kid)) n.kids
+    in
+    let registered = ref 0 in
+    let move i =
+      match List.nth (Registry.instruments reg) (i mod Registry.size reg) with
+      | _, Registry.Counter c -> Counter.add c (1 + (i mod 3))
+      | _, Registry.Gauge g -> Gauge.set g (float_of_int (i mod 5))
+      | _, Registry.Histogram h -> Histogram.observe h (1e-4 *. float_of_int i)
+    in
+    let register kind =
+      incr registered;
+      let name = Printf.sprintf "extra_%d" !registered in
+      match kind with
+      | 0 -> Counter.incr (Registry.labeled_counter reg (name ^ "_total") ~labels:[ ("k", name) ])
+      | 1 -> Gauge.set (Registry.gauge reg name) 2.5
+      | _ -> Histogram.observe (Registry.histogram reg (name ^ "_seconds")) 0.5
+    in
+    let record n =
+      let id = Tracer.next_id trace in
+      let spans =
+        Array.init n (fun i ->
+            {
+              Tracer.span_id = i + 1;
+              parent = i;
+              name = "async";
+              start = !clock;
+              duration = 0.;
+              attrs = [ ("hop", Tracer.Int i) ];
+              error = (if i = 1 then Some "late" else None);
+            })
+      in
+      Tracer.record trace { Tracer.id; start = !clock; duration = 0.; errored = n > 1; spans }
+    in
+    let tick () =
+      clock := !clock +. 1.;
+      let metrics_before = Table.total_inserted (table "Metrics") in
+      let traces_before = Table.total_inserted (table "Traces") in
+      Database.tick db;
+      let dump = Snapshot.rows reg in
+      let spans =
+        List.concat_map
+          (fun (c : Tracer.completed) ->
+            List.map
+              (fun (s : Tracer.span) ->
+                [
+                  Value.Ts !clock;
+                  Value.Int c.id;
+                  Value.Int s.span_id;
+                  Value.Int s.parent;
+                  Value.Str s.name;
+                  Value.Real s.start;
+                  Value.Real s.duration;
+                  Value.Str (attrs_text s.attrs);
+                  Value.Str (Option.value s.error ~default:"");
+                ])
+              (Array.to_list c.spans))
+          (List.rev (Tracer.traces trace))
+      in
+      let metrics =
+        List.map
+          (fun (r : Snapshot.row) ->
+            [ Value.Ts !clock; Value.Str r.metric; Value.Str r.kind; Value.Str r.stat; Value.Real r.value ])
+          dump
+      in
+      let this_tick = List.filter (fun row -> List.hd row = Value.Ts !clock) in
+      let ok =
+        this_tick (select "SELECT * FROM Metrics [NOW]") = metrics
+        && this_tick (select "SELECT * FROM Traces [NOW]") = spans
+        && Table.total_inserted (table "Metrics") - metrics_before = List.length metrics
+        && Table.total_inserted (table "Traces") - traces_before = List.length spans
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "tick at %.0f: the export differs from a full dump" !clock
+    in
+    List.iter
+      (function
+        | Trace n -> Tracer.with_trace trace "op" ~attrs:n.attrs (body n)
+        | Remote n ->
+            Tracer.with_remote_trace trace ~trace_id:900 ~parent_span:3 "remote" ~attrs:n.attrs (body n)
+        | Record n -> record n
+        | Clear -> Tracer.clear trace
+        | Move i -> move i
+        | Register kind -> register kind
+        | Tick -> tick ())
+      (ops @ [ Tick ]);
+    true
+
+  let prop = QCheck.Test.make ~name:"export = full dump over random interleavings" ~count:500 arb run
+end
+
+(* A tick that finds no new trace and no moved instrument but its own
+   tick counter renders one Metrics row and no Traces row, and builds no
+   list: here 23 words, against ~3,900 when each tick listed the
+   recorder and walked it against the cached traces. *)
+let test_export_alloc_no_new_trace () =
+  let module Tracer = Hw_trace.Tracer in
+  let clock = ref 0. in
+  let now () = !clock in
+  let reg = Registry.create () in
+  let trace = Tracer.create ~capacity:128 ~metrics:reg ~now () in
+  let db = Database.create ~metrics:reg ~trace ~now () in
+  for i = 1 to 80 do
+    ignore (Registry.counter reg (Printf.sprintf "c%d_total" i))
+  done;
+  for i = 1 to 4 do
+    ignore (Registry.histogram reg (Printf.sprintf "h%d_seconds" i))
+  done;
+  for i = 1 to 128 do
+    Tracer.with_trace trace "root" ~attrs:[ ("i", Tracer.Int i) ] (fun () ->
+        for j = 1 to 6 do
+          Tracer.with_span trace "child"
+            ~attrs:[ ("ip", Tracer.Ip (Hw_packet.Ip.of_octets 10 0 0 j)) ]
+            ignore
+        done)
+  done;
+  for i = 1 to 2 do
+    clock := float_of_int i;
+    Database.tick db
+  done;
+  clock := 3.;
+  let w0 = Gc.minor_words () in
+  Database.tick db;
+  let words = Gc.minor_words () -. w0 in
+  let traces = Option.get (Database.table db "Traces") in
+  Alcotest.(check int) "every span re-stamped" (3 * 128 * 7) (Hw_hwdb.Table.total_inserted traces);
+  Alcotest.(check bool) (Printf.sprintf "%.0f words <= 200" words) true (words <= 200.)
+
 (* ------------------------------------------------------------------ *)
 (* End to end: a running home exports live counters on every surface   *)
 (* ------------------------------------------------------------------ *)
@@ -588,6 +823,9 @@ let () =
           Alcotest.test_case "hwdb Metrics table" `Quick test_metrics_table;
           Alcotest.test_case "export = full dump every tick" `Quick
             test_export_matches_full_dump;
+          QCheck_alcotest.to_alcotest Export_prop.prop;
+          Alcotest.test_case "no new trace: no list, no rendering" `Quick
+            test_export_alloc_no_new_trace;
           Alcotest.test_case "home end to end" `Quick test_home_metrics_end_to_end;
         ] );
     ]

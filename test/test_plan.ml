@@ -246,6 +246,99 @@ let test_inc_direct_resync_counter () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "clear forced one resync" 1 (Plan.Inc.resyncs inc)
 
+(* -- GROUP BY keys ---------------------------------------------------- *)
+
+let insert_rows tbl ~now rows =
+  List.iter
+    (fun row -> match Table.insert tbl ~now row with Ok () -> () | Error e -> Alcotest.fail e)
+    rows
+
+(* A real column groups by its text: 0.1 +. 0.2 and 0.3 both print "0.3"
+   under "%g", and the integer literal 3 prints as the real 3.0 does. A
+   key over several columns keeps that text for its real column while
+   it keys the integer and string columns by value, so one-shot, the
+   incremental view and the reference all see three groups. *)
+let test_group_key_near_equal_reals () =
+  let db, now = mkdb () in
+  exec db "CREATE TABLE G (n INTEGER, r REAL, s VARCHAR)";
+  let q = "SELECT n, r, s, COUNT(*) AS c FROM G GROUP BY n, r, s" in
+  let _, results = subscribe db q ~period:1. in
+  insert_rows (Option.get (Database.table db "G")) ~now:100.
+    Value.
+      [
+        [ Int 1; Real (0.1 +. 0.2); Str "x" ];
+        [ Int 1; Real 0.3; Str "x" ];
+        [ Int 1; Int 3; Str "x" ];
+        [ Int 1; Real 3.; Str "x" ];
+        [ Int 2; Real 0.3; Str "x" ];
+      ];
+  let expected = [ [ "1"; "0.3"; "x"; "2" ]; [ "1"; "3"; "x"; "2" ]; [ "2"; "0.3"; "x"; "1" ] ] in
+  let strings = List.map (List.map Value.to_string) in
+  Alcotest.(check (list (list string))) "one-shot" expected (strings (rows db q));
+  (match Query_ref.exec ~lookup:(Database.table db) ~now:100. (sel_of q) with
+  | Ok rs -> Alcotest.(check (list (list string))) "reference" expected (strings rs.Query.rows)
+  | Error e -> Alcotest.fail e);
+  now := 101.;
+  Database.tick db;
+  Alcotest.(check (list (list string))) "incremental view" expected (last results)
+
+(* perfbench's Fig. 1 view groups Flows by five columns, three of them
+   integers. Each insert it sees must key its group without rendering a
+   cell as text: 62 words per row here, 72 when every key cell went
+   through [Value.to_string]. *)
+let test_group_key_builds_no_string () =
+  let db, now = mkdb () in
+  exec db
+    "CREATE TABLE Flows (proto INTEGER, src_ip VARCHAR, dst_ip VARCHAR, src_port INTEGER, \
+     dst_port INTEGER, packets INTEGER, bytes INTEGER)";
+  let tbl = Option.get (Database.table db "Flows") in
+  let plan =
+    match
+      Plan.prepare ~lookup:(Database.table db)
+        (sel_of
+           "SELECT src_ip, dst_ip, proto, src_port, dst_port, SUM(bytes) AS bytes FROM Flows \
+            [RANGE 10 SECONDS] GROUP BY src_ip, dst_ip, proto, src_port, dst_port")
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let inc = Option.get (Plan.Inc.create plan) in
+  let words = Float.Array.make 1 0. in
+  let counting = ref false in
+  ignore
+    (Table.add_hook tbl (fun tu ->
+         let w0 = Gc.minor_words () in
+         Plan.Inc.observe inc tu;
+         let w1 = Gc.minor_words () in
+         if !counting then Float.Array.set words 0 (Float.Array.get words 0 +. (w1 -. w0))));
+  let rows =
+    Array.init 2000 (fun i ->
+        Value.
+          [
+            Int 17;
+            Str ("10.0.0." ^ string_of_int (i mod 20));
+            Str "93.184.216.34";
+            Int (40000 + (i mod 20));
+            Int 443;
+            Int 1;
+            Int 100;
+          ])
+  in
+  let feed lo hi =
+    for i = lo to hi - 1 do
+      now := 100. +. (float_of_int i *. 0.05);
+      insert_rows tbl ~now:!now [ rows.(i) ]
+    done
+  in
+  (* the first 1,000 fill the 10 s window and create all 20 groups *)
+  feed 0 1000;
+  counting := true;
+  feed 1000 2000;
+  let per_row = Float.Array.get words 0 /. 1000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per observed row <= 64" per_row)
+    true (per_row <= 64.)
+
 (* -- suite ----------------------------------------------------------- *)
 
 let () =
@@ -273,5 +366,8 @@ let () =
           Alcotest.test_case "Table.clear forces resync" `Quick test_inc_clear_resyncs;
           Alcotest.test_case "subscribe before CREATE TABLE" `Quick test_inc_sub_before_create;
           Alcotest.test_case "resync counter" `Quick test_inc_direct_resync_counter;
+          Alcotest.test_case "GROUP BY near-equal reals" `Quick test_group_key_near_equal_reals;
+          Alcotest.test_case "GROUP BY key builds no string" `Quick
+            test_group_key_builds_no_string;
         ] );
     ]
