@@ -24,16 +24,12 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type spec =
   | Drop of float  (** drop the payload with probability p *)
   | Duplicate of float  (** deliver the payload twice with probability p *)
-  | Reorder of float
-      (** with probability p, hold the payload and release it after the
-          next one passes through (pairwise swap) *)
   | Delay of { p : float; min_s : float; max_s : float }
       (** with probability p, deliver after a uniform [min_s, max_s]
           delay (needs a scheduler; without one the delay is a no-op) *)
   | Corrupt of float  (** flip one byte of the payload with probability p *)
   | Partition of { from_s : float; until_s : float }
       (** drop everything while [from_s <= now < until_s] *)
-  | Clock_skew of float  (** [wrap_clock] adds this many seconds *)
   | Crash of float  (** [maybe_crash] raises with probability p *)
 
 exception Injected_crash of string
@@ -48,14 +44,11 @@ type t = {
   prng : Prng.t;
   mutable armed : bool;
   mutable plan : spec list;
-  mutable held : (string * (string -> unit)) option;
   c_drop : Hw_metrics.Counter.t;
   c_duplicate : Hw_metrics.Counter.t;
-  c_reorder : Hw_metrics.Counter.t;
   c_delay : Hw_metrics.Counter.t;
   c_corrupt : Hw_metrics.Counter.t;
   c_partition : Hw_metrics.Counter.t;
-  c_clock_skew : Hw_metrics.Counter.t;
   c_crash : Hw_metrics.Counter.t;
 }
 
@@ -76,20 +69,15 @@ let create ?(metrics = Hw_metrics.Registry.default) ?trace ?schedule ?(seed = 1)
     prng;
     armed = false;
     plan = [];
-    held = None;
     c_drop = kind "drop";
     c_duplicate = kind "duplicate";
-    c_reorder = kind "reorder";
     c_delay = kind "delay";
     c_corrupt = kind "corrupt";
     c_partition = kind "partition";
-    c_clock_skew = kind "clock_skew";
     c_crash = kind "crash";
   }
 
-let point t = t.point
 let armed t = t.armed
-let plan t = t.plan
 
 let count t kind c =
   Hw_metrics.Counter.incr c;
@@ -101,23 +89,9 @@ let count t kind c =
 
 let set_plan t specs =
   t.plan <- specs;
-  t.armed <- specs <> [];
-  if not t.armed then t.held <- None;
-  (* skew is a standing condition, not a per-message event: count it
-     once when it is installed *)
-  List.iter (function Clock_skew _ -> count t "clock_skew" t.c_clock_skew | _ -> ()) specs
+  t.armed <- specs <> []
 
 let disarm t = set_plan t []
-
-(* ------------------------------------------------------------------ *)
-(* Standing conditions                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let skew t =
-  if not t.armed then 0.
-  else List.fold_left (fun acc -> function Clock_skew s -> acc +. s | _ -> acc) 0. t.plan
-
-let wrap_clock t now () = now () +. skew t
 
 let partition_active t now_s =
   List.exists
@@ -149,27 +123,15 @@ let corrupt_byte t payload =
     Bytes.to_string b
   end
 
-let release_held t =
-  match t.held with
-  | None -> ()
-  | Some (payload, deliver) ->
-      t.held <- None;
-      deliver payload
-
 (* Decide this payload's fate.  Each probabilistic spec draws from the
    PRNG exactly once per message regardless of earlier outcomes, so the
    random stream — and therefore the whole fault schedule — depends only
    on the seed and the message count, never on which faults fired. *)
 let apply t payload ~deliver =
-  if partition_active t (t.now ()) then begin
-    count t "partition" t.c_partition;
-    (* a held message is stuck behind the partition too *)
-    t.held <- None
-  end
+  if partition_active t (t.now ()) then count t "partition" t.c_partition
   else begin
     let drop = ref false in
     let dup = ref false in
-    let reorder = ref false in
     let delay = ref None in
     let payload = ref payload in
     List.iter
@@ -177,7 +139,6 @@ let apply t payload ~deliver =
         match spec with
         | Drop p -> if Prng.bool t.prng p then drop := true
         | Duplicate p -> if Prng.bool t.prng p then dup := true
-        | Reorder p -> if Prng.bool t.prng p then reorder := true
         | Delay { p; min_s; max_s } ->
             let hit = Prng.bool t.prng p in
             let d = Prng.uniform t.prng min_s max_s in
@@ -187,27 +148,19 @@ let apply t payload ~deliver =
               payload := corrupt_byte t !payload;
               count t "corrupt" t.c_corrupt
             end
-        | Partition _ | Clock_skew _ | Crash _ -> ())
+        | Partition _ | Crash _ -> ())
       t.plan;
     if !drop then count t "drop" t.c_drop
     else begin
       let payload = !payload in
-      if !reorder && t.held = None then begin
-        (* hold this one; it is released behind the next payload *)
-        count t "reorder" t.c_reorder;
-        t.held <- Some (payload, deliver)
-      end
-      else begin
-        (match (!delay, t.schedule) with
-        | Some d, Some schedule ->
-            count t "delay" t.c_delay;
-            schedule d (fun () -> deliver payload)
-        | _ -> deliver payload);
-        if !dup then begin
-          count t "duplicate" t.c_duplicate;
-          deliver payload
-        end;
-        release_held t
+      (match (!delay, t.schedule) with
+      | Some d, Some schedule ->
+          count t "delay" t.c_delay;
+          schedule d (fun () -> deliver payload)
+      | _ -> deliver payload);
+      if !dup then begin
+        count t "duplicate" t.c_duplicate;
+        deliver payload
       end
     end
   end
@@ -246,7 +199,7 @@ let apply_write t payload ~write =
           let cut = Prng.int t.prng (max 1 (String.length !payload)) in
           if hit then short := Some cut
       | Crash p -> if Prng.bool t.prng p then crash := true
-      | Duplicate _ | Reorder _ | Delay _ | Partition _ | Clock_skew _ -> ())
+      | Duplicate _ | Delay _ | Partition _ -> ())
     t.plan;
   (match !short with
   | Some cut ->

@@ -22,16 +22,12 @@
 type spec =
   | Drop of float  (** drop the payload with probability p *)
   | Duplicate of float  (** deliver the payload twice with probability p *)
-  | Reorder of float
-      (** with probability p, hold the payload and release it after the
-          next one passes through (pairwise swap) *)
   | Delay of { p : float; min_s : float; max_s : float }
       (** with probability p, deliver after a uniform [min_s, max_s]
           delay (needs a scheduler; without one the delay is a no-op) *)
   | Corrupt of float  (** flip one byte of the payload with probability p *)
   | Partition of { from_s : float; until_s : float }
       (** drop everything while [from_s <= now < until_s] *)
-  | Clock_skew of float  (** {!wrap_clock} adds this many seconds *)
   | Crash of float  (** {!maybe_crash} raises with probability p *)
 
 exception Injected_crash of string
@@ -54,33 +50,18 @@ val create :
     [prng] overrides [seed] — used by {!plane} to split one root stream.
     A fresh injector is disarmed. *)
 
-val point : t -> string
-
 val armed : t -> bool
 (** The single branch the hot path pays when no plan is installed. *)
 
-val plan : t -> spec list
-
 val set_plan : t -> spec list -> unit
-(** Installs (and arms) a fault plan; [set_plan t []] disarms. A
-    [Clock_skew] spec is counted once at installation — it is a standing
-    condition, not a per-message event. *)
+(** Installs (and arms) a fault plan; [set_plan t []] disarms. *)
 
 val disarm : t -> unit
 
 val apply : t -> string -> deliver:(string -> unit) -> unit
 (** Pass one payload through the injector. Precedence when multiple
-    specs fire on one message: partition (drops everything, including a
-    held reordered payload) > drop > reorder (hold behind the next
-    delivered payload) > delay > deliver (+ duplicate). *)
-
-val skew : t -> float
-(** Sum of armed [Clock_skew] specs, 0 when disarmed. *)
-
-val wrap_clock : t -> (unit -> float) -> unit -> float
-(** [wrap_clock t now] is a clock reading [now () +. skew t]. *)
-
-val partition_active : t -> float -> bool
+    specs fire on one message: partition (drops everything) > drop >
+    delay > deliver (+ duplicate). *)
 
 val maybe_crash : t -> unit
 (** Call where a crashing handler is survivable.

@@ -2,16 +2,12 @@ module Rpc = Hw_hwdb.Rpc
 module Router = Hw_router.Router
 module Fault = Hw_fault.Fault
 
-type t = {
-  id : string;
-  router : Router.t;
-  manager_addr : string;
-  client : Rpc.Client.t;
-  keeper : Rpc.Subscriber.t;
-}
+type t = { id : string; router : Router.t; client : Rpc.Client.t; keeper : Rpc.Subscriber.t }
 
-let attach ?(manager_addr = "manager") ?(renew_period = 10.) ?retry ?(seed = 0xca11) ~id
-    ~router ~loop ~send () =
+(* the address the router's RPC server sees federated requests arrive from *)
+let manager_addr = "manager"
+
+let attach ?(renew_period = 10.) ?(seed = 0xca11) ~id ~router ~loop ~send () =
   let inj = (Router.faults router).Fault.rpc in
   (* The router's own RPC server traffic is already fault-wrapped inside
      Router (both directions); the agent applies the same injector to
@@ -23,7 +19,7 @@ let attach ?(manager_addr = "manager") ?(renew_period = 10.) ?retry ?(seed = 0xc
   let client =
     Rpc.Client.create ~metrics:(Router.metrics router)
       ~schedule:(fun d f -> Hw_sim.Event_loop.after loop d f)
-      ?retry ~seed ~send:guarded_send ()
+      ~seed ~send:guarded_send ()
   in
   (* everything the router's hwdb server sends (federated query replies,
      subscription publishes) rides up the held session, whatever
@@ -39,14 +35,14 @@ let attach ?(manager_addr = "manager") ?(renew_period = 10.) ?retry ?(seed = 0xc
       ~on_result:(fun _ -> ())
       ()
   in
-  { id; router; manager_addr; client; keeper }
+  { id; router; client; keeper }
 
 let handle_datagram t data =
   match Rpc.decode data with
   | Ok (Rpc.Request _) ->
       (* a manager request for this router's hwdb server; the router
          applies its rpc fault injector on the way in *)
-      Router.rpc_datagram t.router ~from:t.manager_addr data
+      Router.rpc_datagram t.router ~from:manager_addr data
   | Ok (Rpc.Response_ok _ | Rpc.Response_error _ | Rpc.Publish _) ->
       let inj = (Router.faults t.router).Fault.rpc in
       if Fault.armed inj then

@@ -18,9 +18,7 @@
 type t
 
 val attach :
-  ?manager_addr:string ->
   ?renew_period:float ->
-  ?retry:Hw_hwdb.Rpc.Client.retry ->
   ?seed:int ->
   id:string ->
   router:Hw_router.Router.t ->
@@ -34,8 +32,9 @@ val attach :
     (default 10 s) paces the lease keeper: registration renews every
     [2 * renew_period] and re-registers after [3 * renew_period] of ack
     silence — choose it well under a third of the manager's [lease_s].
-    [manager_addr] (default ["manager"]) is the address the router's
-    RPC server sees federated requests arrive from. *)
+    [seed] drives the registration client's retry jitter, which uses
+    {!Hw_hwdb.Rpc.Client.default_retry}. The router's RPC server sees
+    federated requests arrive from the address ["manager"]. *)
 
 val handle_datagram : t -> string -> unit
 (** Feed one datagram arriving down the call-home session. Requests go

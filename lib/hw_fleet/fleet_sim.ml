@@ -5,16 +5,13 @@ module Prng = Hw_sim.Prng
 type t = {
   loop : Hw_sim.Event_loop.t;
   manager : Manager.t;
-  homes : Home.t array;
   agents : Agent.t array;
   by_addr : (string, Agent.t) Hashtbl.t;
-  n : int;
 }
 
 let manager t = t.manager
 let loop t = t.loop
-let size t = t.n
-let homes t = t.homes
+let size t = Array.length t.agents
 let agents t = t.agents
 let agent t id = Hashtbl.find_opt t.by_addr id
 let run_for t d = Hw_sim.Event_loop.run_for t.loop d
@@ -23,24 +20,23 @@ let now t = Hw_sim.Event_loop.now t.loop
 let device_profiles =
   [| Hw_sim.App_profile.web; Hw_sim.App_profile.video; Hw_sim.App_profile.iot_telemetry |]
 
-let create ?(seed = 7) ?(start = 0.) ?(hop_delay = 0.0005) ?(hwdb_capacity = 256)
-    ?(devices_per_home = 0) ?(lease_s = 30.) ?renew_period ?max_inflight ?retry ?trace
+(* one transport hop, each way *)
+let hop_delay = 0.0005
+
+let create ?(seed = 7) ?(devices_per_home = 0) ?(lease_s = 30.) ?max_inflight ?retry
     ?trace_capacity ~n () =
-  let renew_period = Option.value renew_period ~default:(lease_s /. 6.) in
-  let loop = Hw_sim.Event_loop.create ~start () in
+  let renew_period = lease_s /. 6. in
+  let loop = Hw_sim.Event_loop.create () in
   let by_addr = Hashtbl.create (2 * n) in
-  (* the manager tracer needs the loop clock, which exists only now —
-     [trace_capacity] saves callers from threading a clock in early *)
+  (* the manager tracer reads the loop clock, which exists only now *)
   let trace =
-    match (trace, trace_capacity) with
-    | Some _, _ -> trace
-    | None, Some capacity ->
-        Some
-          (Hw_trace.Tracer.create ~capacity
-             ~metrics:(Hw_metrics.Registry.create ())
-             ~now:(fun () -> Hw_sim.Event_loop.now loop)
-             ())
-    | None, None -> None
+    Option.map
+      (fun capacity ->
+        Hw_trace.Tracer.create ~capacity
+          ~metrics:(Hw_metrics.Registry.create ())
+          ~now:(fun () -> Hw_sim.Event_loop.now loop)
+          ())
+      trace_capacity
   in
   (* manager -> router: resolve the session address to its agent after
      one hop. The receive side of a dropped agent simply never fires. *)
@@ -55,15 +51,13 @@ let create ?(seed = 7) ?(start = 0.) ?(hop_delay = 0.0005) ?(hwdb_capacity = 256
       ()
   in
   (* one immutable config shared by every router in the fleet *)
-  let config = Router.config ~hwdb_capacity () in
-  let homes = Array.make n None in
+  let config = Router.config ~hwdb_capacity:256 () in
   let agents =
     Array.init n (fun i ->
         let id = Printf.sprintf "r%04d" i in
         (* independent per-home stream from the one fleet seed: NOT
            seed + i, which replays neighbours' draws shifted by one *)
         let home = Home.create ~loop ~config ~seed:(Prng.stream_seed ~seed ~index:i) () in
-        homes.(i) <- Some home;
         if devices_per_home > 0 then begin
           let dhcp = Router.dhcp (Home.router home) in
           for d = 0 to devices_per_home - 1 do
@@ -89,13 +83,12 @@ let create ?(seed = 7) ?(start = 0.) ?(hop_delay = 0.0005) ?(hwdb_capacity = 256
         Hashtbl.replace by_addr id agent;
         agent)
   in
-  let homes = Array.map Option.get homes in
-  { loop; manager; homes; agents; by_addr; n }
+  { loop; manager; agents; by_addr }
 
-let query_sync t ?(within = 120.) statement =
+let query_sync t statement =
   let result = ref None in
   Manager.query t.manager statement ~on_done:(fun o -> result := Some o);
-  let deadline = now t +. within in
+  let deadline = now t +. 120. in
   let rec step () =
     if !result = None && now t < deadline then begin
       Hw_sim.Event_loop.run_for t.loop 0.05;

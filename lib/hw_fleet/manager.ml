@@ -48,8 +48,6 @@ type t = {
   by_addr : (string, session) Hashtbl.t;
   mutable fleet_subs : fleet_sub list;
   mutable next_token : int;
-  mutable registrations : int;
-  mutable evictions : int;
   mutable rollup_events : int;
   m_sessions : Hw_metrics.Gauge.t;
   m_registrations : Hw_metrics.Counter.t;
@@ -75,8 +73,6 @@ let on_session_event t f = t.on_session <- f
 let sessions t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.sessions [] |> List.sort compare
 
-let registrations_total t = t.registrations
-let evictions_total t = t.evictions
 let rollup_events_total t = t.rollup_events
 
 (* -- fleet subscriptions ------------------------------------------- *)
@@ -145,7 +141,6 @@ let evict_lapsed t =
   in
   List.iter
     (fun s ->
-      t.evictions <- t.evictions + 1;
       Hw_metrics.Counter.incr t.m_evictions;
       drop_session t s ~reason:"lease lapsed")
     lapsed
@@ -198,7 +193,6 @@ let handle_request t ~from ~seq statement =
   match String.split_on_char ' ' (String.trim statement) with
   | [ "FLEET"; "REGISTER"; id ] when id <> "" ->
       let s = register t ~from ~id in
-      t.registrations <- t.registrations + 1;
       Hw_metrics.Counter.incr t.m_registrations;
       reply
         (Rpc.Response_ok
@@ -351,8 +345,6 @@ let create ?(metrics = Hw_metrics.Registry.create ()) ?(trace = Tracer.disabled)
       by_addr = Hashtbl.create 64;
       fleet_subs = [];
       next_token = 1;
-      registrations = 0;
-      evictions = 0;
       rollup_events = 0;
       m_sessions =
         Hw_metrics.Registry.gauge metrics "fleet_sessions" ~help:"Registered router sessions";

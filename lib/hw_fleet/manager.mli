@@ -57,12 +57,9 @@ val datagram : t -> from:string -> string -> unit
 
 val session_count : t -> int
 val sessions : t -> string list
-(** Registered router ids, sorted. *)
-
-val registrations_total : t -> int
-(** Count of [FLEET REGISTER] requests accepted (first-time and renewals). *)
-
-val evictions_total : t -> int
+(** Registered router ids, sorted. Accepted registrations (first-time
+    and renewals) and lease evictions are counted in {!metrics} as
+    [fleet_registrations_total] and [fleet_evictions_total]. *)
 
 type session_event =
   | Session_up of string  (** first registration of a router id *)

@@ -24,28 +24,22 @@ type record = {
   mutable scrape_tainted : bool;
 }
 
-type t = {
-  degraded_after : float;
-  lost_after_failures : int;
-  recover_after : int;
-  by_router : (string, record) Hashtbl.t;
-}
+(* by router id *)
+type t = (string, record) Hashtbl.t
 
-let create ?(degraded_after = 30.) ?(lost_after_failures = 3) ?(recover_after = 2) () =
-  if degraded_after <= 0. then invalid_arg "Hw_obs.Health: degraded_after must be positive";
-  if lost_after_failures <= 0 then
-    invalid_arg "Hw_obs.Health: lost_after_failures must be positive";
-  if recover_after <= 0 then invalid_arg "Hw_obs.Health: recover_after must be positive";
-  { degraded_after; lost_after_failures; recover_after; by_router = Hashtbl.create 64 }
+let degraded_after = 30.
+let lost_after_failures = 3
+let recover_after = 2
+let create () = Hashtbl.create 64
 
 let get t router now =
-  match Hashtbl.find_opt t.by_router router with
+  match Hashtbl.find_opt t router with
   | Some r -> r
   | None ->
       let r =
         { st = Healthy; last_seen = now; failures = 0; cleans = 0; scrape_tainted = false }
       in
-      Hashtbl.replace t.by_router router r;
+      Hashtbl.replace t router r;
       r
 
 let transition r ~router ~at ~to_ ~reason =
@@ -57,7 +51,7 @@ let transition r ~router ~at ~to_ ~reason =
   end
 
 let note_up t ~router ~now =
-  let is_new = not (Hashtbl.mem t.by_router router) in
+  let is_new = not (Hashtbl.mem t router) in
   let r = get t router now in
   r.last_seen <- now;
   r.failures <- 0;
@@ -77,7 +71,7 @@ let note_renewed t ~router ~now =
   else []
 
 let note_down t ~router ~now ~reason =
-  match Hashtbl.find_opt t.by_router router with
+  match Hashtbl.find_opt t router with
   | None -> []
   | Some r ->
       r.cleans <- 0;
@@ -89,7 +83,7 @@ let note_scrape t ~router ~now ~ok ~errors ~reason =
     r.failures <- r.failures + 1;
     r.cleans <- 0;
     r.scrape_tainted <- true;
-    if r.failures >= t.lost_after_failures then
+    if r.failures >= lost_after_failures then
       transition r ~router ~at:now ~to_:Lost
         ~reason:(Printf.sprintf "%d consecutive scrape failures" r.failures)
     else if r.st = Lost then
@@ -111,7 +105,7 @@ let note_scrape t ~router ~now ~ok ~errors ~reason =
     end
     else begin
       r.cleans <- r.cleans + 1;
-      if r.st <> Healthy && r.cleans >= t.recover_after then begin
+      if r.st <> Healthy && r.cleans >= recover_after then begin
         r.scrape_tainted <- false;
         transition r ~router ~at:now ~to_:Healthy
           ~reason:(Printf.sprintf "%d clean scrapes" r.cleans)
@@ -123,14 +117,14 @@ let note_scrape t ~router ~now ~ok ~errors ~reason =
 let tick t ~now =
   Hashtbl.fold
     (fun router r acc ->
-      if r.st = Healthy && now -. r.last_seen > t.degraded_after then begin
+      if r.st = Healthy && now -. r.last_seen > degraded_after then begin
         r.cleans <- 0;
         transition r ~router ~at:now ~to_:Degraded ~reason:"renewal silence" @ acc
       end
       else acc)
-    t.by_router []
+    t []
 
-let state t router = Option.map (fun r -> r.st) (Hashtbl.find_opt t.by_router router)
+let state t router = Option.map (fun r -> r.st) (Hashtbl.find_opt t router)
 
 let counts t =
   Hashtbl.fold
@@ -139,10 +133,8 @@ let counts t =
       | Healthy -> (h + 1, d, l)
       | Degraded -> (h, d + 1, l)
       | Lost -> (h, d, l + 1))
-    t.by_router (0, 0, 0)
+    t (0, 0, 0)
 
 let routers t =
-  Hashtbl.fold (fun id r acc -> (id, r.st) :: acc) t.by_router []
+  Hashtbl.fold (fun id r acc -> (id, r.st) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let forget t router = Hashtbl.remove t.by_router router

@@ -7,7 +7,12 @@
     error counters are advancing). Each [note_*] call returns the state
     transitions it caused (at most one per router) so the caller can
     turn them into table rows, counters and alerts; the machine itself
-    holds no side effects. *)
+    holds no side effects.
+
+    Three constants pace it: 30 s of renewal and scrape silence degrade
+    a Healthy router at the next {!tick}; 3 consecutive scrape failures
+    make a router Lost; 2 consecutive clean scrapes return a Degraded or
+    Lost router to Healthy. *)
 
 type state = Healthy | Degraded | Lost
 
@@ -23,13 +28,7 @@ type transition = {
 
 type t
 
-val create :
-  ?degraded_after:float -> ?lost_after_failures:int -> ?recover_after:int -> unit -> t
-(** [degraded_after] (default 30 s): renewal/scrape silence before a
-    Healthy router turns Degraded at the next {!tick}.
-    [lost_after_failures] (default 3): consecutive scrape failures
-    before Lost. [recover_after] (default 2): consecutive clean scrapes
-    before a Degraded or Lost router returns to Healthy. *)
+val create : unit -> t
 
 val note_up : t -> router:string -> now:float -> transition list
 (** First registration (or re-registration): Healthy. *)
@@ -44,13 +43,13 @@ val note_down : t -> router:string -> now:float -> reason:string -> transition l
 val note_scrape :
   t -> router:string -> now:float -> ok:bool -> errors:int -> reason:string ->
   transition list
-(** One scrape outcome. [ok:false] counts toward Lost
-    ([lost_after_failures]); [ok:true] with [errors > 0] (the router's
+(** One scrape outcome. [ok:false] degrades, and the third in a row
+    makes the router Lost; [ok:true] with [errors > 0] (the router's
     own error counters advanced by that much since the last scrape)
-    degrades; clean scrapes recover after [recover_after]. *)
+    degrades; the second clean scrape in a row recovers. *)
 
 val tick : t -> now:float -> transition list
-(** Periodic sweep: Healthy routers silent past [degraded_after] turn
+(** Periodic sweep: Healthy routers silent for more than 30 s turn
     Degraded. *)
 
 val state : t -> string -> state option
@@ -59,6 +58,3 @@ val counts : t -> int * int * int
 
 val routers : t -> (string * state) list
 (** Sorted by router id. *)
-
-val forget : t -> string -> unit
-(** Drop a router's record entirely (decommissioned, not just lost). *)

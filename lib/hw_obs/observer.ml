@@ -13,6 +13,10 @@ module Router = Hw_control_api.Router
 module Http = Hw_control_api.Http
 module Json = Hw_json.Json
 
+(* One tracked key across the fleet after a scrape: each router's last
+   value in router order, their sum (added in that order) and max. *)
+type key_view = { key : string; samples : (string * float) list; sum : float; max : float }
+
 type t = {
   loop : Hw_sim.Event_loop.t;
   manager : Manager.t;
@@ -22,27 +26,19 @@ type t = {
   health : Health.t;
   (* router id -> series key -> series *)
   series : (string, (string, Series.t) Hashtbl.t) Hashtbl.t;
-  track : (string * string) list;
-  error_counters : string list;
   err_baseline : (string, float) Hashtbl.t; (* router \x00 counter -> last value *)
-  scrape_statement : string;
-  max_series_per_router : int;
-  raw_capacity : int;
-  s10_capacity : int;
-  s60_capacity : int;
+  mutable view : key_view list; (* sorted by key; rebuilt by each scrape *)
   mutable scrape_in_flight : bool;
   mutable scrapes : int;
-  mutable last_trace_exported : int;
+  mutable traces_exported : int; (* the manager tracer's push count at the last export *)
   m_scrapes : Counter.t;
   m_scrape_rows : Counter.t;
   m_scrape_router_errors : Counter.t;
-  m_series_overflow : Counter.t;
-  mutable routes : Router.t option;
+  routes : Router.t;
 }
 
 let db t = t.db
 let health t = t.health
-let tracer (t : t) = t.trace
 let scrapes_total t = t.scrapes
 
 let series_count t =
@@ -89,6 +85,24 @@ let health_tick t =
 
 (* -- scrape ingest -------------------------------------------------- *)
 
+let scrape_statement = "SELECT name, stat, value FROM Metrics [NOW]"
+
+(* the (metric, stat) pairs folded into series *)
+let track =
+  [
+    ("hwdb_inserts_total", "value");
+    ("hwdb_queries_total", "value");
+    ("hwdb_insert_errors_total", "value");
+    ("hwdb_query_errors_total", "value");
+    ("rpc_datagrams_in_total", "value");
+    ("rpc_datagrams_out_total", "value");
+    ("hwdb_query_seconds", "p99");
+  ]
+
+(* the counters whose advance degrades a router's health *)
+let error_counters =
+  [ "hwdb_insert_errors_total"; "hwdb_query_errors_total"; "rpc_datagrams_dropped_total" ]
+
 let value_to_float = function
   | Value.Real f -> f
   | Value.Int i -> float_of_int i
@@ -97,6 +111,9 @@ let value_to_float = function
   | Value.Str _ -> nan
 
 let series_key name stat = if stat = "value" then name else name ^ "_" ^ stat
+
+(* the order of the fleet view *)
+let track_keys = List.sort compare (List.map (fun (name, stat) -> series_key name stat) track)
 
 let router_series t router key =
   let per =
@@ -108,33 +125,46 @@ let router_series t router key =
         per
   in
   match Hashtbl.find_opt per key with
-  | Some s -> Some s
+  | Some s -> s
   | None ->
-      if Hashtbl.length per >= t.max_series_per_router then begin
-        Counter.incr t.m_series_overflow;
-        None
-      end
-      else begin
-        let s =
-          Series.create ~raw_capacity:t.raw_capacity ~s10_capacity:t.s10_capacity
-            ~s60_capacity:t.s60_capacity ()
-        in
-        Hashtbl.replace per key s;
-        Some s
-      end
+      let s = Series.create () in
+      Hashtbl.replace per key s;
+      s
 
-let column_index columns name =
-  let rec go i = function
-    | [] -> -1
-    | c :: _ when String.equal c name -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 columns
-
-(* Refresh the FleetMetrics table: one batch per scrape — per-router
-   last values plus __fleet__ sum/max aggregates. For a tracked
-   percentile series (hwdb_query_seconds_p99) the fleet max is the
+(* Per tracked key, the routers with a value, in router order. For a
+   tracked percentile series (hwdb_query_seconds_p99) the max is the
    fleet-wide upper bound of that percentile. *)
+let fleet_view t =
+  let routers =
+    Hashtbl.fold (fun id per acc -> (id, per) :: acc) t.series []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  List.filter_map
+    (fun key ->
+      let samples =
+        List.filter_map
+          (fun (router, per) ->
+            match Hashtbl.find_opt per key with
+            | Some s ->
+                let v = Series.last s in
+                if Float.is_nan v then None else Some (router, v)
+            | None -> None)
+          routers
+      in
+      if samples = [] then None
+      else begin
+        let sum = ref 0. and mx = ref neg_infinity in
+        List.iter
+          (fun (_, v) ->
+            sum := !sum +. v;
+            mx := Float.max !mx v)
+          samples;
+        Some { key; samples; sum = !sum; max = !mx }
+      end)
+    track_keys
+
+(* One FleetMetrics batch per scrape: per-router last values plus
+   __fleet__ sum/max aggregates, key by key. *)
 let refresh_fleet_metrics t =
   let insert router name stat v =
     match
@@ -144,93 +174,59 @@ let refresh_fleet_metrics t =
     | Ok () -> ()
     | Error e -> Log.err (fun m -> m "FleetMetrics insert: %s" e)
   in
-  let agg : (string, float * float) Hashtbl.t = Hashtbl.create 16 in
-  let routers =
-    Hashtbl.fold (fun id per acc -> (id, per) :: acc) t.series []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   List.iter
-    (fun (router, per) ->
-      Hashtbl.iter
-        (fun key s ->
-          let v = Series.last s in
-          if not (Float.is_nan v) then begin
-            insert router key "last" v;
-            let sum, mx =
-              Option.value (Hashtbl.find_opt agg key) ~default:(0., neg_infinity)
-            in
-            Hashtbl.replace agg key (sum +. v, Float.max mx v)
-          end)
-        per)
-    routers;
-  Hashtbl.fold (fun key acc l -> (key, acc) :: l) agg []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (key, (sum, mx)) ->
-         insert "__fleet__" key "sum" sum;
-         insert "__fleet__" key "max" mx)
+    (fun kv ->
+      List.iter (fun (router, v) -> insert router kv.key "last" v) kv.samples;
+      insert "__fleet__" kv.key "sum" kv.sum;
+      insert "__fleet__" kv.key "max" kv.max)
+    t.view
 
-(* Export the manager tracer's flight recorder into the Traces table,
-   incrementally: trace ids are allocated monotonically, so everything
-   newer than the high-water mark is new. (The router-side tick export
-   re-stamps the whole recorder every tick, so [Traces [NOW]] is a full
-   dump; at fleet scale a 1k-span fleet.query trace makes that
-   unaffordable.) *)
+(* Export the manager's flight recorder into the Traces table by push
+   count, as the router tick's export does: each trace pushed since the
+   last export, once, in push order. Trace ids give start order, not
+   push order: a federated query that settles after a later scrape is
+   pushed after it. Rows are appended once, not re-stamped each tick as
+   the router's export does: at fleet scale a 1k-span fleet.query trace
+   makes a full dump unaffordable. *)
 let export_traces t =
-  let fresh =
-    List.filter (fun (c : Tracer.completed) -> c.id > t.last_trace_exported)
-      (Tracer.traces t.trace)
-    |> List.sort (fun (a : Tracer.completed) (b : Tracer.completed) -> compare a.id b.id)
-  in
-  List.iter
-    (fun (c : Tracer.completed) ->
-      t.last_trace_exported <- max t.last_trace_exported c.id;
-      Array.iter
-        (fun s ->
-          match Database.insert t.db ~table:"Traces" (Array.to_list (Database.trace_row c s)) with
-          | Ok () -> ()
-          | Error e -> Log.err (fun m -> m "Traces insert: %s" e))
-        c.spans)
-    fresh
+  let pushed = Tracer.pushed t.trace in
+  let lo = pushed - Tracer.kept t.trace in
+  for p = max lo t.traces_exported to pushed - 1 do
+    let c = Tracer.get t.trace (p - lo) in
+    Array.iter
+      (fun s ->
+        match Database.insert t.db ~table:"Traces" (Array.to_list (Database.trace_row c s)) with
+        | Ok () -> ()
+        | Error e -> Log.err (fun m -> m "Traces insert: %s" e))
+      c.spans
+  done;
+  t.traces_exported <- pushed
 
 let ingest t (o : Manager.outcome) =
   let now = Hw_sim.Event_loop.now t.loop in
-  let i_router = column_index o.columns "router" in
-  let i_name = column_index o.columns "name" in
-  let i_stat = column_index o.columns "stat" in
-  let i_value = column_index o.columns "value" in
   (* per-router error-counter advance since the previous scrape *)
   let errors_by_router : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let answered : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  if i_router >= 0 && i_name >= 0 && i_stat >= 0 && i_value >= 0 then
-    List.iter
-      (fun row ->
-        match
-          ( List.nth_opt row i_router,
-            List.nth_opt row i_name,
-            List.nth_opt row i_stat,
-            List.nth_opt row i_value )
-        with
-        | Some (Value.Str router), Some (Value.Str name), Some (Value.Str stat), Some v ->
-            Counter.incr t.m_scrape_rows;
-            Hashtbl.replace answered router ();
-            let v = value_to_float v in
-            if List.exists (fun (n, s) -> n = name && s = stat) t.track then begin
-              match router_series t router (series_key name stat) with
-              | Some s -> Series.push s ~ts:now v
-              | None -> ()
-            end;
-            if stat = "value" && List.mem name t.error_counters then begin
-              let bkey = router ^ "\x00" ^ name in
-              let prev = Option.value (Hashtbl.find_opt t.err_baseline bkey) ~default:v in
-              Hashtbl.replace t.err_baseline bkey v;
-              let delta = int_of_float (Float.max 0. (v -. prev)) in
-              if delta > 0 then
-                Hashtbl.replace errors_by_router router
-                  (delta
-                  + Option.value (Hashtbl.find_opt errors_by_router router) ~default:0)
-            end
-        | _ -> ())
-      o.rows;
+  (* the manager prepends router to the statement's name, stat, value *)
+  List.iter
+    (function
+      | [ Value.Str router; Value.Str name; Value.Str stat; v ] ->
+          Counter.incr t.m_scrape_rows;
+          Hashtbl.replace answered router ();
+          let v = value_to_float v in
+          if List.exists (fun (n, s) -> n = name && s = stat) track then
+            Series.push (router_series t router (series_key name stat)) ~ts:now v;
+          if stat = "value" && List.mem name error_counters then begin
+            let bkey = router ^ "\x00" ^ name in
+            let prev = Option.value (Hashtbl.find_opt t.err_baseline bkey) ~default:v in
+            Hashtbl.replace t.err_baseline bkey v;
+            let delta = int_of_float (Float.max 0. (v -. prev)) in
+            if delta > 0 then
+              Hashtbl.replace errors_by_router router
+                (delta + Option.value (Hashtbl.find_opt errors_by_router router) ~default:0)
+          end
+      | _ -> ())
+    o.rows;
   (* scrape outcomes drive health; transitions are tagged with the
      federated query's trace id *)
   let transitions = ref [] in
@@ -248,6 +244,7 @@ let ingest t (o : Manager.outcome) =
         @ !transitions)
     o.errors;
   apply_transitions t ~trace:o.trace !transitions;
+  t.view <- fleet_view t;
   refresh_fleet_metrics t;
   export_traces t;
   t.scrapes <- t.scrapes + 1;
@@ -256,7 +253,7 @@ let ingest t (o : Manager.outcome) =
 let scrape_now t =
   if not t.scrape_in_flight then begin
     t.scrape_in_flight <- true;
-    Manager.query t.manager t.scrape_statement ~on_done:(fun o ->
+    Manager.query t.manager scrape_statement ~on_done:(fun o ->
         t.scrape_in_flight <- false;
         ingest t o)
   end
@@ -266,49 +263,25 @@ let scrape_now t =
 let render_prometheus t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Hw_metrics.Snapshot.render_prometheus t.registry);
-  (* fleet series: group samples under one # TYPE header per key *)
-  let by_key : (string, (string * float) list ref) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun router per ->
-      Hashtbl.iter
-        (fun key s ->
-          let v = Series.last s in
-          if not (Float.is_nan v) then begin
-            let l =
-              match Hashtbl.find_opt by_key key with
-              | Some l -> l
-              | None ->
-                  let l = ref [] in
-                  Hashtbl.replace by_key key l;
-                  l
-            in
-            l := (router, v) :: !l
-          end)
-        per)
-    t.series;
-  Hashtbl.fold (fun key l acc -> (key, List.sort compare !l) :: acc) by_key []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (key, samples) ->
-         let name = "fleet_" ^ Registry.sanitize_name key in
-         Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
-         let sum = ref 0. and mx = ref neg_infinity in
-         List.iter
-           (fun (router, v) ->
-             sum := !sum +. v;
-             if v > !mx then mx := v;
-             Buffer.add_string buf
-               (Printf.sprintf "%s{router=\"%s\"} %s\n" name
-                  (Hw_metrics.Snapshot.escape_label_value router)
-                  (Hw_metrics.Snapshot.float_str v)))
-           samples;
-         if samples <> [] then begin
-           Buffer.add_string buf
-             (Printf.sprintf "%s{router=\"__fleet__\",stat=\"sum\"} %s\n" name
-                (Hw_metrics.Snapshot.float_str !sum));
-           Buffer.add_string buf
-             (Printf.sprintf "%s{router=\"__fleet__\",stat=\"max\"} %s\n" name
-                (Hw_metrics.Snapshot.float_str !mx))
-         end);
+  (* fleet series: one # TYPE header per key *)
+  List.iter
+    (fun kv ->
+      let name = "fleet_" ^ Registry.sanitize_name kv.key in
+      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
+      List.iter
+        (fun (router, v) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s{router=\"%s\"} %s\n" name
+               (Hw_metrics.Snapshot.escape_label_value router)
+               (Hw_metrics.Snapshot.float_str v)))
+        kv.samples;
+      Buffer.add_string buf
+        (Printf.sprintf "%s{router=\"__fleet__\",stat=\"sum\"} %s\n" name
+           (Hw_metrics.Snapshot.float_str kv.sum));
+      Buffer.add_string buf
+        (Printf.sprintf "%s{router=\"__fleet__\",stat=\"max\"} %s\n" name
+           (Hw_metrics.Snapshot.float_str kv.max)))
+    t.view;
   Buffer.contents buf
 
 (* -- HTTP ----------------------------------------------------------- *)
@@ -327,8 +300,8 @@ let health_json t =
              (Health.routers t.health)) );
     ]
 
-let build_routes t =
-  let r = Router.create () in
+let add_routes t =
+  let r = t.routes in
   Router.route r Http.GET "/metrics" (fun _req _params ->
       Http.response 200
         ~headers:[ ("content-type", "text/plain; version=0.0.4") ]
@@ -343,34 +316,11 @@ let build_routes t =
           | Some c -> Http.json_response (Export.chrome_json c)
           | None -> Http.error_response 404 "no such trace"));
   Router.route r Http.GET "/fleet/health" (fun _req _params ->
-      Http.json_response (health_json t));
-  r
+      Http.json_response (health_json t))
 
-let routes t =
-  match t.routes with
-  | Some r -> r
-  | None ->
-      let r = build_routes t in
-      t.routes <- Some r;
-      r
-
-let handle_http t raw = Router.handle_raw (routes t) raw
+let handle_http t raw = Router.handle_raw t.routes raw
 
 (* -- construction --------------------------------------------------- *)
-
-let default_track =
-  [
-    ("hwdb_inserts_total", "value");
-    ("hwdb_queries_total", "value");
-    ("hwdb_insert_errors_total", "value");
-    ("hwdb_query_errors_total", "value");
-    ("rpc_datagrams_in_total", "value");
-    ("rpc_datagrams_out_total", "value");
-    ("hwdb_query_seconds", "p99");
-  ]
-
-let default_error_counters =
-  [ "hwdb_insert_errors_total"; "hwdb_query_errors_total"; "rpc_datagrams_dropped_total" ]
 
 let fleet_metrics_schema =
   [
@@ -394,12 +344,7 @@ let must_table db ~name ?capacity schema =
   | Ok _ -> ()
   | Error e -> invalid_arg (Printf.sprintf "Hw_obs.Observer: table %s: %s" name e)
 
-let create ?(scrape_period = 10.) ?(tick_period = 1.)
-    ?(scrape_statement = "SELECT name, stat, value FROM Metrics [NOW]")
-    ?(track = default_track) ?(error_counters = default_error_counters)
-    ?(max_series_per_router = 16) ?(raw_capacity = 32) ?(s10_capacity = 32)
-    ?(s60_capacity = 32) ?(fleet_metrics_capacity = 16384) ?(fleet_health_capacity = 4096)
-    ?degraded_after ?lost_after_failures ?recover_after ~loop ~manager () =
+let create ?(scrape_period = 10.) ~loop ~manager () =
   let registry = Manager.metrics manager in
   let trace = Manager.tracer manager in
   let now () = Hw_sim.Event_loop.now loop in
@@ -409,8 +354,8 @@ let create ?(scrape_period = 10.) ?(tick_period = 1.)
   let db = Database.create_empty ~metrics:registry ~now () in
   must_table db ~name:"Metrics" Database.metrics_schema;
   must_table db ~name:"Traces" Database.traces_schema;
-  must_table db ~name:"FleetMetrics" ~capacity:fleet_metrics_capacity fleet_metrics_schema;
-  must_table db ~name:"FleetHealth" ~capacity:fleet_health_capacity fleet_health_schema;
+  must_table db ~name:"FleetMetrics" ~capacity:16384 fleet_metrics_schema;
+  must_table db ~name:"FleetHealth" ~capacity:4096 fleet_health_schema;
   let counter name help = Registry.counter registry name ~help in
   let t =
     {
@@ -419,29 +364,21 @@ let create ?(scrape_period = 10.) ?(tick_period = 1.)
       registry;
       trace;
       db;
-      health = Health.create ?degraded_after ?lost_after_failures ?recover_after ();
+      health = Health.create ();
       series = Hashtbl.create 64;
-      track;
-      error_counters;
       err_baseline = Hashtbl.create 256;
-      scrape_statement;
-      max_series_per_router;
-      raw_capacity;
-      s10_capacity;
-      s60_capacity;
+      view = [];
       scrape_in_flight = false;
       scrapes = 0;
-      last_trace_exported = 0;
+      traces_exported = 0;
       m_scrapes = counter "obs_scrapes_total" "Completed fleet metric scrape cycles";
       m_scrape_rows = counter "obs_scrape_rows_total" "Metric rows ingested from scrapes";
       m_scrape_router_errors =
         counter "obs_scrape_router_errors_total" "Per-router scrape failures";
-      m_series_overflow =
-        counter "obs_series_overflow_total"
-          "Samples dropped by the per-router series cap";
-      routes = None;
+      routes = Router.create ();
     }
   in
+  add_routes t;
   (* session lifecycle -> health; renewals arrive every renew period,
      so these are cheap notes, not sweeps *)
   Manager.on_session_event manager (fun ev ->
@@ -454,7 +391,8 @@ let create ?(scrape_period = 10.) ?(tick_period = 1.)
             Health.note_down t.health ~router:id ~now ~reason
       in
       apply_transitions t ~trace:0 transitions);
-  Hw_sim.Event_loop.every loop tick_period (fun () ->
+  (* the hwdb tick (subscription delivery) and the health silence sweep *)
+  Hw_sim.Event_loop.every loop 1. (fun () ->
       health_tick t;
       Database.tick db);
   Hw_sim.Event_loop.every loop scrape_period (fun () -> scrape_now t);

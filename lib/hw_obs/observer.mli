@@ -3,31 +3,36 @@
     operator surfaces.
 
     {b Scraping.} Every [scrape_period] the observer fans one federated
-    metrics query out over the manager's sessions (the ordinary
-    {!Hw_fleet.Manager.query} path, so it is traced, bounded by
-    [max_inflight] and tolerant of partial failure) and folds the rows
-    of tracked metrics into per-router {!Series} — bounded, downsampled
-    (raw -> 10 s -> 1 min) rings, capped at [max_series_per_router]
-    series per router.
+    [SELECT name, stat, value FROM Metrics [NOW]] out over the manager's
+    sessions (the ordinary {!Hw_fleet.Manager.query} path, so it is
+    traced, bounded by [max_inflight] and tolerant of partial failure)
+    and folds the rows of seven tracked metrics — hwdb and RPC counters
+    plus [hwdb_query_seconds]'s [p99] — into per-router {!Series}:
+    bounded, downsampled (raw -> 10 s -> 1 min) rings of 32 slots each.
+    Each scrape then rebuilds one fleet view: per tracked key, each
+    router's last value, summed and maxed in router order.
 
     {b Tables.} The observer owns a manager-side hwdb with four tables:
-    [Metrics] (the manager's own registry, refreshed each tick),
+    [Metrics] (the manager's own registry, refreshed each 1 s tick),
     [Traces] (spans of the manager's flight-recorded traces — including
-    the cross-node [fleet.query] trees — exported incrementally),
-    [FleetMetrics] (per-router last values plus [__fleet__] sum/max
-    aggregates, one batch per scrape) and [FleetHealth] (one row per
-    health state transition, trace-tagged with the scrape that caused
-    it). Standing [SUBSCRIBE] queries against these tables are the
-    alerting path: {!db} exposes the database for
-    {!Hw_hwdb.Database.subscribe} / an {!Hw_hwdb.Rpc.Server}.
+    the cross-node [fleet.query] trees — exported at each scrape: every
+    trace pushed into the recorder since the last export, once, in push
+    order), [FleetMetrics] (the fleet view: per-router last values plus
+    [__fleet__] sum/max aggregates, one batch per scrape, 16,384 rows)
+    and [FleetHealth] (one row per health state transition,
+    trace-tagged with the scrape that caused it, 4,096 rows). Standing
+    [SUBSCRIBE] queries against these tables are the alerting path:
+    {!db} exposes the database for {!Hw_hwdb.Database.subscribe} / an
+    {!Hw_hwdb.Rpc.Server}.
 
     {b Health.} A per-router {!Health} machine driven by the manager's
-    session events (registration, renewal, eviction) and by scrape
-    outcomes; transitions are counted in the
+    session events (registration, renewal, eviction), by scrape
+    outcomes, and by the advance of a router's hwdb insert/query error
+    counters and RPC drop counter; transitions are counted in the
     [fleet_health_transitions_total{state=...}] labeled family.
 
-    {b HTTP.} {!routes} serves [GET /metrics] (Prometheus text, fleet
-    series labeled with [router="..."]), [GET /traces] +
+    {b HTTP.} {!handle_http} serves [GET /metrics] (Prometheus text,
+    fleet series labeled with [router="..."]), [GET /traces] +
     [GET /traces/:id] (Chrome/Perfetto-loadable JSON of a cross-node
     trace) and [GET /fleet/health]. *)
 
@@ -36,58 +41,29 @@ module Manager := Hw_fleet.Manager
 type t
 
 val create :
-  ?scrape_period:float ->
-  ?tick_period:float ->
-  ?scrape_statement:string ->
-  ?track:(string * string) list ->
-  ?error_counters:string list ->
-  ?max_series_per_router:int ->
-  ?raw_capacity:int ->
-  ?s10_capacity:int ->
-  ?s60_capacity:int ->
-  ?fleet_metrics_capacity:int ->
-  ?fleet_health_capacity:int ->
-  ?degraded_after:float ->
-  ?lost_after_failures:int ->
-  ?recover_after:int ->
-  loop:Hw_sim.Event_loop.t ->
-  manager:Manager.t ->
-  unit ->
-  t
+  ?scrape_period:float -> loop:Hw_sim.Event_loop.t -> manager:Manager.t -> unit -> t
 (** Attaches to [manager]'s registry, tracer and session-event hook
     (the observer installs itself with
     {!Hw_fleet.Manager.on_session_event} — it owns that hook).
 
     [scrape_period] (default 10 s) paces the federated metrics scrape;
-    [tick_period] (default 1 s) paces the hwdb tick (subscription
-    delivery) and the health silence sweep. [scrape_statement]
-    (default ["SELECT name, stat, value FROM Metrics [NOW]"]) must
-    select at least [name], [stat] and [value] columns from each
-    router. [track] is the (metric, stat) shortlist folded into series
-    (default: a handful of hwdb/RPC counters plus
-    [hwdb_query_seconds]'s [p99]); [error_counters] (default: the hwdb
-    insert/query error counters and the RPC drop counter) are the
-    counters whose advance degrades a router's health.
-    [max_series_per_router] (default 16) caps series per router —
-    overflow drops the sample and bumps [obs_series_overflow_total].
-    The [*_capacity] knobs size the series rings ({!Series.create})
-    and the two fleet tables. [degraded_after] defaults to the
-    manager's lease; see {!Health.create} for the rest. *)
+    a 1 s tick paces the hwdb tick (subscription delivery) and the
+    health silence sweep. Health runs on {!Health}'s constants,
+    whatever the manager's lease: a router silent for 30 s degrades. *)
 
 val db : t -> Hw_hwdb.Database.t
 (** The observer's hwdb ([Metrics] / [Traces] / [FleetMetrics] /
     [FleetHealth]) — subscribe to it, or front it with an RPC server. *)
 
 val health : t -> Health.t
-val tracer : t -> Hw_trace.Tracer.t
 
 val scrape_now : t -> unit
 (** Kick one scrape cycle immediately (it completes asynchronously as
     the event loop runs — the federated query must settle). *)
 
 val health_tick : t -> unit
-(** Run one health silence sweep immediately (normally paced by
-    [tick_period]). *)
+(** Run one health silence sweep immediately (normally paced by the
+    1 s tick). *)
 
 val scrapes_total : t -> int
 (** Completed scrape cycles (the federated query settled and its rows
@@ -105,11 +81,10 @@ val series_footprint_floats : t -> int
 
 val render_prometheus : t -> string
 (** The manager registry (escaped per the exposition format) followed by
-    fleet series: per-router samples labeled [router="<id>"] and
-    [__fleet__] sum/max aggregates. For a tracked histogram percentile
-    (e.g. [..._p99]) the [__fleet__] max is the fleet-wide upper bound
-    of that percentile. *)
+    the fleet view as of the last scrape: per-router samples labeled
+    [router="<id>"] and [__fleet__] sum/max aggregates. For a tracked
+    histogram percentile (e.g. [..._p99]) the [__fleet__] max is the
+    fleet-wide upper bound of that percentile. *)
 
-val routes : t -> Hw_control_api.Router.t
 val handle_http : t -> string -> string
 (** Byte-level HTTP entry point ({!Hw_control_api.Router.handle_raw}). *)

@@ -1,68 +1,51 @@
 (* Fixed-footprint downsampled series. Unboxed float arrays (OCaml
-   specializes [float array]) rather than rings of records: at fleet
-   scale the manager holds routers * series of these, so per-series
-   footprint is the scaling constant that matters. *)
+   specializes [float array]) indexed through [Ring.Slots] rather than
+   rings of records: at fleet scale the manager holds routers * series
+   of these, so per-series footprint is the scaling constant that
+   matters. *)
 
-type ring = {
-  ts : float array;
-  v : float array;
-  vmax : float array; (* bucket max; mirrors v for the raw tier *)
-  mutable head : int; (* next write slot *)
-  mutable len : int;
-}
+module Slots = Hw_util.Ring.Slots
+
+type ring = { slots : Slots.t; ts : float array; v : float array }
 
 type bucket_tier = {
   width : float;
-  ring : ring;
+  ring : ring; (* sealed buckets: start, last value *)
+  vmax : float array; (* sealed buckets' max, at the ring's slots *)
   (* the open (unsealed) bucket; cur_ts is nan while none is open *)
   mutable cur_ts : float;
   mutable cur_last : float;
   mutable cur_max : float;
 }
 
-type t = {
-  raw : ring;
-  t10 : bucket_tier;
-  t60 : bucket_tier;
-  mutable samples : int;
-  mutable last : float;
-  mutable last_ts : float;
-}
-
+type t = { raw : ring; t10 : bucket_tier; t60 : bucket_tier }
 type tier = [ `Raw | `S10 | `S60 ]
 
 let make_ring capacity =
-  if capacity <= 0 then invalid_arg "Hw_obs.Series: capacity must be positive";
-  {
-    ts = Array.make capacity nan;
-    v = Array.make capacity nan;
-    vmax = Array.make capacity nan;
-    head = 0;
-    len = 0;
-  }
+  { slots = Slots.create ~capacity; ts = Array.make capacity nan; v = Array.make capacity nan }
 
 let make_tier ~width ~capacity =
-  if width <= 0. then invalid_arg "Hw_obs.Series: bucket width must be positive";
-  { width; ring = make_ring capacity; cur_ts = nan; cur_last = nan; cur_max = nan }
-
-let create ?(raw_capacity = 32) ?(s10_capacity = 32) ?(s60_capacity = 32)
-    ?(s10_bucket = 10.) ?(s60_bucket = 60.) () =
   {
-    raw = make_ring raw_capacity;
-    t10 = make_tier ~width:s10_bucket ~capacity:s10_capacity;
-    t60 = make_tier ~width:s60_bucket ~capacity:s60_capacity;
-    samples = 0;
-    last = nan;
-    last_ts = nan;
+    width;
+    ring = make_ring capacity;
+    vmax = Array.make capacity nan;
+    cur_ts = nan;
+    cur_last = nan;
+    cur_max = nan;
   }
 
-let ring_push r ~ts ~v ~vmax =
-  let cap = Array.length r.ts in
-  r.ts.(r.head) <- ts;
-  r.v.(r.head) <- v;
-  r.vmax.(r.head) <- vmax;
-  r.head <- (r.head + 1) mod cap;
-  if r.len < cap then r.len <- r.len + 1
+let create ?(raw_capacity = 32) ?(s10_capacity = 32) ?(s60_capacity = 32) () =
+  {
+    raw = make_ring raw_capacity;
+    t10 = make_tier ~width:10. ~capacity:s10_capacity;
+    t60 = make_tier ~width:60. ~capacity:s60_capacity;
+  }
+
+let ring_push r ~ts v =
+  let s = Slots.push r.slots in
+  r.ts.(s) <- ts;
+  r.v.(s) <- v;
+  s
 
 let tier_push bt ~ts v =
   let b = Float.of_int (int_of_float (floor (ts /. bt.width))) *. bt.width in
@@ -73,7 +56,7 @@ let tier_push bt ~ts v =
   end
   else if b > bt.cur_ts then begin
     (* the open bucket is complete: seal it and open the next *)
-    ring_push bt.ring ~ts:bt.cur_ts ~v:bt.cur_last ~vmax:bt.cur_max;
+    bt.vmax.(ring_push bt.ring ~ts:bt.cur_ts bt.cur_last) <- bt.cur_max;
     bt.cur_ts <- b;
     bt.cur_last <- v;
     bt.cur_max <- v
@@ -85,49 +68,44 @@ let tier_push bt ~ts v =
   end
 
 let push t ~ts v =
-  t.samples <- t.samples + 1;
-  t.last <- v;
-  t.last_ts <- ts;
-  ring_push t.raw ~ts ~v ~vmax:v;
+  ignore (ring_push t.raw ~ts v);
   tier_push t.t10 ~ts v;
   tier_push t.t60 ~ts v
 
-let samples t = t.samples
-let last t = t.last
-let last_ts t = t.last_ts
+let samples t = Slots.total_pushed t.raw.slots
 
-let ring_fold r f =
-  let cap = Array.length r.ts in
-  let start = (r.head - r.len + cap) mod cap in
-  let acc = ref [] in
-  for i = r.len - 1 downto 0 do
-    let j = (start + i) mod cap in
-    acc := f r.ts.(j) r.v.(j) r.vmax.(j) :: !acc
-  done;
-  !acc
+let last t =
+  let n = Slots.length t.raw.slots in
+  if n = 0 then nan else t.raw.v.(Slots.slot t.raw.slots (n - 1))
+
+(* (timestamp, value) oldest first, the value read from [values] *)
+let ring_points r values =
+  List.init (Slots.length r.slots) (fun i ->
+      let s = Slots.slot r.slots i in
+      (r.ts.(s), values.(s)))
 
 let tier_points bt ~use_max =
-  let sealed = ring_fold bt.ring (fun ts v vmax -> (ts, if use_max then vmax else v)) in
+  let sealed = ring_points bt.ring (if use_max then bt.vmax else bt.ring.v) in
   if Float.is_nan bt.cur_ts then sealed
   else sealed @ [ (bt.cur_ts, if use_max then bt.cur_max else bt.cur_last) ]
 
 let points t tier =
   match tier with
-  | `Raw -> ring_fold t.raw (fun ts v _ -> (ts, v))
+  | `Raw -> ring_points t.raw t.raw.v
   | `S10 -> tier_points t.t10 ~use_max:false
   | `S60 -> tier_points t.t60 ~use_max:false
 
+(* a raw sample is its own max *)
 let max_points t tier =
   match tier with
-  | `Raw -> ring_fold t.raw (fun ts _ vmax -> (ts, vmax))
+  | `Raw -> points t `Raw
   | `S10 -> tier_points t.t10 ~use_max:true
   | `S60 -> tier_points t.t60 ~use_max:true
 
 let occupancy t tier =
-  let r =
-    match tier with `Raw -> t.raw | `S10 -> t.t10.ring | `S60 -> t.t60.ring
-  in
-  (r.len, Array.length r.ts)
+  let r = match tier with `Raw -> t.raw | `S10 -> t.t10.ring | `S60 -> t.t60.ring in
+  (Slots.length r.slots, Slots.capacity r.slots)
 
 let footprint_floats t =
-  3 * (Array.length t.raw.ts + Array.length t.t10.ring.ts + Array.length t.t60.ring.ts)
+  (2 * Slots.capacity t.raw.slots)
+  + (3 * (Slots.capacity t.t10.ring.slots + Slots.capacity t.t60.ring.slots))

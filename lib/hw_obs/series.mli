@@ -1,27 +1,26 @@
 (** One bounded, downsampled time series.
 
     Three tiers: a raw ring of (timestamp, value) samples as scraped,
-    plus two downsampled rings of fixed-width buckets (10 s and 60 s by
-    default). A sample lands in the raw ring and in the open bucket of
-    each tier; when a sample starts a later bucket, the open bucket is
-    sealed into its ring. Every tier is a fixed-size circular buffer
-    over unboxed float arrays, so memory per series is bounded and
-    allocated once at {!create} — the property that lets a manager hold
-    series for a 1k-router fleet.
+    plus two downsampled rings of fixed-width buckets, 10 s and 60 s. A
+    sample lands in the raw ring and in the open bucket of each tier;
+    when a sample starts a later bucket, the open bucket is sealed into
+    its ring. Every tier is a fixed-size circular buffer over unboxed
+    float arrays indexed through {!Hw_util.Ring.Slots}, so memory per
+    series is bounded and allocated once at {!create} — the property
+    that lets a manager hold series for a 1k-router fleet.
 
     Buckets keep both the last and the max value seen: last is the
     right downsample for the cumulative counters a scrape mostly
-    carries, max preserves gauge spikes that a last-write would erase. *)
+    carries, max preserves gauge spikes that a last-write would erase.
+    A raw sample is its own max, so the raw ring stores no max. *)
 
 type t
 
 type tier = [ `Raw | `S10 | `S60 ]
 
-val create :
-  ?raw_capacity:int -> ?s10_capacity:int -> ?s60_capacity:int ->
-  ?s10_bucket:float -> ?s60_bucket:float -> unit -> t
-(** Capacities default to 32 samples/buckets per tier; bucket widths to
-    10 s and 60 s. *)
+val create : ?raw_capacity:int -> ?s10_capacity:int -> ?s60_capacity:int -> unit -> t
+(** Capacities default to 32 samples/buckets per tier.
+    @raise Invalid_argument if a capacity is not positive. *)
 
 val push : t -> ts:float -> float -> unit
 (** Record one sample. Timestamps must be non-decreasing (scrape order);
@@ -32,8 +31,6 @@ val samples : t -> int
 
 val last : t -> float
 (** Most recent value ([nan] before the first push). *)
-
-val last_ts : t -> float
 
 val points : t -> tier -> (float * float) list
 (** (timestamp, value) oldest first. For bucket tiers the value is the
@@ -47,4 +44,6 @@ val occupancy : t -> tier -> int * int
     capacity no matter how many samples were pushed. *)
 
 val footprint_floats : t -> int
-(** Fixed allocation of the series, in floats — for memory accounting. *)
+(** Fixed allocation of the series, in floats — for memory accounting:
+    two per raw slot (timestamp, value) and three per bucket slot
+    (start, last, max). *)

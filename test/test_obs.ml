@@ -70,8 +70,8 @@ let test_series_downsampling () =
       Alcotest.(check (float 0.)) "sealed 60s bucket" 420. ts;
       Alcotest.(check (float 0.)) "sealed 60s last" 479. v
   | _ -> Alcotest.fail "expected 60s points");
-  (* fixed footprint: 3 arrays per tier *)
-  Alcotest.(check int) "footprint" (3 * (8 + 4 + 4)) (Series.footprint_floats s)
+  (* fixed footprint: 2 floats per raw slot, 3 per bucket slot *)
+  Alcotest.(check int) "footprint" ((2 * 8) + (3 * (4 + 4))) (Series.footprint_floats s)
 
 let test_series_max_preserves_spikes () =
   let s = Series.create ~s10_capacity:4 () in
@@ -92,7 +92,7 @@ let test_series_max_preserves_spikes () =
 let states h router = Option.map Health.state_to_string (Health.state h router)
 
 let test_health_machine () =
-  let h = Health.create ~degraded_after:10. ~lost_after_failures:3 ~recover_after:2 () in
+  let h = Health.create () in
   (* birth is Healthy with no transition row *)
   Alcotest.(check (list string)) "up: no transition" []
     (List.map (fun (t : Health.transition) -> t.reason) (Health.note_up h ~router:"r1" ~now:0.));
@@ -127,24 +127,24 @@ let test_health_machine () =
   ignore (Health.note_scrape h ~router:"r1" ~now:8. ~ok:true ~errors:0 ~reason:"");
   ignore (Health.note_scrape h ~router:"r1" ~now:9. ~ok:true ~errors:0 ~reason:"");
   Alcotest.(check (option string)) "healthy again" (Some "healthy") (states h "r1");
-  (* silence sweep *)
-  Alcotest.(check int) "tick under threshold" 0 (List.length (Health.tick h ~now:15.));
-  (match Health.tick h ~now:25. with
+  (* silence sweep: last seen at 9, degraded once silent for over 30 s *)
+  Alcotest.(check int) "tick under threshold" 0 (List.length (Health.tick h ~now:39.));
+  (match Health.tick h ~now:40. with
   | [ tr ] -> Alcotest.(check string) "silence" "renewal silence" tr.reason
   | _ -> Alcotest.fail "expected silence transition");
   (* renewal clears pure silence *)
-  (match Health.note_renewed h ~router:"r1" ~now:26. with
+  (match Health.note_renewed h ~router:"r1" ~now:41. with
   | [ tr ] -> Alcotest.(check string) "renewed" "lease renewed" tr.reason
   | _ -> Alcotest.fail "expected recovery");
   (* eviction is Lost *)
-  (match Health.note_down h ~router:"r1" ~now:30. ~reason:"lease lapsed" with
+  (match Health.note_down h ~router:"r1" ~now:45. ~reason:"lease lapsed" with
   | [ tr ] ->
       Alcotest.(check string) "down state" "lost" (Health.state_to_string tr.state)
   | _ -> Alcotest.fail "expected lost transition");
   (* a late scrape failure (in flight across the eviction) must not
      promote a lost router back to merely-degraded *)
   Alcotest.(check int) "late failure on lost: no transition" 0
-    (List.length (Health.note_scrape h ~router:"r1" ~now:31. ~ok:false ~errors:0 ~reason:"timeout"));
+    (List.length (Health.note_scrape h ~router:"r1" ~now:46. ~ok:false ~errors:0 ~reason:"timeout"));
   Alcotest.(check (option string)) "still lost after late failure" (Some "lost")
     (states h "r1");
   Alcotest.(check (pair int (pair int int))) "counts" (0, (0, 1))
@@ -264,7 +264,7 @@ let test_e2e_trace_all_surfaces () =
             [ `Raw; `S10; `S60 ])
     (Fleet_sim.agents fleet);
   Alcotest.(check bool) "series exist for most routers" true (!checked >= n / 2);
-  let max_floats = Observer.series_count obs * 3 * (32 + 32 + 32) in
+  let max_floats = Observer.series_count obs * ((2 * 32) + (3 * (32 + 32))) in
   Alcotest.(check bool) "footprint bounded" true
     (Observer.series_footprint_floats obs <= max_floats)
 
@@ -344,8 +344,7 @@ let test_health_alerting_via_subscription () =
   let mgr = Fleet_sim.manager fleet in
   await_registered fleet ~within:30.;
   let obs =
-    Observer.create ~scrape_period:2. ~lost_after_failures:3 ~recover_after:2
-      ~loop:(Fleet_sim.loop fleet) ~manager:mgr ()
+    Observer.create ~scrape_period:2. ~loop:(Fleet_sim.loop fleet) ~manager:mgr ()
   in
   (* alerting = a standing query over FleetHealth *)
   let alerts = ref [] in
@@ -467,6 +466,262 @@ let test_fleet_metrics_surfaces () =
   Alcotest.(check int) "/fleet/health ok" 200 hj.Http.status;
   Alcotest.(check bool) "health counts" true (contains "healthy" hj.Http.body)
 
+(* -- Traces export: every pushed trace, in push order --------------- *)
+
+let scrape_once fleet obs =
+  let before = Observer.scrapes_total obs in
+  Observer.scrape_now obs;
+  while Observer.scrapes_total obs = before do
+    Fleet_sim.run_for fleet 0.25
+  done
+
+let count_rows obs q =
+  match Database.query (Observer.db obs) q with
+  | Ok rs -> int_of_count (Some rs)
+  | Error e -> Alcotest.failf "%s: %s" q e
+
+(* A federated query that settles after a later scrape has the smaller
+   trace id but is pushed into the manager's recorder second: an export
+   keyed on trace ids never sees it. *)
+let test_late_trace_exported () =
+  let fleet = Fleet_sim.create ~n:4 ~trace_capacity:8 () in
+  let mgr = Fleet_sim.manager fleet in
+  Fleet_sim.run_for fleet 5.;
+  let obs =
+    Observer.create ~scrape_period:1e6 ~loop:(Fleet_sim.loop fleet) ~manager:mgr ()
+  in
+  (* query A loses its request to r0002 and settles only on the retry *)
+  let r2 = Option.get (Fleet_sim.agent fleet "r0002") in
+  let inj = (Router.faults (Agent.router r2)).Fault.rpc in
+  Fault.set_plan inj [ Fault.Drop 1.0 ];
+  let a = ref None in
+  Manager.query mgr "SELECT COUNT(ts) AS n FROM Leases" ~on_done:(fun o -> a := Some o);
+  Fleet_sim.run_for fleet 0.05;
+  Fault.disarm inj;
+  scrape_once fleet obs;
+  Alcotest.(check bool) "A still in flight after the scrape" true (!a = None);
+  let deadline = Fleet_sim.now fleet +. 120. in
+  while !a = None && Fleet_sim.now fleet < deadline do
+    Fleet_sim.run_for fleet 0.25
+  done;
+  let a = match !a with Some a -> a | None -> Alcotest.fail "A never settled" in
+  Alcotest.(check int) "A answered by every router" 4 a.Manager.ok;
+  scrape_once fleet obs;
+  (* fleet.query, four fleet.rpc and fleet.merge *)
+  Alcotest.(check int) "A's spans in Traces" 6
+    (count_rows obs
+       (Printf.sprintf "SELECT COUNT(span_id) AS n FROM Traces WHERE trace_id = %d"
+          a.Manager.trace));
+  (* each scrape's own trace is exported once, not once per scrape *)
+  Alcotest.(check int) "Traces holds three traces" 18
+    (count_rows obs "SELECT COUNT(span_id) AS n FROM Traces")
+
+(* -- pinned fleet: /metrics text and one FleetMetrics batch ---------- *)
+
+(* 8 routers with 2 devices each: two scrapes, 3 s apart *)
+let pinned_observer () =
+  let fleet = Fleet_sim.create ~seed:42 ~n:8 ~devices_per_home:2 () in
+  await_registered fleet ~within:30.;
+  Fleet_sim.run_for fleet 5.;
+  let obs =
+    Observer.create ~scrape_period:1e6 ~loop:(Fleet_sim.loop fleet)
+      ~manager:(Fleet_sim.manager fleet) ()
+  in
+  scrape_once fleet obs;
+  Fleet_sim.run_for fleet 3.;
+  scrape_once fleet obs;
+  obs
+
+let pinned_metrics_text = {|# HELP fleet_rollup_events_total Publishes rolled up fleet-wide
+# TYPE fleet_rollup_events_total counter
+fleet_rollup_events_total 0
+# HELP fleet_fanout_errors_total Per-router federated requests that failed
+# TYPE fleet_fanout_errors_total counter
+fleet_fanout_errors_total 0
+# HELP fleet_fanout_requests_total Federated per-router requests
+# TYPE fleet_fanout_requests_total counter
+fleet_fanout_requests_total 16
+# HELP fleet_evictions_total Sessions evicted on lease lapse
+# TYPE fleet_evictions_total counter
+fleet_evictions_total 0
+# HELP fleet_registrations_total FLEET REGISTER requests accepted
+# TYPE fleet_registrations_total counter
+fleet_registrations_total 8
+# HELP fleet_sessions Registered router sessions
+# TYPE fleet_sessions gauge
+fleet_sessions 8
+# HELP rpc_request_timeouts_total Requests abandoned after exhausting every retry
+# TYPE rpc_request_timeouts_total counter
+rpc_request_timeouts_total 0
+# HELP rpc_retries_total Requests retransmitted after a timeout
+# TYPE rpc_retries_total counter
+rpc_retries_total 0
+# HELP hwdb_plan_cache_evictions_total prepared plans evicted (FIFO, bounded cache)
+# TYPE hwdb_plan_cache_evictions_total counter
+hwdb_plan_cache_evictions_total 0
+# HELP hwdb_plan_cache_misses_total prepared-plan cache misses
+# TYPE hwdb_plan_cache_misses_total counter
+hwdb_plan_cache_misses_total 0
+# HELP hwdb_plan_cache_hits_total prepared-plan cache hits
+# TYPE hwdb_plan_cache_hits_total counter
+hwdb_plan_cache_hits_total 0
+# HELP hwdb_ticks_total database ticks
+# TYPE hwdb_ticks_total counter
+hwdb_ticks_total 3
+# HELP hwdb_trigger_fires_total ECA trigger actions fired
+# TYPE hwdb_trigger_fires_total counter
+hwdb_trigger_fires_total 0
+# HELP hwdb_subscription_evals_total continuous-query evaluations on tick
+# TYPE hwdb_subscription_evals_total counter
+hwdb_subscription_evals_total 0
+# HELP hwdb_query_errors_total hwdb SELECTs that failed
+# TYPE hwdb_query_errors_total counter
+hwdb_query_errors_total 0
+# HELP hwdb_queries_total hwdb SELECTs executed
+# TYPE hwdb_queries_total counter
+hwdb_queries_total 0
+# HELP hwdb_insert_errors_total hwdb inserts refused
+# TYPE hwdb_insert_errors_total counter
+hwdb_insert_errors_total 0
+# HELP hwdb_inserts_total hwdb rows inserted
+# TYPE hwdb_inserts_total counter
+hwdb_inserts_total 130
+# HELP obs_scrape_router_errors_total Per-router scrape failures
+# TYPE obs_scrape_router_errors_total counter
+obs_scrape_router_errors_total 0
+# HELP obs_scrape_rows_total Metric rows ingested from scrapes
+# TYPE obs_scrape_rows_total counter
+obs_scrape_rows_total 1444
+# HELP obs_scrapes_total Completed fleet metric scrape cycles
+# TYPE obs_scrapes_total counter
+obs_scrapes_total 2
+# HELP hwdb_insert_seconds insert latency (sampled 1/32)
+# TYPE hwdb_insert_seconds summary
+hwdb_insert_seconds{quantile="0.5"} 9.31322575e-10
+hwdb_insert_seconds{quantile="0.9"} 9.31322575e-10
+hwdb_insert_seconds{quantile="0.99"} 9.31322575e-10
+hwdb_insert_seconds_sum 0
+hwdb_insert_seconds_count 5
+# TYPE fleet_hwdb_insert_errors_total gauge
+fleet_hwdb_insert_errors_total{router="r0000"} 0
+fleet_hwdb_insert_errors_total{router="r0001"} 0
+fleet_hwdb_insert_errors_total{router="r0002"} 0
+fleet_hwdb_insert_errors_total{router="r0003"} 0
+fleet_hwdb_insert_errors_total{router="r0004"} 0
+fleet_hwdb_insert_errors_total{router="r0005"} 0
+fleet_hwdb_insert_errors_total{router="r0006"} 0
+fleet_hwdb_insert_errors_total{router="r0007"} 0
+fleet_hwdb_insert_errors_total{router="__fleet__",stat="sum"} 0
+fleet_hwdb_insert_errors_total{router="__fleet__",stat="max"} 0
+# TYPE fleet_hwdb_inserts_total gauge
+fleet_hwdb_inserts_total{router="r0000"} 16
+fleet_hwdb_inserts_total{router="r0001"} 16
+fleet_hwdb_inserts_total{router="r0002"} 22
+fleet_hwdb_inserts_total{router="r0003"} 26
+fleet_hwdb_inserts_total{router="r0004"} 21
+fleet_hwdb_inserts_total{router="r0005"} 16
+fleet_hwdb_inserts_total{router="r0006"} 20
+fleet_hwdb_inserts_total{router="r0007"} 16
+fleet_hwdb_inserts_total{router="__fleet__",stat="sum"} 153
+fleet_hwdb_inserts_total{router="__fleet__",stat="max"} 26
+# TYPE fleet_hwdb_queries_total gauge
+fleet_hwdb_queries_total{router="r0000"} 1
+fleet_hwdb_queries_total{router="r0001"} 1
+fleet_hwdb_queries_total{router="r0002"} 1
+fleet_hwdb_queries_total{router="r0003"} 1
+fleet_hwdb_queries_total{router="r0004"} 1
+fleet_hwdb_queries_total{router="r0005"} 1
+fleet_hwdb_queries_total{router="r0006"} 1
+fleet_hwdb_queries_total{router="r0007"} 1
+fleet_hwdb_queries_total{router="__fleet__",stat="sum"} 8
+fleet_hwdb_queries_total{router="__fleet__",stat="max"} 1
+# TYPE fleet_hwdb_query_errors_total gauge
+fleet_hwdb_query_errors_total{router="r0000"} 0
+fleet_hwdb_query_errors_total{router="r0001"} 0
+fleet_hwdb_query_errors_total{router="r0002"} 0
+fleet_hwdb_query_errors_total{router="r0003"} 0
+fleet_hwdb_query_errors_total{router="r0004"} 0
+fleet_hwdb_query_errors_total{router="r0005"} 0
+fleet_hwdb_query_errors_total{router="r0006"} 0
+fleet_hwdb_query_errors_total{router="r0007"} 0
+fleet_hwdb_query_errors_total{router="__fleet__",stat="sum"} 0
+fleet_hwdb_query_errors_total{router="__fleet__",stat="max"} 0
+# TYPE fleet_hwdb_query_seconds_p99 gauge
+fleet_hwdb_query_seconds_p99{router="r0000"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0001"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0002"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0003"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0004"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0005"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0006"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="r0007"} 9.31322575e-10
+fleet_hwdb_query_seconds_p99{router="__fleet__",stat="sum"} 7.4505806e-09
+fleet_hwdb_query_seconds_p99{router="__fleet__",stat="max"} 9.31322575e-10
+# TYPE fleet_rpc_datagrams_in_total gauge
+fleet_rpc_datagrams_in_total{router="r0000"} 1
+fleet_rpc_datagrams_in_total{router="r0001"} 1
+fleet_rpc_datagrams_in_total{router="r0002"} 1
+fleet_rpc_datagrams_in_total{router="r0003"} 1
+fleet_rpc_datagrams_in_total{router="r0004"} 1
+fleet_rpc_datagrams_in_total{router="r0005"} 1
+fleet_rpc_datagrams_in_total{router="r0006"} 1
+fleet_rpc_datagrams_in_total{router="r0007"} 1
+fleet_rpc_datagrams_in_total{router="__fleet__",stat="sum"} 8
+fleet_rpc_datagrams_in_total{router="__fleet__",stat="max"} 1
+# TYPE fleet_rpc_datagrams_out_total gauge
+fleet_rpc_datagrams_out_total{router="r0000"} 1
+fleet_rpc_datagrams_out_total{router="r0001"} 1
+fleet_rpc_datagrams_out_total{router="r0002"} 1
+fleet_rpc_datagrams_out_total{router="r0003"} 1
+fleet_rpc_datagrams_out_total{router="r0004"} 1
+fleet_rpc_datagrams_out_total{router="r0005"} 1
+fleet_rpc_datagrams_out_total{router="r0006"} 1
+fleet_rpc_datagrams_out_total{router="r0007"} 1
+fleet_rpc_datagrams_out_total{router="__fleet__",stat="sum"} 8
+fleet_rpc_datagrams_out_total{router="__fleet__",stat="max"} 1
+|}
+
+let test_pinned_metrics_text () =
+  Alcotest.(check string) "/metrics" pinned_metrics_text
+    (Observer.render_prometheus (pinned_observer ()))
+
+let test_pinned_fleet_metrics_batch () =
+  let row router key stat v = Printf.sprintf "%s %s %s %h" router key stat v in
+  (* key, last values of r0000..r0007, fleet sum, fleet max *)
+  let key_rows key lasts sum max =
+    List.mapi (fun i v -> row (Printf.sprintf "r%04d" i) key "last" v) lasts
+    @ [ row "__fleet__" key "sum" sum; row "__fleet__" key "max" max ]
+  in
+  let zeros = List.init 8 (fun _ -> 0.) and ones = List.init 8 (fun _ -> 1.) in
+  let p99 = ldexp 1. (-30) (* the query histogram's lowest bucket bound *) in
+  let expected =
+    List.concat
+      [
+        key_rows "hwdb_insert_errors_total" zeros 0. 0.;
+        key_rows "hwdb_inserts_total" [ 16.; 16.; 22.; 26.; 21.; 16.; 20.; 16. ] 153. 26.;
+        key_rows "hwdb_queries_total" ones 8. 1.;
+        key_rows "hwdb_query_errors_total" zeros 0. 0.;
+        key_rows "hwdb_query_seconds_p99" (List.init 8 (fun _ -> p99)) (8. *. p99) p99;
+        key_rows "rpc_datagrams_in_total" ones 8. 1.;
+        key_rows "rpc_datagrams_out_total" ones 8. 1.;
+      ]
+  in
+  let batch =
+    match
+      Database.query (Observer.db (pinned_observer ()))
+        "SELECT router, name, stat, value FROM FleetMetrics [NOW]"
+    with
+    | Ok rs ->
+        List.map
+          (function
+            | [ Value.Str r; Value.Str k; Value.Str st; Value.Real v ] -> row r k st v
+            | _ -> Alcotest.fail "unexpected FleetMetrics row")
+          rs.Query.rows
+    | Error e -> Alcotest.failf "FleetMetrics query: %s" e
+  in
+  Alcotest.(check (list string)) "last scrape's batch, as a multiset"
+    (List.sort compare expected) (List.sort compare batch)
+
 let () =
   Alcotest.run "hw_obs"
     [
@@ -484,5 +739,9 @@ let () =
           Alcotest.test_case "health alerting via SUBSCRIBE" `Slow
             test_health_alerting_via_subscription;
           Alcotest.test_case "fleet metrics surfaces" `Slow test_fleet_metrics_surfaces;
+          Alcotest.test_case "a trace settling after a later scrape is exported" `Quick
+            test_late_trace_exported;
+          Alcotest.test_case "pinned /metrics text" `Quick test_pinned_metrics_text;
+          Alcotest.test_case "pinned FleetMetrics batch" `Quick test_pinned_fleet_metrics_batch;
         ] );
     ]
