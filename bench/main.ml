@@ -467,8 +467,9 @@ let micro_tests () =
   for i = 0 to 4095 do
     now := float_of_int i /. 100.;
     Hw_hwdb.Database.record_flow db ~proto:6
-      ~src_ip:(Printf.sprintf "10.0.0.%d" (100 + (i mod 6)))
-      ~dst_ip:"93.184.216.34" ~src_port:(40000 + i) ~dst_port:80 ~packets:3 ~bytes:1500
+      ~src_ip:(Hw_hwdb.Value.Str (Printf.sprintf "10.0.0.%d" (100 + (i mod 6))))
+      ~dst_ip:(Hw_hwdb.Value.Str "93.184.216.34") ~src_port:(40000 + i) ~dst_port:80 ~packets:3
+      ~bytes:1500
   done;
   (* window scans at growing ring sizes: the window is fixed (last 500 rows
      by time, last 64 by count, newest instant) so an index-backed scan
@@ -482,8 +483,8 @@ let micro_tests () =
         for i = 1 to cap do
           now := float_of_int i /. 100.;
           Hw_hwdb.Database.record_flow db ~proto:6
-            ~src_ip:(Printf.sprintf "10.0.0.%d" (i mod 6))
-            ~dst_ip:"93.184.216.34"
+            ~src_ip:(Hw_hwdb.Value.Str (Printf.sprintf "10.0.0.%d" (i mod 6)))
+            ~dst_ip:(Hw_hwdb.Value.Str "93.184.216.34")
             ~src_port:(40000 + (i land 0xfff))
             ~dst_port:80 ~packets:3 ~bytes:1500
         done;
@@ -512,8 +513,9 @@ let micro_tests () =
     [
       Test.make ~name:"insert"
         (Staged.stage (fun () ->
-             Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:"10.0.0.100"
-               ~dst_ip:"93.184.216.34" ~src_port:40000 ~dst_port:80 ~packets:1 ~bytes:100));
+             Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:(Hw_hwdb.Value.Str "10.0.0.100")
+               ~dst_ip:(Hw_hwdb.Value.Str "93.184.216.34") ~src_port:40000 ~dst_port:80 ~packets:1
+               ~bytes:100));
       Test.make ~name:"select_window"
         (Staged.stage (fun () ->
              ignore (Hw_hwdb.Database.query db "SELECT bytes FROM Flows [RANGE 5 SECONDS]")));
@@ -543,7 +545,7 @@ let micro_tests () =
       for i = 0 to 999 do
         now := float_of_int i *. 0.05;
         Hw_hwdb.Database.record_link db
-          ~mac:(Printf.sprintf "02:00:00:00:00:%02x" (i mod 16))
+          ~mac:(Hw_hwdb.Value.Str (Printf.sprintf "02:00:00:00:00:%02x" (i mod 16)))
           ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7) ~packets:i
       done;
       db
@@ -783,8 +785,9 @@ let micro_tests () =
     for i = 0 to 4095 do
       now := float_of_int i;
       Hw_hwdb.Database.record_flow db ~proto:6
-        ~src_ip:(Printf.sprintf "10.0.0.%d" (100 + (i mod 6)))
-        ~dst_ip:"93.184.216.34" ~src_port:(40000 + i) ~dst_port:80 ~packets:3 ~bytes:1500
+        ~src_ip:(Hw_hwdb.Value.Str (Printf.sprintf "10.0.0.%d" (100 + (i mod 6))))
+        ~dst_ip:(Hw_hwdb.Value.Str "93.184.216.34") ~src_port:(40000 + i) ~dst_port:80 ~packets:3
+        ~bytes:1500
     done;
     let q =
       "SELECT src_ip, SUM(bytes) AS b FROM Flows [RANGE 10 SECONDS] WHERE dst_port = 80 \
@@ -1564,8 +1567,8 @@ let ablation_hwdb_capacity () =
       for i = 1 to 2 * cap do
         now := float_of_int i *. 0.01;
         Hw_hwdb.Database.record_flow db ~proto:6
-          ~src_ip:(Printf.sprintf "10.0.0.%d" (i mod 8))
-          ~dst_ip:"1.2.3.4" ~src_port:i ~dst_port:80 ~packets:1 ~bytes:i
+          ~src_ip:(Hw_hwdb.Value.Str (Printf.sprintf "10.0.0.%d" (i mod 8)))
+          ~dst_ip:(Hw_hwdb.Value.Str "1.2.3.4") ~src_port:i ~dst_port:80 ~packets:1 ~bytes:i
       done;
       let time_query q =
         let reps = 50 in

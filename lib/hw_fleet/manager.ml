@@ -48,7 +48,6 @@ type t = {
   by_addr : (string, session) Hashtbl.t;
   mutable fleet_subs : fleet_sub list;
   mutable next_token : int;
-  mutable rollup_events : int;
   m_sessions : Hw_metrics.Gauge.t;
   m_registrations : Hw_metrics.Counter.t;
   m_evictions : Hw_metrics.Counter.t;
@@ -73,7 +72,7 @@ let on_session_event t f = t.on_session <- f
 let sessions t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.sessions [] |> List.sort compare
 
-let rollup_events_total t = t.rollup_events
+let rollup_events_total t = Hw_metrics.Counter.value t.m_rollup_events
 
 (* -- fleet subscriptions ------------------------------------------- *)
 
@@ -85,7 +84,6 @@ let attach_sub t s fs =
       ~client:s.s_client ~statement:fs.fs_statement ~period:fs.fs_period
       ~on_result:(fun rs ->
         if fs.fs_active then begin
-          t.rollup_events <- t.rollup_events + 1;
           Hw_metrics.Counter.incr t.m_rollup_events;
           fs.fs_on_event ~router:s.s_id rs
         end)
@@ -217,9 +215,9 @@ let datagram t ~from data =
       (* session-control statements are manager-terminal; nothing worth
          tracing hangs below them, so a propagated context is ignored *)
       handle_request t ~from ~seq statement
-  | Ok (Rpc.Response_ok _ | Rpc.Response_error _ | Rpc.Publish _) -> (
+  | Ok ((Rpc.Response_ok _ | Rpc.Response_error _ | Rpc.Publish _) as msg) -> (
       match Hashtbl.find_opt t.by_addr from with
-      | Some s -> Rpc.Client.handle_datagram s.s_client data
+      | Some s -> Rpc.Client.handle_message s.s_client msg
       | None -> () (* a reply outliving its session; UDP semantics *))
   | Error _ -> () (* malformed datagram: drop *)
 
@@ -345,7 +343,6 @@ let create ?(metrics = Hw_metrics.Registry.create ()) ?(trace = Tracer.disabled)
       by_addr = Hashtbl.create 64;
       fleet_subs = [];
       next_token = 1;
-      rollup_events = 0;
       m_sessions =
         Hw_metrics.Registry.gauge metrics "fleet_sessions" ~help:"Registered router sessions";
       m_registrations = counter "fleet_registrations_total" "FLEET REGISTER requests accepted";

@@ -125,4 +125,5 @@ val unsubscribe : t -> fleet_sub -> unit
 (** Detach the subscriber on every session (sends UNSUBSCRIBE down each). *)
 
 val rollup_events_total : t -> int
-(** Publishes delivered across every fleet subscription. *)
+(** Publishes delivered across every fleet subscription: the
+    [fleet_rollup_events_total] counter of {!metrics}. *)

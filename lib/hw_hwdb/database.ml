@@ -779,8 +779,8 @@ let record_flow t ~proto ~src_ip ~dst_ip ~src_port ~dst_port ~packets ~bytes =
     insert t ~table:"Flows"
       [
         Value.Int proto;
-        Value.Str src_ip;
-        Value.Str dst_ip;
+        src_ip;
+        dst_ip;
         Value.Int src_port;
         Value.Int dst_port;
         Value.Int packets;
@@ -793,7 +793,7 @@ let record_flow t ~proto ~src_ip ~dst_ip ~src_port ~dst_port ~packets ~bytes =
 let record_link t ~mac ~rssi ~retries ~packets =
   match
     insert t ~table:"Links"
-      [ Value.Str mac; Value.Int rssi; Value.Int retries; Value.Int packets ]
+      [ mac; Value.Int rssi; Value.Int retries; Value.Int packets ]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_link: %s" msg)
@@ -801,7 +801,7 @@ let record_link t ~mac ~rssi ~retries ~packets =
 let record_lease t ~mac ~ip ~hostname ~action =
   match
     insert t ~table:"Leases"
-      [ Value.Str mac; Value.Str ip; Value.Str hostname; Value.Str action ]
+      [ mac; ip; Value.Str hostname; Value.Str action ]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_lease: %s" msg)

@@ -213,12 +213,17 @@ val trace_row : Hw_trace.Tracer.completed -> Hw_trace.Tracer.span -> Value.t arr
 (** The [Traces] row of one span of a completed trace, shared by the
     tick export and [Hw_obs.Observer]. *)
 
+(** The address columns ([src_ip], [dst_ip], [mac], [ip]) take the
+    [Value.Str] cell itself, so a producer that keeps one cell per
+    address (as [Hw_router.Router] does) renders each address once and
+    every row about it shares that cell. *)
+
 val record_flow :
-  t -> proto:int -> src_ip:string -> dst_ip:string -> src_port:int -> dst_port:int ->
+  t -> proto:int -> src_ip:Value.t -> dst_ip:Value.t -> src_port:int -> dst_port:int ->
   packets:int -> bytes:int -> unit
 
-val record_link : t -> mac:string -> rssi:int -> retries:int -> packets:int -> unit
-val record_lease : t -> mac:string -> ip:string -> hostname:string -> action:string -> unit
+val record_link : t -> mac:Value.t -> rssi:int -> retries:int -> packets:int -> unit
+val record_lease : t -> mac:Value.t -> ip:Value.t -> hostname:string -> action:string -> unit
 
 val record_policy : t -> kind:string -> id:string -> payload:string -> action:string -> unit
 (** One control-plane declaration event into [Policies]; [kind] is

@@ -260,11 +260,18 @@ let key_cell (ty : Value.ty) (f : compiled) : compiled =
   | Value.T_int | Value.T_str | Value.T_bool -> f
   | Value.T_real | Value.T_ts -> fun row -> Value.Str (Value.to_string (f row))
 
-(* cells at one position share a constructor: Int, Str or Bool *)
+(* key cells at one position share a constructor: Int, Str or Bool *)
+let cell_eq a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> Int.equal x y
+  | Value.Str x, Value.Str y -> String.equal x y
+  | Value.Bool x, Value.Bool y -> Bool.equal x y
+  | _ -> false
+
 let rec key_eq a b =
   match (a, b) with
   | [], [] -> true
-  | x :: a', y :: b' -> Value.equal x y && key_eq a' b'
+  | x :: a', y :: b' -> cell_eq x y && key_eq a' b'
   | _ -> false
 
 module Key_tbl = Hashtbl.Make (struct
@@ -274,9 +281,16 @@ module Key_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+module Cell_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = cell_eq
+  let hash = Hashtbl.hash
+end)
+
 type grouped = {
   g_key : Value.t array -> key;
-  g_key1 : compiled option; (* single GROUP BY column: exec keys on the bare string *)
+  g_key1 : compiled option; (* single GROUP BY column: exec keys on its one key cell *)
   g_no_group_by : bool;
   g_aggs : agg array;
   g_outs : out_item list;
@@ -523,7 +537,7 @@ let prepare ~lookup (q : Ast.select) =
         P_grouped
           {
             g_key = (fun row -> key row key_cells);
-            g_key1 = (match key_fns with [ f ] -> Some f | _ -> None);
+            g_key1 = (match key_cells with [ f ] -> Some f | _ -> None);
             g_no_group_by = q.Ast.group_by = [];
             g_aggs = Array.of_list (List.rev !aggs);
             g_outs = outs;
@@ -667,7 +681,7 @@ let apply_limit t out_rows =
 (* one group of the streaming grouped exec *)
 type gslot = {
   gs_fp : int; (* cheap fingerprint: probes reject on an int compare *)
-  gs_k1 : string; (* bare key when the query groups by a single column *)
+  gs_k1 : Value.t; (* key cell when the query groups by a single column *)
   gs_key : key; (* the key otherwise *)
   gs_rep : Value.t array; (* first row seen: stored rows are immutable, join rows fresh *)
   gs_rep_ts : float; (* its timestamp, for a single-table plan that reads it *)
@@ -675,21 +689,26 @@ type gslot = {
 }
 
 let no_group =
-  { gs_fp = 0; gs_k1 = ""; gs_key = []; gs_rep = [||]; gs_rep_ts = 0.; gs_states = [||] }
-
-module Str_tbl = Hashtbl.Make (String)
+  {
+    gs_fp = 0;
+    gs_k1 = Value.Bool false;
+    gs_key = [];
+    gs_rep = [||];
+    gs_rep_ts = 0.;
+    gs_states = [||];
+  }
 
 (* The groups of one exec. Up to [max_linear_groups] live in a small
    array probed linearly — queries rarely have more than a handful of
    groups, and an int fingerprint compare beats hashing there; past
-   that every group moves to a table, keyed on the bare string when the
+   that every group moves to a table, keyed on the key cell when the
    query groups by one column, and only the table is probed. Probes
    return [no_group] on a miss, so a row that finds its group allocates
    nothing. *)
 type groups = {
   gt_linear : gslot array;
   mutable gt_n : int;
-  mutable gt_by_k1 : gslot Str_tbl.t option;
+  mutable gt_by_k1 : gslot Cell_tbl.t option;
   mutable gt_by_key : gslot Key_tbl.t option;
   mutable gt_order : gslot list; (* reversed first-appearance order *)
 }
@@ -720,7 +739,7 @@ let rec probe_k1 linear n fp k i =
   if i >= n then no_group
   else
     let s = Array.unsafe_get linear i in
-    if s.gs_fp = fp && String.equal s.gs_k1 k then s else probe_k1 linear n fp k (i + 1)
+    if s.gs_fp = fp && cell_eq s.gs_k1 k then s else probe_k1 linear n fp k (i + 1)
 
 let rec probe_key linear n fp key i =
   if i >= n then no_group
@@ -730,7 +749,7 @@ let rec probe_key linear n fp key i =
 
 let find_k1 gt fp k =
   match gt.gt_by_k1 with
-  | Some h -> ( match Str_tbl.find h k with s -> s | exception Not_found -> no_group)
+  | Some h -> ( match Cell_tbl.find h k with s -> s | exception Not_found -> no_group)
   | None -> probe_k1 gt.gt_linear gt.gt_n fp k 0
 
 let find_key gt fp key =
@@ -748,12 +767,12 @@ let add_group gt ~single s =
        match gt.gt_by_k1 with
        | Some h -> h
        | None ->
-           let h = Str_tbl.create 64 in
-           Array.iter (fun s -> Str_tbl.replace h s.gs_k1 s) gt.gt_linear;
+           let h = Cell_tbl.create 64 in
+           Array.iter (fun s -> Cell_tbl.replace h s.gs_k1 s) gt.gt_linear;
            gt.gt_by_k1 <- Some h;
            h
      in
-     Str_tbl.replace h s.gs_k1 s
+     Cell_tbl.replace h s.gs_k1 s
    end
    else
      let h =
@@ -806,8 +825,8 @@ let exec_grouped t g ~now =
   (match g.g_key1 with
   | Some kf ->
       fold_rows t ~now ~init:() ~f:(fun () row ->
-          let k = Value.to_string (kf row) in
-          let fp = fp_str 0 k in
+          let k = kf row in
+          let fp = cell_fp 0 k in
           let s = find_k1 gt fp k in
           let s = if s == no_group then new_group ~fp ~k1:k ~key:[] row else s in
           apply_states s.gs_states row)
@@ -816,7 +835,7 @@ let exec_grouped t g ~now =
           let key = g.g_key row in
           let fp = key_fp key in
           let s = find_key gt fp key in
-          let s = if s == no_group then new_group ~fp ~k1:"" ~key row else s in
+          let s = if s == no_group then new_group ~fp ~k1:no_group.gs_k1 ~key row else s in
           apply_states s.gs_states row));
   let groups =
     if g.g_no_group_by && gt.gt_order = [] then

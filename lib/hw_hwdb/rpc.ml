@@ -525,13 +525,14 @@ module Client = struct
         p.p_reply outcome
     | None -> () (* duplicate response after a retry raced the original *)
 
+  let handle_message t = function
+    | Response_ok { seq; result } -> settle t seq (Ok result)
+    | Response_error { seq; message } -> settle t seq (Error message)
+    | Publish { subscription; result } -> deliver ~subscription result t.publish_handlers
+    | Request _ -> ()
+
   let handle_datagram t data =
-    match decode data with
-    | Ok (Response_ok { seq; result }) -> settle t seq (Ok result)
-    | Ok (Response_error { seq; message }) -> settle t seq (Error message)
-    | Ok (Publish { subscription; result }) ->
-        deliver ~subscription result t.publish_handlers
-    | Ok (Request _) | Error _ -> ()
+    match decode data with Ok msg -> handle_message t msg | Error _ -> ()
 
   let pending_count t = Hashtbl.length t.pending
 end

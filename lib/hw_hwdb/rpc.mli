@@ -140,8 +140,15 @@ module Client : sig
 
   val publish_handler_count : t -> int
 
+  val handle_message : t -> message -> unit
+  (** Feed one message arriving from the server, already decoded: a
+      reply settles its pending request, a PUBLISH reaches the publish
+      handlers, a request is ignored. For a receiver that decoded the
+      datagram to route it. *)
+
   val handle_datagram : t -> string -> unit
-  (** Feed datagrams arriving from the server. *)
+  (** {!handle_message} of the decoded datagram; a malformed one is
+      dropped. *)
 
   val pending_count : t -> int
 end

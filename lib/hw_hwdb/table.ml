@@ -74,11 +74,31 @@ let append_rows t ~now rows =
     append t ~now (Array.unsafe_get rows i)
   done
 
+(* One preallocated cell per integer a producer commonly writes: RSSI,
+   protocol numbers, ports below 1024, span ids, small counts. [insert]
+   points each such integer of a fresh row at its cell, so a stored row
+   owns its array and only the cells no other row could share, and a
+   window scan reads little beyond the array. Values are immutable and
+   nothing compares them physically: sharing changes only the layout. *)
+let small_int_min = -256
+let small_int_max = 1023
+let small_ints =
+  Array.init (small_int_max - small_int_min + 1) (fun i -> Value.Int (small_int_min + i))
+
+let share_small_ints row =
+  for i = 0 to Array.length row - 1 do
+    match Array.unsafe_get row i with
+    | Value.Int n when n >= small_int_min && n <= small_int_max ->
+        Array.unsafe_set row i (Array.unsafe_get small_ints (n - small_int_min))
+    | _ -> ()
+  done
+
 let insert t ~now values =
   let row = Array.of_list values in
   match Value.validate t.schema row with
   | Error _ as e -> e
   | Ok () ->
+      share_small_ints row;
       append t ~now row;
       Ok ()
 

@@ -37,15 +37,23 @@ val total_inserted : t -> int
 val insert : t -> now:float -> Value.t list -> (unit, string) result
 (** Appends a row stamped [now]; evicts the oldest row when full.
     Timestamps must be non-decreasing across inserts (the database clock
-    is monotone), which is what lets window scans binary-search. *)
+    is monotone), which is what lets window scans binary-search.
+
+    Every producer's row comes through here (the router's records,
+    [Database.insert], RPC [INSERT], trigger actions), so here, after
+    validation, each [Value.Int] in [-256 .. 1023] is replaced by one
+    preallocated cell shared by every table: two stored rows with an
+    equal small integer hold the same cell. The range is a constant. *)
 
 val append : t -> now:float -> Value.t array -> unit
 (** {!insert} for a row already validated against this table's schema:
     stamps it [now], evicts like {!insert} and fires the insert hooks
     (views, triggers, the WAL). The array is stored, not copied, so a
     caller may re-stamp one cached row every tick — and must never
-    mutate it afterwards. A table without hooks allocates nothing here;
-    with hooks, one {!Value.tuple} per append carries the row to them. *)
+    mutate it afterwards. Its cells are neither read nor replaced (no
+    small-integer sharing: a re-stamp costs the same whatever the row
+    holds). A table without hooks allocates nothing here; with hooks,
+    one {!Value.tuple} per append carries the row to them. *)
 
 val append_rows : t -> now:float -> Value.t array array -> unit
 (** A run of {!append}s, one per row in array order, all stamped [now]:
@@ -57,7 +65,8 @@ val append_rows : t -> now:float -> Value.t array array -> unit
 val restore : t -> Value.tuple -> unit
 (** WAL replay: append an already-validated row with its original
     timestamp, firing no triggers (in particular not the durability
-    hook, which would re-log it). Rows must be restored in their
+    hook, which would re-log it), and storing its array as decoded (no
+    small-integer sharing). Rows must be restored in their
     original order, and the live clock must resume at or after the last
     restored timestamp to keep the ring's ordering invariant. *)
 

@@ -29,7 +29,6 @@ type t = {
   err_baseline : (string, float) Hashtbl.t; (* router \x00 counter -> last value *)
   mutable view : key_view list; (* sorted by key; rebuilt by each scrape *)
   mutable scrape_in_flight : bool;
-  mutable scrapes : int;
   mutable traces_exported : int; (* the manager tracer's push count at the last export *)
   m_scrapes : Counter.t;
   m_scrape_rows : Counter.t;
@@ -39,7 +38,7 @@ type t = {
 
 let db t = t.db
 let health t = t.health
-let scrapes_total t = t.scrapes
+let scrapes_total t = Counter.value t.m_scrapes
 
 let series_count t =
   Hashtbl.fold (fun _ per acc -> acc + Hashtbl.length per) t.series 0
@@ -85,8 +84,6 @@ let health_tick t =
 
 (* -- scrape ingest -------------------------------------------------- *)
 
-let scrape_statement = "SELECT name, stat, value FROM Metrics [NOW]"
-
 (* the (metric, stat) pairs folded into series *)
 let track =
   [
@@ -102,6 +99,18 @@ let track =
 (* the counters whose advance degrades a router's health *)
 let error_counters =
   [ "hwdb_insert_errors_total"; "hwdb_query_errors_total"; "rpc_datagrams_dropped_total" ]
+
+(* Each router ships only the rows ingest reads: the tracked pairs and
+   the error counters' values, each pair once. *)
+let scrape_statement =
+  let pairs =
+    List.sort_uniq compare (track @ List.map (fun name -> (name, "value")) error_counters)
+  in
+  "SELECT name, stat, value FROM Metrics [NOW] WHERE "
+  ^ String.concat " OR "
+      (List.map
+         (fun (name, stat) -> Printf.sprintf "(name = '%s' AND stat = '%s')" name stat)
+         pairs)
 
 let value_to_float = function
   | Value.Real f -> f
@@ -247,7 +256,6 @@ let ingest t (o : Manager.outcome) =
   t.view <- fleet_view t;
   refresh_fleet_metrics t;
   export_traces t;
-  t.scrapes <- t.scrapes + 1;
   Counter.incr t.m_scrapes
 
 let scrape_now t =
@@ -369,7 +377,6 @@ let create ?(scrape_period = 10.) ~loop ~manager () =
       err_baseline = Hashtbl.create 256;
       view = [];
       scrape_in_flight = false;
-      scrapes = 0;
       traces_exported = 0;
       m_scrapes = counter "obs_scrapes_total" "Completed fleet metric scrape cycles";
       m_scrape_rows = counter "obs_scrape_rows_total" "Metric rows ingested from scrapes";

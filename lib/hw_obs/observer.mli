@@ -3,11 +3,13 @@
     operator surfaces.
 
     {b Scraping.} Every [scrape_period] the observer fans one federated
-    [SELECT name, stat, value FROM Metrics [NOW]] out over the manager's
-    sessions (the ordinary {!Hw_fleet.Manager.query} path, so it is
-    traced, bounded by [max_inflight] and tolerant of partial failure)
-    and folds the rows of seven tracked metrics — hwdb and RPC counters
-    plus [hwdb_query_seconds]'s [p99] — into per-router {!Series}:
+    [SELECT name, stat, value FROM Metrics [NOW] WHERE ...] out over the
+    manager's sessions (the ordinary {!Hw_fleet.Manager.query} path, so
+    it is traced, bounded by [max_inflight] and tolerant of partial
+    failure); the [WHERE] clause selects only the rows ingest reads, the
+    seven tracked metrics and the error counters. It folds the rows of
+    the seven tracked metrics — hwdb and RPC counters plus
+    [hwdb_query_seconds]'s [p99] — into per-router {!Series}:
     bounded, downsampled (raw -> 10 s -> 1 min) rings of 32 slots each.
     Each scrape then rebuilds one fleet view: per tracked key, each
     router's last value, summed and maxed in router order.
@@ -67,7 +69,7 @@ val health_tick : t -> unit
 
 val scrapes_total : t -> int
 (** Completed scrape cycles (the federated query settled and its rows
-    were ingested). *)
+    were ingested): the [obs_scrapes_total] counter. *)
 
 val series_count : t -> int
 (** Live series across all routers. *)

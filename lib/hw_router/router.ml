@@ -36,6 +36,35 @@ end)
 (* the counters at the flow's last sample *)
 type baseline = { mutable packets : int; mutable bytes : int }
 
+(* The hwdb cell of each address this router reports, keyed by the raw
+   address: every Flows, Links and Leases row about one station or IP
+   shares one [Value.Str], rendered on first sight. A cache is dropped
+   whole once it holds as many addresses as the Flows ring holds rows:
+   a cell outlives its entry in the rows that hold it, and a later row
+   about the address renders a fresh one. *)
+module Cells (A : sig
+  type t
+
+  val equal : t -> t -> bool
+  val hash : t -> int
+  val to_string : t -> string
+end) =
+struct
+  include Hashtbl.Make (A)
+
+  let cell cells ~bound addr =
+    match find cells addr with
+    | cell -> cell
+    | exception Not_found ->
+        if length cells >= bound then reset cells;
+        let cell = Value.Str (A.to_string addr) in
+        add cells addr cell;
+        cell
+end
+
+module Mac_cells = Cells (Mac)
+module Ip_cells = Cells (Ip)
+
 (* Immutable configuration, hoisted out of the per-instance state so a
    fleet of thousands of identically-configured routers shares ONE
    record (and one derived lan_prefix, one ports list) instead of
@@ -70,6 +99,8 @@ type t = {
   api : Hw_control_api.Router.t option ref;
   mac_table : (Mac.t, int) Hashtbl.t;
   baselines : baseline Baselines.t;
+  mac_cells : Value.t Mac_cells.t;
+  ip_cells : Value.t Ip_cells.t;
   policy_cache : (Mac.t, bool * string) Hashtbl.t; (* network_allowed, dns policy digest *)
   mutable transmit : port_no:int -> string -> unit;
   mutable blocked_flows : int;
@@ -480,6 +511,9 @@ let dns_component t (ev : Controller.packet_in_event) =
 (* Measurement: flow stats -> hwdb Flows                               *)
 (* ------------------------------------------------------------------ *)
 
+let mac_cell t mac = Mac_cells.cell t.mac_cells ~bound:t.cfg.hwdb_capacity mac
+let ip_cell t ip = Ip_cells.cell t.ip_cells ~bound:t.cfg.hwdb_capacity ip
+
 (* A flow is measured when its match names the five-tuple a Flows row
    reports; drop flows are not, by their cookie. *)
 let measured (m : Ofp_match.t) =
@@ -504,8 +538,8 @@ let record_flow_row t ~cookie (m : Ofp_match.t) ~packets ~bytes =
       in
       match dst with
       | Some (dst_ip, dst_port) ->
-          Database.record_flow t.database ~proto ~src_ip:(Ip.to_string src_ip)
-            ~dst_ip:(Ip.to_string dst_ip)
+          Database.record_flow t.database ~proto ~src_ip:(ip_cell t src_ip)
+            ~dst_ip:(ip_cell t dst_ip)
             ~src_port:(Option.value m.Ofp_match.tp_src ~default:0)
             ~dst_port ~packets ~bytes
       | None -> ())
@@ -555,8 +589,11 @@ let sample_removed_flow t (fr : Ofp_message.flow_removed) =
   end;
   Baselines.remove t.baselines key
 
+(* the ip column of a lease event that granted no address *)
+let no_ip = Value.Str ""
+
 let report_link t ~mac ~rssi ~retries ~packets =
-  Database.record_link t.database ~mac:(Mac.to_string mac) ~rssi ~retries ~packets
+  Database.record_link t.database ~mac:(mac_cell t mac) ~rssi ~retries ~packets
 
 (* ------------------------------------------------------------------ *)
 (* Policy application                                                  *)
@@ -1042,6 +1079,8 @@ let create ?config:(cfg = config ()) ?(fault_seed = 0x4a11) ?wal_store ~loop () 
       api = ref None;
       mac_table = Hashtbl.create 64;
       baselines = Baselines.create 256;
+      mac_cells = Mac_cells.create 64;
+      ip_cells = Ip_cells.create 64;
       policy_cache = Hashtbl.create 16;
       transmit = (fun ~port_no:_ _ -> ());
       blocked_flows = 0;
@@ -1080,8 +1119,8 @@ let create ?config:(cfg = config ()) ?(fault_seed = 0x4a11) ?wal_store ~loop () 
   Dhcp_server.on_event dhcp_server (fun ev ->
       let record action (l : Hw_dhcp.Lease_db.lease) =
         Database.record_lease database
-          ~mac:(Mac.to_string l.Hw_dhcp.Lease_db.mac)
-          ~ip:(Ip.to_string l.Hw_dhcp.Lease_db.ip)
+          ~mac:(mac_cell t l.Hw_dhcp.Lease_db.mac)
+          ~ip:(ip_cell t l.Hw_dhcp.Lease_db.ip)
           ~hostname:l.Hw_dhcp.Lease_db.hostname ~action
       in
       match ev with
@@ -1090,10 +1129,10 @@ let create ?config:(cfg = config ()) ?(fault_seed = 0x4a11) ?wal_store ~loop () 
       | Dhcp_server.Lease_revoked l -> record "revoke" l
       | Dhcp_server.Lease_released l -> record "release" l
       | Dhcp_server.Request_denied { mac; hostname } ->
-          Database.record_lease database ~mac:(Mac.to_string mac) ~ip:"" ~hostname
+          Database.record_lease database ~mac:(mac_cell t mac) ~ip:no_ip ~hostname
             ~action:"deny"
       | Dhcp_server.Device_pending { mac; hostname } ->
-          Database.record_lease database ~mac:(Mac.to_string mac) ~ip:"" ~hostname
+          Database.record_lease database ~mac:(mac_cell t mac) ~ip:no_ip ~hostname
             ~action:"pending");
   (* key inserted/removed -> policy tokens and rules *)
   Hw_policy.Udev_monitor.on_event t.udev_mon (fun ev ->

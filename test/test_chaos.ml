@@ -237,7 +237,8 @@ let test_disk_fault_crash_recovery () =
   for i = 1 to 60 do
     (match List.nth_opt before (i mod List.length before) with
     | Some (mac, ip) ->
-        Database.record_lease (Router.db rt1) ~mac ~ip ~hostname:"chaos" ~action:"renew"
+        Database.record_lease (Router.db rt1) ~mac:(Value.Str mac) ~ip:(Value.Str ip)
+          ~hostname:"chaos" ~action:"renew"
     | None -> ());
     Database.record_policy (Router.db rt1) ~kind:"token"
       ~id:(Printf.sprintf "chaos%d" i) ~payload:"" ~action:"set";

@@ -161,8 +161,8 @@ let test_hwdb_bounded_under_sustained_load () =
   for i = 1 to 50_000 do
     now := float_of_int i *. 0.001;
     Hw_hwdb.Database.record_flow db ~proto:6
-      ~src_ip:(Printf.sprintf "10.0.0.%d" (i mod 200))
-      ~dst_ip:"1.2.3.4" ~src_port:i ~dst_port:80 ~packets:1 ~bytes:i
+      ~src_ip:(Hw_hwdb.Value.Str (Printf.sprintf "10.0.0.%d" (i mod 200)))
+      ~dst_ip:(Hw_hwdb.Value.Str "1.2.3.4") ~src_port:i ~dst_port:80 ~packets:1 ~bytes:i
   done;
   let table = Option.get (Hw_hwdb.Database.table db "Flows") in
   Alcotest.(check int) "capacity bound" 512 (Hw_hwdb.Table.length table);
@@ -187,8 +187,8 @@ let test_subscription_survives_failing_query () =
   ignore (Hw_hwdb.Database.subscribe db ~query:bad ~period:1. ~callback:(fun _ -> ()));
   ignore
     (Hw_hwdb.Database.subscribe db ~query:good ~period:1. ~callback:(fun _ -> incr deliveries));
-  Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:"a" ~dst_ip:"b" ~src_port:1 ~dst_port:2
-    ~packets:1 ~bytes:1;
+  Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:(Hw_hwdb.Value.Str "a")
+    ~dst_ip:(Hw_hwdb.Value.Str "b") ~src_port:1 ~dst_port:2 ~packets:1 ~bytes:1;
   now := 1.;
   Hw_hwdb.Database.tick db;
   now := 2.;

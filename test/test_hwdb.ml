@@ -25,8 +25,8 @@ let seed_flows db samples =
   List.iter
     (fun (t, src_ip, dst_port, bytes) ->
       now := t;
-      Database.record_flow db ~proto:6 ~src_ip ~dst_ip:"93.184.216.34" ~src_port:40000
-        ~dst_port ~packets:1 ~bytes)
+      Database.record_flow db ~proto:6 ~src_ip:(Value.Str src_ip)
+        ~dst_ip:(Value.Str "93.184.216.34") ~src_port:40000 ~dst_port ~packets:1 ~bytes)
     samples
 
 (* minor-heap words [f] allocates ([Gc.minor_words] itself allocates
@@ -225,6 +225,55 @@ let test_table_append_allocates_nothing () =
   in
   Alcotest.(check (float 0.)) "words for 1000 appends" 0. words;
   Alcotest.(check int) "full" 64 (Table.length t)
+
+(* the newest row's cells *)
+let newest_row t =
+  Table.row t (Option.get (Table.fold_window t (`Last_rows 1) ~init:None ~f:(fun _ p -> Some p)))
+
+let test_table_insert_shares_small_ints () =
+  (* every row through [insert] points an integer in [-256, 1023] at one
+     cell shared by all tables; one outside keeps its own. The cells are
+     built at run time ([opaque_identity]), so no two start out shared. *)
+  let schema = [ ("v", Value.T_int) ] in
+  let a = Table.create ~name:"A" ~capacity:4 schema in
+  let b = Table.create ~name:"B" ~capacity:4 schema in
+  let cell t n =
+    Result.get_ok (Table.insert t ~now:0. [ Value.Int (Sys.opaque_identity n) ]);
+    (newest_row t).(0)
+  in
+  List.iter
+    (fun n ->
+      let x = cell a n and y = cell b n in
+      Alcotest.(check bool) (Printf.sprintf "%d kept" n) true (Value.equal x (Value.Int n));
+      Alcotest.(check bool) (Printf.sprintf "%d shared" n) true (x == y))
+    [ -256; -47; 0; 6; 443; 1023 ];
+  List.iter
+    (fun n ->
+      let x = cell a n and y = cell a n in
+      Alcotest.(check bool) (Printf.sprintf "%d kept" n) true (Value.equal x (Value.Int n));
+      Alcotest.(check bool) (Printf.sprintf "%d own cell" n) false (x == y))
+    [ -257; 1024; 40000 ];
+  (* the statement path (RPC INSERT) parses a fresh cell per statement *)
+  let db = fresh_db () in
+  ignore (Result.get_ok (Database.execute db "CREATE TABLE s (v integer)"));
+  let via_statement () =
+    ignore (Result.get_ok (Database.execute db "INSERT INTO s VALUES (42)"));
+    (newest_row (Option.get (Database.table db "s"))).(0)
+  in
+  Alcotest.(check bool) "INSERT statements share" true (via_statement () == via_statement ())
+
+let test_table_restamp_keeps_cells () =
+  (* a cached row is stored as the very array given: the re-stamp reads
+     no cell and replaces none, not even a small integer's *)
+  let t = Table.create ~name:"T" ~capacity:4 [ ("v", Value.T_int) ] in
+  Result.get_ok (Table.insert t ~now:0. [ Value.Int (Sys.opaque_identity 7) ]);
+  let shared = (newest_row t).(0) in
+  let cached = [| Value.Int (Sys.opaque_identity 7) |] in
+  let cell = cached.(0) in
+  Table.append_rows t ~now:1. [| cached; cached |];
+  Alcotest.(check bool) "the same array" true (newest_row t == cached);
+  Alcotest.(check bool) "the same cell" true (cached.(0) == cell);
+  Alcotest.(check bool) "not the shared cell" false (cell == shared)
 
 let test_table_position_checked () =
   (* nothing ties a position to its table: one read on another, smaller
@@ -558,8 +607,10 @@ let test_query_having () =
 let test_query_join () =
   let db = fresh_db () in
   now := 1.;
-  Database.record_lease db ~mac:"m1" ~ip:"10.0.0.1" ~hostname:"laptop" ~action:"grant";
-  Database.record_lease db ~mac:"m2" ~ip:"10.0.0.2" ~hostname:"phone" ~action:"grant";
+  Database.record_lease db ~mac:(Value.Str "m1") ~ip:(Value.Str "10.0.0.1") ~hostname:"laptop"
+    ~action:"grant";
+  Database.record_lease db ~mac:(Value.Str "m2") ~ip:(Value.Str "10.0.0.2") ~hostname:"phone"
+    ~action:"grant";
   seed_flows db [ (2., "10.0.0.1", 80, 111) ];
   let rows =
     rows_of db
@@ -599,7 +650,8 @@ let test_query_errors () =
     (String.length (q_error db "SELECT src_ip FROM Flows ORDER BY bytes") > 0);
   (* column resolution happens per-row, so the join needs data on both
      sides for the ambiguity to surface *)
-  Database.record_lease db ~mac:"m" ~ip:"10.0.0.9" ~hostname:"h" ~action:"grant";
+  Database.record_lease db ~mac:(Value.Str "m") ~ip:(Value.Str "10.0.0.9") ~hostname:"h"
+    ~action:"grant";
   Alcotest.(check bool) "ambiguous column in join" true
     (String.length (q_error db "SELECT ts FROM Flows f, Leases l") > 0)
 
@@ -618,7 +670,7 @@ let test_grouped_scan_allocates_per_group () =
       for i = 0 to rows - 1 do
         now := float_of_int i *. 0.05;
         Database.record_link db
-          ~mac:(Printf.sprintf "02:00:00:00:00:%02x" (i mod groups))
+          ~mac:(Value.Str (Printf.sprintf "02:00:00:00:00:%02x" (i mod groups)))
           ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7) ~packets:i
       done;
       Alcotest.(check int) "one row per group" groups (List.length (rows_of db oneshot_statement));
@@ -628,6 +680,26 @@ let test_grouped_scan_allocates_per_group () =
         true
         (words /. float_of_int rows < 2.))
     [ 16; 6 ]
+
+let test_int_group_key_allocates_per_group () =
+  (* a single integer GROUP BY column keys on its cell: no per-row text *)
+  let db = fresh_db () in
+  for i = 0 to 999 do
+    now := float_of_int i *. 0.05;
+    Database.record_flow db
+      ~proto:(if i mod 3 = 0 then 17 else 6)
+      ~src_ip:(Value.Str "10.0.0.2") ~dst_ip:(Value.Str "93.184.216.34") ~src_port:(40000 + i)
+      ~dst_port:443 ~packets:1 ~bytes:i
+  done;
+  let q = "SELECT proto, COUNT(*) FROM Flows GROUP BY proto" in
+  Alcotest.(check (list (list string)))
+    "groups in first-appearance order"
+    [ [ "17"; "334" ]; [ "6"; "666" ] ]
+    (List.map (List.map Value.to_string) (rows_of db q));
+  let words = alloc_words (fun () -> ignore (Database.query db q)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over 1000 rows" words)
+    true (words /. 1000. < 2.)
 
 let test_division_by_zero_is_error () =
   let db = fresh_db () in
@@ -689,8 +761,8 @@ let test_subscription_shared_evaluation () =
   ignore
     (Database.subscribe db ~query:sel ~period:1. ~callback:(fun rs ->
          results := ("a", rs) :: !results;
-         Database.record_flow db ~proto:6 ~src_ip:"x" ~dst_ip:"y" ~src_port:1 ~dst_port:2
-           ~packets:1 ~bytes:1));
+         Database.record_flow db ~proto:6 ~src_ip:(Value.Str "x") ~dst_ip:(Value.Str "y")
+           ~src_port:1 ~dst_port:2 ~packets:1 ~bytes:1));
   ignore
     (Database.subscribe db ~query:sel ~period:1. ~callback:(fun rs ->
          results := ("b", rs) :: !results));
@@ -999,8 +1071,8 @@ let prop_where_filter_sound =
       List.iteri
         (fun i (a, b) ->
           now := float_of_int i;
-          Database.record_flow db ~proto:6 ~src_ip:"h" ~dst_ip:"d" ~src_port:(a mod 1000)
-            ~dst_port:80 ~packets:1 ~bytes:(b mod 200))
+          Database.record_flow db ~proto:6 ~src_ip:(Value.Str "h") ~dst_ip:(Value.Str "d")
+            ~src_port:(a mod 1000) ~dst_port:80 ~packets:1 ~bytes:(b mod 200))
         rows;
       let q = Printf.sprintf "SELECT src_port, bytes FROM Flows WHERE bytes > %d" threshold in
       match Database.query db q with
@@ -1020,8 +1092,8 @@ let prop_limit_is_prefix =
       List.iteri
         (fun i v ->
           now := float_of_int i;
-          Database.record_flow db ~proto:6 ~src_ip:"h" ~dst_ip:"d" ~src_port:v ~dst_port:80
-            ~packets:1 ~bytes:1)
+          Database.record_flow db ~proto:6 ~src_ip:(Value.Str "h") ~dst_ip:(Value.Str "d")
+            ~src_port:v ~dst_port:80 ~packets:1 ~bytes:1)
         rows;
       match
         ( Database.query db "SELECT src_port FROM Flows",
@@ -1275,6 +1347,10 @@ let () =
           Alcotest.test_case "append allocates nothing" `Quick test_table_append_allocates_nothing;
           Alcotest.test_case "hooks get the stored row" `Quick test_table_hook_gets_stored_row;
           Alcotest.test_case "positions are checked" `Quick test_table_position_checked;
+          Alcotest.test_case "insert shares small-integer cells" `Quick
+            test_table_insert_shares_small_ints;
+          Alcotest.test_case "re-stamp keeps the cached cells" `Quick
+            test_table_restamp_keeps_cells;
         ] );
       ( "language",
         [
@@ -1304,6 +1380,8 @@ let () =
             test_grouped_scan_allocates_per_group;
           QCheck_alcotest.to_alcotest prop_where_filter_sound;
           QCheck_alcotest.to_alcotest prop_limit_is_prefix;
+          Alcotest.test_case "integer group key allocates per group" `Quick
+            test_int_group_key_allocates_per_group;
         ] );
       ( "database",
         [

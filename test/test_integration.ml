@@ -610,6 +610,44 @@ let test_nat_inbound_tail_conserved () =
   Alcotest.(check bool) "traffic was measured" true (counted > 100_000);
   Alcotest.(check int) "datapath bytes = Flows bytes" counted recorded
 
+(* A Links row owns its array and the cells no other row could share:
+   its station's MAC cell is the router's one cell for that station, and
+   small integers (RSSI, retries) are the hwdb's shared cells. *)
+let test_links_rows_share_cells () =
+  let router = Router.create ~loop:(Hw_sim.Event_loop.create ()) () in
+  let links = Option.get (Hw_hwdb.Database.table (Router.db router) "Links") in
+  let before = Obj.reachable_words (Obj.repr links) in
+  let rows = 1000 in
+  for i = 0 to rows - 1 do
+    Router.report_link router ~mac:(mac (i mod 4)) ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7)
+      ~packets:(100 * i)
+  done;
+  Alcotest.(check int) "rows stored" rows (Hw_hwdb.Table.length links);
+  let words = Obj.reachable_words (Obj.repr links) - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d rows" words rows)
+    true
+    (float_of_int words /. float_of_int rows <= 9.);
+  (* the first cell seen for a station, or for a retry count, is the
+     cell of every row with that station or count *)
+  let first_cell = Hashtbl.create 16 in
+  let shares key cell =
+    match Hashtbl.find_opt first_cell key with
+    | None ->
+        Hashtbl.replace first_cell key cell;
+        true
+    | Some first -> first == cell
+  in
+  let own_cells =
+    Hw_hwdb.Table.fold_window links `All ~init:0 ~f:(fun n p ->
+        let row = Hw_hwdb.Table.row links p in
+        let v = Hw_hwdb.Value.to_string in
+        if shares ("mac " ^ v row.(0)) row.(0) && shares ("retries " ^ v row.(2)) row.(2) then n
+        else n + 1)
+  in
+  Alcotest.(check int) "stations and retry counts" (4 + 7) (Hashtbl.length first_cell);
+  Alcotest.(check int) "rows with their own station or retry cell" 0 own_cells
+
 (* The 1 s poll of 250 installed flows with no traffic writes no row and
    allocates, per entry, less than one match decode does: an unchanged
    flow is read in place, its match left undecoded. A poll that decodes
@@ -869,6 +907,7 @@ let () =
           Alcotest.test_case "NAT inbound tail conserved" `Quick test_nat_inbound_tail_conserved;
           Alcotest.test_case "Flows golden" `Quick test_flows_golden;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
+          Alcotest.test_case "Links rows share their cells" `Quick test_links_rows_share_cells;
         ] );
       ( "decode",
         [ Alcotest.test_case "packet-in decodes per path" `Quick test_packet_in_decodes ] );

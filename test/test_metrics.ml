@@ -278,8 +278,10 @@ let metrics_value rs ~metric ~stat =
 let test_metrics_table () =
   let t = ref 0. in
   let db = Database.create ~metrics:(Registry.create ()) ~now:(fun () -> !t) () in
-  Database.record_lease db ~mac:"aa:bb:cc:dd:ee:01" ~ip:"10.0.0.2" ~hostname:"h" ~action:"grant";
-  Database.record_lease db ~mac:"aa:bb:cc:dd:ee:02" ~ip:"10.0.0.3" ~hostname:"h" ~action:"grant";
+  Database.record_lease db ~mac:(Value.Str "aa:bb:cc:dd:ee:01") ~ip:(Value.Str "10.0.0.2")
+    ~hostname:"h" ~action:"grant";
+  Database.record_lease db ~mac:(Value.Str "aa:bb:cc:dd:ee:02") ~ip:(Value.Str "10.0.0.3")
+    ~hostname:"h" ~action:"grant";
   (match Database.query db "SELECT * FROM Metrics [NOW]" with
   | Ok rs -> Alcotest.(check int) "no export before the first tick" 0 (List.length rs.Query.rows)
   | Error e -> Alcotest.fail e);

@@ -591,7 +591,7 @@ hwdb_inserts_total 130
 obs_scrape_router_errors_total 0
 # HELP obs_scrape_rows_total Metric rows ingested from scrapes
 # TYPE obs_scrape_rows_total counter
-obs_scrape_rows_total 1444
+obs_scrape_rows_total 120
 # HELP obs_scrapes_total Completed fleet metric scrape cycles
 # TYPE obs_scrapes_total counter
 obs_scrapes_total 2
@@ -722,6 +722,31 @@ let test_pinned_fleet_metrics_batch () =
   Alcotest.(check (list string)) "last scrape's batch, as a multiset"
     (List.sort compare expected) (List.sort compare batch)
 
+(* A router ships only the rows ingest reads: the seven tracked pairs and
+   the error counters' values, eight (name, stat) pairs in all. The first
+   scrape finds no hwdb_query_seconds yet (no router has run a query
+   before it), so the second is the one that reads all eight. *)
+let test_scrape_ships_only_ingested_rows () =
+  let fleet = Fleet_sim.create ~seed:42 ~n:8 ~devices_per_home:2 () in
+  await_registered fleet ~within:30.;
+  Fleet_sim.run_for fleet 5.;
+  let obs =
+    Observer.create ~scrape_period:1e6 ~loop:(Fleet_sim.loop fleet)
+      ~manager:(Fleet_sim.manager fleet) ()
+  in
+  let rows () =
+    Hw_metrics.Counter.value
+      (Hw_metrics.Registry.counter (Manager.metrics (Fleet_sim.manager fleet))
+         "obs_scrape_rows_total")
+  in
+  scrape_once fleet obs;
+  Fleet_sim.run_for fleet 3.;
+  let before = rows () in
+  scrape_once fleet obs;
+  Alcotest.(check int) "rows ingested by one scrape" (8 * 8) (rows () - before);
+  Alcotest.(check (triple int int int)) "every router noted healthy" (8, 0, 0)
+    (Health.counts (Observer.health obs))
+
 let () =
   Alcotest.run "hw_obs"
     [
@@ -743,5 +768,7 @@ let () =
             test_late_trace_exported;
           Alcotest.test_case "pinned /metrics text" `Quick test_pinned_metrics_text;
           Alcotest.test_case "pinned FleetMetrics batch" `Quick test_pinned_fleet_metrics_batch;
+          Alcotest.test_case "a scrape ships 8 rows per router" `Quick
+            test_scrape_ships_only_ingested_rows;
         ] );
     ]

@@ -92,8 +92,8 @@ let synthetic_db () =
   (* device 10.0.0.5: web up + down; device 10.0.0.6: video down only *)
   List.iter
     (fun (src, dst, sp, dp, bytes) ->
-      Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:src ~dst_ip:dst ~src_port:sp
-        ~dst_port:dp ~packets:1 ~bytes)
+      Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:(Hw_hwdb.Value.Str src)
+        ~dst_ip:(Hw_hwdb.Value.Str dst) ~src_port:sp ~dst_port:dp ~packets:1 ~bytes)
     [
       ("10.0.0.5", "93.184.216.34", 40000, 80, 1_000);
       ("93.184.216.34", "10.0.0.5", 80, 40000, 20_000);
@@ -148,8 +148,8 @@ let test_bandwidth_view_sparkline () =
   let view = Bandwidth_view.create ~window_seconds:10. ~db () in
   (* three refreshes: busy, silent, busy *)
   let record bytes =
-    Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:"10.0.0.5" ~dst_ip:"1.2.3.4" ~src_port:1
-      ~dst_port:80 ~packets:1 ~bytes
+    Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:(Hw_hwdb.Value.Str "10.0.0.5")
+      ~dst_ip:(Hw_hwdb.Value.Str "1.2.3.4") ~src_port:1 ~dst_port:80 ~packets:1 ~bytes
   in
   record 1000;
   ignore (Bandwidth_view.refresh view);
@@ -169,8 +169,8 @@ let test_bandwidth_view_sparkline () =
 let test_bandwidth_view_window_excludes_old () =
   let now = ref 0. in
   let db = Hw_hwdb.Database.create ~now:(fun () -> !now) () in
-  Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:"10.0.0.5" ~dst_ip:"1.2.3.4" ~src_port:1
-    ~dst_port:80 ~packets:1 ~bytes:999;
+  Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:(Hw_hwdb.Value.Str "10.0.0.5")
+    ~dst_ip:(Hw_hwdb.Value.Str "1.2.3.4") ~src_port:1 ~dst_port:80 ~packets:1 ~bytes:999;
   now := 100.;
   let view = Bandwidth_view.create ~window_seconds:10. ~db () in
   (match Bandwidth_view.refresh view with

@@ -536,8 +536,8 @@ let test_database_recovery_roundtrip () =
   for i = 1 to 50 do
     clock := !clock +. 1.;
     Database.record_lease db1
-      ~mac:(Printf.sprintf "00:16:3e:00:00:%02x" i)
-      ~ip:(Printf.sprintf "10.0.0.%d" (100 + (i mod 40)))
+      ~mac:(Value.Str (Printf.sprintf "00:16:3e:00:00:%02x" i))
+      ~ip:(Value.Str (Printf.sprintf "10.0.0.%d" (100 + (i mod 40))))
       ~hostname:(Printf.sprintf "dev%d" i)
       ~action:(if i mod 7 = 0 then "revoke" else "grant");
     Database.record_policy db1 ~kind:"token" ~id:(Printf.sprintf "tok%d" i)
@@ -560,8 +560,8 @@ let test_database_recovery_roundtrip () =
     (List.filter (fun n -> Store.size store (n ^ ".log") > 0) [ "Flows"; "Links" ]);
   (* an unflushed insert is the at-most-one-tick loss window *)
   clock := !clock +. 1.;
-  Database.record_lease db1 ~mac:"00:16:3e:00:00:ff" ~ip:"10.0.0.9" ~hostname:"late"
-    ~action:"grant";
+  Database.record_lease db1 ~mac:(Value.Str "00:16:3e:00:00:ff") ~ip:(Value.Str "10.0.0.9")
+    ~hostname:"late" ~action:"grant";
   let db3 = Database.create ~metrics:(Registry.create ()) ~recover_from:store ~now () in
   check_int "unflushed row is lost (bounded loss window)" 50
     (List.length (scan_table db3 "Leases"));
@@ -582,7 +582,7 @@ let test_database_snapshot_bounds_store () =
   in
   for i = 1 to 1000 do
     clock := !clock +. 1.;
-    Database.record_lease db ~mac:"00:16:3e:00:00:01" ~ip:"10.0.0.100"
+    Database.record_lease db ~mac:(Value.Str "00:16:3e:00:00:01") ~ip:(Value.Str "10.0.0.100")
       ~hostname:(Printf.sprintf "h%d" i) ~action:"renew";
     if i mod 10 = 0 then Database.tick db
   done;
