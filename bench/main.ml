@@ -1359,7 +1359,7 @@ let run_fleet () =
     ns /. float_of_int events
   in
   (* PERF11: the observability plane at 1k routers. One scrape cycle =
-     one traced federated query + ingest into per-router series + health
+     one traced federated query + ingest into per-router records + health
      accounting + FleetMetrics refresh, reported per router; the health
      tick is the every-second sweep over all tracked routers. *)
   banner "PERF11  Fleet observability: scrape cycle, health tick at 1k";
@@ -1383,7 +1383,7 @@ let run_fleet () =
       in
       ns
     in
-    ignore (scrape ()) (* warm: series and health records allocate once *);
+    ignore (scrape ()) (* warm: router and health records allocate once *);
     let s = List.init 3 (fun _ -> scrape ()) |> List.sort compare in
     let per_router = List.nth s 1 /. 1000. in
     Printf.printf "  %-40s %8.2f us/router (%.1f ms/cycle)\n" "scrape_cycle_per_router_1k"

@@ -46,14 +46,13 @@ type t = {
   plan_cache : (string, Plan.t) Hashtbl.t; (* by raw query text *)
   plan_order : string Queue.t; (* FIFO eviction order *)
   plan_cache_cap : int;
-  (* interned-statement fast path: callers that re-issue the same
-     statement value (pollers, the fleet fan-out) skip even the cache
-     hash with a physical-equality check on the last-executed text *)
+  (* interned-statement fast path: an in-process caller that re-issues
+     one string value (PERF10's loop, the examples) skips even the cache
+     hash with a physical-equality check on the last-executed text. An
+     RPC statement is freshly decoded each time, so it never hits here;
+     it hits the table. *)
   mutable plan_memo : (string * Plan.t) option;
   mutable tick_gen : int;
-  mutable plan_hits : int;
-  mutable plan_misses : int;
-  mutable plan_evictions : int;
   mutable next_sub_id : int;
   mutable triggers : trigger list;
   mutable next_trigger_id : int;
@@ -164,9 +163,6 @@ let create_empty ?(default_capacity = 4096) ?(metrics = Hw_metrics.Registry.defa
     plan_cache_cap = 128;
     plan_memo = None;
     tick_gen = 0;
-    plan_hits = 0;
-    plan_misses = 0;
-    plan_evictions = 0;
     next_sub_id = 1;
     triggers = [];
     next_trigger_id = 1;
@@ -351,7 +347,6 @@ let cache_plan t text plan =
       let victim = Queue.pop t.plan_order in
       Hashtbl.remove t.plan_cache victim;
       t.plan_memo <- None (* the memo must never outlive the cache entry *);
-      t.plan_evictions <- t.plan_evictions + 1;
       Hw_metrics.Counter.incr t.m_plan_evictions
     end
   end
@@ -360,7 +355,6 @@ let cache_plan t text plan =
    successful prepares are cached: a statement that fails because its
    table does not exist yet must re-prepare after CREATE TABLE. *)
 let prepare_and_exec t ~text sel =
-  t.plan_misses <- t.plan_misses + 1;
   Hw_metrics.Counter.incr t.m_plan_misses;
   match Plan.prepare ~lookup:(table t) sel with
   | Error msg ->
@@ -373,7 +367,6 @@ let prepare_and_exec t ~text sel =
 
 let cached_select t src =
   let run plan =
-    t.plan_hits <- t.plan_hits + 1;
     Hw_metrics.Counter.incr t.m_plan_hits;
     Some (exec_plan t plan)
   in
@@ -394,7 +387,9 @@ let query t src =
       | Error _ as e -> e
       | Ok sel -> prepare_and_exec t ~text:(Some src) sel)
 
-let plan_cache_stats t = (t.plan_hits, t.plan_misses, t.plan_evictions)
+let plan_cache_stats t =
+  Hw_metrics.Counter.
+    (value t.m_plan_hits, value t.m_plan_misses, value t.m_plan_evictions)
 
 (* ------------------------------------------------------------------ *)
 (* ECA triggers                                                        *)

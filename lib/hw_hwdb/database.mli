@@ -134,7 +134,9 @@ val execute_stmt : t -> ?text:string -> Ast.stmt -> (Query.result_set option, st
     given, a SELECT's compiled plan is cached under it. *)
 
 val plan_cache_stats : t -> int * int * int
-(** [(hits, misses, evictions)] of this database's plan cache. *)
+(** [(hits, misses, evictions)] of the plan cache: the values of the
+    [hwdb_plan_cache_{hits,misses,evictions}_total] counters in the
+    database's registry (so a shared registry sums its databases). *)
 
 (** {2 ECA triggers (the "active" database)} *)
 

@@ -17,6 +17,11 @@ module Json = Hw_json.Json
    value in router order, their sum (added in that order) and max. *)
 type key_view = { key : string; samples : (string * float) list; sum : float; max : float }
 
+(* What the observer keeps of one router, by position: the last value
+   of each tracked pair, and the last value of each error counter (the
+   baseline its next advance is measured from). nan is "not seen yet". *)
+type router_state = { last : float array; err_base : float array }
+
 type t = {
   loop : Hw_sim.Event_loop.t;
   manager : Manager.t;
@@ -24,9 +29,7 @@ type t = {
   trace : Tracer.t;
   db : Database.t;
   health : Health.t;
-  (* router id -> series key -> series *)
-  series : (string, (string, Series.t) Hashtbl.t) Hashtbl.t;
-  err_baseline : (string, float) Hashtbl.t; (* router \x00 counter -> last value *)
+  routers : (string, router_state) Hashtbl.t; (* every router that answered a scrape *)
   mutable view : key_view list; (* sorted by key; rebuilt by each scrape *)
   mutable scrape_in_flight : bool;
   mutable traces_exported : int; (* the manager tracer's push count at the last export *)
@@ -39,18 +42,6 @@ type t = {
 let db t = t.db
 let health t = t.health
 let scrapes_total t = Counter.value t.m_scrapes
-
-let series_count t =
-  Hashtbl.fold (fun _ per acc -> acc + Hashtbl.length per) t.series 0
-
-let series t ~router key =
-  Option.bind (Hashtbl.find_opt t.series router) (fun per -> Hashtbl.find_opt per key)
-
-let series_footprint_floats t =
-  Hashtbl.fold
-    (fun _ per acc ->
-      Hashtbl.fold (fun _ s acc -> acc + Series.footprint_floats s) per acc)
-    t.series 0
 
 (* -- health transitions -> table rows + counters ------------------- *)
 
@@ -84,8 +75,10 @@ let health_tick t =
 
 (* -- scrape ingest -------------------------------------------------- *)
 
-(* the (metric, stat) pairs folded into series *)
-let track =
+(* The (metric, stat) pairs the fleet view carries, with their view
+   key (the metric name, suffixed _<stat> for a non-value stat), in
+   view order: by key. *)
+let tracked =
   [
     ("hwdb_inserts_total", "value");
     ("hwdb_queries_total", "value");
@@ -95,16 +88,36 @@ let track =
     ("rpc_datagrams_out_total", "value");
     ("hwdb_query_seconds", "p99");
   ]
+  |> List.map (fun (name, stat) ->
+         (name, stat, if stat = "value" then name else name ^ "_" ^ stat))
+  |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
+  |> Array.of_list
 
 (* the counters whose advance degrades a router's health *)
 let error_counters =
-  [ "hwdb_insert_errors_total"; "hwdb_query_errors_total"; "rpc_datagrams_dropped_total" ]
+  [| "hwdb_insert_errors_total"; "hwdb_query_errors_total"; "rpc_datagrams_dropped_total" |]
+
+(* Positions from [i] on, or -1: loops with no closure, so ingest
+   allocates nothing per row to find them. *)
+let rec tracked_position name stat i =
+  if i = Array.length tracked then -1
+  else
+    let n, s, _ = tracked.(i) in
+    if String.equal n name && String.equal s stat then i
+    else tracked_position name stat (i + 1)
+
+let rec error_position name i =
+  if i = Array.length error_counters then -1
+  else if String.equal error_counters.(i) name then i
+  else error_position name (i + 1)
 
 (* Each router ships only the rows ingest reads: the tracked pairs and
    the error counters' values, each pair once. *)
 let scrape_statement =
   let pairs =
-    List.sort_uniq compare (track @ List.map (fun name -> (name, "value")) error_counters)
+    List.sort_uniq compare
+      (Array.to_list (Array.map (fun (name, stat, _) -> (name, stat)) tracked)
+      @ Array.to_list (Array.map (fun name -> (name, "value")) error_counters))
   in
   "SELECT name, stat, value FROM Metrics [NOW] WHERE "
   ^ String.concat " OR "
@@ -119,45 +132,36 @@ let value_to_float = function
   | Value.Bool b -> if b then 1. else 0.
   | Value.Str _ -> nan
 
-let series_key name stat = if stat = "value" then name else name ^ "_" ^ stat
+let router_state t router =
+  match Hashtbl.find t.routers router with
+  | r -> r
+  | exception Not_found ->
+      let r =
+        {
+          last = Array.make (Array.length tracked) nan;
+          err_base = Array.make (Array.length error_counters) nan;
+        }
+      in
+      Hashtbl.replace t.routers router r;
+      r
 
-(* the order of the fleet view *)
-let track_keys = List.sort compare (List.map (fun (name, stat) -> series_key name stat) track)
-
-let router_series t router key =
-  let per =
-    match Hashtbl.find_opt t.series router with
-    | Some per -> per
-    | None ->
-        let per = Hashtbl.create 8 in
-        Hashtbl.replace t.series router per;
-        per
-  in
-  match Hashtbl.find_opt per key with
-  | Some s -> s
-  | None ->
-      let s = Series.create () in
-      Hashtbl.replace per key s;
-      s
-
-(* Per tracked key, the routers with a value, in router order. For a
-   tracked percentile series (hwdb_query_seconds_p99) the max is the
-   fleet-wide upper bound of that percentile. *)
+(* Per tracked key, the routers with a value, in router order: a router
+   keeps its last value through the scrapes it misses. For a tracked
+   percentile (hwdb_query_seconds_p99) the max is the fleet-wide upper
+   bound of that percentile. *)
 let fleet_view t =
   let routers =
-    Hashtbl.fold (fun id per acc -> (id, per) :: acc) t.series []
+    Hashtbl.fold (fun id r acc -> (id, r) :: acc) t.routers []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   List.filter_map
-    (fun key ->
+    (fun i ->
+      let _, _, key = tracked.(i) in
       let samples =
         List.filter_map
-          (fun (router, per) ->
-            match Hashtbl.find_opt per key with
-            | Some s ->
-                let v = Series.last s in
-                if Float.is_nan v then None else Some (router, v)
-            | None -> None)
+          (fun (router, r) ->
+            let v = r.last.(i) in
+            if Float.is_nan v then None else Some (router, v))
           routers
       in
       if samples = [] then None
@@ -170,7 +174,7 @@ let fleet_view t =
           samples;
         Some { key; samples; sum = !sum; max = !mx }
       end)
-    track_keys
+    (List.init (Array.length tracked) Fun.id)
 
 (* One FleetMetrics batch per scrape: per-router last values plus
    __fleet__ sum/max aggregates, key by key. *)
@@ -223,12 +227,13 @@ let ingest t (o : Manager.outcome) =
           Counter.incr t.m_scrape_rows;
           Hashtbl.replace answered router ();
           let v = value_to_float v in
-          if List.exists (fun (n, s) -> n = name && s = stat) track then
-            Series.push (router_series t router (series_key name stat)) ~ts:now v;
-          if stat = "value" && List.mem name error_counters then begin
-            let bkey = router ^ "\x00" ^ name in
-            let prev = Option.value (Hashtbl.find_opt t.err_baseline bkey) ~default:v in
-            Hashtbl.replace t.err_baseline bkey v;
+          let r = router_state t router in
+          let i = tracked_position name stat 0 in
+          if i >= 0 then r.last.(i) <- v;
+          let j = if stat = "value" then error_position name 0 else -1 in
+          if j >= 0 then begin
+            let prev = if Float.is_nan r.err_base.(j) then v else r.err_base.(j) in
+            r.err_base.(j) <- v;
             let delta = int_of_float (Float.max 0. (v -. prev)) in
             if delta > 0 then
               Hashtbl.replace errors_by_router router
@@ -271,7 +276,7 @@ let scrape_now t =
 let render_prometheus t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Hw_metrics.Snapshot.render_prometheus t.registry);
-  (* fleet series: one # TYPE header per key *)
+  (* the fleet view: one # TYPE header per key *)
   List.iter
     (fun kv ->
       let name = "fleet_" ^ Registry.sanitize_name kv.key in
@@ -373,8 +378,7 @@ let create ?(scrape_period = 10.) ~loop ~manager () =
       trace;
       db;
       health = Health.create ();
-      series = Hashtbl.create 64;
-      err_baseline = Hashtbl.create 256;
+      routers = Hashtbl.create 64;
       view = [];
       scrape_in_flight = false;
       traces_exported = 0;

@@ -7,12 +7,13 @@
     manager's sessions (the ordinary {!Hw_fleet.Manager.query} path, so
     it is traced, bounded by [max_inflight] and tolerant of partial
     failure); the [WHERE] clause selects only the rows ingest reads, the
-    seven tracked metrics and the error counters. It folds the rows of
-    the seven tracked metrics — hwdb and RPC counters plus
-    [hwdb_query_seconds]'s [p99] — into per-router {!Series}:
-    bounded, downsampled (raw -> 10 s -> 1 min) rings of 32 slots each.
-    Each scrape then rebuilds one fleet view: per tracked key, each
-    router's last value, summed and maxed in router order.
+    seven tracked metrics and the error counters. The observer keeps,
+    per router, the last value of each of the seven tracked metrics —
+    hwdb and RPC counters plus [hwdb_query_seconds]'s [p99] — and each
+    scrape rebuilds one fleet view from them: per tracked key, each
+    router's last value, summed and maxed in router order. A router
+    that misses a scrape keeps its last values in the view. The fleet's
+    history is the [FleetMetrics] table, which stores each view.
 
     {b Tables.} The observer owns a manager-side hwdb with four tables:
     [Metrics] (the manager's own registry, refreshed each 1 s tick),
@@ -70,16 +71,6 @@ val health_tick : t -> unit
 val scrapes_total : t -> int
 (** Completed scrape cycles (the federated query settled and its rows
     were ingested): the [obs_scrapes_total] counter. *)
-
-val series_count : t -> int
-(** Live series across all routers. *)
-
-val series : t -> router:string -> string -> Series.t option
-(** A router's series by key — the tracked metric name, suffixed
-    [_<stat>] for non-[value] stats (e.g. [hwdb_query_seconds_p99]). *)
-
-val series_footprint_floats : t -> int
-(** Total fixed allocation of all series, in floats. *)
 
 val render_prometheus : t -> string
 (** The manager registry (escaped per the exposition format) followed by

@@ -35,19 +35,13 @@ type recovered = {
   tail_truncated : bool;
 }
 
-(* Two pending-record representations, chosen once at [open_]:
-
-   - without an interposer (production), appends frame straight into
-     [batch], a manually-grown byte buffer holding exactly the bytes
-     the next flush hands to the store — zero allocations per append,
-     nothing promoted to the major heap while records wait for the
-     group commit. CRC fields are left blank at append time and patched
-     in one pass at flush: an unflushed record is lost in a crash
-     either way, so checksumming it early buys nothing, and deferring
-     it keeps the insert hot path to a couple of blits;
-   - with an interposer (the disk fault plane), each framed record is
-     kept as its own fully-checksummed string in [buf] so the fault
-     point can shorten, corrupt or drop it individually during flush. *)
+(* Pending records live in one place: [batch], a manually-grown byte
+   buffer holding the framed records in append order. An append
+   allocates nothing and promotes nothing to the major heap while its
+   record waits for the group commit. CRC fields are left blank at
+   append time and patched in one pass at flush: an unflushed record is
+   lost in a crash either way, so checksumming it early buys nothing,
+   and deferring it keeps the insert hot path to a couple of blits. *)
 type t = {
   store : Store.t;
   wal_name : string;
@@ -57,10 +51,9 @@ type t = {
   snapshot_every : int;
   max_pending : int;
   mutable next : int; (* next LSN to assign *)
-  mutable buf : string list; (* framed records, newest first (interposed) *)
-  mutable batch : Bytes.t; (* framed records, append order (direct) *)
+  mutable batch : Bytes.t; (* framed records, append order *)
   mutable batch_len : int; (* valid bytes in [batch] *)
-  mutable buf_count : int;
+  mutable pending : int; (* records in [batch] *)
   mutable since_snapshot : int;
   mutable snapshot_source : (unit -> string) option;
   c_appends : Counter.t;
@@ -71,28 +64,13 @@ type t = {
 
 let name t = t.wal_name
 let next_lsn t = t.next
-let pending t = t.buf_count
+let pending t = t.pending
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let u32_at s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
-
-(* [fill b 16] writes the payload bytes in place: the framed record is
-   the only allocation, whether the payload arrives as a string or is
-   encoded straight into the frame (the durable-insert hot path). *)
-let frame_with ~lsn ~size fill =
-  let blen = 8 + size in
-  let b = Bytes.create (record_header_len + blen) in
-  Bytes.set_int64_be b 8 (Int64.of_int lsn);
-  fill b 16;
-  let body_crc =
-    Crc32.sub (Bytes.unsafe_to_string b) ~pos:record_header_len ~len:blen
-  in
-  Bytes.set_int32_be b 0 (Int32.of_int blen);
-  Bytes.set_int32_be b 4 (Int32.of_int body_crc);
-  Bytes.unsafe_to_string b
 
 (* Scan a log blob from the front. Returns the records that check out
    (in order), the byte length of the valid prefix, and whether a torn
@@ -195,17 +173,6 @@ let recover ~store ~name =
 (* Appending                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Flush the group-commit buffer in one batch append to the store.
-
-   Direct mode: the batch bytes were assembled at append time, so the
-   flush is a single [Buffer.contents] and store append.
-
-   Interposed mode: pass each framed record through the interposer into
-   a batch first. If the interposer raises (injected
-   crash-at-boundary), the bytes already in the batch are persisted
-   first — exactly the longest durable prefix a real mid-batch crash
-   would leave — and the exception propagates. Records still buffered
-   at that point are lost, as they would be. *)
 (* Patch the CRC field of every record in [batch] (deferred from append
    time), walking the length prefixes. *)
 let seal_batch t =
@@ -213,40 +180,55 @@ let seal_batch t =
   let s = Bytes.unsafe_to_string b in
   let pos = ref 0 in
   while !pos < t.batch_len do
-    let blen = Int32.to_int (Bytes.get_int32_be b !pos) land 0xFFFFFFFF in
+    let blen = u32_at s !pos in
     let crc = Crc32.sub s ~pos:(!pos + record_header_len) ~len:blen in
     Bytes.set_int32_be b (!pos + 4) (Int32.of_int crc);
     pos := !pos + record_header_len + blen
   done
 
+(* Pass each sealed record of the first [len] bytes of [batch] through
+   the interposer, in LSN order, into one store append. If the
+   interposer raises (an injected crash-at-boundary), the bytes it
+   already wrote are persisted first, exactly the longest durable
+   prefix a real mid-batch crash would leave, and the exception
+   propagates: the records after it are lost, as they would be. *)
+let write_interposed t f len =
+  let out = Buffer.create len in
+  let persist () =
+    if Buffer.length out > 0 then Store.append t.store t.log_name (Buffer.contents out)
+  in
+  let write s = Buffer.add_string out s in
+  let s = Bytes.unsafe_to_string t.batch in
+  (try
+     let pos = ref 0 in
+     while !pos < len do
+       let total = record_header_len + u32_at s !pos in
+       f (String.sub s !pos total) ~write;
+       pos := !pos + total
+     done
+   with e ->
+     persist ();
+     raise e);
+  persist ();
+  Buffer.length out
+
+(* Flush the group-commit buffer: seal the batch, then hand it to the
+   store in one append, directly or through the interposer. *)
 let flush_records t =
-  if t.buf_count > 0 then begin
-    let n = t.buf_count in
-    t.buf_count <- 0;
-    (match t.interpose with
-    | None ->
-        seal_batch t;
-        let len = t.batch_len in
-        t.batch_len <- 0;
-        if len > 0 then begin
+  if t.pending > 0 then begin
+    let n = t.pending in
+    let len = t.batch_len in
+    seal_batch t;
+    t.pending <- 0;
+    t.batch_len <- 0;
+    let written =
+      match t.interpose with
+      | None ->
           Store.append_sub t.store t.log_name t.batch 0 len;
-          Counter.add t.c_flushed_bytes len
-        end
-    | Some f ->
-        let records = List.rev t.buf in
-        t.buf <- [];
-        let batch = Buffer.create 256 in
-        let write s = Buffer.add_string batch s in
-        (try List.iter (fun framed -> f framed ~write) records
-         with e ->
-           if Buffer.length batch > 0 then
-             Store.append t.store t.log_name (Buffer.contents batch);
-           raise e);
-        let data = Buffer.contents batch in
-        if String.length data > 0 then begin
-          Store.append t.store t.log_name data;
-          Counter.add t.c_flushed_bytes (String.length data)
-        end);
+          len
+      | Some f -> write_interposed t f len
+    in
+    Counter.add t.c_flushed_bytes written;
     t.since_snapshot <- t.since_snapshot + n;
     Counter.incr t.c_flushes
   end
@@ -271,10 +253,12 @@ let flush t =
   if t.snapshot_source <> None && t.since_snapshot >= t.snapshot_every then
     snapshot t
 
-(* Direct-mode framing: write the frame straight into the batch buffer
-   at its current end — no per-record allocation. The CRC field is left
-   zero; {!seal_batch} fills it during flush. *)
-let frame_into t ~lsn ~size fill =
+(* Frame a record straight into the batch at its current end: no
+   per-record allocation. The CRC field is left zero; {!seal_batch}
+   fills it during flush. [fill b pos] writes the payload in place. *)
+let append_with t ~size fill =
+  let lsn = t.next in
+  t.next <- lsn + 1;
   let blen = 8 + size in
   let total = record_header_len + blen in
   let pos = t.batch_len in
@@ -289,20 +273,10 @@ let frame_into t ~lsn ~size fill =
   Bytes.set_int32_be b (pos + 4) 0l;
   Bytes.set_int64_be b (pos + 8) (Int64.of_int lsn);
   fill b (pos + 16);
-  t.batch_len <- pos + total
-
-let push_done t =
-  t.buf_count <- t.buf_count + 1;
+  t.batch_len <- pos + total;
+  t.pending <- t.pending + 1;
   Counter.incr t.c_appends;
-  if t.buf_count >= t.max_pending then flush t
-
-let append_with t ~size fill =
-  let lsn = t.next in
-  t.next <- lsn + 1;
-  (match t.interpose with
-  | None -> frame_into t ~lsn ~size fill
-  | Some _ -> t.buf <- frame_with ~lsn ~size fill :: t.buf);
-  push_done t
+  if t.pending >= t.max_pending then flush t
 
 let append t payload =
   append_with t ~size:(String.length payload) (fun b pos ->
@@ -354,10 +328,9 @@ let open_ ?(metrics = Hw_metrics.Registry.default) ?interpose
       snapshot_every;
       max_pending;
       next = recovered.next_lsn;
-      buf = [];
       batch = Bytes.create 4096;
       batch_len = 0;
-      buf_count = 0;
+      pending = 0;
       since_snapshot = List.length recovered.records;
       snapshot_source = None;
       c_appends = counter "wal_appends_total" "Records appended to the WAL";

@@ -51,12 +51,15 @@ val open_ :
   t * recovered
 (** Opens (and recovers) the WAL named [name] — blobs [name.log] and
     [name.snap] in [store]. [interpose] sits between each framed record
-    and the batch buffer during {!flush}; the disk fault plane plugs in
-    here (short write = a prefix passed to [write], torn write = crash
-    after a prefix, bit-flip = corrupted bytes). Without it every record
-    is written verbatim. If the interposer raises, the batch bytes
-    already produced are persisted first — exactly the longest durable
-    prefix a real crash would leave — and the exception is re-raised.
+    and the store during {!flush}: it sees each record once, in LSN
+    order, and what it passes to [write] is what reaches the store. The
+    disk fault plane plugs in here (short write = a prefix passed to
+    [write], torn write = crash after a prefix, bit-flip = corrupted
+    bytes). Without it every record is written verbatim. If the
+    interposer raises, the bytes it already wrote are persisted first —
+    exactly the longest durable prefix a real crash would leave — and
+    the exception is re-raised. It runs only at flush, so an append
+    costs the same with or without it.
 
     [snapshot_every] (default 4096): after that many records since the
     last snapshot, {!flush} takes one automatically — provided a

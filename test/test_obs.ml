@@ -1,19 +1,19 @@
-(* The fleet observability plane: bounded downsampled series, the
-   router health state machine, and the end-to-end cross-node tracing +
-   scrape + alerting loop over Fleet_sim.
+(* The fleet observability plane: the router health state machine, and
+   the end-to-end cross-node tracing + scrape + alerting loop over
+   Fleet_sim.
 
    The e2e tests mirror the acceptance bar: one Manager.query over a
    100+ router fleet yields ONE causal trace whose per-router child
    spans (with router-id attrs) are visible on every export surface —
    the manager's flight recorder, the observer's Traces table, and the
-   HTTP Chrome-JSON endpoint — while series memory stays bounded. *)
+   HTTP Chrome-JSON endpoint — and the scrape's fleet view covers the
+   fleet. *)
 
 module Fault = Hw_fault.Fault
 module Router = Hw_router.Router
 module Manager = Hw_fleet.Manager
 module Agent = Hw_fleet.Agent
 module Fleet_sim = Hw_fleet.Fleet_sim
-module Series = Hw_obs.Series
 module Health = Hw_obs.Health
 module Observer = Hw_obs.Observer
 module Tracer = Hw_trace.Tracer
@@ -37,55 +37,6 @@ let await_registered fleet ~within =
 let int_of_count = function
   | Some { Query.rows = [ [ Value.Int n ] ]; _ } -> n
   | _ -> Alcotest.fail "expected one COUNT row"
-
-(* -- series --------------------------------------------------------- *)
-
-let test_series_downsampling () =
-  let s = Series.create ~raw_capacity:8 ~s10_capacity:4 ~s60_capacity:4 () in
-  for i = 0 to 499 do
-    Series.push s ~ts:(float_of_int i) (float_of_int i)
-  done;
-  Alcotest.(check int) "samples counted" 500 (Series.samples s);
-  (* occupancy never exceeds capacity, whatever was pushed *)
-  List.iter
-    (fun tier ->
-      let len, cap = Series.occupancy s tier in
-      Alcotest.(check bool) "bounded" true (len <= cap))
-    [ `Raw; `S10; `S60 ];
-  Alcotest.(check (pair int int)) "raw ring full" (8, 8) (Series.occupancy s `Raw);
-  Alcotest.(check (pair int int)) "10s ring full" (4, 4) (Series.occupancy s `S10);
-  Alcotest.(check (pair int int)) "60s ring full" (4, 4) (Series.occupancy s `S60);
-  Alcotest.(check (float 0.)) "last" 499. (Series.last s);
-  (* sealed 10s buckets hold the last sample of their window *)
-  (match List.rev (Series.points s `S10) with
-  | (open_ts, open_v) :: (ts, v) :: _ ->
-      Alcotest.(check (float 0.)) "open bucket start" 490. open_ts;
-      Alcotest.(check (float 0.)) "open bucket last" 499. open_v;
-      Alcotest.(check (float 0.)) "sealed bucket start" 480. ts;
-      Alcotest.(check (float 0.)) "sealed bucket last = last of window" 489. v
-  | _ -> Alcotest.fail "expected 10s points");
-  (match List.rev (Series.points s `S60) with
-  | (open_ts, _) :: (ts, v) :: _ ->
-      Alcotest.(check (float 0.)) "open 60s bucket" 480. open_ts;
-      Alcotest.(check (float 0.)) "sealed 60s bucket" 420. ts;
-      Alcotest.(check (float 0.)) "sealed 60s last" 479. v
-  | _ -> Alcotest.fail "expected 60s points");
-  (* fixed footprint: 2 floats per raw slot, 3 per bucket slot *)
-  Alcotest.(check int) "footprint" ((2 * 8) + (3 * (4 + 4))) (Series.footprint_floats s)
-
-let test_series_max_preserves_spikes () =
-  let s = Series.create ~s10_capacity:4 () in
-  (* a gauge that spikes mid-bucket: last-write erases it, max keeps it *)
-  Series.push s ~ts:1. 1.;
-  Series.push s ~ts:4. 100.;
-  Series.push s ~ts:9. 2.;
-  Series.push s ~ts:11. 3. (* seals [0,10) *);
-  (match Series.points s `S10 with
-  | (0., v) :: _ -> Alcotest.(check (float 0.)) "last-downsample" 2. v
-  | _ -> Alcotest.fail "expected sealed bucket");
-  match Series.max_points s `S10 with
-  | (0., v) :: _ -> Alcotest.(check (float 0.)) "max-downsample" 100. v
-  | _ -> Alcotest.fail "expected sealed bucket"
 
 (* -- health machine ------------------------------------------------- *)
 
@@ -248,25 +199,17 @@ let test_e2e_trace_all_surfaces () =
      in
      contains "fleet.rpc" resp.Http.body && contains "r0057" resp.Http.body);
 
-  (* bounded series memory: every ring within capacity, footprint capped *)
-  let checked = ref 0 in
-  Array.iter
-    (fun agent ->
-      let id = Agent.id agent in
-      match Observer.series obs ~router:id "hwdb_inserts_total" with
-      | None -> ()
-      | Some s ->
-          incr checked;
-          List.iter
-            (fun tier ->
-              let len, cap = Series.occupancy s tier in
-              if len > cap then Alcotest.failf "ring overflow for %s" id)
-            [ `Raw; `S10; `S60 ])
-    (Fleet_sim.agents fleet);
-  Alcotest.(check bool) "series exist for most routers" true (!checked >= n / 2);
-  let max_floats = Observer.series_count obs * ((2 * 32) + (3 * (32 + 32))) in
-  Alcotest.(check bool) "footprint bounded" true
-    (Observer.series_footprint_floats obs <= max_floats)
+  (* the last scrape's fleet view covers most routers *)
+  let routers_in_view =
+    match
+      Database.query (Observer.db obs)
+        "SELECT COUNT(router) AS n FROM FleetMetrics [NOW] WHERE name = 'hwdb_inserts_total' \
+         AND stat = 'last'"
+    with
+    | Ok rs -> int_of_count (Some rs)
+    | Error e -> Alcotest.failf "FleetMetrics query: %s" e
+  in
+  Alcotest.(check bool) "fleet view covers most routers" true (routers_in_view >= n / 2)
 
 (* -- satellite: cross-node tracing under fault injection ------------ *)
 
@@ -425,16 +368,18 @@ let test_fleet_metrics_surfaces () =
   in
   Fleet_sim.run_for fleet 7.;
   Alcotest.(check bool) "scrapes ran" true (Observer.scrapes_total obs >= 2);
-  (* per-router series were folded in *)
-  (match Observer.series obs ~router:"r0000" "hwdb_inserts_total" with
-  | None -> Alcotest.fail "no series for r0000"
-  | Some s -> Alcotest.(check bool) "samples scraped" true (Series.samples s >= 2));
-  (* FleetMetrics: per-router rows and __fleet__ aggregates *)
+  (* FleetMetrics: per-router rows, one batch per scrape, and __fleet__
+     aggregates *)
   let count q =
     match Database.query (Observer.db obs) q with
     | Ok rs -> int_of_count (Some rs)
     | Error e -> Alcotest.failf "%s: %s" q e
   in
+  Alcotest.(check bool) "r0000's history: a row per scrape" true
+    (count
+       "SELECT COUNT(ts) AS n FROM FleetMetrics WHERE router = 'r0000' AND name = \
+        'hwdb_inserts_total'"
+    >= 2);
   Alcotest.(check bool) "per-router rows" true
     (count "SELECT COUNT(ts) AS n FROM FleetMetrics WHERE router = 'r0000'" >= 1);
   Alcotest.(check bool) "fleet aggregates" true
@@ -747,14 +692,67 @@ let test_scrape_ships_only_ingested_rows () =
   Alcotest.(check (triple int int int)) "every router noted healthy" (8, 0, 0)
     (Health.counts (Observer.health obs))
 
+(* A router that misses a scrape keeps its last values in the fleet view:
+   its FleetMetrics rows and /metrics samples after the missed scrape
+   read what the scrape before it read, while health marks it degraded. *)
+let test_missed_scrape_keeps_last_values () =
+  let fleet = Fleet_sim.create ~seed:42 ~n:8 ~devices_per_home:2 () in
+  await_registered fleet ~within:30.;
+  Fleet_sim.run_for fleet 5.;
+  let obs =
+    Observer.create ~scrape_period:1e6 ~loop:(Fleet_sim.loop fleet)
+      ~manager:(Fleet_sim.manager fleet) ()
+  in
+  let victim = "r0002" in
+  let last_rows () =
+    match
+      Database.query (Observer.db obs)
+        (Printf.sprintf
+           "SELECT name, value FROM FleetMetrics [NOW] WHERE router = '%s' AND stat = 'last'"
+           victim)
+    with
+    | Ok rs ->
+        List.sort compare
+          (List.map
+             (function
+               | [ Value.Str k; Value.Real v ] -> Printf.sprintf "%s %h" k v
+               | _ -> Alcotest.fail "unexpected FleetMetrics row")
+             rs.Query.rows)
+    | Error e -> Alcotest.failf "FleetMetrics query: %s" e
+  in
+  let samples () =
+    let label = Printf.sprintf "{router=\"%s\"}" victim in
+    String.split_on_char '\n' (Observer.render_prometheus obs)
+    |> List.filter (fun line ->
+           let ll = String.length label and n = String.length line in
+           let rec has i = i + ll <= n && (String.sub line i ll = label || has (i + 1)) in
+           has 0)
+  in
+  (* the first scrape finds no hwdb_query_seconds yet: take two *)
+  scrape_once fleet obs;
+  Fleet_sim.run_for fleet 3.;
+  scrape_once fleet obs;
+  Fleet_sim.run_for fleet 3.;
+  let rows = last_rows () and text = samples () in
+  Alcotest.(check int) "seven tracked keys in the view" 7 (List.length rows);
+  Alcotest.(check int) "seven /metrics samples" 7 (List.length text);
+  let inj = (Router.faults (Agent.router (Option.get (Fleet_sim.agent fleet victim)))).Fault.rpc in
+  let now = Fleet_sim.now fleet in
+  Fault.set_plan inj [ Fault.Partition { from_s = now; until_s = now +. 1e6 } ];
+  scrape_once fleet obs;
+  Fault.disarm inj;
+  Alcotest.(check int) "the partitioned router's scrape failed" 1
+    (Hw_metrics.Counter.value
+       (Hw_metrics.Registry.counter (Manager.metrics (Fleet_sim.manager fleet))
+          "obs_scrape_router_errors_total"));
+  Alcotest.(check (list string)) "FleetMetrics [NOW] keeps the last values" rows (last_rows ());
+  Alcotest.(check (list string)) "/metrics keeps the last samples" text (samples ());
+  Alcotest.(check (option string)) "health marks it degraded" (Some "degraded")
+    (states (Observer.health obs) victim)
+
 let () =
   Alcotest.run "hw_obs"
     [
-      ( "series",
-        [
-          Alcotest.test_case "downsampling tiers bounded" `Quick test_series_downsampling;
-          Alcotest.test_case "max preserves spikes" `Quick test_series_max_preserves_spikes;
-        ] );
       ("health", [ Alcotest.test_case "state machine" `Quick test_health_machine ]);
       ( "e2e",
         [
@@ -770,5 +768,7 @@ let () =
           Alcotest.test_case "pinned FleetMetrics batch" `Quick test_pinned_fleet_metrics_batch;
           Alcotest.test_case "a scrape ships 8 rows per router" `Quick
             test_scrape_ships_only_ingested_rows;
+          Alcotest.test_case "a missed scrape keeps the last values" `Quick
+            test_missed_scrape_keeps_last_values;
         ] );
     ]

@@ -252,6 +252,82 @@ let test_interposer_crash_leaves_durable_prefix () =
   check_bool "prefix flush leaves no tear" false r.Wal.tail_truncated
 
 (* ------------------------------------------------------------------ *)
+(* Interposed = direct                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* An identity interposer must not change a byte: the fault plane's
+   contract is one call per record, in LSN order, and nothing else. *)
+let test_interposed_writes_direct_bytes () =
+  let lsns = ref [] in
+  let interpose record ~write =
+    lsns := Int64.to_int (String.get_int64_be record 8) :: !lsns;
+    write record
+  in
+  let open_wal ?interpose store =
+    let metrics = Registry.create () in
+    let wal, _ =
+      Wal.open_ ~metrics ?interpose ~max_pending:5 ~snapshot_every:12 ~store ~name:"e" ()
+    in
+    Wal.set_snapshot_source wal (fun () -> Printf.sprintf "state@%d" (Wal.next_lsn wal));
+    (wal, metrics)
+  in
+  let direct_store = Store.mem () and interposed_store = Store.mem () in
+  let direct, direct_metrics = open_wal direct_store in
+  let interposed, interposed_metrics = open_wal ~interpose interposed_store in
+  let n = ref 0 in
+  let both f = f direct; f interposed in
+  let append k =
+    for _ = 1 to k do
+      let p = String.init (!n mod 23) (fun i -> Char.chr (((!n * 7) + i) land 0xff)) in
+      incr n;
+      both (fun w -> Wal.append w p)
+    done
+  in
+  (* 3 records; then 7, the 5th of which flushes inline *)
+  append 3;
+  both Wal.flush;
+  append 7;
+  both Wal.flush (* 10 since the last snapshot: none yet *);
+  append 4;
+  both Wal.flush (* 14: this flush takes the automatic snapshot *);
+  append 2;
+  both Wal.snapshot (* a forced one, flushing the 2 pending first *);
+  append 6 (* 5 flush inline, 1 is still pending *);
+  both Wal.flush;
+  List.iter
+    (fun blob ->
+      Alcotest.(check (option string)) (blob ^ " identical") (Store.load direct_store blob)
+        (Store.load interposed_store blob))
+    [ "e.log"; "e.snap" ];
+  Alcotest.(check (list int)) "one interposer call per record, in LSN order"
+    (List.init !n Fun.id) (List.rev !lsns);
+  List.iter
+    (fun c ->
+      check_int c (counter_value direct_metrics c) (counter_value interposed_metrics c))
+    [ "wal_appends_total"; "wal_flushes_total"; "wal_flushed_bytes_total"; "wal_snapshots_total" ];
+  check_int "both took two snapshots" 2 (counter_value direct_metrics "wal_snapshots_total")
+
+(* The interposer runs at flush, so an append costs the same with it. *)
+let test_interposed_append_allocates_as_direct () =
+  let payload = String.make 48 'p' in
+  let words_per_append ?interpose () =
+    let wal, _ =
+      Wal.open_ ~metrics:(Registry.create ()) ?interpose ~store:(Store.mem ()) ~name:"a" ()
+    in
+    (* grow the batch once, then measure a flush cycle of the same size *)
+    for _ = 1 to 200 do Wal.append wal payload done;
+    Wal.flush wal;
+    let before = Gc.minor_words () in
+    for _ = 1 to 200 do Wal.append wal payload done;
+    let words = Gc.minor_words () -. before in
+    Wal.flush wal;
+    words /. 200.
+  in
+  let direct = words_per_append () in
+  let interposed = words_per_append ~interpose:(fun r ~write -> write r) () in
+  Alcotest.(check (float 0.)) "words per 48-byte append, interposed = direct" direct interposed
+
+(* ------------------------------------------------------------------ *)
 (* Disk fault plane semantics                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -620,6 +696,10 @@ let () =
             test_auto_snapshot_bounds_log;
           Alcotest.test_case "interposer crash leaves the batch prefix" `Quick
             test_interposer_crash_leaves_durable_prefix;
+          Alcotest.test_case "interposed and direct WALs write the same bytes" `Quick
+            test_interposed_writes_direct_bytes;
+          Alcotest.test_case "an interposed append allocates as a direct one" `Quick
+            test_interposed_append_allocates_as_direct;
         ] );
       ( "faults",
         [
