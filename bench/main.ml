@@ -995,10 +995,14 @@ let micro_tests () =
              ignore (Sys.opaque_identity (Hw_hwdb.Database.table db "Leases"))));
     ]
   in
-  (* PERF13: the discrete-event simulator's queue. One step pops the
-     earliest of 6,700 pending events (perfbench stream's mean queue
-     length) and runs it; the event schedules its successor at a pseudo-
-     random delay, so the queue holds its size and shape. *)
+  (* PERF13: the discrete-event simulator's queue, modelled deep. One
+     step pops the earliest of 6,700 pending events and runs it; the
+     event schedules its successor at a pseudo-random delay, so the
+     queue holds its size and shape. 6,700 was perfbench stream's mean
+     queue length while each session scheduled all its packets up
+     front; with one pending event per session a home of eight
+     streamers holds a median of 85-96, so this now models a deep queue
+     (a larger home or a fleet on one loop), not stream's. *)
   let sim_tests () =
     let loop = Hw_sim.Event_loop.create ~metrics:(Hw_metrics.Registry.create ()) () in
     let next = ref 0 in

@@ -286,7 +286,7 @@ let metrics t = t.metrics
 let tracer t = t.trace
 let clock t = t.now
 
-let insert_into t tbl values =
+let insert_into t tbl row =
   Hw_metrics.Counter.incr t.m_inserts;
   (* branch on [due] rather than wrapping in observe_span: inserts
      are the hottest write path and must not allocate a closure *)
@@ -294,11 +294,11 @@ let insert_into t tbl values =
     let span = Lazy.force t.m_insert_span in
     if Hw_metrics.Sampled.due span then begin
       let t0 = t.now () in
-      let res = Table.insert tbl ~now:t0 values in
+      let res = Table.insert_row tbl ~now:t0 row in
       Hw_metrics.Histogram.observe (Hw_metrics.Sampled.histogram span) (t.now () -. t0);
       res
     end
-    else Table.insert tbl ~now:(t.now ()) values
+    else Table.insert_row tbl ~now:(t.now ()) row
   in
   match res with
   | Ok () as ok -> ok
@@ -307,7 +307,7 @@ let insert_into t tbl values =
       Tracer.mark_error t.trace msg;
       e
 
-let insert t ~table:name values =
+let insert_row t ~table:name row =
   match table t name with
   | None ->
       Hw_metrics.Counter.incr t.m_insert_errors;
@@ -318,8 +318,10 @@ let insert t ~table:name values =
       if Tracer.in_trace t.trace then
         Tracer.with_span t.trace "hwdb.insert"
           ~attrs:[ ("table", Tracer.Str name) ]
-          (fun () -> insert_into t tbl values)
-      else insert_into t tbl values
+          (fun () -> insert_into t tbl row)
+      else insert_into t tbl row
+
+let insert t ~table values = insert_row t ~table (Array.of_list values)
 
 (* -- prepared statements -------------------------------------------- *)
 
@@ -771,8 +773,8 @@ let execute t src =
 
 let record_flow t ~proto ~src_ip ~dst_ip ~src_port ~dst_port ~packets ~bytes =
   match
-    insert t ~table:"Flows"
-      [
+    insert_row t ~table:"Flows"
+      [|
         Value.Int proto;
         src_ip;
         dst_ip;
@@ -780,31 +782,29 @@ let record_flow t ~proto ~src_ip ~dst_ip ~src_port ~dst_port ~packets ~bytes =
         Value.Int dst_port;
         Value.Int packets;
         Value.Int bytes;
-      ]
+      |]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_flow: %s" msg)
 
 let record_link t ~mac ~rssi ~retries ~packets =
   match
-    insert t ~table:"Links"
-      [ mac; Value.Int rssi; Value.Int retries; Value.Int packets ]
+    insert_row t ~table:"Links" [| mac; Value.Int rssi; Value.Int retries; Value.Int packets |]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_link: %s" msg)
 
 let record_lease t ~mac ~ip ~hostname ~action =
   match
-    insert t ~table:"Leases"
-      [ mac; ip; Value.Str hostname; Value.Str action ]
+    insert_row t ~table:"Leases" [| mac; ip; Value.Str hostname; Value.Str action |]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_lease: %s" msg)
 
 let record_policy t ~kind ~id ~payload ~action =
   match
-    insert t ~table:"Policies"
-      [ Value.Str kind; Value.Str id; Value.Str payload; Value.Str action ]
+    insert_row t ~table:"Policies"
+      [| Value.Str kind; Value.Str id; Value.Str payload; Value.Str action |]
   with
   | Ok () -> ()
   | Error msg -> Log.err (fun m -> m "record_policy: %s" msg)

@@ -93,14 +93,15 @@ let share_small_ints row =
     | _ -> ()
   done
 
-let insert t ~now values =
-  let row = Array.of_list values in
+let insert_row t ~now row =
   match Value.validate t.schema row with
   | Error _ as e -> e
   | Ok () ->
       share_small_ints row;
       append t ~now row;
       Ok ()
+
+let insert t ~now values = insert_row t ~now (Array.of_list values)
 
 (* WAL replay: the row was validated when first inserted and nothing may
    observe it again — no validation, no triggers (in particular not the

@@ -34,16 +34,21 @@ val capacity : t -> int
 val length : t -> int
 val total_inserted : t -> int
 
-val insert : t -> now:float -> Value.t list -> (unit, string) result
-(** Appends a row stamped [now]; evicts the oldest row when full.
-    Timestamps must be non-decreasing across inserts (the database clock
-    is monotone), which is what lets window scans binary-search.
+val insert_row : t -> now:float -> Value.t array -> (unit, string) result
+(** Validates the row and appends it stamped [now]; evicts the oldest
+    row when full. Timestamps must be non-decreasing across inserts (the
+    database clock is monotone), which is what lets window scans
+    binary-search. The array is stored, not copied: the caller hands it
+    over and must not touch it again.
 
     Every producer's row comes through here (the router's records,
     [Database.insert], RPC [INSERT], trigger actions), so here, after
     validation, each [Value.Int] in [-256 .. 1023] is replaced by one
     preallocated cell shared by every table: two stored rows with an
     equal small integer hold the same cell. The range is a constant. *)
+
+val insert : t -> now:float -> Value.t list -> (unit, string) result
+(** {!insert_row} of the list's cells. *)
 
 val append : t -> now:float -> Value.t array -> unit
 (** {!insert} for a row already validated against this table's schema:

@@ -47,19 +47,15 @@ type fields = {
   f_tp_dst : int;
 }
 
-(* The 12-tuple read straight from the frame bytes: every length, field
-   and checksum test [Packet.decode] applies is made here in place, so a
-   frame is accepted exactly when it decodes, and nothing but the result
-   is allocated. *)
-let[@inline] u8 s i = Char.code (String.unsafe_get s i)
-let[@inline] u16 s i = (u8 s i lsl 8) lor u8 s (i + 1)
-
+(* The 12-tuple read straight from the frame bytes by [Frame], which
+   makes every test [Packet.decode] makes in place: a frame is accepted
+   exactly when it decodes, and nothing but the result is allocated. *)
 let frame_fields ~in_port frame ~dl_type ~nw_tos ~nw_proto ~nw_src ~nw_dst ~tp_src ~tp_dst =
   Some
     {
       f_in_port = in_port;
-      f_dl_src = Mac.of_bytes (String.sub frame 6 6);
-      f_dl_dst = Mac.of_bytes (String.sub frame 0 6);
+      f_dl_src = Frame.src_mac frame;
+      f_dl_dst = Frame.dst_mac frame;
       f_dl_vlan = 0xffff;
       f_dl_vlan_pcp = 0;
       f_dl_type = dl_type;
@@ -71,73 +67,24 @@ let frame_fields ~in_port frame ~dl_type ~nw_tos ~nw_proto ~nw_src ~nw_dst ~tp_s
       f_tp_dst = tp_dst;
     }
 
-(* [Arp.decode]: 28 bytes of IPv4-over-Ethernet with a known opcode *)
-let arp_fields ~in_port frame ~dl_type =
-  let a = Ethernet.header_size in
-  if
-    String.length frame - a >= 28
-    && u16 frame a = 1
-    && u16 frame (a + 2) = Ethernet.ethertype_ipv4
-    && u8 frame (a + 4) = 6
-    && u8 frame (a + 5) = 4
-    && (u16 frame (a + 6) = 1 || u16 frame (a + 6) = 2)
-  then
-    frame_fields ~in_port frame ~dl_type ~nw_tos:0 ~nw_proto:(u16 frame (a + 6))
-      ~nw_src:(Ip.of_int32 (String.get_int32_be frame (a + 14)))
-      ~nw_dst:(Ip.of_int32 (String.get_int32_be frame (a + 24)))
-      ~tp_src:0 ~tp_dst:0
-  else None
-
-(* The transport ports of a well-formed IPv4 header's payload, packed as
-   [tp_src lsl 16 lor tp_dst], or -1 where the transport decoder
-   [Packet.decode] picks rejects it. *)
-let l4_ports frame ~ip ~proto ~l4 ~l4_len =
-  (* a fragment (more-fragments set or a non-zero offset) is not parsed *)
-  if u16 frame (ip + 6) land 0x3fff <> 0 then 0
-  else if proto = Ipv4.proto_udp then
-    if l4_len >= 8 && u16 frame (l4 + 4) >= 8 && u16 frame (l4 + 4) <= l4_len then
-      (u16 frame l4 lsl 16) lor u16 frame (l4 + 2)
-    else -1
-  else if proto = Ipv4.proto_tcp then
-    let data_off = if l4_len >= 20 then u8 frame (l4 + 12) lsr 4 else 0 in
-    if data_off >= 5 && data_off * 4 <= l4_len then (u16 frame l4 lsl 16) lor u16 frame (l4 + 2)
-    else -1
-  else if proto = Ipv4.proto_icmp then
-    if l4_len >= 8 && Wire.checksum_ones_complement_range frame ~off:l4 ~len:l4_len = 0 then
-      (u8 frame l4 lsl 16) lor u8 frame (l4 + 1)
-    else -1
-  else 0
-
-(* [Ipv4.decode]: version 4, a header of at least 20 bytes inside the
-   frame, a total length between the header's and the frame's, and a
-   header checksum that verifies *)
-let ipv4_fields ~in_port frame ~dl_type =
-  let ip = Ethernet.header_size in
-  let avail = String.length frame - ip in
-  if avail < 20 || u8 frame ip lsr 4 <> 4 then None
-  else
-    let hlen = (u8 frame ip land 0xf) * 4 in
-    let total = u16 frame (ip + 2) in
-    if
-      hlen < 20 || hlen > avail || total < hlen || total > avail
-      || Wire.checksum_ones_complement_range frame ~off:ip ~len:hlen <> 0
-    then None
-    else
-      let proto = u8 frame (ip + 9) in
-      let ports = l4_ports frame ~ip ~proto ~l4:(ip + hlen) ~l4_len:(total - hlen) in
-      if ports < 0 then None
-      else
-        frame_fields ~in_port frame ~dl_type ~nw_tos:(u8 frame (ip + 1) land 0xfc) ~nw_proto:proto
-          ~nw_src:(Ip.of_int32 (String.get_int32_be frame (ip + 12)))
-          ~nw_dst:(Ip.of_int32 (String.get_int32_be frame (ip + 16)))
-          ~tp_src:(ports lsr 16) ~tp_dst:(ports land 0xffff)
+(* OF 1.0's transport fields: the UDP or TCP ports, or the ICMP type and
+   code; 0 where the transport header is not parsed *)
+let ipv4_fields ~in_port frame ~dl_type ~l4 =
+  let ports = l4 = Ipv4.proto_udp || l4 = Ipv4.proto_tcp and icmp = l4 = Ipv4.proto_icmp in
+  frame_fields ~in_port frame ~dl_type ~nw_tos:(Frame.ip_tos frame) ~nw_proto:(Frame.ip_proto frame)
+    ~nw_src:(Frame.ip_src frame) ~nw_dst:(Frame.ip_dst frame)
+    ~tp_src:(if ports then Frame.src_port frame else if icmp then Frame.icmp_type frame else 0)
+    ~tp_dst:(if ports then Frame.dst_port frame else if icmp then Frame.icmp_code frame else 0)
 
 let fields_of_frame ~in_port frame =
-  if String.length frame < Ethernet.header_size then None
+  let l4 = Frame.check frame in
+  if l4 < 0 then None
   else
-    let dl_type = u16 frame 12 in
-    if dl_type = Ethernet.ethertype_arp then arp_fields ~in_port frame ~dl_type
-    else if dl_type = Ethernet.ethertype_ipv4 then ipv4_fields ~in_port frame ~dl_type
+    let dl_type = Frame.ethertype frame in
+    if dl_type = Ethernet.ethertype_arp then
+      frame_fields ~in_port frame ~dl_type ~nw_tos:0 ~nw_proto:(Frame.arp_op frame)
+        ~nw_src:(Frame.arp_sender_ip frame) ~nw_dst:(Frame.arp_target_ip frame) ~tp_src:0 ~tp_dst:0
+    else if dl_type = Ethernet.ethertype_ipv4 then ipv4_fields ~in_port frame ~dl_type ~l4
     else
       frame_fields ~in_port frame ~dl_type ~nw_tos:0 ~nw_proto:0 ~nw_src:Ip.any ~nw_dst:Ip.any
         ~tp_src:0 ~tp_dst:0
@@ -210,6 +157,9 @@ let mask_is_exact m = mask_equal m mask_exact
 let[@inline] mix h v = ((h lxor v) * 0x01000193) land max_int
 
 let fnv_seed = 0x811c9dc5
+
+let[@inline] u8 s i = Char.code (String.unsafe_get s i)
+let[@inline] u16 s i = (u8 s i lsl 8) lor u8 s (i + 1)
 
 let[@inline] mac_bits mac =
   let m = Mac.to_bytes mac (* identity: Mac.t is the 6-byte string *) in

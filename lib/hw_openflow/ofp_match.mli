@@ -40,35 +40,19 @@ type fields = {
 }
 
 val fields_of_frame : in_port:int -> string -> fields option
-(** The fields of a raw Ethernet frame, read in place from its bytes: the
-    datapath's per-frame classifier input, and the controller's for each
-    packet-in. Equal to the fields of [Packet.decode frame] for every
-    string, so it rejects exactly the frames {!Packet.decode} rejects:
-    the Ethernet addresses and type; for IPv4 the TOS ([dscp lsl 2]),
-    protocol and addresses, with the UDP or TCP ports or the ICMP type
-    and code as [tp_src]/[tp_dst] (0 and 0 for a fragment or another
-    protocol); for ARP the opcode as [f_nw_proto] and the protocol
-    addresses as nw_src/nw_dst, as OF 1.0 specifies; zeros elsewhere.
-    [f_dl_vlan] is 0xffff and [f_dl_vlan_pcp] 0. A frame is accepted
-    when
-    - it holds a 14-byte Ethernet header, and by its ethertype
-    - ARP (0x0806): the payload has at least 28 bytes, htype 1, ptype
-      0x0800, hlen 6, plen 4 and opcode 1 or 2;
-    - IPv4 (0x0800): version 4, IHL >= 5 with the header inside the
-      frame, header length <= total length <= the Ethernet payload's
-      length, and a header checksum that verifies. Then, unless the
-      datagram is a fragment (more-fragments set or a non-zero offset,
-      whose transport header is not read), by protocol: UDP needs 8
-      bytes with a length field between 8 and the IP payload's length;
-      TCP needs 20 bytes with a data offset of at least 5 words inside
-      the IP payload; ICMP needs 8 bytes and a checksum over the whole
-      IP payload that verifies; other protocols are accepted as they
-      are;
-    - any other ethertype is accepted as it is.
-
-    Bytes past the IPv4 total length (Ethernet padding) are ignored.
-    Checksums are verified over the frame in place; only the result is
-    allocated (the record with its two MAC strings and two addresses). *)
+(** The fields of a raw Ethernet frame, read in place from its bytes by
+    {!Hw_packet.Frame}: the datapath's per-frame classifier input, and
+    the controller's for each packet-in. Equal to the fields of
+    [Packet.decode frame] for every string, so it is [None] exactly for
+    the frames {!Packet.decode} rejects ({!Hw_packet.Frame.check}
+    lists the tests): the Ethernet addresses and type; for IPv4 the TOS
+    ([dscp lsl 2]), protocol and addresses, with the UDP or TCP ports or
+    the ICMP type and code as [tp_src]/[tp_dst] (0 and 0 for a fragment
+    or another protocol); for ARP the opcode as [f_nw_proto] and the
+    protocol addresses as nw_src/nw_dst, as OF 1.0 specifies; zeros
+    elsewhere. [f_dl_vlan] is 0xffff and [f_dl_vlan_pcp] 0. Only the
+    result is allocated (the record with its two MAC strings and two
+    addresses). *)
 
 val exact_of_fields : fields -> t
 (** The fully-specified match for one packet (used for reactive flow-mods). *)

@@ -18,6 +18,9 @@ val ack_flag : flags
 val fin_ack : flags
 val rst_flag : flags
 
+val flags_of_int : int -> flags
+(** The flags of a segment's flags byte (FIN is bit 0, URG bit 5). *)
+
 type t = {
   src_port : int;
   dst_port : int;

@@ -2,24 +2,32 @@ type 'a t = {
   loop : Event_loop.t;
   delay : float;
   deliver : 'a list -> unit;
-  pending : (float, 'a Queue.t) Hashtbl.t; (* deadline -> batch *)
+  mutable deadline : float; (* the open batch's: the one opened last *)
+  mutable items : 'a list ref; (* its items, newest first; [] once it has flushed *)
+  mutable pending : int;
 }
 
-let create ~loop ~delay ~deliver = { loop; delay; deliver; pending = Hashtbl.create 8 }
+let create ~loop ~delay ~deliver =
+  { loop; delay; deliver; deadline = neg_infinity; items = ref []; pending = 0 }
 
 let push t item =
-  (* Items pushed at the same virtual instant compute the same float
-     deadline and join one batch; the flush event is scheduled when the
-     batch opens, so it fires at the first item's original position. *)
+  (* A deadline is computed from the current instant and time never
+     goes back, so only the batch opened last can still grow: items
+     pushed at one virtual instant compute the same float deadline and
+     join it. The flush event is scheduled when the batch opens, so it
+     fires at the first item's original position. *)
   let deadline = Event_loop.now t.loop +. t.delay in
-  match Hashtbl.find_opt t.pending deadline with
-  | Some q -> Queue.push item q
-  | None ->
-      let q = Queue.create () in
-      Queue.push item q;
-      Hashtbl.replace t.pending deadline q;
+  match !(t.items) with
+  | _ :: _ as items when deadline = t.deadline -> t.items := item :: items
+  | _ ->
+      let batch = ref [ item ] in
+      t.deadline <- deadline;
+      t.items <- batch;
+      t.pending <- t.pending + 1;
       Event_loop.at t.loop deadline (fun () ->
-          Hashtbl.remove t.pending deadline;
-          t.deliver (List.of_seq (Queue.to_seq q)))
+          let items = !batch in
+          batch := [];
+          t.pending <- t.pending - 1;
+          t.deliver (List.rev items))
 
-let pending_batches t = Hashtbl.length t.pending
+let pending_batches t = t.pending

@@ -206,33 +206,41 @@ let resolve t hostname k =
 (* Application traffic                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A session keeps one pending event: each packet's event sends it and
+   then schedules the next at the instant an up-front schedule would
+   have given it ([t0 + spacing * i], so the times are bit-identical),
+   and a stopped device's session ends with its next event. The payload
+   is built once per session; strings are immutable, so every packet
+   shares it. *)
 let run_session t (app : App_profile.t) =
   resolve t app.App_profile.dst_host (fun addr ->
       match addr with
       | None -> Log.debug (fun m -> m "%s: %s lookup failed" t.cfg.name app.App_profile.dst_host)
       | Some dst_ip ->
           let src_port = fresh_port t in
+          let dst_port = app.App_profile.dst_port in
           let packets = max 1 (app.App_profile.request_bytes / app.App_profile.packet_size) in
           let spacing = app.App_profile.session_duration /. float_of_int packets in
           let generation = t.generation in
+          let t0 = Event_loop.now t.loop in
+          let payload = String.make app.App_profile.packet_size 'u' in
           (match app.App_profile.transport with
           | App_profile.Tcp ->
-              send_tcp_segment t ~dst_ip ~dst_port:app.App_profile.dst_port ~src_port
-                ~flags:Tcp.syn_flag ""
+              send_tcp_segment t ~dst_ip ~dst_port ~src_port ~flags:Tcp.syn_flag ""
           | App_profile.Udp -> ());
-          for i = 1 to packets do
-            Event_loop.after t.loop
-              (spacing *. float_of_int i)
+          let rec packet i =
+            Event_loop.at t.loop
+              (t0 +. (spacing *. float_of_int i))
               (fun () ->
-                if generation = t.generation && t.state = Bound then
-                  let payload = String.make app.App_profile.packet_size 'u' in
-                  match app.App_profile.transport with
-                  | App_profile.Tcp ->
-                      send_tcp_segment t ~dst_ip ~dst_port:app.App_profile.dst_port ~src_port
-                        payload
-                  | App_profile.Udp ->
-                      send_udp t ~dst_ip ~dst_port:app.App_profile.dst_port ~src_port payload)
-          done)
+                if generation = t.generation then begin
+                  (if t.state = Bound then
+                     match app.App_profile.transport with
+                     | App_profile.Tcp -> send_tcp_segment t ~dst_ip ~dst_port ~src_port payload
+                     | App_profile.Udp -> send_udp t ~dst_ip ~dst_port ~src_port payload);
+                  if i < packets then packet (i + 1)
+                end)
+          in
+          packet 1)
 
 let rec schedule_app t (app : App_profile.t) =
   let generation = t.generation in
@@ -404,13 +412,26 @@ let dst_is frame mac =
 let for_me t frame =
   String.length frame >= 6 && (dst_is frame t.cfg.mac || dst_is frame Mac.broadcast)
 
+(* A UDP or TCP data frame that is neither a DHCP reply nor a DNS
+   answer is only counted, so it is read in place, not decoded. *)
+let counted_only frame =
+  let l4 = Frame.check frame in
+  (l4 = Ipv4.proto_udp || l4 = Ipv4.proto_tcp)
+  && Frame.dst_port frame <> Dhcp_wire.client_port
+  && Frame.src_port frame <> 53
+
+let count_rx t frame =
+  t.st.rx_packets <- t.st.rx_packets + 1;
+  t.st.rx_bytes <- t.st.rx_bytes + String.length frame
+
 let deliver t frame =
-  if for_me t frame then
+  if not (for_me t frame) then ()
+  else if counted_only frame then count_rx t frame
+  else
     match Packet.decode frame with
     | Error _ -> ()
     | Ok pkt -> (
-        t.st.rx_packets <- t.st.rx_packets + 1;
-        t.st.rx_bytes <- t.st.rx_bytes + String.length frame;
+        count_rx t frame;
         match pkt.Packet.l3 with
         | Packet.Arp arp -> (
             match arp.Arp.op with

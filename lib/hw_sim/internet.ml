@@ -126,139 +126,119 @@ let answer_dns t (query : Dns_wire.t) =
 (* Frame handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let reply_ip t ~(to_ : Packet.t) l4 ~src_ip =
-  match Packet.five_tuple to_ with
-  | None -> ()
-  | Some _ ->
-      let eth = to_.Packet.eth in
-      let ip_hdr =
-        match to_.Packet.l3 with
-        | Packet.Ipv4 (h, _) -> h
-        | Packet.Arp _ | Packet.Raw_l3 _ -> assert false
-      in
-      let proto =
-        match l4 with
-        | Packet.Udp _ -> Ipv4.proto_udp
-        | Packet.Tcp _ -> Ipv4.proto_tcp
-        | Packet.Icmp _ -> Ipv4.proto_icmp
-        | Packet.Raw_l4 _ -> ip_hdr.Ipv4.protocol
-      in
-      let reply =
-        {
-          Packet.eth =
-            { Ethernet.dst = eth.Ethernet.src; src = mac; ethertype = Ethernet.ethertype_ipv4; payload = "" };
-          l3 =
-            Packet.Ipv4
-              (Ipv4.make ~protocol:proto ~src:src_ip ~dst:ip_hdr.Ipv4.src "", l4);
-        }
-      in
-      transmit t (Packet.encode reply)
-
-let chunk_bytes total chunk =
-  let rec go remaining acc =
-    if remaining <= 0 then List.rev acc
-    else go (remaining - chunk) (min chunk remaining :: acc)
+let reply_ip t ~dst_mac ~dst_ip ~src_ip l4 =
+  let protocol =
+    match l4 with
+    | Packet.Udp _ -> Ipv4.proto_udp
+    | Packet.Tcp _ -> Ipv4.proto_tcp
+    | Packet.Icmp _ -> Ipv4.proto_icmp
+    | Packet.Raw_l4 _ -> invalid_arg "Internet.reply_ip: no protocol for a raw payload"
   in
-  go total []
+  let reply =
+    {
+      Packet.eth =
+        { Ethernet.dst = dst_mac; src = mac; ethertype = Ethernet.ethertype_ipv4; payload = "" };
+      l3 = Packet.Ipv4 (Ipv4.make ~protocol ~src:src_ip ~dst:dst_ip "", l4);
+    }
+  in
+  transmit t (Packet.encode reply)
 
-let handle_tcp t pkt (ip_hdr : Ipv4.t) (seg : Tcp.t) =
-  if seg.Tcp.flags.Tcp.syn && not seg.Tcp.flags.Tcp.ack then
-    (* SYN -> SYN/ACK *)
-    reply_ip t ~to_:pkt
-      (Packet.Tcp
-         (Tcp.make ~flags:Tcp.syn_ack ~ack_no:(Int32.add seg.Tcp.seq 1l)
-            ~src_port:seg.Tcp.dst_port ~dst_port:seg.Tcp.src_port ""))
-      ~src_ip:ip_hdr.Ipv4.dst
-  else if seg.Tcp.flags.Tcp.fin then
-    reply_ip t ~to_:pkt
-      (Packet.Tcp
-         (Tcp.make ~flags:Tcp.fin_ack ~ack_no:(Int32.add seg.Tcp.seq 1l)
-            ~src_port:seg.Tcp.dst_port ~dst_port:seg.Tcp.src_port ""))
-      ~src_ip:ip_hdr.Ipv4.dst
-  else begin
-    let req_len = String.length seg.Tcp.payload in
-    if req_len > 0 then begin
-      let factor = Option.value (Hashtbl.find_opt t.factors seg.Tcp.dst_port) ~default:1. in
-      let response_total = int_of_float (float_of_int req_len *. factor) in
-      let chunks = chunk_bytes response_total 1400 in
-      List.iteri
-        (fun i size ->
-          Event_loop.after t.loop
-            (t.latency +. (0.002 *. float_of_int i))
-            (fun () ->
-              t.tx <- t.tx + size;
-              reply_ip t ~to_:pkt
-                (Packet.Tcp
-                   (Tcp.make ~flags:Tcp.ack_flag ~src_port:seg.Tcp.dst_port
-                      ~dst_port:seg.Tcp.src_port (String.make size 'd')))
-                ~src_ip:ip_hdr.Ipv4.dst))
-        chunks
+(* Server responses are filler: one string per chunk size, shared by
+   every node and reply (strings are immutable). *)
+let chunk = 1400
+let fillers = Array.make (chunk + 1) ""
+
+let filler size =
+  if String.length fillers.(size) <> size then fillers.(size) <- String.make size 'd';
+  fillers.(size)
+
+(* [respond t ~request_bytes ~port k] sends the response to a request
+   of [request_bytes] to [port]: its size scaled by the port's factor,
+   in [chunk]-byte pieces, [k size] for piece [i] 2 ms after piece
+   [i - 1], the first after the node's latency *)
+let respond t ~request_bytes ~port k =
+  let factor = Option.value (Hashtbl.find_opt t.factors port) ~default:1. in
+  let total = int_of_float (float_of_int request_bytes *. factor) in
+  let rec piece i remaining =
+    if remaining > 0 then begin
+      let size = min chunk remaining in
+      Event_loop.after t.loop (t.latency +. (0.002 *. float_of_int i)) (fun () -> k size);
+      piece (i + 1) (remaining - chunk)
     end
-  end
+  in
+  piece 0 total
 
-let handle_udp t pkt (ip_hdr : Ipv4.t) (u : Udp.t) =
-  if u.Udp.dst_port = 53 && Ip.equal ip_hdr.Ipv4.dst resolver_ip then begin
-    match Dns_wire.decode u.Udp.payload with
-    | Ok query when not query.Dns_wire.is_response ->
-        let resp = answer_dns t query in
-        reply_ip t ~to_:pkt
-          (Packet.Udp
-             {
-               Udp.src_port = 53;
-               dst_port = u.Udp.src_port;
-               payload = Dns_wire.encode resp;
-             })
-          ~src_ip:resolver_ip
-    | Ok _ | Error _ -> ()
-  end
-  else begin
-    let factor = Option.value (Hashtbl.find_opt t.factors u.Udp.dst_port) ~default:1. in
-    let response_total = int_of_float (float_of_int (String.length u.Udp.payload) *. factor) in
-    if response_total > 0 then
-      List.iteri
-        (fun i size ->
-          Event_loop.after t.loop
-            (t.latency +. (0.002 *. float_of_int i))
-            (fun () ->
-              reply_ip t ~to_:pkt
-                (Packet.Udp
-                   {
-                     Udp.src_port = u.Udp.dst_port;
-                     dst_port = u.Udp.src_port;
-                     payload = String.make size 'd';
-                   })
-                ~src_ip:ip_hdr.Ipv4.dst))
-        (chunk_bytes response_total 1400)
-  end
+(* A TCP segment or a UDP datagram (other than a query to the resolver),
+   read in place: the reply goes back to the sender's MAC and address,
+   from the address it was sent to, with the ports swapped. *)
+let handle_data t frame ~l4 ~src_ip ~dst_ip =
+  let dst_mac = Frame.src_mac frame in
+  let src_port = Frame.dst_port frame and dst_port = Frame.src_port frame in
+  let reply l4 = reply_ip t ~dst_mac ~dst_ip:src_ip ~src_ip:dst_ip l4 in
+  if l4 = Ipv4.proto_udp then
+    respond t ~request_bytes:(Frame.payload_length frame) ~port:src_port (fun size ->
+        reply (Packet.Udp { Udp.src_port; dst_port; payload = filler size }))
+  else
+    let flags = Frame.tcp_flags frame in
+    let answer flags =
+      Tcp.make ~flags ~ack_no:(Int32.add (Frame.tcp_seq frame) 1l) ~src_port ~dst_port ""
+    in
+    if flags.Tcp.syn && not flags.Tcp.ack then reply (Packet.Tcp (answer Tcp.syn_ack))
+    else if flags.Tcp.fin then reply (Packet.Tcp (answer Tcp.fin_ack))
+    else
+      respond t ~request_bytes:(Frame.payload_length frame) ~port:src_port (fun size ->
+          t.tx <- t.tx + size;
+          reply (Packet.Tcp (Tcp.make ~flags:Tcp.ack_flag ~src_port ~dst_port (filler size))))
 
+let answered_in_place frame ~l4 =
+  l4 = Ipv4.proto_tcp
+  || l4 = Ipv4.proto_udp
+     && not (Frame.dst_port frame = 53 && Ip.equal (Frame.ip_dst frame) resolver_ip)
+
+(* Private source addresses reaching the ISP are a leak unless the
+   router NATs (the NAT tests read them); a datagram addressed into the
+   LAN is not upstream traffic (a bridged switch may flood it here) and
+   is not answered. *)
+let upstream t ~src_ip ~dst_ip =
+  if Ip.Prefix.mem src_ip t.lan_prefix then
+    Hashtbl.replace t.lan_sources src_ip
+      (1 + Option.value (Hashtbl.find_opt t.lan_sources src_ip) ~default:0);
+  not (Ip.Prefix.mem dst_ip t.lan_prefix)
+
+(* Data frames are read in place; ARP, DNS, ICMP, and every frame the
+   in-place reader rejects, are decoded. *)
 let deliver t frame =
   t.rx <- t.rx + String.length frame;
-  match Packet.decode frame with
-  | Error msg -> Log.debug (fun m -> m "undecodable upstream frame: %s" msg)
-  | Ok pkt -> (
-      match pkt.Packet.l3 with
-      | Packet.Arp arp when arp.Arp.op = Arp.Request ->
-          (* proxy-ARP for everything outside the home prefix *)
-          if not (Ip.Prefix.mem arp.Arp.target_ip t.lan_prefix) then begin
-            let reply = Arp.reply_to arp ~responder_mac:mac in
-            transmit t (Packet.encode (Packet.arp_packet ~src_mac:mac reply))
-          end
-      | Packet.Arp _ -> ()
-      | Packet.Ipv4 (ip_hdr, l4) -> (
-          (* private source addresses reaching the ISP are a leak unless
-             the router NATs (used by the NAT tests) *)
-          if Ip.Prefix.mem ip_hdr.Ipv4.src t.lan_prefix then
-            Hashtbl.replace t.lan_sources ip_hdr.Ipv4.src
-              (1 + Option.value (Hashtbl.find_opt t.lan_sources ip_hdr.Ipv4.src) ~default:0);
-          if Ip.Prefix.mem ip_hdr.Ipv4.dst t.lan_prefix then
-            (* not upstream traffic; a bridged switch may flood it here *)
-            ()
-          else
-            match l4 with
-            | Packet.Tcp seg -> handle_tcp t pkt ip_hdr seg
-            | Packet.Udp u -> handle_udp t pkt ip_hdr u
-            | Packet.Icmp icmp when icmp.Icmp.typ = 8 ->
-                reply_ip t ~to_:pkt (Packet.Icmp (Icmp.echo_reply_to icmp))
-                  ~src_ip:ip_hdr.Ipv4.dst
-            | Packet.Icmp _ | Packet.Raw_l4 _ -> ())
-      | Packet.Raw_l3 _ -> ())
+  let l4 = Frame.check frame in
+  if answered_in_place frame ~l4 then begin
+    let src_ip = Frame.ip_src frame and dst_ip = Frame.ip_dst frame in
+    if upstream t ~src_ip ~dst_ip then handle_data t frame ~l4 ~src_ip ~dst_ip
+  end
+  else
+    match Packet.decode frame with
+    | Error msg -> Log.debug (fun m -> m "undecodable upstream frame: %s" msg)
+    | Ok pkt -> (
+        match pkt.Packet.l3 with
+        | Packet.Arp arp when arp.Arp.op = Arp.Request ->
+            (* proxy-ARP for everything outside the home prefix *)
+            if not (Ip.Prefix.mem arp.Arp.target_ip t.lan_prefix) then begin
+              let reply = Arp.reply_to arp ~responder_mac:mac in
+              transmit t (Packet.encode (Packet.arp_packet ~src_mac:mac reply))
+            end
+        | Packet.Arp _ | Packet.Raw_l3 _ -> ()
+        | Packet.Ipv4 (ip_hdr, l4) -> (
+            let src_ip = ip_hdr.Ipv4.src and dst_ip = ip_hdr.Ipv4.dst in
+            if upstream t ~src_ip ~dst_ip then
+              let dst_mac = pkt.Packet.eth.Ethernet.src in
+              let reply = reply_ip t ~dst_mac ~dst_ip:src_ip ~src_ip:dst_ip in
+              match l4 with
+              | Packet.Udp u when u.Udp.dst_port = 53 && Ip.equal dst_ip resolver_ip -> (
+                  match Dns_wire.decode u.Udp.payload with
+                  | Ok query when not query.Dns_wire.is_response ->
+                      let resp = answer_dns t query in
+                      let payload = Dns_wire.encode resp in
+                      reply (Packet.Udp { Udp.src_port = 53; dst_port = u.Udp.src_port; payload })
+                  | Ok _ | Error _ -> ())
+              | Packet.Icmp icmp when icmp.Icmp.typ = 8 ->
+                  reply (Packet.Icmp (Icmp.echo_reply_to icmp))
+              | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ | Packet.Raw_l4 _ -> ()))

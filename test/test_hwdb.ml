@@ -226,6 +226,30 @@ let test_table_append_allocates_nothing () =
   Alcotest.(check (float 0.)) "words for 1000 appends" 0. words;
   Alcotest.(check int) "full" 64 (Table.length t)
 
+let test_record_flow_allocates_its_row () =
+  (* a producer builds its row as the array the table stores: ~25 words
+     a call (the 7-cell array, five boxed integer cells, the insert
+     itself and its sampled latency), where a cell list handed to the
+     table to copy added 21 more *)
+  let db = fresh_db () in
+  let src_ip = Value.Str "10.0.0.5" and dst_ip = Value.Str "93.184.216.34" in
+  let record () =
+    Database.record_flow db ~proto:6 ~src_ip ~dst_ip ~src_port:40000 ~dst_port:80
+      ~packets:1500 ~bytes:2_000_000
+  in
+  for _ = 1 to 5000 do
+    record ()
+  done;
+  let words =
+    alloc_words (fun () ->
+        for _ = 1 to 1000 do
+          record ()
+        done)
+    /. 1000.
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per record_flow (at most 26)" words) true
+    (words <= 26.)
+
 (* the newest row's cells *)
 let newest_row t =
   Table.row t (Option.get (Table.fold_window t (`Last_rows 1) ~init:None ~f:(fun _ p -> Some p)))
@@ -1345,6 +1369,8 @@ let () =
           Alcotest.test_case "triggers" `Quick test_table_triggers;
           Alcotest.test_case "trigger registration order" `Quick test_trigger_registration_order;
           Alcotest.test_case "append allocates nothing" `Quick test_table_append_allocates_nothing;
+          Alcotest.test_case "record_flow allocates its row" `Quick
+            test_record_flow_allocates_its_row;
           Alcotest.test_case "hooks get the stored row" `Quick test_table_hook_gets_stored_row;
           Alcotest.test_case "positions are checked" `Quick test_table_position_checked;
           Alcotest.test_case "insert shares small-integer cells" `Quick

@@ -548,6 +548,69 @@ let test_flows_golden () =
   Alcotest.(check (pair int string))
     "NAT home" (921, "ebfd203dfd4bc3c45eb0281b09c4b0ad") (flows_dump nat)
 
+(* A simulated home's traffic, pinned to literals: a UDP streamer (the
+   perfbench stream profile at a tenth of its packet size) and two web
+   clients run 120 s from one seed, the streamer power-cycled in the
+   middle of a stream. A simulator change that alters what the router
+   sees (a frame, an instant, a count) fails here. *)
+let test_home_traffic_pinned () =
+  let home = Home.create ~seed:21 () in
+  let stream =
+    {
+      App_profile.voip with
+      App_profile.app_name = "stream";
+      dst_host = "video.example.com";
+      dst_port = 9000;
+      session_mean_interval = 5.;
+      session_duration = 10.;
+      request_bytes = 78_000;
+      packet_size = 100;
+    }
+  in
+  let add config =
+    Dhcp_server.permit (Router.dhcp (Home.router home)) config.Device.mac;
+    Home.add_device home config
+  in
+  let streamer = add (Device.wired ~name:"streamer" ~mac:(mac 1) [ stream ]) in
+  ignore (add (Device.wireless ~distance_m:6. ~name:"laptop" ~mac:(mac 2) [ App_profile.web ]));
+  ignore (add (Device.wired ~name:"desktop" ~mac:(mac 3) [ App_profile.web; App_profile.https ]));
+  Home.run_for home 60.;
+  Device.stop streamer;
+  Home.run_for home 1.;
+  Device.start streamer;
+  Home.run_for home 59.;
+  let traffic d =
+    let st = Device.stats d in
+    ( Device.name d,
+      [ st.Device.tx_packets; st.Device.tx_bytes; st.Device.rx_packets; st.Device.rx_bytes ] )
+  in
+  let rt = Home.router home in
+  let counter name =
+    match Hw_metrics.Registry.find (Router.metrics rt) name with
+    | Some (Hw_metrics.Registry.Counter c) -> Hw_metrics.Counter.value c
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  let flows =
+    Hw_hwdb.Table.total_inserted (Option.get (Hw_hwdb.Database.table (Router.db rt) "Flows"))
+  in
+  let net = Home.internet home in
+  Alcotest.(check (list (pair string (list int))))
+    "per device: tx packets, bytes; rx packets, bytes"
+    [
+      ("streamer", [ 22111; 3140291; 22100; 3138412 ]);
+      ("laptop", [ 58; 24621; 355; 439710 ]);
+      ("desktop", [ 131; 63377; 787; 1000096 ]);
+    ]
+    (List.map traffic (Home.devices home));
+  Alcotest.(check (list int)) "internet rx, tx bytes; datapath frames; Flows rows"
+    [ 3225382; 5952026; 45522; 806 ]
+    [
+      Hw_sim.Internet.rx_bytes net;
+      Hw_sim.Internet.tx_bytes net;
+      counter "dp_rx_frames_total";
+      flows;
+    ]
+
 (* Bytes are conserved from the datapath to Flows in a NAT home whose
    device is denied mid-traffic, 0.6 s after a poll, six times: every
    byte a measured flow counted, inbound halves included, reaches a
@@ -906,6 +969,7 @@ let () =
           Alcotest.test_case "poll allocation bound" `Quick test_poll_allocation_bound;
           Alcotest.test_case "NAT inbound tail conserved" `Quick test_nat_inbound_tail_conserved;
           Alcotest.test_case "Flows golden" `Quick test_flows_golden;
+          Alcotest.test_case "home traffic pinned" `Quick test_home_traffic_pinned;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
           Alcotest.test_case "Links rows share their cells" `Quick test_links_rows_share_cells;
         ] );

@@ -906,6 +906,57 @@ let prop_fields_of_frame_differential =
            (Hw_util.Wire.hex_dump (String.sub frame 0 (min 96 (String.length frame))))))
     (fun frame -> Ofp_match.fields_of_frame ~in_port:7 frame = decode_then_fields ~in_port:7 frame)
 
+(* The in-place reader against the decoder, field by field: it accepts
+   exactly the frames [Packet.decode] accepts and reads what the decoded
+   packet holds. *)
+let frame_reads_as_decoded frame =
+  match Packet.decode frame with
+  | Error _ -> Frame.check frame = -1
+  | Ok pkt -> (
+      let eth = pkt.Packet.eth in
+      Frame.ethertype frame = eth.Ethernet.ethertype
+      && Mac.equal (Frame.src_mac frame) eth.Ethernet.src
+      && Mac.equal (Frame.dst_mac frame) eth.Ethernet.dst
+      &&
+      match pkt.Packet.l3 with
+      | Packet.Raw_l3 _ -> Frame.check frame = 0
+      | Packet.Arp a ->
+          Frame.check frame = 0
+          && Frame.arp_op frame = (match a.Arp.op with Arp.Request -> 1 | Arp.Reply -> 2)
+          && Ip.equal (Frame.arp_sender_ip frame) a.Arp.sender_ip
+          && Ip.equal (Frame.arp_target_ip frame) a.Arp.target_ip
+      | Packet.Ipv4 (ip, l4) -> (
+          Frame.ip_proto frame = ip.Ipv4.protocol
+          && Frame.ip_tos frame = ip.Ipv4.dscp lsl 2
+          && Ip.equal (Frame.ip_src frame) ip.Ipv4.src
+          && Ip.equal (Frame.ip_dst frame) ip.Ipv4.dst
+          &&
+          match l4 with
+          | Packet.Udp u ->
+              Frame.check frame = Ipv4.proto_udp
+              && Frame.src_port frame = u.Udp.src_port
+              && Frame.dst_port frame = u.Udp.dst_port
+              && Frame.payload_length frame = String.length u.Udp.payload
+          | Packet.Tcp seg ->
+              Frame.check frame = Ipv4.proto_tcp
+              && Frame.src_port frame = seg.Tcp.src_port
+              && Frame.dst_port frame = seg.Tcp.dst_port
+              && Int32.equal (Frame.tcp_seq frame) seg.Tcp.seq
+              && Frame.tcp_flags frame = seg.Tcp.flags
+              && Frame.payload_length frame = String.length seg.Tcp.payload
+          | Packet.Icmp i ->
+              Frame.check frame = Ipv4.proto_icmp
+              && Frame.icmp_type frame = i.Icmp.typ
+              && Frame.icmp_code frame = i.Icmp.code
+          | Packet.Raw_l4 _ -> Frame.check frame = 0))
+
+let prop_frame_reader_differential =
+  QCheck.Test.make ~name:"Frame reader = Packet.decode (20k)" ~count:20_000
+    (QCheck.make Frame_gen.frame ~print:(fun frame ->
+         Printf.sprintf "%d bytes\n%s" (String.length frame)
+           (Hw_util.Wire.hex_dump (String.sub frame 0 (min 96 (String.length frame))))))
+    frame_reads_as_decoded
+
 (* The differential only means something if both outcomes are common. *)
 let test_frame_gen_covers_both_outcomes () =
   let frames =
@@ -977,6 +1028,7 @@ let () =
           Alcotest.test_case "generator covers both outcomes" `Quick
             test_frame_gen_covers_both_outcomes;
           QCheck_alcotest.to_alcotest prop_fields_of_frame_differential;
+          QCheck_alcotest.to_alcotest prop_frame_reader_differential;
         ] );
       ( "actions",
         [

@@ -319,6 +319,93 @@ let test_internet_icmp_echo () =
       Alcotest.(check bool) "from pinged address" true (Ip.equal ip.Ipv4.src dst_ip)
   | _ -> Alcotest.fail "no echo reply"
 
+(* Data frames are answered from the fields read in place: the reply
+   goes to the sender's MAC and address, from the address it was sent
+   to, ports swapped, sized by the port's factor. *)
+let with_ip_options (pkt : Packet.t) =
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, l4) ->
+      { pkt with Packet.l3 = Packet.Ipv4 ({ ip with Ipv4.options = "\001\001\001\000" }, l4) }
+  | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
+
+let test_internet_answers_data_frames () =
+  let loop, net, received = make_internet () in
+  let sip = Option.get (Internet.lookup_zone net "sip.example.com") in
+  Internet.deliver net
+    (Packet.encode
+       (Packet.udp_packet ~src_mac:client_mac ~dst_mac:Internet.mac ~src_ip:client_ip ~dst_ip:sip
+          ~src_port:40001 ~dst_port:5060 (String.make 300 'u')));
+  drain loop;
+  (match decode_all !received with
+  | [ { Packet.eth; l3 = Packet.Ipv4 (ip, Packet.Udp u) } ] ->
+      Alcotest.(check bool) "to the sender's MAC" true (Mac.equal eth.Ethernet.dst client_mac);
+      Alcotest.(check bool) "from the address sent to" true (Ip.equal ip.Ipv4.src sip);
+      Alcotest.(check bool) "to the sender" true (Ip.equal ip.Ipv4.dst client_ip);
+      Alcotest.(check (pair int int))
+        "ports swapped" (5060, 40001) (u.Udp.src_port, u.Udp.dst_port);
+      Alcotest.(check int) "1x response" 300 (String.length u.Udp.payload)
+  | _ -> Alcotest.fail "no UDP reply");
+  (* a TCP segment whose IPv4 header carries options *)
+  received := [];
+  let web = Option.get (Internet.lookup_zone net "www.example.com") in
+  let segment ?flags ?seq payload =
+    Packet.encode
+      (with_ip_options
+         (Packet.tcp_packet ?flags ?seq ~src_mac:client_mac ~dst_mac:Internet.mac ~src_ip:client_ip
+            ~dst_ip:web ~src_port:40002 ~dst_port:80 payload))
+  in
+  Internet.deliver net (segment ~flags:Tcp.syn_flag ~seq:1000l "");
+  drain loop;
+  (match decode_all !received with
+  | [ { Packet.l3 = Packet.Ipv4 (ip, Packet.Tcp seg); _ } ] ->
+      Alcotest.(check bool) "syn/ack" true (seg.Tcp.flags.Tcp.syn && seg.Tcp.flags.Tcp.ack);
+      Alcotest.(check int32) "acks seq + 1" 1001l seg.Tcp.ack_no;
+      Alcotest.(check (pair int int))
+        "ports swapped" (80, 40002) (seg.Tcp.src_port, seg.Tcp.dst_port);
+      Alcotest.(check bool) "from the server" true (Ip.equal ip.Ipv4.src web)
+  | _ -> Alcotest.fail "no syn/ack");
+  received := [];
+  Internet.deliver net (segment (String.make 100 'q'));
+  Event_loop.run_for loop 2.;
+  let response_bytes =
+    List.fold_left
+      (fun acc pkt ->
+        match pkt.Packet.l3 with
+        | Packet.Ipv4 (_, Packet.Tcp seg) -> acc + String.length seg.Tcp.payload
+        | _ -> acc)
+      0 (decode_all !received)
+  in
+  Alcotest.(check int) "20x response to the payload past the options" 2000 response_bytes
+
+(* A fragment is not parsed and a frame with a bad IP header checksum
+   does not decode: neither is answered, as neither was when every
+   frame went through [Packet.decode]. *)
+let test_internet_ignores_fragments_and_bad_checksums () =
+  let loop, net, received = make_internet () in
+  let sip = Option.get (Internet.lookup_zone net "sip.example.com") in
+  let udp =
+    Packet.udp_packet ~src_mac:client_mac ~dst_mac:Internet.mac ~src_ip:client_ip ~dst_ip:sip
+      ~src_port:40001 ~dst_port:5060 (String.make 300 'u')
+  in
+  let fragment =
+    match udp.Packet.l3 with
+    | Packet.Ipv4 (ip, l4) ->
+        Packet.encode
+          {
+            udp with
+            Packet.l3 =
+              Packet.Ipv4 ({ ip with Ipv4.more_fragments = true; dont_fragment = false }, l4);
+          }
+    | Packet.Arp _ | Packet.Raw_l3 _ -> assert false
+  in
+  let bad_checksum = Bytes.of_string (Packet.encode udp) in
+  Bytes.set_uint8 bad_checksum 25 (Bytes.get_uint8 bad_checksum 25 lxor 1);
+  Internet.deliver net fragment;
+  Internet.deliver net (Bytes.to_string bad_checksum);
+  drain loop;
+  Alcotest.(check int) "no reply" 0 (List.length !received);
+  Alcotest.(check int) "both received" (2 * String.length fragment) (Internet.rx_bytes net)
+
 (* ------------------------------------------------------------------ *)
 (* Device against a scripted wire                                      *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +590,220 @@ let test_device_ignores_other_stations_frames () =
   | [ { Packet.l3 = Packet.Arp { Arp.op = Arp.Reply; _ }; _ } ] -> ()
   | _ -> Alcotest.fail "no ARP reply when addressed to it"
 
+(* A device on a scripted wire: a server at 10.0.0.1 answers its DHCP
+   messages and DNS queries 1 ms later (a lease too long to renew here;
+   every name resolves to [stream_ip]) and every ARP request at once.
+   [data] holds the send instants of the device's UDP frames to 5060,
+   newest first; [dns_answered] the instant the last DNS answer was
+   delivered. *)
+type wire = {
+  loop : Event_loop.t;
+  device : Device.t;
+  data : float list ref;
+  dns_answered : float ref;
+}
+
+let server_mac = Mac.local 0xaa
+let server_ip = Ip.of_octets 10 0 0 1
+let lease_ip = Ip.of_octets 10 0 0 77
+let stream_ip = Ip.of_octets 93 184 216 12
+
+let scripted_device apps =
+  let loop = Event_loop.create () in
+  let data = ref [] and dns_answered = ref nan and device = ref None in
+  let deliver frame = Device.deliver (Option.get !device) frame in
+  let later f = Event_loop.after loop 0.001 f in
+  let answer frame =
+    match Packet.decode frame with
+    | Ok { Packet.l3 = Packet.Arp ({ Arp.op = Arp.Request; _ } as req); _ } ->
+        deliver
+          (Packet.encode
+             (Packet.arp_packet ~src_mac:server_mac (Arp.reply_to req ~responder_mac:server_mac)))
+    | Ok { Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ }
+      when u.Udp.dst_port = Dhcp_wire.server_port -> (
+        let req = Result.get_ok (Dhcp_wire.decode u.Udp.payload) in
+        let reply kind =
+          later (fun () ->
+              deliver
+                (Packet.encode
+                   (Packet.dhcp_packet ~src_mac:server_mac ~dst_mac:Mac.broadcast ~src_ip:server_ip
+                      ~dst_ip:Ip.broadcast
+                      (Dhcp_wire.make_reply
+                         ~options:
+                           [
+                             Dhcp_wire.Server_id server_ip;
+                             Dhcp_wire.Lease_time 1_000_000l;
+                             Dhcp_wire.Dns_servers [ server_ip ];
+                           ]
+                         ~xid:req.Dhcp_wire.xid ~chaddr:client_mac ~yiaddr:lease_ip
+                         ~siaddr:server_ip kind))))
+        in
+        match Dhcp_wire.find_message_type req with
+        | Some Dhcp_wire.Discover -> reply Dhcp_wire.Offer
+        | Some Dhcp_wire.Request -> reply Dhcp_wire.Ack
+        | _ -> ())
+    | Ok { Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ } when u.Udp.dst_port = 53 ->
+        let query = Result.get_ok (Dns_wire.decode u.Udp.payload) in
+        let qname = (List.hd query.Dns_wire.questions).Dns_wire.qname in
+        let resp = Dns_wire.response ~answers:[ Dns_wire.a_record qname stream_ip ] query in
+        later (fun () ->
+            dns_answered := Event_loop.now loop;
+            deliver
+              (Packet.encode
+                 (Packet.dns_response_packet ~src_mac:server_mac ~dst_mac:client_mac
+                    ~src_ip:server_ip ~dst_ip:lease_ip ~dst_port:u.Udp.src_port resp)))
+    | Ok { Packet.l3 = Packet.Ipv4 (_, Packet.Udp u); _ } when u.Udp.dst_port = 5060 ->
+        data := Event_loop.now loop :: !data
+    | _ -> ()
+  in
+  let d =
+    Device.create
+      ~config:(Device.wired ~name:"streamer" ~mac:client_mac apps)
+      ~loop ~send:answer ()
+  in
+  device := Some d;
+  Device.start d;
+  { loop; device = d; data; dns_answered }
+
+(* 780 packets of 100 bytes over 10 s, and sessions rare enough that the
+   first one starts well after the lease is bound and no second one
+   starts within these tests *)
+let stream_app =
+  {
+    App_profile.voip with
+    App_profile.app_name = "stream";
+    session_mean_interval = 10_000.;
+    session_duration = 10.;
+    request_bytes = 78_000;
+    packet_size = 100;
+  }
+
+let packets = 780
+let spacing = 10. /. float_of_int packets
+
+(* bound, past the DHCP request's timeout, and before the first session:
+   the events pending now (the next session's start, the renewal) are
+   the device's own, not a session's *)
+let idle_stream_device () =
+  let w = scripted_device [ stream_app ] in
+  Event_loop.run_for w.loop 10.;
+  Alcotest.(check bool) "bound" true (Device.dhcp_state w.device = Device.Bound);
+  Alcotest.(check int) "no session yet" 0 (List.length !(w.data));
+  (w, Event_loop.pending w.loop)
+
+let step_until w n =
+  let most = ref 0 in
+  while List.length !(w.data) < n do
+    ignore (Event_loop.step w.loop);
+    if !(w.data) <> [] then most := max !most (Event_loop.pending w.loop)
+  done;
+  !most
+
+(* A session keeps one pending event (plus its DNS lookup's timeout for
+   the first 5 s), and each packet leaves at exactly [t0 + spacing * i],
+   [t0] being the instant the lookup was answered. *)
+let test_session_keeps_one_event () =
+  let w, idle = idle_stream_device () in
+  let most = step_until w packets in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events pending during the session, %d before it" most idle)
+    true
+    (most <= idle + 2);
+  let t0 = !(w.dns_answered) in
+  List.iteri
+    (fun i at ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "packet %d" (i + 1))
+        (t0 +. (spacing *. float_of_int (i + 1)))
+        at)
+    (List.rev !(w.data));
+  Event_loop.run_for w.loop 10.;
+  Alcotest.(check int) "only the device's own events after it" idle (Event_loop.pending w.loop)
+
+(* A device stopped mid-session sends nothing more, and once the
+   session's next packet instant has passed none of its events is left. *)
+let test_stopped_session_ends () =
+  let w, idle = idle_stream_device () in
+  ignore (step_until w 400);
+  Device.stop w.device;
+  Event_loop.run_until w.loop (!(w.dns_answered) +. (spacing *. 401.));
+  Alcotest.(check int) "no packet after the stop" 400 (List.length !(w.data));
+  Alcotest.(check int) "no event of the session pending" idle (Event_loop.pending w.loop)
+
+(* A data frame is counted from its bytes in place; one whose IP header
+   checksum fails does not decode and is not counted, as before. *)
+let test_device_counts_data_frames () =
+  let w = scripted_device [] in
+  Event_loop.run_for w.loop 1.;
+  let st = Device.stats w.device in
+  let rx () = (st.Device.rx_packets, st.Device.rx_bytes) in
+  let before_packets, before_bytes = rx () in
+  let udp =
+    Packet.encode
+      (Packet.udp_packet ~src_mac:server_mac ~dst_mac:client_mac ~src_ip:stream_ip ~dst_ip:lease_ip
+         ~src_port:5060 ~dst_port:40001 (String.make 300 'd'))
+  in
+  let tcp =
+    Packet.encode
+      (with_ip_options
+         (Packet.tcp_packet ~src_mac:server_mac ~dst_mac:client_mac ~src_ip:stream_ip
+            ~dst_ip:lease_ip ~src_port:80 ~dst_port:40002 (String.make 200 'd')))
+  in
+  Device.deliver w.device udp;
+  Device.deliver w.device tcp;
+  Alcotest.(check (pair int int)) "both counted"
+    (before_packets + 2, before_bytes + String.length udp + String.length tcp)
+    (rx ());
+  let corrupt = Bytes.of_string udp in
+  Bytes.set_uint8 corrupt 25 (Bytes.get_uint8 corrupt 25 lxor 1);
+  Device.deliver w.device (Bytes.to_string corrupt);
+  Alcotest.(check (pair int int)) "corrupt frame not counted"
+    (before_packets + 2, before_bytes + String.length udp + String.length tcp)
+    (rx ())
+
+(* ------------------------------------------------------------------ *)
+(* Delay line                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_delay_line_batches () =
+  let loop = Event_loop.create () in
+  let got = ref [] in
+  let line =
+    Delay_line.create ~loop ~delay:0.5 ~deliver:(fun items ->
+        got := (Event_loop.now loop, items) :: !got)
+  in
+  List.iter (Delay_line.push line) [ 1; 2; 3 ];
+  Alcotest.(check int) "one batch for one instant" 1 (Delay_line.pending_batches line);
+  Event_loop.run_until loop 0.25;
+  Delay_line.push line 4;
+  Alcotest.(check int) "a later push opens a second" 2 (Delay_line.pending_batches line);
+  Event_loop.run_until loop 0.5;
+  Alcotest.(check (list (pair (float 0.) (list int)))) "first batch, in push order"
+    [ (0.5, [ 1; 2; 3 ]) ] (List.rev !got);
+  Alcotest.(check int) "second still pending" 1 (Delay_line.pending_batches line);
+  Event_loop.run_until loop 1.;
+  Alcotest.(check (list (pair (float 0.) (list int)))) "each at its first item's instant"
+    [ (0.5, [ 1; 2; 3 ]); (0.75, [ 4 ]) ]
+    (List.rev !got);
+  Alcotest.(check int) "none pending" 0 (Delay_line.pending_batches line)
+
+(* With no delay a batch flushes at the instant it opened; a push made
+   after that (here from its own delivery) opens a new batch. *)
+let test_delay_line_zero_delay () =
+  let loop = Event_loop.create ~start:1. () in
+  let got = ref [] and line = ref None in
+  let deliver items =
+    got := (Event_loop.now loop, items) :: !got;
+    if items = [ "a"; "b" ] then Delay_line.push (Option.get !line) "c"
+  in
+  line := Some (Delay_line.create ~loop ~delay:0. ~deliver);
+  Delay_line.push (Option.get !line) "a";
+  Delay_line.push (Option.get !line) "b";
+  Event_loop.run_until loop 1.;
+  Alcotest.(check (list (pair (float 0.) (list string)))) "two batches at one instant"
+    [ (1., [ "a"; "b" ]); (1., [ "c" ]) ]
+    (List.rev !got);
+  Alcotest.(check int) "none pending" 0 (Delay_line.pending_batches (Option.get !line))
+
 let () =
   Alcotest.run "hw_sim"
     [
@@ -536,6 +837,9 @@ let () =
           Alcotest.test_case "reverse zone" `Quick test_internet_reverse_zone;
           Alcotest.test_case "tcp behaviour" `Quick test_internet_tcp_behaviour;
           Alcotest.test_case "icmp echo" `Quick test_internet_icmp_echo;
+          Alcotest.test_case "answers data frames" `Quick test_internet_answers_data_frames;
+          Alcotest.test_case "ignores fragments, bad checksums" `Quick
+            test_internet_ignores_fragments_and_bad_checksums;
         ] );
       ( "device",
         [
@@ -544,5 +848,13 @@ let () =
           Alcotest.test_case "wireless stats" `Quick test_device_wireless_stats;
           Alcotest.test_case "ignores other stations' frames" `Quick
             test_device_ignores_other_stations_frames;
+          Alcotest.test_case "counts data frames" `Quick test_device_counts_data_frames;
+          Alcotest.test_case "session keeps one event" `Quick test_session_keeps_one_event;
+          Alcotest.test_case "stopped session ends" `Quick test_stopped_session_ends;
+        ] );
+      ( "delay_line",
+        [
+          Alcotest.test_case "batches" `Quick test_delay_line_batches;
+          Alcotest.test_case "zero delay" `Quick test_delay_line_zero_delay;
         ] );
     ]
