@@ -538,17 +538,31 @@ let micro_tests () =
      stabilization compact a large heap) do not distort it *)
   let hwdb_row_tests () =
     (* perfbench's one-shot UI query (and the fleet survey) over 1,000
-       Links rows in 16 groups: a grouped scan's per-row cost *)
-    let links_db =
+       Links rows in 16 groups: a grouped scan's per-row cost, with a
+       fresh MAC cell per row (as RPC INSERTs write them) and with one
+       cell per station (as [Router.report_link] writes them) *)
+    let links_db ~mac =
       let now = ref 0. in
       let db = Hw_hwdb.Database.create ~now:(fun () -> !now) () in
       for i = 0 to 999 do
         now := float_of_int i *. 0.05;
-        Hw_hwdb.Database.record_link db
-          ~mac:(Hw_hwdb.Value.Str (Printf.sprintf "02:00:00:00:00:%02x" (i mod 16)))
-          ~rssi:(-40 - (i mod 30)) ~retries:(i mod 7) ~packets:i
+        Hw_hwdb.Database.record_link db ~mac:(mac (i mod 16)) ~rssi:(-40 - (i mod 30))
+          ~retries:(i mod 7) ~packets:i
       done;
       db
+    in
+    let station i = Printf.sprintf "02:00:00:00:00:%02x" i in
+    let fresh_cells_db = links_db ~mac:(fun i -> Hw_hwdb.Value.Str (station i)) in
+    let shared_cells_db =
+      let cells = Array.init 16 (fun i -> Hw_hwdb.Value.Str (station i)) in
+      links_db ~mac:(Array.get cells)
+    in
+    let survey db =
+      Staged.stage (fun () ->
+          ignore
+            (Hw_hwdb.Database.query db
+               "SELECT mac, AVG(rssi) AS rssi, MAX(retries) AS retries FROM Links [RANGE 60 \
+                SECONDS] GROUP BY mac"))
     in
     (* the tick's Metrics/Traces re-stamp: 1,000 rows rendered once,
        appended again at every tick into a full table without hooks. The
@@ -581,12 +595,8 @@ let micro_tests () =
     in
     let tick = ref 0. in
     [
-      Test.make ~name:"oneshot_group_by/1000_rows_16_groups"
-        (Staged.stage (fun () ->
-             ignore
-               (Hw_hwdb.Database.query links_db
-                  "SELECT mac, AVG(rssi) AS rssi, MAX(retries) AS retries FROM Links [RANGE 60 \
-                   SECONDS] GROUP BY mac")));
+      Test.make ~name:"oneshot_group_by/1000_rows_16_groups" (survey fresh_cells_db);
+      Test.make ~name:"oneshot_group_by/1000_rows_16_groups_shared_cells" (survey shared_cells_db);
       Test.make ~name:"restamp/1000_cached_rows"
         (Staged.stage (fun () ->
              tick := !tick +. 1.;

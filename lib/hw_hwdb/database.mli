@@ -51,7 +51,7 @@ val create :
   ?trace:Hw_trace.Tracer.t ->
   ?durable:string list ->
   ?recover_from:Hw_wal.Store.t ->
-  ?wal_interpose:(string -> write:(string -> unit) -> unit) ->
+  ?wal_interpose:(unit -> Hw_wal.Wal.interposer option) ->
   ?wal_max_pending:int ->
   now:(unit -> float) ->
   unit ->
@@ -70,8 +70,9 @@ val create :
     committed by the next {!tick} (or {!flush_wal}). Snapshots are taken
     automatically every 4x ring-capacity records, truncating the log —
     the store footprint is bounded by live state, not uptime.
-    [wal_interpose] sits between each framed record and the store — the
-    disk fault plane's hook. [wal_max_pending] caps the group-commit
+    [wal_interpose] is asked at each flush for the interposer in force
+    between each framed record and the store — the disk fault plane's
+    hook, [None] while it is disarmed ({!Hw_wal.Wal.open_}). [wal_max_pending] caps the group-commit
     buffer (default 1024 records): a full buffer flushes inline, so an
     idle loop cannot defer durability forever.
 

@@ -7,6 +7,14 @@
    differential suite in test/plan_diff.ml pins it to the per-row
    reference interpreter in test/ref/query_ref.ml.
 
+   A grouped scan costs a few nanoseconds a row: it takes each stored
+   row in place from the table's one fold, finds the row's group
+   through the previous row's group's successor hint when the key cells
+   are the hint's very cells (a router's rows share one cell per
+   address), and reads an aggregate whose argument is a bare column
+   straight from the row. A standing view's SUM/AVG equals the scan's
+   left-to-right float sum bit for bit.
+
    One visible semantic shift: the reference resolves columns lazily
    (per row), so a SELECT naming an unknown or ambiguous column over an
    empty window succeeds there; [prepare] resolves eagerly and reports
@@ -291,8 +299,12 @@ end)
 type grouped = {
   g_key : Value.t array -> key;
   g_key1 : compiled option; (* single GROUP BY column: exec keys on its one key cell *)
+  g_key_cols : int array option;
+      (* where the GROUP BY columns sit in the row: [None] when one is a
+         single-table [ts], which the row does not hold *)
   g_no_group_by : bool;
   g_aggs : agg array;
+  g_arg_cols : int array; (* per aggregate: its argument's column in the row, or -1 *)
   g_outs : out_item list;
   g_having : having option;
 }
@@ -334,59 +346,74 @@ type total = { mutable sum : float }
 
 type sstate = {
   sa_spec : agg;
+  sa_col : int; (* >= 0: the argument is this column of the row, read in place *)
   mutable sa_n : int; (* rows counted, summed, or compared for MIN/MAX *)
   sa_total : total;
   mutable sa_best : Value.t; (* min/max running best once [sa_n > 0], first-wins on ties *)
   mutable sa_err : string option;
 }
 
-let s_fresh spec =
-  { sa_spec = spec; sa_n = 0; sa_total = { sum = 0. }; sa_best = Value.Str ""; sa_err = None }
+let s_fresh spec col =
+  {
+    sa_spec = spec;
+    sa_col = col;
+    sa_n = 0;
+    sa_total = { sum = 0. };
+    sa_best = Value.Str "";
+    sa_err = None;
+  }
+
+(* Folds one argument value into the aggregate. Integers take the first
+   branch of each case; MIN/MAX compare two integers without a call. *)
+let s_take sa v =
+  match sa.sa_spec with
+  | A_sum _ | A_avg _ -> (
+      match v with
+      | Value.Int i ->
+          sa.sa_total.sum <- sa.sa_total.sum +. float_of_int i;
+          sa.sa_n <- sa.sa_n + 1
+      | Value.Real x | Value.Ts x ->
+          sa.sa_total.sum <- sa.sa_total.sum +. x;
+          sa.sa_n <- sa.sa_n + 1
+      | Value.Str _ | Value.Bool _ ->
+          sa.sa_err <-
+            Some
+              (Printf.sprintf "%s over non-numeric values"
+                 (match sa.sa_spec with A_sum _ -> "SUM" | _ -> "AVG")))
+  | A_min _ | A_max _ -> (
+      let is_max = match sa.sa_spec with A_max _ -> true | _ -> false in
+      if sa.sa_n = 0 then begin
+        sa.sa_best <- v;
+        sa.sa_n <- 1
+      end
+      else
+        match (sa.sa_best, v) with
+        | Value.Int best, Value.Int x -> if (if is_max then x > best else x < best) then sa.sa_best <- v
+        | best, _ -> (
+            match Value.compare_values best v with
+            | c -> if (if is_max then c < 0 else c > 0) then sa.sa_best <- v
+            | exception Invalid_argument msg -> sa.sa_err <- Some msg))
+  | A_count_if _ -> ( match v with Value.Bool false -> () | _ -> sa.sa_n <- sa.sa_n + 1)
+  | A_count | A_invalid _ -> ()
 
 let s_apply sa row =
   match sa.sa_err with
   | Some _ -> () (* the verdict is already sealed: finalize raises *)
   | None -> (
-      match sa.sa_spec with
-      | A_count -> sa.sa_n <- sa.sa_n + 1
-      | A_count_if f -> (
-          match f row with
-          | Value.Bool false -> ()
-          | _ -> sa.sa_n <- sa.sa_n + 1
-          | exception Plan_error msg -> sa.sa_err <- Some msg
-          | exception Invalid_argument msg -> sa.sa_err <- Some msg)
-      | (A_sum f | A_avg f) as a -> (
-          match f row with
-          | Value.Int i ->
-              sa.sa_total.sum <- sa.sa_total.sum +. float_of_int i;
-              sa.sa_n <- sa.sa_n + 1
-          | Value.Real x | Value.Ts x ->
-              sa.sa_total.sum <- sa.sa_total.sum +. x;
-              sa.sa_n <- sa.sa_n + 1
-          | Value.Str _ | Value.Bool _ ->
-              sa.sa_err <-
-                Some
-                  (Printf.sprintf "%s over non-numeric values"
-                     (match a with A_sum _ -> "SUM" | _ -> "AVG"))
-          | exception Plan_error msg -> sa.sa_err <- Some msg
-          | exception Invalid_argument msg -> sa.sa_err <- Some msg)
-      | (A_min f | A_max f) as a -> (
-          match f row with
-          | v -> (
-              if sa.sa_n = 0 then begin
-                sa.sa_best <- v;
-                sa.sa_n <- 1
-              end
-              else
-                let is_min = match a with A_min _ -> true | _ -> false in
-                match Value.compare_values sa.sa_best v with
-                | c ->
-                    if (is_min && c <= 0) || ((not is_min) && c >= 0) then ()
-                    else sa.sa_best <- v
-                | exception Invalid_argument msg -> sa.sa_err <- Some msg)
-          | exception Plan_error msg -> sa.sa_err <- Some msg
-          | exception Invalid_argument msg -> sa.sa_err <- Some msg)
-      | A_invalid _ -> () (* finalize raises unconditionally *))
+      let col = sa.sa_col in
+      if col >= 0 then
+        (* what the column's closure would raise on a short row *)
+        if col < Array.length row then s_take sa (Array.unsafe_get row col)
+        else sa.sa_err <- Some "index out of bounds"
+      else
+        match sa.sa_spec with
+        | A_count -> sa.sa_n <- sa.sa_n + 1
+        | A_count_if f | A_sum f | A_avg f | A_min f | A_max f -> (
+            match f row with
+            | v -> s_take sa v
+            | exception Plan_error msg -> sa.sa_err <- Some msg
+            | exception Invalid_argument msg -> sa.sa_err <- Some msg)
+        | A_invalid _ -> () (* finalize raises unconditionally *))
 
 let s_finalize sa =
   (match sa.sa_err with Some msg -> fail_str msg | None -> ());
@@ -488,6 +515,7 @@ let prepare ~lookup (q : Ast.select) =
       end
       else begin
         let aggs = ref [] in
+        let arg_cols = ref [] in
         let n_aggs = ref 0 in
         let add_agg fn arg =
           let a =
@@ -501,9 +529,17 @@ let prepare ~lookup (q : Ast.select) =
             | (Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), None ->
                 A_invalid (Printf.sprintf "%s requires an argument" (Ast.agg_to_string fn))
           in
+          (* a bare column is read from the row in place; a single-table
+             [ts] ([stamp_index], -1) is not in the row *)
+          let col =
+            match arg with
+            | Some (Ast.Col (q, n)) -> (find_binding scope.binds (q, n)).index
+            | _ -> -1
+          in
           let i = !n_aggs in
           incr n_aggs;
           aggs := a :: !aggs;
+          arg_cols := col :: !arg_cols;
           i
         in
         let outs =
@@ -534,12 +570,16 @@ let prepare ~lookup (q : Ast.select) =
             q.Ast.group_by key_fns
         in
         let rec key row = function [] -> [] | f :: fs -> f row :: key row fs in
+        let key_cols = List.map (fun col -> (find_binding scope.binds col).index) q.Ast.group_by in
         P_grouped
           {
             g_key = (fun row -> key row key_cells);
             g_key1 = (match key_cells with [ f ] -> Some f | _ -> None);
+            g_key_cols =
+              (if List.mem stamp_index key_cols then None else Some (Array.of_list key_cols));
             g_no_group_by = q.Ast.group_by = [];
             g_aggs = Array.of_list (List.rev !aggs);
+            g_arg_cols = Array.of_list (List.rev !arg_cols);
             g_outs = outs;
             g_having = having;
           }
@@ -595,41 +635,43 @@ let window_spec ~now : Ast.window -> Table.window = function
   | Ast.W_now -> `Now now
 
 (* A combined row [| ts; v1..vn |] for the join path, fresh per row. *)
-let full_row table p =
-  let vs = Table.row table p in
-  let n = Array.length vs in
-  let row = Array.make (n + 1) (Value.Ts (Table.stamp table p)) in
-  Array.blit vs 0 row 1 n;
-  row
+let full_row table row p =
+  let n = Array.length row in
+  let full = Array.make (n + 1) (Value.Ts (Table.stamp table p)) in
+  Array.blit row 0 full 1 n;
+  full
 
-(* Folds [f] over the rows of the plan's window that pass its WHERE. A
-   single-table plan hands [f] each stored row in place (never mutate
-   or extend it; keeping it is safe, stored rows are immutable) and
-   writes the row's timestamp to [p_cell] only when a closure reads it.
-   Join rows are fresh per pair. *)
+(* Folds [f] over the rows of the plan's window that pass its WHERE,
+   with the table's callback shape: a single-table plan hands [f] each
+   stored row in place (never mutate or extend it; keeping it is safe,
+   stored rows are immutable) with its position, and reads the row's
+   timestamp into [p_cell] only when a closure reads it; with neither a
+   WHERE nor a [ts] to read, [f] is the table fold's own callback. Join
+   rows are fresh per pair, with the left row's position. *)
 let fold_rows t ~now ~init ~f =
   let spec = window_spec ~now t.p_window in
   let f =
     match t.p_where with
     | None -> f
-    | Some pred -> fun acc row -> if pred row then f acc row else acc
+    | Some pred -> fun acc row p -> if pred row then f acc row p else acc
   in
   match t.p_tables with
   | [ table ] ->
       if t.p_needs_ts then begin
         let cell = t.p_cell in
-        Table.fold_window table spec ~init ~f:(fun acc p ->
+        Table.fold_window table spec ~init ~f:(fun acc row p ->
             cell.ts <- Table.stamp table p;
-            f acc (Table.row table p))
+            f acc row p)
       end
-      else Table.fold_window table spec ~init ~f:(fun acc p -> f acc (Table.row table p))
+      else Table.fold_window table spec ~init ~f
   | [ left; right ] ->
       let right_rows =
-        List.rev (Table.fold_window right spec ~init:[] ~f:(fun acc p -> full_row right p :: acc))
+        List.rev
+          (Table.fold_window right spec ~init:[] ~f:(fun acc row p -> full_row right row p :: acc))
       in
-      Table.fold_window left spec ~init ~f:(fun acc p ->
-          let l = full_row left p in
-          List.fold_left (fun acc r -> f acc (Array.append l r)) acc right_rows)
+      Table.fold_window left spec ~init ~f:(fun acc row p ->
+          let l = full_row left row p in
+          List.fold_left (fun acc r -> f acc (Array.append l r) p) acc right_rows)
   | _ -> fail "FROM supports one or two tables"
 
 (* Sort over the key column extracted once per row, so the comparator
@@ -686,9 +728,14 @@ type gslot = {
   gs_rep : Value.t array; (* first row seen: stored rows are immutable, join rows fresh *)
   gs_rep_ts : float; (* its timestamp, for a single-table plan that reads it *)
   gs_states : sstate array;
+  mutable gs_next : gslot;
+      (* successor hint: the group of the row that followed this group's
+         last row, in this execution *)
 }
 
-let no_group =
+(* the probes' miss; it is shared by every execution, so nothing ever
+   writes its hint *)
+let rec no_group =
   {
     gs_fp = 0;
     gs_k1 = Value.Bool false;
@@ -696,6 +743,7 @@ let no_group =
     gs_rep = [||];
     gs_rep_ts = 0.;
     gs_states = [||];
+    gs_next = no_group;
   }
 
 (* The groups of one exec. Up to [max_linear_groups] live in a small
@@ -796,6 +844,25 @@ let apply_states states row =
    HAVING column fails as the reference's read of an empty row does *)
 let no_row_column () = invalid_arg "index out of bounds"
 
+(* Whether [row] holds, at each key column, the very cell [rep] holds
+   there. Cells are immutable and a key is a function of its columns'
+   cells, so [==] can only confirm an equal key; it never compares
+   text. *)
+let rec same_key_cells cols row rep i =
+  i >= Array.length cols
+  ||
+  let c = Array.unsafe_get cols i in
+  row.(c) == Array.unsafe_get rep c && same_key_cells cols row rep (i + 1)
+
+(* Each row is folded into its group's aggregates as it is scanned. A
+   router writes one row per station in turn, each pointing at the
+   station's one address cell, so the group of a row is usually the
+   group that followed the previous row's group last time: each group
+   keeps that successor as a hint, and a row whose key cells are
+   physically the hint's takes the hint without a fingerprint, a hash
+   or a string compare. A miss (a fresh cell, a new order, a new group)
+   probes as before and moves the hint. The hints live in this
+   execution's groups only. *)
 let exec_grouped t g ~now =
   let gt =
     {
@@ -808,6 +875,7 @@ let exec_grouped t g ~now =
   in
   let cell = t.p_cell in
   let single = g.g_key1 <> None in
+  let fresh_states () = Array.map2 s_fresh g.g_aggs g.g_arg_cols in
   let new_group ~fp ~k1 ~key row =
     let s =
       {
@@ -816,30 +884,57 @@ let exec_grouped t g ~now =
         gs_key = key;
         gs_rep = row;
         gs_rep_ts = cell.ts;
-        gs_states = Array.map s_fresh g.g_aggs;
+        gs_states = fresh_states ();
+        gs_next = no_group;
       }
     in
     add_group gt ~single s;
     s
   in
+  (* the row's group after a missed hint; [prev] is the previous row's *)
+  let missed prev s =
+    if prev != no_group then prev.gs_next <- s;
+    s
+  in
+  let hinted, cols =
+    match g.g_key_cols with Some cols -> (true, cols) | None -> (false, [||])
+  in
   (match g.g_key1 with
   | Some kf ->
-      fold_rows t ~now ~init:() ~f:(fun () row ->
-          let k = kf row in
-          let fp = cell_fp 0 k in
-          let s = find_k1 gt fp k in
-          let s = if s == no_group then new_group ~fp ~k1:k ~key:[] row else s in
-          apply_states s.gs_states row)
+      let c = if hinted then cols.(0) else 0 in
+      ignore
+        (fold_rows t ~now ~init:no_group ~f:(fun prev row _ ->
+             let hint = prev.gs_next in
+             let s =
+               if hinted && hint != no_group && row.(c) == Array.unsafe_get hint.gs_rep c then hint
+               else begin
+                 let k = kf row in
+                 let fp = cell_fp 0 k in
+                 let s = find_k1 gt fp k in
+                 missed prev (if s == no_group then new_group ~fp ~k1:k ~key:[] row else s)
+               end
+             in
+             apply_states s.gs_states row;
+             s))
   | None ->
-      fold_rows t ~now ~init:() ~f:(fun () row ->
-          let key = g.g_key row in
-          let fp = key_fp key in
-          let s = find_key gt fp key in
-          let s = if s == no_group then new_group ~fp ~k1:no_group.gs_k1 ~key row else s in
-          apply_states s.gs_states row));
+      ignore
+        (fold_rows t ~now ~init:no_group ~f:(fun prev row _ ->
+             let hint = prev.gs_next in
+             let s =
+               if hinted && hint != no_group && same_key_cells cols row hint.gs_rep 0 then hint
+               else begin
+                 let key = g.g_key row in
+                 let fp = key_fp key in
+                 let s = find_key gt fp key in
+                 missed prev
+                   (if s == no_group then new_group ~fp ~k1:no_group.gs_k1 ~key row else s)
+               end
+             in
+             apply_states s.gs_states row;
+             s)));
   let groups =
     if g.g_no_group_by && gt.gt_order = [] then
-      [ { no_group with gs_states = Array.map s_fresh g.g_aggs } ]
+      [ { no_group with gs_states = fresh_states () } ]
     else List.rev gt.gt_order
   in
   let group_passes s =
@@ -874,7 +969,7 @@ let exec t ~now =
     let out_rows =
       match t.p_shape with
       | P_scalar project ->
-          List.rev (fold_rows t ~now ~init:[] ~f:(fun acc row -> project row :: acc))
+          List.rev (fold_rows t ~now ~init:[] ~f:(fun acc row _ -> project row :: acc))
       | P_grouped g -> exec_grouped t g ~now
     in
     let out_rows = apply_limit t (apply_order t out_rows) in
@@ -930,10 +1025,27 @@ module Inc = struct
     mm_errs : string Queue.t;
   }
 
+  (* SUM/AVG over the window. A float total kept by adding and
+     subtracting contributions would drift from the scan's left-to-right
+     sum as soon as one rounds, so the running total is an integer:
+     while every live contribution is an integer of at most [small] and
+     their magnitudes add up to at most 2^53, every partial sum of them,
+     in any order, is exact, so the scan's float sum is [exact] itself.
+     Otherwise {!finalize} re-sums the group's live contributions in
+     window order, as the scan does. *)
+  type sum_state = {
+    mutable exact : int; (* sum of the live small contributions *)
+    mutable magnitude : int; (* sum of their absolute values *)
+    mutable inexact : int; (* live contributions that are not small integers *)
+    mutable sn : int; (* live contributions *)
+    avg : bool;
+    serrs : string Queue.t;
+  }
+
   type agg_state =
     | S_count of { mutable n : int }
     | S_count_if of { mutable n : int; errs : string Queue.t }
-    | S_sum of { mutable total : float; mutable n : int; avg : bool; errs : string Queue.t }
+    | S_sum of sum_state
     | S_minmax of minmax_state
     | S_fail of string
 
@@ -973,8 +1085,16 @@ module Inc = struct
   let fresh_state = function
     | A_count -> S_count { n = 0 }
     | A_count_if _ -> S_count_if { n = 0; errs = Queue.create () }
-    | A_sum _ -> S_sum { total = 0.; n = 0; avg = false; errs = Queue.create () }
-    | A_avg _ -> S_sum { total = 0.; n = 0; avg = true; errs = Queue.create () }
+    | (A_sum _ | A_avg _) as a ->
+        S_sum
+          {
+            exact = 0;
+            magnitude = 0;
+            inexact = 0;
+            sn = 0;
+            avg = (match a with A_avg _ -> true | _ -> false);
+            serrs = Queue.create ();
+          }
     | A_min _ ->
         S_minmax { vals = VM.empty; classes = [| 0; 0; 0 |]; is_min = true; mm_errs = Queue.create () }
     | A_max _ ->
@@ -993,6 +1113,20 @@ module Inc = struct
     | None -> ());
     let c = value_class v in
     s.classes.(c) <- s.classes.(c) - 1
+
+  let small = 1 lsl 31
+  let exact_limit = 1 lsl 53
+  let is_small x = Float.is_integer x && Float.abs x <= float_of_int small
+
+  (* [sign] is 1 for an insert, -1 for a retraction *)
+  let sum_move s x sign =
+    s.sn <- s.sn + sign;
+    if is_small x then begin
+      let i = int_of_float x in
+      s.exact <- s.exact + (sign * i);
+      s.magnitude <- s.magnitude + (sign * abs i)
+    end
+    else s.inexact <- s.inexact + sign
 
   let apply_insert spec st row : contrib =
     match spec, st with
@@ -1017,17 +1151,16 @@ module Inc = struct
         | v -> (
             match Value.as_float v with
             | Some x ->
-                s.total <- s.total +. x;
-                s.n <- s.n + 1;
+                sum_move s x 1;
                 C_num x
             | None ->
-                Queue.add (Printf.sprintf "%s over non-numeric values" name) s.errs;
+                Queue.add (Printf.sprintf "%s over non-numeric values" name) s.serrs;
                 C_err)
         | exception Plan_error msg ->
-            Queue.add msg s.errs;
+            Queue.add msg s.serrs;
             C_err
         | exception Invalid_argument msg ->
-            Queue.add msg s.errs;
+            Queue.add msg s.serrs;
             C_err)
     | (A_min f | A_max f), S_minmax s -> (
         match f row with
@@ -1048,25 +1181,39 @@ module Inc = struct
     | S_count s, C_none -> s.n <- s.n - 1
     | S_count_if s, C_if counted -> if counted then s.n <- s.n - 1
     | S_count_if s, C_err -> ignore (Queue.pop s.errs)
-    | S_sum s, C_num x ->
-        s.total <- s.total -. x;
-        s.n <- s.n - 1
-    | S_sum s, C_err -> ignore (Queue.pop s.errs)
+    | S_sum s, C_num x -> sum_move s x (-1)
+    | S_sum s, C_err -> ignore (Queue.pop s.serrs)
     | S_minmax s, C_val v -> minmax_remove s v
     | S_minmax s, C_err -> ignore (Queue.pop s.mm_errs)
     | _ -> ()
 
-  let finalize st =
-    match st with
+  (* aggregate [i]'s live contributions summed in window order, from
+     0., as the scan sums them *)
+  let resum entries i =
+    Queue.fold
+      (fun acc e ->
+        match e.e_kind with
+        | K_group (_, contribs) -> (
+            match contribs.(i) with C_num x -> acc +. x | _ -> acc)
+        | K_skip | K_poison _ | K_row _ -> acc)
+      0. entries
+
+  (* aggregate [i] of group [gr] *)
+  let finalize gr i =
+    match gr.gr_aggs.(i) with
     | S_count s -> Value.Int s.n
     | S_count_if s ->
         if not (Queue.is_empty s.errs) then fail_str (Queue.peek s.errs);
         Value.Int s.n
     | S_sum s ->
-        if not (Queue.is_empty s.errs) then fail_str (Queue.peek s.errs);
+        if not (Queue.is_empty s.serrs) then fail_str (Queue.peek s.serrs);
+        let total =
+          if s.inexact = 0 && s.magnitude <= exact_limit then float_of_int s.exact
+          else resum gr.gr_entries i
+        in
         if s.avg then
-          if s.n = 0 then Value.Real 0. else Value.Real (s.total /. float_of_int s.n)
-        else Value.Real s.total
+          if s.sn = 0 then Value.Real 0. else Value.Real (total /. float_of_int s.sn)
+        else Value.Real total
     | S_minmax s ->
         if not (Queue.is_empty s.mm_errs) then fail_str (Queue.peek s.mm_errs);
         if VM.is_empty s.vals then Value.Str ""
@@ -1251,14 +1398,14 @@ module Inc = struct
           let representative = first.e_row in
           t.i_plan.p_cell.ts <- first.e_ts;
           let subject_of = function
-            | H_agg i -> finalize gr.gr_aggs.(i)
+            | H_agg i -> finalize gr i
             | H_col f -> f representative
           in
           if not (passes subject_of) then None
           else
             Some
               (List.map
-                 (function O_expr f -> f representative | O_agg i -> finalize gr.gr_aggs.(i))
+                 (function O_expr f -> f representative | O_agg i -> finalize gr i)
                  g.g_outs))
         groups
 

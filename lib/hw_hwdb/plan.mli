@@ -51,7 +51,11 @@ val single_table : t -> Table.t option
     insert stream. Each insert applies an O(1) delta (amortized); rows
     leaving the window (time expiry, ROWS overflow, ring-capacity
     eviction) apply a retraction; [\[NOW\]] windows reset wholesale when
-    a newer batch starts. A view whose table saw no inserts answers from
+    a newer batch starts. A SUM/AVG equals the one-shot scan's
+    left-to-right float sum bit for bit: its running total is exact
+    while the group's live contributions are small integers, and
+    otherwise the group's contributions are re-summed in window order
+    when its result is assembled. A view whose table saw no inserts answers from
     its cached result without touching the window, so N idle
     subscriptions sharing views cost O(new inserts), not
     O(N x window). *)

@@ -179,8 +179,9 @@ module Server = struct
     lease_periods : int;
     send : to_:string -> string -> unit;
     mutable client_subs : client_sub list;
-    (* idempotency: retried requests replay the cached response instead
-       of re-executing the statement *)
+    (* idempotency: a retried statement that changes state replays its
+       cached response instead of executing again; a SELECT keeps no
+       reply and re-executes *)
     dedup : (string, string) Hashtbl.t;
     dedup_order : string Queue.t;
     dedup_cap : int;
@@ -244,6 +245,7 @@ module Server = struct
     t.send ~to_ data
 
   let subscriber_count t = List.length t.client_subs
+  let kept_replies t = Hashtbl.length t.dedup
 
   let evict t cs =
     ignore (Database.unsubscribe t.db cs.cs_id);
@@ -259,10 +261,9 @@ module Server = struct
         result = Some { Query.columns = [ "subscription_id" ]; rows = [ [ Value.Int id ] ] };
       }
 
-  let handle_parsed t ~from seq statement =
-    match Parser.parse statement with
-    | Error msg -> Response_error { seq; message = msg }
-    | Ok (Ast.Subscribe (sel, period)) when period > 0. -> (
+  let handle_stmt t ~from seq statement stmt =
+    match stmt with
+    | Ast.Subscribe (sel, period) when period > 0. -> (
         let key = Printf.sprintf "%s|%g" statement period in
         let lease = float_of_int t.lease_periods *. period in
         match
@@ -286,64 +287,101 @@ module Server = struct
             cs.cs_id <- id;
             t.client_subs <- cs :: t.client_subs;
             sub_ok_response seq id)
-    | Ok (Ast.Unsubscribe id) ->
+    | Ast.Unsubscribe id ->
         if Database.unsubscribe t.db id then begin
           t.client_subs <- List.filter (fun cs -> cs.cs_id <> id) t.client_subs;
           Response_ok { seq; result = None }
         end
         else Response_error { seq; message = Printf.sprintf "no subscription %d" id }
-    | Ok stmt -> (
+    | stmt -> (
         match Database.execute_stmt t.db ~text:statement stmt with
         | Ok result -> Response_ok { seq; result }
         | Error message -> Response_error { seq; message })
 
+  (* The reply, and whether the statement changed state (only such a
+     statement's reply is kept for a retry). Repeated query text
+     (pollers, fleet fan-out) hits the plan cache and executes without
+     parsing at all; everything else parses once and dispatches on the
+     AST — never re-parsing to execute. *)
   let handle_request t ~from seq statement =
-    (* repeated query text (pollers, fleet fan-out) hits the plan cache
-       and executes without parsing at all; everything else parses once
-       and dispatches on the AST — never re-parsing to execute *)
     match Database.cached_select t.db statement with
-    | Some (Ok result) -> Response_ok { seq; result = Some result }
-    | Some (Error message) -> Response_error { seq; message }
-    | None -> handle_parsed t ~from seq statement
+    | Some (Ok result) -> (Response_ok { seq; result = Some result }, false)
+    | Some (Error message) -> (Response_error { seq; message }, false)
+    | None -> (
+        match Parser.parse statement with
+        | Error message -> (Response_error { seq; message }, false)
+        | Ok (Ast.Select _ as stmt) -> (handle_stmt t ~from seq statement stmt, false)
+        | Ok stmt -> (handle_stmt t ~from seq statement stmt, true))
+
+  (* Whether the statement's first token is the SELECT keyword, read in
+     place with the lexer's rules (blanks, case-insensitive keywords,
+     identifier characters): such a statement parses to a SELECT or
+     fails to parse, and changes nothing either way. *)
+  let is_select statement =
+    let n = String.length statement in
+    let rec first i =
+      if i < n && String.contains " \t\n\r" statement.[i] then first (i + 1) else i
+    in
+    let i = first 0 in
+    let rec keyword j =
+      j = 6
+      || Char.equal (Char.uppercase_ascii statement.[i + j]) (String.unsafe_get "SELECT" j)
+         && keyword (j + 1)
+    in
+    i + 6 <= n
+    && keyword 0
+    && (i + 6 = n
+       ||
+       match statement.[i + 6] with
+       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> false
+       | _ -> true)
 
   let handle_datagram t ~from data =
     Hw_metrics.Counter.incr t.m_in;
     match decode data with
     | Ok (Request { seq; statement; ctx }) -> (
-        (* (sender, seq, statement) identifies a request across retries;
-           a hit replays the cached response without re-executing, so a
-           retried INSERT is applied exactly once. Built without Printf,
-           which no other per-request path runs. *)
-        let dkey = from ^ "#" ^ Int32.to_string seq ^ "#" ^ statement in
-        match Hashtbl.find_opt t.dedup dkey with
-        | Some cached ->
-            Hw_metrics.Counter.incr t.m_dedup_hits;
-            send t ~to_:from cached
-        | None ->
-            (* an RPC query is an event lifecycle of its own: root a trace
-               so the statement's hwdb work is causally recorded. A request
-               carrying propagated context roots under the REMOTE trace id
-               instead, stitching this node's spans into the caller's
-               distributed trace. *)
-            let attrs =
-              if Tracer.enabled t.trace then
-                [ ("from", Tracer.Str from); ("statement", Tracer.Str statement) ]
-              else []
-            in
-            let serve () =
-              let response = handle_request t ~from seq statement in
-              let data = encode response in
-              Hashtbl.replace t.dedup dkey data;
-              Queue.add dkey t.dedup_order;
-              if Queue.length t.dedup_order > t.dedup_cap then
-                Hashtbl.remove t.dedup (Queue.pop t.dedup_order);
-              send t ~to_:from data
-            in
-            (match ctx with
-            | Some { trace_id; parent_span } ->
-                Tracer.with_remote_trace t.trace ~trace_id ~parent_span
-                  "rpc.request" ~attrs serve
-            | None -> Tracer.with_trace t.trace "rpc.request" ~attrs serve))
+        (* an RPC query is an event lifecycle of its own: root a trace
+           so the statement's hwdb work is causally recorded. A request
+           carrying propagated context roots under the REMOTE trace id
+           instead, stitching this node's spans into the caller's
+           distributed trace. *)
+        let traced serve =
+          let attrs =
+            if Tracer.enabled t.trace then
+              [ ("from", Tracer.Str from); ("statement", Tracer.Str statement) ]
+            else []
+          in
+          match ctx with
+          | Some { trace_id; parent_span } ->
+              Tracer.with_remote_trace t.trace ~trace_id ~parent_span "rpc.request" ~attrs serve
+          | None -> Tracer.with_trace t.trace "rpc.request" ~attrs serve
+        in
+        if is_select statement then
+          (* a retried SELECT re-executes; the client keeps the first
+             answer *)
+          traced (fun () -> send t ~to_:from (encode (fst (handle_request t ~from seq statement))))
+        else
+          (* (sender, seq, statement) identifies a request across
+             retries; a hit replays the cached response without
+             re-executing, so a retried INSERT is applied exactly once.
+             Built without Printf, which no other per-request path
+             runs. *)
+          let dkey = from ^ "#" ^ Int32.to_string seq ^ "#" ^ statement in
+          match Hashtbl.find_opt t.dedup dkey with
+          | Some cached ->
+              Hw_metrics.Counter.incr t.m_dedup_hits;
+              send t ~to_:from cached
+          | None ->
+              traced (fun () ->
+                  let response, changed = handle_request t ~from seq statement in
+                  let data = encode response in
+                  if changed then begin
+                    Hashtbl.replace t.dedup dkey data;
+                    Queue.add dkey t.dedup_order;
+                    if Queue.length t.dedup_order > t.dedup_cap then
+                      Hashtbl.remove t.dedup (Queue.pop t.dedup_order)
+                  end;
+                  send t ~to_:from data))
     | Ok _ ->
         Hw_metrics.Counter.incr t.m_dropped;
         Log.debug (fun m -> m "non-request datagram from %s dropped" from)

@@ -5,7 +5,14 @@
     continuous-query subscriber and results are pushed back in PUBLISH
     datagrams — exactly the usage pattern of the paper's visualisation
     interfaces. Addresses are opaque strings ("host:port" in the
-    simulation). *)
+    simulation).
+
+    Requests travel at least once: a client retransmits under the same
+    sequence number until answered. A server keeps the replies of its
+    recent statements that change state (INSERT, CREATE, SUBSCRIBE,
+    UNSUBSCRIBE, triggers) and replays one to its retry, so such a
+    statement applies once; a SELECT keeps nothing and a retry executes
+    it again. *)
 
 type context = { trace_id : int; parent_span : int }
 (** Distributed-trace propagation context: the caller's trace id and the
@@ -58,7 +65,10 @@ module Server : sig
       periods is evicted at its next publish instant. [dedup_window] is
       the number of recent (sender, seq, statement) responses replayed
       verbatim when a client retransmits — the idempotency window that
-      makes retried INSERTs apply exactly once. *)
+      makes retried INSERTs apply exactly once. Only a statement that
+      changes state (INSERT, CREATE, SUBSCRIBE, UNSUBSCRIBE, a trigger
+      statement) looks up and fills the window; a SELECT keeps no
+      reply. *)
 
   val handle_datagram : t -> from:string -> string -> unit
   (** Processes one request datagram and replies via [send]. SUBSCRIBE
@@ -66,10 +76,15 @@ module Server : sig
       of the same statement from the same address renews its lease and
       returns the existing subscription id. A malformed datagram is
       dropped (UDP semantics), a well-formed request with a bad
-      statement gets a [Response_error], and a retransmitted request is
-      answered from the dedup window without re-executing. *)
+      statement gets a [Response_error], and a retransmitted statement
+      that changes state is answered from the dedup window without
+      re-executing. A retransmitted SELECT executes again (it changes
+      nothing; the client keeps the first answer it gets). *)
 
   val subscriber_count : t -> int
+
+  val kept_replies : t -> int
+  (** The replies the dedup window holds now. *)
 
   val drop_client : t -> string -> int
   (** Cancels all subscriptions held by an address; returns how many. *)

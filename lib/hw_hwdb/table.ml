@@ -42,7 +42,6 @@ let length t = Ring.Slots.length t.slots
 let total_inserted t = Ring.Slots.total_pushed t.slots
 
 (* exported, so bounds-checked: nothing ties a [pos] to its table *)
-let row t p = t.rows.(p)
 let stamp t p = Float.Array.get t.stamps p
 
 (* unchecked: only for slots this table's [Ring.Slots] handed out *)
@@ -135,14 +134,25 @@ let window_bounds t = function
         (pos, stop - pos)
       end
 
+(* the window's slots lie in at most two contiguous runs; each run is
+   one loop over this module's own arrays, so a row costs [f] and
+   nothing else: no call into another module, no bounds check *)
+let rec fold_run f rows acc s stop =
+  if s >= stop then acc else fold_run f rows (f acc (Array.unsafe_get rows s) s) (s + 1) stop
+
 let fold_window t window ~init ~f =
   let pos, len = window_bounds t window in
-  Ring.Slots.fold_range f init t.slots ~pos ~len
-
-let tuple t p = { Value.ts = stamp t p; values = row t p }
+  if len = 0 then init
+  else begin
+    let first = Ring.Slots.slot t.slots pos and cap = capacity t in
+    if first + len <= cap then fold_run f t.rows init first (first + len)
+    else fold_run f t.rows (fold_run f t.rows init first cap) 0 (first + len - cap)
+  end
 
 let scan_window t window =
-  List.rev (fold_window t window ~init:[] ~f:(fun acc p -> tuple t p :: acc))
+  List.rev
+    (fold_window t window ~init:[] ~f:(fun acc values p ->
+         { Value.ts = stamp_at t p; values } :: acc))
 
 let scan t = scan_window t `All
 

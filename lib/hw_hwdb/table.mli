@@ -7,7 +7,8 @@
     {!Value.tuple} record and no float box, and window bounds
     binary-search the timestamps alone. One array may fill many slots:
     a row rendered once and re-stamped every tick is stored, not
-    copied. *)
+    copied. A scan reads the rows through one fold, {!fold_window},
+    which hands each stored row over in place. *)
 
 type t
 
@@ -88,21 +89,20 @@ type pos
 (** Where a stored row sits; valid until the next append, restore or
     clear. *)
 
-val fold_window : t -> window -> init:'acc -> f:('acc -> pos -> 'acc) -> 'acc
-(** Folds oldest-first over the positions of exactly the rows selected
-    by [window], locating the window boundary in O(log length) and
-    allocating nothing per row. Read a position with {!row} and
-    {!stamp}. This is the query executor's scan primitive. *)
-
-val row : t -> pos -> Value.t array
-(** The stored row itself (the array {!append} was given): never mutate
-    it.
-    @raise Invalid_argument if [pos] lies beyond this table's capacity
-    (a position taken from a larger table). *)
+val fold_window :
+  t -> window -> init:'acc -> f:('acc -> Value.t array -> pos -> 'acc) -> 'acc
+(** Folds oldest-first over exactly the rows selected by [window],
+    locating the window boundary in O(log length), handing [f] each
+    stored row in place (the array {!append} was given: never mutate
+    it) with its position, and allocating nothing per row. The position
+    is for {!stamp}, which only a caller that reads the row's timestamp
+    needs. This is the query executor's scan primitive and the table's
+    only fold. *)
 
 val stamp : t -> pos -> float
-(** The row's timestamp.
-    @raise Invalid_argument as {!row}. *)
+(** The timestamp of the row at a position.
+    @raise Invalid_argument if [pos] lies beyond this table's capacity
+    (a position taken from a larger table). *)
 
 val scan_window : t -> window -> Value.tuple list
 (** The rows [window] selects as fresh tuples, oldest first. *)

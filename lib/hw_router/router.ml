@@ -1002,10 +1002,13 @@ let create ?config:(cfg = config ()) ?(fault_seed = 0x4a11) ?wal_store ~loop () 
   let uptime = Hw_metrics.Build_info.register ~registry:metrics () in
   let started_at = now () in
   (* WAL record writes pass through the disk choke point of the fault
-     plane (short write / torn write / bit-flip / crash-at-boundary) *)
-  let wal_interpose record ~write =
+     plane (short write / torn write / bit-flip / crash-at-boundary)
+     while it is armed; a disarmed point leaves each flush one store
+     append *)
+  let wal_interpose =
     let inj = faults.Fault.disk in
-    if Fault.armed inj then Fault.apply_write inj record ~write else write record
+    let through = Some (fun record ~write -> Fault.apply_write inj record ~write) in
+    fun () -> if Fault.armed inj then through else None
   in
   let database =
     Database.create ~default_capacity:cfg.hwdb_capacity ~metrics ~trace

@@ -187,7 +187,6 @@ let handle_data t frame ~l4 ~src_ip ~dst_ip =
     else if flags.Tcp.fin then reply (Packet.Tcp (answer Tcp.fin_ack))
     else
       respond t ~request_bytes:(Frame.payload_length frame) ~port:src_port (fun size ->
-          t.tx <- t.tx + size;
           reply (Packet.Tcp (Tcp.make ~flags:Tcp.ack_flag ~src_port ~dst_port (filler size))))
 
 let answered_in_place frame ~l4 =

@@ -35,6 +35,8 @@ type recovered = {
   tail_truncated : bool;
 }
 
+type interposer = string -> write:(string -> unit) -> unit
+
 (* Pending records live in one place: [batch], a manually-grown byte
    buffer holding the framed records in append order. An append
    allocates nothing and promotes nothing to the major heap while its
@@ -47,7 +49,7 @@ type t = {
   wal_name : string;
   log_name : string;
   snap_name : string;
-  interpose : (string -> write:(string -> unit) -> unit) option;
+  interpose : unit -> interposer option; (* asked at each flush *)
   snapshot_every : int;
   max_pending : int;
   mutable next : int; (* next LSN to assign *)
@@ -213,7 +215,8 @@ let write_interposed t f len =
   Buffer.length out
 
 (* Flush the group-commit buffer: seal the batch, then hand it to the
-   store in one append, directly or through the interposer. *)
+   store in one append, directly or through the interposer in force (a
+   disarmed fault point installs none, and costs a flush nothing). *)
 let flush_records t =
   if t.pending > 0 then begin
     let n = t.pending in
@@ -222,7 +225,7 @@ let flush_records t =
     t.pending <- 0;
     t.batch_len <- 0;
     let written =
-      match t.interpose with
+      match t.interpose () with
       | None ->
           Store.append_sub t.store t.log_name t.batch 0 len;
           len
@@ -324,7 +327,7 @@ let open_ ?(metrics = Hw_metrics.Registry.default) ?interpose
       wal_name = name;
       log_name;
       snap_name = name ^ ".snap";
-      interpose;
+      interpose = Option.value interpose ~default:(fun () -> None);
       snapshot_every;
       max_pending;
       next = recovered.next_lsn;

@@ -40,9 +40,13 @@ type recovered = {
 
 type t
 
+type interposer = string -> write:(string -> unit) -> unit
+(** Sees one framed record and passes what should reach the store to
+    [write]. *)
+
 val open_ :
   ?metrics:Hw_metrics.Registry.t ->
-  ?interpose:(string -> write:(string -> unit) -> unit) ->
+  ?interpose:(unit -> interposer option) ->
   ?snapshot_every:int ->
   ?max_pending:int ->
   store:Store.t ->
@@ -50,16 +54,18 @@ val open_ :
   unit ->
   t * recovered
 (** Opens (and recovers) the WAL named [name] — blobs [name.log] and
-    [name.snap] in [store]. [interpose] sits between each framed record
-    and the store during {!flush}: it sees each record once, in LSN
-    order, and what it passes to [write] is what reaches the store. The
-    disk fault plane plugs in here (short write = a prefix passed to
-    [write], torn write = crash after a prefix, bit-flip = corrupted
-    bytes). Without it every record is written verbatim. If the
-    interposer raises, the bytes it already wrote are persisted first —
-    exactly the longest durable prefix a real crash would leave — and
-    the exception is re-raised. It runs only at flush, so an append
-    costs the same with or without it.
+    [name.snap] in [store]. [interpose] is asked at each {!flush} for
+    the interposer in force, which then sits between each framed record
+    and the store: it sees each record once, in LSN order, and what it
+    passes to [write] is what reaches the store. The disk fault plane
+    plugs in here (short write = a prefix passed to [write], torn write
+    = crash after a prefix, bit-flip = corrupted bytes) and answers
+    [None] while disarmed. With no interposer in force the sealed batch
+    reaches the store verbatim, in one append, with no per-record copy.
+    If the interposer raises, the bytes it already wrote are persisted
+    first — exactly the longest durable prefix a real crash would leave
+    — and the exception is re-raised. It runs only at flush, so an
+    append costs the same with or without it.
 
     [snapshot_every] (default 4096): after that many records since the
     last snapshot, {!flush} takes one automatically — provided a

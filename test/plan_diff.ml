@@ -10,13 +10,19 @@
    - only columns that exist (and, under a join, are unambiguous) are
      emitted, because [Plan.prepare] resolves names eagerly while the
      interpreter resolves lazily per row — the one documented divergence;
-   - every numeric literal and cell is dyadic (k/4), so the incremental
-     SUM/AVG retraction [total -. x] is exact and reproduces the
-     reference's fold bit-for-bit;
-   - SUM/AVG arguments stick to + - * over those dyadics (Div/Mod would
-     leave the dyadic lattice); everything else (WHERE, projections,
-     comparisons, HAVING) may divide, mix types and fail — both engines
-     must then fail together.
+   - numeric literals and integer cells are dyadic (k/4), but a real
+     cell is one time in three a value no float holds exactly (0.1,
+     3.3, ...), so a sum rounds: [Query_ref] folds [(+.)] in scan order,
+     and both [Plan.exec] and an incremental view must reproduce that
+     fold bit for bit (a view that subtracted retractions from a float
+     total would not);
+   - SUM/AVG arguments stick to + - * (never raising on numerics);
+     everything else (WHERE, projections, comparisons, HAVING) may
+     divide, mix types and fail — both engines must then fail together;
+   - string and boolean cells come mostly from a small pool of shared
+     cells, as a router's rows point at its one cell per address, so a
+     grouped scan's successor hints hit, and sometimes fresh, so they
+     miss (integer cells in -256..1023 are shared by [Table.insert]).
 
    Results compare with [Value.equal] elementwise; errors compare by
    presence, not message, since window poisoning reports the oldest
@@ -58,7 +64,7 @@ let join_cols =
     { cq = None; cn = "d"; cty = C_num };
   ]
 
-(* -- dyadic leaves --------------------------------------------------- *)
+(* -- literals ---------------------------------------------------------- *)
 
 let dyadic_int = Gen.int_range (-8) 8
 let dyadic_real st = float_of_int (Gen.int_range (-32) 32 st) /. 4.
@@ -67,12 +73,33 @@ let lit_num st =
   if Gen.bool st then Value.Int (dyadic_int st) else Value.Real (dyadic_real st)
 
 let lit_str = Gen.oneofl [ Value.Str "x"; Value.Str "y"; Value.Str "z"; Value.Str "" ]
+
+(* -- row cells ------------------------------------------------------- *)
+
+let non_dyadic = [ 0.1; 0.2; 0.3; 0.7; 0.001; 3.3; 0.05; -0.1; -2.7 ]
+
+let cell_real st =
+  if Gen.int_range 0 2 st = 0 then Value.Real (Gen.oneofl non_dyadic st)
+  else Value.Real (dyadic_real st)
+
+let texts = [| "x"; "y"; "z"; "" |]
+let str_pool = Array.map (fun s -> Value.Str s) texts
+let bool_pool = [| Value.Bool (Sys.opaque_identity false); Value.Bool (Sys.opaque_identity true) |]
+
+(* a pooled cell three times in four, else a fresh one *)
+let cell_str st =
+  let i = Gen.int_range 0 3 st in
+  if Gen.int_range 0 3 st = 0 then Value.Str texts.(i) else str_pool.(i)
+
+let cell_bool st =
+  let b = Gen.bool st in
+  if Gen.int_range 0 3 st = 0 then Value.Bool b else bool_pool.(Bool.to_int b)
 let col_expr c = Ast.Col (c.cq, c.cn)
 let cols_of ty cols = List.filter (fun c -> c.cty = ty) cols
 
 (* -- expressions ----------------------------------------------------- *)
 
-(* [safe] restricts to + - * (dyadic-closed, never raises on numerics):
+(* [safe] restricts to + - * (never raises on numerics):
    required for SUM/AVG arguments, used nowhere else *)
 let rec gen_num ~safe cols fuel st =
   let leaf st =
@@ -257,9 +284,9 @@ let gen_row schema st =
     (fun (_, ty) ->
       match ty with
       | Value.T_int -> Value.Int (dyadic_int st)
-      | Value.T_real -> Value.Real (dyadic_real st)
-      | Value.T_str -> lit_str st
-      | Value.T_bool -> Value.Bool (Gen.bool st)
+      | Value.T_real -> cell_real st
+      | Value.T_str -> cell_str st
+      | Value.T_bool -> cell_bool st
       | Value.T_ts -> Value.Ts (100. +. dyadic_real st))
     schema
 

@@ -339,6 +339,86 @@ let test_group_key_builds_no_string () =
     (Printf.sprintf "%.1f words per observed row <= 64" per_row)
     true (per_row <= 64.)
 
+(* A standing SUM over a real column answers exactly what the one-shot
+   query answers at every tick. A float total that adds each insert and
+   subtracts each retraction drifts from the scan's left-to-right sum
+   once a contribution rounds (at t=5 it read 4.3009999999999993 where
+   the scan reads 4.3010000000000002). *)
+let test_inc_real_sum_equals_recomputation () =
+  let db, now = mkdb () in
+  exec db "CREATE TABLE T (k VARCHAR, v REAL)";
+  let text = "SELECT k, SUM(v) AS s FROM T [RANGE 3 SECONDS] GROUP BY k" in
+  let _, results = subscribe db text ~period:1. in
+  let reals = [| "0.1"; "0.2"; "0.3"; "0.7"; "0.001"; "3.3"; "0.05" |] in
+  let bits = function
+    | [ Value.Str k; Value.Real s ] -> (k, Int64.bits_of_float s)
+    | _ -> Alcotest.fail "unexpected row shape"
+  in
+  let differing = ref [] in
+  for i = 0 to 199 do
+    exec db (Printf.sprintf "INSERT INTO T VALUES ('a', %s)" reals.(i mod 7));
+    now := !now +. 1.;
+    Database.tick db;
+    let view = match !results with rs :: _ -> rs.Query.rows | [] -> Alcotest.fail "no delivery" in
+    if List.map bits view <> List.map bits (rows db text) then differing := i :: !differing
+  done;
+  Alcotest.(check (list int)) "ticks where the view differs from the query" [] (List.rev !differing)
+
+(* -- grouped scan ------------------------------------------------------ *)
+
+(* A grouped scan's successor hints belong to its own execution: two
+   tables whose rows point at the same key cells, scanned back to back
+   and in turn, each answer what the reference interpreter answers. Y's
+   first row shares X's first key cell, so a hint carried over from X's
+   scan would fold it into one of X's groups. *)
+let test_back_to_back_shared_cells () =
+  let cells = Array.init 10 (fun i -> Value.Str (Printf.sprintf "k%d" i)) in
+  let schema = [ ("k", Value.T_str); ("n", Value.T_int); ("v", Value.T_int) ] in
+  let fill name order =
+    let t = Table.create ~name ~capacity:64 schema in
+    List.iteri
+      (fun i c ->
+        Result.get_ok
+          (Table.insert_row t ~now:(float_of_int i)
+             [| cells.(c); Value.Int (c mod 3); Value.Int (i * 7) |]))
+      order;
+    t
+  in
+  let x = fill "X" [ 0; 1; 2; 0; 1; 2; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 3; 4 ] in
+  let y = fill "Y" [ 0; 2; 1; 0; 0; 2; 9; 8; 7; 6; 5; 4; 3; 1; 0 ] in
+  let lookup name =
+    if String.equal name "X" then Some x else if String.equal name "Y" then Some y else None
+  in
+  let plans =
+    List.concat_map
+      (fun table ->
+        List.map
+          (fun q -> sel_of (Printf.sprintf q table))
+          [
+            "SELECT k, SUM(v) AS s, COUNT(*) AS c, MIN(v) AS lo FROM %s GROUP BY k";
+            "SELECT k, n, AVG(v) AS a, MAX(v) AS hi FROM %s GROUP BY k, n";
+          ])
+      [ "X"; "Y" ]
+  in
+  let answer sel = function
+    | Ok rs -> List.map (List.map Value.to_string) rs.Query.rows
+    | Error e -> Alcotest.failf "%s: %s" (Ast.to_string (Ast.Select sel)) e
+  in
+  let prepared =
+    List.map
+      (fun sel ->
+        match Plan.prepare ~lookup sel with Ok p -> (sel, p) | Error e -> Alcotest.fail e)
+      plans
+  in
+  (* X's plans, then Y's, then X's again: each after another's scan *)
+  List.iter
+    (fun (sel, plan) ->
+      Alcotest.(check (list (list string)))
+        (Ast.to_string (Ast.Select sel))
+        (answer sel (Query_ref.exec ~lookup ~now:100. sel))
+        (answer sel (Plan.exec plan ~now:100.)))
+    (prepared @ prepared)
+
 (* -- suite ----------------------------------------------------------- *)
 
 let () =
@@ -369,5 +449,12 @@ let () =
           Alcotest.test_case "GROUP BY near-equal reals" `Quick test_group_key_near_equal_reals;
           Alcotest.test_case "GROUP BY key builds no string" `Quick
             test_group_key_builds_no_string;
+          Alcotest.test_case "real SUM equals recomputation bit for bit" `Quick
+            test_inc_real_sum_equals_recomputation;
+        ] );
+      ( "grouped scan",
+        [
+          Alcotest.test_case "back-to-back scans over shared cells" `Quick
+            test_back_to_back_shared_cells;
         ] );
     ]

@@ -304,6 +304,35 @@ let test_internet_tcp_behaviour () =
   in
   Alcotest.(check int) "20x response" 2000 response_bytes
 
+(* [tx_bytes] counts each frame the node sends once, TCP responses
+   included: one 100-byte segment to port 80 is answered with 2,000
+   payload bytes in frames of 2,108 bytes in all (the payload used to
+   be counted again, reading 4,108), and a 300-byte datagram to 5060
+   with one frame of 342. *)
+let test_internet_tx_bytes_counts_frames () =
+  let dst_ip =
+    let _, net, _ = make_internet () in
+    Option.get (Internet.lookup_zone net "www.example.com")
+  in
+  List.iter
+    (fun (name, request, frames) ->
+      let loop, net, received = make_internet () in
+      Internet.deliver net (Packet.encode request);
+      Event_loop.run_for loop 2.;
+      let sent = List.fold_left (fun acc f -> acc + String.length f) 0 !received in
+      Alcotest.(check int) (name ^ ": bytes of the frames sent") frames sent;
+      Alcotest.(check int) (name ^ ": tx_bytes") sent (Internet.tx_bytes net))
+    [
+      ( "tcp",
+        Packet.tcp_packet ~src_mac:client_mac ~dst_mac:Internet.mac ~src_ip:client_ip ~dst_ip
+          ~src_port:40000 ~dst_port:80 (String.make 100 'q'),
+        2108 );
+      ( "udp",
+        Packet.udp_packet ~src_mac:client_mac ~dst_mac:Internet.mac ~src_ip:client_ip ~dst_ip
+          ~src_port:40000 ~dst_port:5060 (String.make 300 'u'),
+        342 );
+    ]
+
 let test_internet_icmp_echo () =
   let loop, net, received = make_internet () in
   let dst_ip = Ip.of_octets 93 184 216 99 in
@@ -837,6 +866,8 @@ let () =
           Alcotest.test_case "reverse zone" `Quick test_internet_reverse_zone;
           Alcotest.test_case "tcp behaviour" `Quick test_internet_tcp_behaviour;
           Alcotest.test_case "icmp echo" `Quick test_internet_icmp_echo;
+          Alcotest.test_case "tx_bytes counts each frame once" `Quick
+            test_internet_tx_bytes_counts_frames;
           Alcotest.test_case "answers data frames" `Quick test_internet_answers_data_frames;
           Alcotest.test_case "ignores fragments, bad checksums" `Quick
             test_internet_ignores_fragments_and_bad_checksums;

@@ -237,7 +237,9 @@ let test_interposer_crash_leaves_durable_prefix () =
     write record
   in
   let wal, _ =
-    Wal.open_ ~metrics:(Registry.create ()) ~interpose ~store ~name:"c" ()
+    Wal.open_ ~metrics:(Registry.create ())
+      ~interpose:(fun () -> Some interpose)
+      ~store ~name:"c" ()
   in
   let payloads = List.init 10 (fun i -> Printf.sprintf "p%d" i) in
   List.iter (Wal.append wal) payloads;
@@ -265,6 +267,7 @@ let test_interposed_writes_direct_bytes () =
   in
   let open_wal ?interpose store =
     let metrics = Registry.create () in
+    let interpose = Option.map (fun f () -> Some f) interpose in
     let wal, _ =
       Wal.open_ ~metrics ?interpose ~max_pending:5 ~snapshot_every:12 ~store ~name:"e" ()
     in
@@ -324,7 +327,7 @@ let test_interposed_append_allocates_as_direct () =
     words /. 200.
   in
   let direct = words_per_append () in
-  let interposed = words_per_append ~interpose:(fun r ~write -> write r) () in
+  let interposed = words_per_append ~interpose:(fun () -> Some (fun r ~write -> write r)) () in
   Alcotest.(check (float 0.)) "words per 48-byte append, interposed = direct" direct interposed
 
 (* ------------------------------------------------------------------ *)
@@ -390,9 +393,7 @@ let test_faulty_wal_recovers_prefix () =
   let inj = Fault.create ~metrics ~seed ~now ~point:"disk" () in
   Fault.set_plan inj [ Fault.Drop 0.15; Fault.Corrupt 0.1; Fault.Crash 0.05 ];
   let store = Store.mem () in
-  let interpose record ~write =
-    if Fault.armed inj then Fault.apply_write inj record ~write else write record
-  in
+  let interpose () = if Fault.armed inj then Some (Fault.apply_write inj) else None in
   let payloads = ref [] in
   let crashed = ref 0 in
   let generation = ref 0 in
@@ -681,6 +682,41 @@ let test_database_snapshot_bounds_store () =
     (fun x y -> check_bool "recovered tuple matches" true (tuple_equal x y))
     a b
 
+(* A router always installs its disk fault point, but a disarmed point
+   costs a flush nothing: 64 durable inserts reach the store as the
+   sealed batch, in one append of exactly their frames, with no string
+   per record for an interposer (such a copy is ~10 words here, so 64
+   of them cannot fit under 64 words). Growing the store's log buffer
+   allocates outside the minor heap, so it does not count. *)
+let test_disarmed_router_flush_copies_nothing () =
+  let store = Store.mem () in
+  let router = Hw_router.Router.create ~wal_store:store ~loop:(Hw_sim.Event_loop.create ()) () in
+  let db = Hw_router.Router.db router in
+  let metrics = Hw_router.Router.metrics router in
+  let insert_64 () =
+    for i = 1 to 64 do
+      Database.record_policy db ~kind:"token" ~id:(Printf.sprintf "tok%03d" i) ~payload:""
+        ~action:"set"
+    done
+  in
+  for _ = 1 to 4 do
+    insert_64 ();
+    Database.flush_wal db
+  done;
+  insert_64 ();
+  let size = Store.size store "Policies.log" in
+  let flushed = counter_value metrics "wal_flushed_bytes_total" in
+  let flushes = counter_value metrics "wal_flushes_total" in
+  let before = Gc.minor_words () in
+  Database.flush_wal db;
+  let words = Gc.minor_words () -. before in
+  let written = Store.size store "Policies.log" - size in
+  check_int "one flush" (flushes + 1) (counter_value metrics "wal_flushes_total");
+  check_int "the log grew by the flushed frames" (counter_value metrics "wal_flushed_bytes_total" - flushed)
+    written;
+  check_bool (Printf.sprintf "64 frames (%d bytes) written" written) true (written > 64 * 16);
+  check_bool (Printf.sprintf "%.0f words for the flush of 64 records (< 64)" words) true (words < 64.)
+
 let () =
   Alcotest.run "hw_wal"
     [
@@ -720,6 +756,8 @@ let () =
         [
           Alcotest.test_case "durable tables recover bit-exact" `Quick
             test_database_recovery_roundtrip;
+          Alcotest.test_case "a disarmed router's flush copies no record" `Quick
+            test_disarmed_router_flush_copies_nothing;
           Alcotest.test_case "snapshots bound the database store" `Quick
             test_database_snapshot_bounds_store;
         ] );
