@@ -10,10 +10,12 @@
    A grouped scan costs a few nanoseconds a row: it takes each stored
    row in place from the table's one fold, finds the row's group
    through the previous row's group's successor hint when the key cells
-   are the hint's very cells (a router's rows share one cell per
-   address), and reads an aggregate whose argument is a bare column
-   straight from the row. A standing view's SUM/AVG equals the scan's
-   left-to-right float sum bit for bit.
+   are the hint's cells (a router's rows share one cell per address),
+   and reads an aggregate whose argument is a bare column straight from
+   the row. A standing view ([Inc]) is the same engine run over the
+   insert stream: the same group store and the same accumulators, which
+   also undo a row leaving the window, or leave its group to be
+   re-folded, so a view answers what the scan answers.
 
    One visible semantic shift: the reference resolves columns lazily
    (per row), so a SELECT naming an unknown or ambiguous column over an
@@ -102,6 +104,16 @@ let star_columns bindings =
 
 (* -- expression compilation ---------------------------------------- *)
 
+(* whether [c], what [Value.compare_values] answered, satisfies the
+   comparison [op] *)
+let holds op c =
+  match op with
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | Ast.Ge -> c >= 0
+  | _ -> assert false
+
 (* Mirrors the reference [eval] case by case (same evaluation order, same
    short-circuiting, same error strings), but with all name resolution
    hoisted out of the row loop. *)
@@ -121,51 +133,12 @@ let rec compile scope expr : compiled =
         | Value.Int i -> Value.Int (-i)
         | Value.Real x -> Value.Real (-.x)
         | v -> fail "cannot negate %s" (Value.to_string v))
-  | Ast.Unop (Ast.Not, e) -> (
-      let f = compile scope e in
-      fun row ->
-        match f row with
-        | Value.Bool b -> Value.Bool (not b)
-        | v -> fail "NOT applied to non-boolean %s" (Value.to_string v))
-  | Ast.Binop (op, a, b) -> compile_binop scope op a b
-
-and compile_binop scope op a b =
-  let fa = compile scope a and fb = compile scope b in
-  match op with
-  | Ast.And -> (
-      fun row ->
-        match fa row with
-        | Value.Bool false -> Value.Bool false
-        | Value.Bool true -> (
-            match fb row with
-            | Value.Bool _ as v -> v
-            | v -> fail "AND applied to non-boolean %s" (Value.to_string v))
-        | v -> fail "AND applied to non-boolean %s" (Value.to_string v))
-  | Ast.Or -> (
-      fun row ->
-        match fa row with
-        | Value.Bool true -> Value.Bool true
-        | Value.Bool false -> (
-            match fb row with
-            | Value.Bool _ as v -> v
-            | v -> fail "OR applied to non-boolean %s" (Value.to_string v))
-        | v -> fail "OR applied to non-boolean %s" (Value.to_string v))
-  | Ast.Eq -> fun row -> Value.Bool (Value.equal (fa row) (fb row))
-  | Ast.Neq -> fun row -> Value.Bool (not (Value.equal (fa row) (fb row)))
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      fun row ->
-        let va = fa row and vb = fb row in
-        match Value.compare_values va vb with
-        | c ->
-            Value.Bool
-              (match op with
-              | Ast.Lt -> c < 0
-              | Ast.Le -> c <= 0
-              | Ast.Gt -> c > 0
-              | Ast.Ge -> c >= 0
-              | _ -> assert false)
-        | exception Invalid_argument msg -> fail "%s" msg)
-  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
+  | Ast.Unop (Ast.Not, _)
+  | Ast.Binop ((Ast.And | Ast.Or | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _) ->
+      let p = compile_pred scope ~ctx:`Where expr in
+      fun row -> Value.Bool (p row)
+  | Ast.Binop (op, a, b) -> (
+      let fa = compile scope a and fb = compile scope b in
       fun row ->
         let va = fa row and vb = fb row in
         match va, vb with
@@ -191,13 +164,13 @@ and compile_binop scope op a b =
                 fail "arithmetic on non-numeric values %s, %s" (Value.to_string va)
                   (Value.to_string vb)))
 
-(* WHERE compiles down to an unboxed boolean predicate: comparisons and
-   the boolean connectives return [bool] directly instead of boxing a
-   [Value.Bool] per row. Error strings still depend on where a
-   non-boolean subterm appears ("WHERE clause is not boolean" at the
-   top, "AND/OR/NOT applied to non-boolean" underneath), so the
-   compiler carries that context down. *)
-let rec compile_pred scope ~ctx expr : Value.t array -> bool =
+(* A boolean expression compiles down to an unboxed predicate:
+   comparisons and the boolean connectives return [bool] directly, and
+   [compile] boxes the answer only where a value is wanted. Error strings
+   depend on where a non-boolean subterm appears ("WHERE clause is not
+   boolean" at the top of a WHERE, "AND/OR/NOT applied to non-boolean"
+   underneath), so the compiler carries that context down. *)
+and compile_pred scope ~ctx expr : Value.t array -> bool =
   match expr with
   | Ast.Binop (Ast.And, a, b) ->
       let pa = compile_pred scope ~ctx:`And a and pb = compile_pred scope ~ctx:`And b in
@@ -219,13 +192,7 @@ let rec compile_pred scope ~ctx expr : Value.t array -> bool =
       fun row ->
         let va = fa row and vb = fb row in
         match Value.compare_values va vb with
-        | c -> (
-            match op with
-            | Ast.Lt -> c < 0
-            | Ast.Le -> c <= 0
-            | Ast.Gt -> c > 0
-            | Ast.Ge -> c >= 0
-            | _ -> assert false)
+        | c -> holds op c
         | exception Invalid_argument msg -> fail "%s" msg)
   | e ->
       let f = compile scope e in
@@ -312,7 +279,6 @@ type grouped = {
 type shape = P_scalar of (Value.t array -> Value.t list) | P_grouped of grouped
 
 type t = {
-  p_select : Ast.select;
   p_tables : Table.t list;
   p_window : Ast.window;
   p_where : (Value.t array -> bool) option;
@@ -324,11 +290,7 @@ type t = {
   p_limit : int option;
 }
 
-let select t = t.p_select
-let columns t = t.p_columns
-let single_table t = match t.p_tables with [ tbl ] -> Some tbl | _ -> None
-
-(* -- streaming aggregate state (exec path) -------------------------- *)
+(* -- streaming aggregate state ----------------------------------------- *)
 
 (* One mutable cell per (group, aggregate): groups never materialize
    their rows, the scan folds each row into every aggregate as it goes.
@@ -347,11 +309,20 @@ type total = { mutable sum : float }
 type sstate = {
   sa_spec : agg;
   sa_col : int; (* >= 0: the argument is this column of the row, read in place *)
-  mutable sa_n : int; (* rows counted, summed, or compared for MIN/MAX *)
+  mutable sa_n : int; (* rows counted or summed; 1 once a MIN/MAX holds a best *)
   sa_total : total;
+  mutable sa_wide : int; (* SUM/AVG contributions that were not small integers *)
   mutable sa_best : Value.t; (* min/max running best once [sa_n > 0], first-wins on ties *)
   mutable sa_err : string option;
 }
+
+(* A SUM/AVG can take a contribution back without rounding while every
+   contribution folded in since the state was fresh is an [Int] of
+   magnitude at most [small] ([sa_wide] = 0) and at most [exact_rows] of
+   them remain: every partial sum of them, in any order, is then an
+   integer of magnitude at most 2^53, which a float holds exactly. *)
+let small = 1 lsl 31
+let exact_rows = 1 lsl 22
 
 let s_fresh spec col =
   {
@@ -359,40 +330,56 @@ let s_fresh spec col =
     sa_col = col;
     sa_n = 0;
     sa_total = { sum = 0. };
+    sa_wide = 0;
     sa_best = Value.Str "";
     sa_err = None;
   }
 
-(* Folds one argument value into the aggregate. Integers take the first
-   branch of each case; MIN/MAX compare two integers without a call. *)
+let s_reset sa =
+  sa.sa_n <- 0;
+  sa.sa_total.sum <- 0.;
+  sa.sa_wide <- 0;
+  sa.sa_best <- Value.Str "";
+  sa.sa_err <- None
+
+(* > 0 when the running best [best] beats [v] as a MIN/MAX, < 0 when [v]
+   beats it; two integers compare without a call *)
+let[@inline] beats sa best v =
+  let c =
+    match (best, v) with
+    | Value.Int x, Value.Int y -> Int.compare x y
+    | _ -> Value.compare_values best v
+  in
+  match sa.sa_spec with A_max _ -> c | _ -> -c
+
+(* Folds one argument value into the aggregate; an [Int] takes the first
+   branch of a SUM/AVG. *)
 let s_take sa v =
   match sa.sa_spec with
   | A_sum _ | A_avg _ -> (
       match v with
       | Value.Int i ->
           sa.sa_total.sum <- sa.sa_total.sum +. float_of_int i;
-          sa.sa_n <- sa.sa_n + 1
+          sa.sa_n <- sa.sa_n + 1;
+          if i > small || i < -small then sa.sa_wide <- sa.sa_wide + 1
       | Value.Real x | Value.Ts x ->
           sa.sa_total.sum <- sa.sa_total.sum +. x;
-          sa.sa_n <- sa.sa_n + 1
+          sa.sa_n <- sa.sa_n + 1;
+          sa.sa_wide <- sa.sa_wide + 1
       | Value.Str _ | Value.Bool _ ->
           sa.sa_err <-
             Some
               (Printf.sprintf "%s over non-numeric values"
                  (match sa.sa_spec with A_sum _ -> "SUM" | _ -> "AVG")))
   | A_min _ | A_max _ -> (
-      let is_max = match sa.sa_spec with A_max _ -> true | _ -> false in
       if sa.sa_n = 0 then begin
         sa.sa_best <- v;
         sa.sa_n <- 1
       end
       else
-        match (sa.sa_best, v) with
-        | Value.Int best, Value.Int x -> if (if is_max then x > best else x < best) then sa.sa_best <- v
-        | best, _ -> (
-            match Value.compare_values best v with
-            | c -> if (if is_max then c < 0 else c > 0) then sa.sa_best <- v
-            | exception Invalid_argument msg -> sa.sa_err <- Some msg))
+        match beats sa sa.sa_best v with
+        | c -> if c < 0 then sa.sa_best <- v
+        | exception Invalid_argument msg -> sa.sa_err <- Some msg)
   | A_count_if _ -> ( match v with Value.Bool false -> () | _ -> sa.sa_n <- sa.sa_n + 1)
   | A_count | A_invalid _ -> ()
 
@@ -415,6 +402,42 @@ let s_apply sa row =
             | exception Invalid_argument msg -> sa.sa_err <- Some msg)
         | A_invalid _ -> () (* finalize raises unconditionally *))
 
+(* Takes back the value of the oldest row folded in, when the state is
+   then exactly what folding the remaining rows leaves: COUNT always, a
+   SUM/AVG while its contributions are small integers, a MIN/MAX while
+   the value is strictly worse than the best (an equal best is this very
+   row's: the best is the first row to reach it). [false] asks for a
+   re-fold. *)
+let s_untake sa v =
+  match (sa.sa_spec, v) with
+  | (A_sum _ | A_avg _), Value.Int i when sa.sa_wide = 0 && sa.sa_n <= exact_rows ->
+      sa.sa_total.sum <- sa.sa_total.sum -. float_of_int i;
+      sa.sa_n <- sa.sa_n - 1;
+      true
+  | (A_sum _ | A_avg _), _ -> false
+  | (A_min _ | A_max _), _ -> beats sa sa.sa_best v > 0
+  | A_count_if _, Value.Bool false | (A_count | A_invalid _), _ -> true
+  | A_count_if _, _ ->
+      sa.sa_n <- sa.sa_n - 1;
+      true
+
+(* [s_apply]'s inverse for a view's oldest row, see [s_untake]. A sealed
+   error may be this row's, so it asks for a re-fold. *)
+let s_retract sa row =
+  match sa.sa_err with
+  | Some _ -> false
+  | None -> (
+      try
+        if sa.sa_col >= 0 then s_untake sa row.(sa.sa_col)
+        else
+          match sa.sa_spec with
+          | A_count ->
+              sa.sa_n <- sa.sa_n - 1;
+              true
+          | A_count_if f | A_sum f | A_avg f | A_min f | A_max f -> s_untake sa (f row)
+          | A_invalid _ -> true
+      with Plan_error _ | Invalid_argument _ -> false)
+
 let s_finalize sa =
   (match sa.sa_err with Some msg -> fail_str msg | None -> ());
   match sa.sa_spec with
@@ -426,28 +449,13 @@ let s_finalize sa =
   | A_min _ | A_max _ -> sa.sa_best (* [Str ""] over no rows, as the reference *)
   | A_invalid msg -> fail_str msg
 
-(* the value the reference [eval_agg] yields over zero rows, for the
-   synthetic empty global group *)
-let empty_agg_value = function
-  | A_count | A_count_if _ -> Value.Int 0
-  | A_sum _ -> Value.Real 0.
-  | A_avg _ -> Value.Real 0.
-  | A_min _ | A_max _ -> Value.Str ""
-  | A_invalid msg -> fail_str msg
-
 let compare_having op subject lit =
   match op with
   | Ast.Eq -> Value.equal subject lit
   | Ast.Neq -> not (Value.equal subject lit)
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
       match Value.compare_values subject lit with
-      | c -> (
-          match op with
-          | Ast.Lt -> c < 0
-          | Ast.Le -> c <= 0
-          | Ast.Gt -> c > 0
-          | Ast.Ge -> c >= 0
-          | _ -> assert false)
+      | c -> holds op c
       | exception Invalid_argument msg -> fail "HAVING: %s" msg)
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.And | Ast.Or ->
       fail "HAVING expects a comparison operator"
@@ -561,13 +569,12 @@ let prepare ~lookup (q : Ast.select) =
               { h_subject; h_op = op; h_lit = lit })
             q.Ast.having
         in
-        let key_fns =
-          List.map (fun (qual, name) -> compile scope (Ast.Col (qual, name))) q.Ast.group_by
-        in
         let key_cells =
-          List.map2
-            (fun col f -> key_cell (find_binding scope.binds col).ty f)
-            q.Ast.group_by key_fns
+          List.map
+            (fun (qual, name) ->
+              let b = find_binding scope.binds (qual, name) in
+              key_cell b.ty (compile scope (Ast.Col (qual, name))))
+            q.Ast.group_by
         in
         let rec key row = function [] -> [] | f :: fs -> f row :: key row fs in
         let key_cols = List.map (fun col -> (find_binding scope.binds col).index) q.Ast.group_by in
@@ -599,7 +606,6 @@ let prepare ~lookup (q : Ast.select) =
     in
     Ok
       {
-        p_select = q;
         p_tables = tables;
         p_window = q.Ast.window;
         p_where = where;
@@ -720,21 +726,27 @@ let apply_limit t out_rows =
   | None -> out_rows
   | Some n -> List.filteri (fun i _ -> i < n) out_rows
 
-(* one group of the streaming grouped exec *)
+(* -- the group store ----------------------------------------------- *)
+
+(* one group of a grouped scan or of a standing view *)
 type gslot = {
   gs_fp : int; (* cheap fingerprint: probes reject on an int compare *)
   gs_k1 : Value.t; (* key cell when the query groups by a single column *)
   gs_key : key; (* the key otherwise *)
-  gs_rep : Value.t array; (* first row seen: stored rows are immutable, join rows fresh *)
+  gs_rep : Value.t array; (* its first row: a scan projects it, a hint matches its key cells *)
   gs_rep_ts : float; (* its timestamp, for a single-table plan that reads it *)
   gs_states : sstate array;
   mutable gs_next : gslot;
       (* successor hint: the group of the row that followed this group's
-         last row, in this execution *)
+         last row *)
+  mutable gs_rows : int; (* rows folded in (a view's live rows); 0 once out of the store *)
+  mutable gs_first : int; (* a view's oldest live row, by sequence number *)
+  mutable gs_last : int; (* and its newest *)
+  mutable gs_stale : bool; (* a view's states wait for a re-fold of its live rows *)
 }
 
-(* the probes' miss; it is shared by every execution, so nothing ever
-   writes its hint *)
+(* the probes' miss; it is shared by every execution and every view, so
+   nothing ever writes it *)
 let rec no_group =
   {
     gs_fp = 0;
@@ -744,24 +756,37 @@ let rec no_group =
     gs_rep_ts = 0.;
     gs_states = [||];
     gs_next = no_group;
+    gs_rows = 0;
+    gs_first = 0;
+    gs_last = 0;
+    gs_stale = false;
   }
 
-(* The groups of one exec. Up to [max_linear_groups] live in a small
-   array probed linearly — queries rarely have more than a handful of
-   groups, and an int fingerprint compare beats hashing there; past
-   that every group moves to a table, keyed on the key cell when the
-   query groups by one column, and only the table is probed. Probes
+(* The groups of one exec or one view. Up to [max_linear_groups] live in
+   a small array probed linearly — queries rarely have more than a
+   handful of groups, and an int fingerprint compare beats hashing there;
+   past that every group moves to a table, keyed on the key cell when
+   the query groups by one column, and only the table is probed. Probes
    return [no_group] on a miss, so a row that finds its group allocates
    nothing. *)
 type groups = {
+  gt_single : bool; (* keyed on [gs_k1] *)
   gt_linear : gslot array;
   mutable gt_n : int;
   mutable gt_by_k1 : gslot Cell_tbl.t option;
   mutable gt_by_key : gslot Key_tbl.t option;
-  mutable gt_order : gslot list; (* reversed first-appearance order *)
 }
 
 let max_linear_groups = 8
+
+let new_groups ~single =
+  {
+    gt_single = single;
+    gt_linear = Array.make max_linear_groups no_group;
+    gt_n = 0;
+    gt_by_k1 = None;
+    gt_by_key = None;
+  }
 
 (* length + first/last chars of each key part: group keys usually share a
    long prefix (IPs, hostnames), so the last char discriminates where a
@@ -805,164 +830,197 @@ let find_key gt fp key =
   | Some h -> ( match Key_tbl.find h key with s -> s | exception Not_found -> no_group)
   | None -> probe_key gt.gt_linear gt.gt_n fp key 0
 
-let add_group gt ~single s =
-  (if gt.gt_n < max_linear_groups then begin
-     gt.gt_linear.(gt.gt_n) <- s;
-     gt.gt_n <- gt.gt_n + 1
-   end
-   else if single then begin
-     let h =
-       match gt.gt_by_k1 with
-       | Some h -> h
-       | None ->
-           let h = Cell_tbl.create 64 in
-           Array.iter (fun s -> Cell_tbl.replace h s.gs_k1 s) gt.gt_linear;
-           gt.gt_by_k1 <- Some h;
-           h
-     in
-     Cell_tbl.replace h s.gs_k1 s
-   end
-   else
-     let h =
-       match gt.gt_by_key with
-       | Some h -> h
-       | None ->
-           let h = Key_tbl.create 64 in
-           Array.iter (fun s -> Key_tbl.replace h s.gs_key s) gt.gt_linear;
-           gt.gt_by_key <- Some h;
-           h
-     in
-     Key_tbl.replace h s.gs_key s);
-  gt.gt_order <- s :: gt.gt_order
+let add_group gt s =
+  (match (gt.gt_by_k1, gt.gt_by_key) with
+  | None, None when gt.gt_n < max_linear_groups -> gt.gt_linear.(gt.gt_n) <- s
+  | None, None ->
+      (* the slots are full: every group moves to a table *)
+      if gt.gt_single then begin
+        let h = Cell_tbl.create 64 in
+        Array.iter (fun s -> Cell_tbl.replace h s.gs_k1 s) gt.gt_linear;
+        Cell_tbl.replace h s.gs_k1 s;
+        gt.gt_by_k1 <- Some h
+      end
+      else begin
+        let h = Key_tbl.create 64 in
+        Array.iter (fun s -> Key_tbl.replace h s.gs_key s) gt.gt_linear;
+        Key_tbl.replace h s.gs_key s;
+        gt.gt_by_key <- Some h
+      end;
+      Array.fill gt.gt_linear 0 max_linear_groups no_group
+  | Some h, _ -> Cell_tbl.replace h s.gs_k1 s
+  | None, Some h -> Key_tbl.replace h s.gs_key s);
+  gt.gt_n <- gt.gt_n + 1
+
+(* a view's group whose last live row left *)
+let remove_group gt s =
+  (match (gt.gt_by_k1, gt.gt_by_key) with
+  | Some h, _ -> Cell_tbl.remove h s.gs_k1
+  | None, Some h -> Key_tbl.remove h s.gs_key
+  | None, None ->
+      let last = gt.gt_n - 1 in
+      let i = ref 0 in
+      while gt.gt_linear.(!i) != s do
+        incr i
+      done;
+      gt.gt_linear.(!i) <- gt.gt_linear.(last);
+      gt.gt_linear.(last) <- no_group);
+  gt.gt_n <- gt.gt_n - 1
+
+let clear_groups gt =
+  Array.fill gt.gt_linear 0 max_linear_groups no_group;
+  gt.gt_n <- 0;
+  gt.gt_by_k1 <- None;
+  gt.gt_by_key <- None
+
+let group_list gt =
+  match (gt.gt_by_k1, gt.gt_by_key) with
+  | Some h, _ -> Cell_tbl.fold (fun _ s acc -> s :: acc) h []
+  | None, Some h -> Key_tbl.fold (fun _ s acc -> s :: acc) h []
+  | None, None -> Array.to_list (Array.sub gt.gt_linear 0 gt.gt_n)
+
+let fresh_states g = Array.map2 s_fresh g.g_aggs g.g_arg_cols
 
 let apply_states states row =
   for i = 0 to Array.length states - 1 do
     s_apply (Array.unsafe_get states i) row
   done
 
-(* the synthetic empty global group has no row to read a column from: a
-   HAVING column fails as the reference's read of an empty row does *)
-let no_row_column () = invalid_arg "index out of bounds"
+let rec retract_states states row i =
+  i >= Array.length states
+  || (s_retract (Array.unsafe_get states i) row && retract_states states row (i + 1))
 
-(* Whether [row] holds, at each key column, the very cell [rep] holds
-   there. Cells are immutable and a key is a function of its columns'
-   cells, so [==] can only confirm an equal key; it never compares
-   text. *)
+(* Key cells at one position compare by value when they are not the very
+   same cell: a key is a function of its columns' cells, so equal cells
+   ([cell_eq]: the same constructor and payload; never a real) can only
+   confirm an equal key, and never render text. *)
+let same_cell a b = a == b || cell_eq a b
+
 let rec same_key_cells cols row rep i =
   i >= Array.length cols
   ||
   let c = Array.unsafe_get cols i in
-  row.(c) == Array.unsafe_get rep c && same_key_cells cols row rep (i + 1)
+  same_cell row.(c) (Array.unsafe_get rep c) && same_key_cells cols row rep (i + 1)
 
-(* Each row is folded into its group's aggregates as it is scanned. A
-   router writes one row per station in turn, each pointing at the
-   station's one address cell, so the group of a row is usually the
-   group that followed the previous row's group last time: each group
-   keeps that successor as a hint, and a row whose key cells are
-   physically the hint's takes the hint without a fingerprint, a hash
-   or a string compare. A miss (a fresh cell, a new order, a new group)
-   probes as before and moves the hint. The hints live in this
-   execution's groups only. *)
-let exec_grouped t g ~now =
-  let gt =
-    {
-      gt_linear = Array.make max_linear_groups no_group;
-      gt_n = 0;
-      gt_by_k1 = None;
-      gt_by_key = None;
-      gt_order = [];
-    }
+(* the group a probe found, or a new one when it found none; either way
+   [prev]'s hint moves to it *)
+let found t gt g ~created prev row ~fp ~k1 ~key s =
+  let s =
+    if s != no_group then s
+    else begin
+      let s =
+        {
+          no_group with
+          gs_fp = fp;
+          gs_k1 = k1;
+          gs_key = key;
+          gs_rep = row;
+          gs_rep_ts = t.p_cell.ts;
+          gs_states = fresh_states g;
+        }
+      in
+      add_group gt s;
+      created s;
+      s
+    end
   in
-  let cell = t.p_cell in
-  let single = g.g_key1 <> None in
-  let fresh_states () = Array.map2 s_fresh g.g_aggs g.g_arg_cols in
-  let new_group ~fp ~k1 ~key row =
-    let s =
-      {
-        gs_fp = fp;
-        gs_k1 = k1;
-        gs_key = key;
-        gs_rep = row;
-        gs_rep_ts = cell.ts;
-        gs_states = fresh_states ();
-        gs_next = no_group;
-      }
-    in
-    add_group gt ~single s;
-    s
-  in
-  (* the row's group after a missed hint; [prev] is the previous row's *)
-  let missed prev s =
-    if prev != no_group then prev.gs_next <- s;
-    s
-  in
-  let hinted, cols =
-    match g.g_key_cols with Some cols -> (true, cols) | None -> (false, [||])
-  in
-  (match g.g_key1 with
+  if prev != no_group then prev.gs_next <- s;
+  s
+
+(* a stale view group takes the row too: its re-fold starts afresh *)
+let[@inline] fold s row =
+  s.gs_rows <- s.gs_rows + 1;
+  apply_states s.gs_states row;
+  s
+
+(* A grouped scan's step: finds [row]'s group, given the previous row's
+   group [prev], and folds the row into it. A router writes one row per
+   station in turn, each pointing at the station's one address cell, so
+   the group of a row is usually the group that followed the previous
+   row's group last time: each group keeps that successor as a hint, and
+   a row whose key cells are the hint's ([same_cell]: a router's port
+   numbers are fresh cells) takes it without a fingerprint, a hash or a
+   key list. A miss probes the store, adds a new group (passed to
+   [created]) and moves [prev]'s hint; a multi-column key builds its key
+   list only then. A group out of its view's store ([gs_rows] = 0, as
+   [no_group]) is never taken from a hint. A single-table [GROUP BY ts]
+   (not in the row) always probes. The step ignores its third argument,
+   so a scan hands it to the table's fold as it is. *)
+let group_step t gt g ~created =
+  match g.g_key1 with
   | Some kf ->
-      let c = if hinted then cols.(0) else 0 in
-      ignore
-        (fold_rows t ~now ~init:no_group ~f:(fun prev row _ ->
-             let hint = prev.gs_next in
-             let s =
-               if hinted && hint != no_group && row.(c) == Array.unsafe_get hint.gs_rep c then hint
-               else begin
-                 let k = kf row in
-                 let fp = cell_fp 0 k in
-                 let s = find_k1 gt fp k in
-                 missed prev (if s == no_group then new_group ~fp ~k1:k ~key:[] row else s)
-               end
-             in
-             apply_states s.gs_states row;
-             s))
+      let c = match g.g_key_cols with Some cols -> cols.(0) | None -> -1 in
+      fun prev row _ ->
+        let hint = prev.gs_next in
+        if c >= 0 && hint.gs_rows > 0 && same_cell row.(c) (Array.unsafe_get hint.gs_rep c) then
+          fold hint row
+        else
+          let k = kf row in
+          let fp = cell_fp 0 k in
+          fold (found t gt g ~created prev row ~fp ~k1:k ~key:[] (find_k1 gt fp k)) row
   | None ->
-      ignore
-        (fold_rows t ~now ~init:no_group ~f:(fun prev row _ ->
-             let hint = prev.gs_next in
-             let s =
-               if hinted && hint != no_group && same_key_cells cols row hint.gs_rep 0 then hint
-               else begin
-                 let key = g.g_key row in
-                 let fp = key_fp key in
-                 let s = find_key gt fp key in
-                 missed prev
-                   (if s == no_group then new_group ~fp ~k1:no_group.gs_k1 ~key row else s)
-               end
-             in
-             apply_states s.gs_states row;
-             s)));
-  let groups =
-    if g.g_no_group_by && gt.gt_order = [] then
-      [ { no_group with gs_states = fresh_states () } ]
-    else List.rev gt.gt_order
+      let hinted, cols =
+        match g.g_key_cols with Some cols -> (true, cols) | None -> (false, [||])
+      in
+      fun prev row _ ->
+        let hint = prev.gs_next in
+        if hinted && hint.gs_rows > 0 && same_key_cells cols row hint.gs_rep 0 then fold hint row
+        else
+          let key = g.g_key row in
+          let fp = key_fp key in
+          fold (found t gt g ~created prev row ~fp ~k1:no_group.gs_k1 ~key (find_key gt fp key)) row
+
+(* the synthetic empty global group has no row to read a column from: a
+   HAVING column fails as the reference's read of an empty row does *)
+let no_row_column () = invalid_arg "index out of bounds"
+
+(* HAVING and the projection over [groups], in output order. [rep s] is
+   the row group [s] projects, with its timestamp put in the stamp cell.
+   A query with no GROUP BY over no rows answers its aggregates over
+   zero rows, as the reference does. *)
+let output_groups t g groups ~rep =
+  let cell = t.p_cell in
+  let output s row =
+    let passes =
+      match g.g_having with
+      | None -> true
+      | Some h ->
+          let subject =
+            match h.h_subject with
+            | H_agg i -> s_finalize s.gs_states.(i)
+            | H_col _ when Array.length row = 0 -> no_row_column ()
+            | H_col f -> f row
+          in
+          compare_having h.h_op subject h.h_lit
+    in
+    if not passes then None
+    else
+      Some
+        (List.map
+           (function
+             | O_expr f ->
+                 if Array.length row = 0 then fail "cannot project a column from zero rows";
+                 f row
+             | O_agg i -> s_finalize s.gs_states.(i))
+           g.g_outs)
   in
-  let group_passes s =
-    match g.g_having with
-    | None -> true
-    | Some h ->
-        let subject =
-          match h.h_subject with
-          | H_agg i -> s_finalize s.gs_states.(i)
-          | H_col _ when Array.length s.gs_rep = 0 -> no_row_column ()
-          | H_col f -> f s.gs_rep
-        in
-        compare_having h.h_op subject h.h_lit
-  in
-  List.filter_map
-    (fun s ->
+  if g.g_no_group_by && groups = [] then begin
+    cell.ts <- 0.;
+    Option.to_list (output { no_group with gs_states = fresh_states g } [||])
+  end
+  else List.filter_map (fun s -> output s (rep s)) groups
+
+(* Each row is folded into its group's aggregates as it is scanned; the
+   hints live in this execution's groups only. *)
+let exec_grouped t g ~now =
+  let gt = new_groups ~single:(g.g_key1 <> None) in
+  let order = ref [] in
+  let step = group_step t gt g ~created:(fun s -> order := s :: !order) in
+  ignore (fold_rows t ~now ~init:no_group ~f:step);
+  let cell = t.p_cell in
+  output_groups t g (List.rev !order) ~rep:(fun s ->
       cell.ts <- s.gs_rep_ts;
-      if not (group_passes s) then None
-      else
-        Some
-          (List.map
-             (function
-               | O_expr f ->
-                   if Array.length s.gs_rep = 0 then fail "cannot project a column from zero rows";
-                   f s.gs_rep
-               | O_agg i -> s_finalize s.gs_states.(i))
-             g.g_outs))
-    groups
+      s.gs_rep)
 
 let exec t ~now =
   try
@@ -985,366 +1043,164 @@ let exec t ~now =
 type plan = t
 
 module Inc = struct
-  (* A standing query folded over the insert stream: each insert applies
-     a delta; rows apply a retraction when they exit the window (time
-     expiry, ROWS overflow, or ring-capacity eviction — timestamps are
-     monotone, so rows always exit oldest-first; [NOW] windows reset
-     wholesale when a newer batch starts). A clean view answers from its
-     cached result in O(1); k inserts cost O(k) regardless of how many
-     subscriptions share the view.
+  (* A standing query folded over the insert stream by the one-shot
+     engine. The view keeps its window as a ring of the stored rows the
+     insert hook hands it (no copy), with their timestamps and groups,
+     and keeps its groups in the store a scan uses, hints included. Each
+     insert is folded into its group by [s_apply], as a scan folds it.
+     Rows leave the window oldest-first (time expiry, ROWS overflow,
+     ring-capacity eviction: timestamps are monotone; a [NOW] window
+     resets wholesale when a newer batch starts). A leaving row is taken
+     back by [s_retract] when that is exact; otherwise its group goes
+     stale, and the group's live rows are re-folded in window order when
+     its result is next assembled. A group whose last live row leaves
+     leaves the store. So each group holds what the scan of the same
+     window would fold into it, and the view answers what the scan does.
+     A clean view answers from its cached result.
 
-     Error semantics mirror the interpreter's phases: scan-phase errors
-     (WHERE, scalar projection) poison the whole window for as long as
-     the offending row is inside it; aggregate-argument errors are held
-     per group per aggregate and only surface if that group survives
-     HAVING — exactly when the reference [eval_agg] would have raised. *)
-
-  let value_class = function
-    | Value.Int _ | Value.Real _ | Value.Ts _ -> 0
-    | Value.Str _ -> 1
-    | Value.Bool _ -> 2
-
-  let class_name = function 0 -> "integer" | 1 -> "varchar" | _ -> "boolean"
-
-  (* total order across classes so the min/max multiset never raises;
-     incomparable windows are detected via the per-class counts *)
-  let cross_compare a b =
-    let ca = value_class a and cb = value_class b in
-    if ca <> cb then compare ca cb else Value.compare_values a b
-
-  module VM = Map.Make (struct
-    type t = Value.t
-
-    let compare = cross_compare
-  end)
-
-  type minmax_state = {
-    mutable vals : int VM.t;
-    classes : int array;
-    is_min : bool;
-    mm_errs : string Queue.t;
-  }
-
-  (* SUM/AVG over the window. A float total kept by adding and
-     subtracting contributions would drift from the scan's left-to-right
-     sum as soon as one rounds, so the running total is an integer:
-     while every live contribution is an integer of at most [small] and
-     their magnitudes add up to at most 2^53, every partial sum of them,
-     in any order, is exact, so the scan's float sum is [exact] itself.
-     Otherwise {!finalize} re-sums the group's live contributions in
-     window order, as the scan does. *)
-  type sum_state = {
-    mutable exact : int; (* sum of the live small contributions *)
-    mutable magnitude : int; (* sum of their absolute values *)
-    mutable inexact : int; (* live contributions that are not small integers *)
-    mutable sn : int; (* live contributions *)
-    avg : bool;
-    serrs : string Queue.t;
-  }
-
-  type agg_state =
-    | S_count of { mutable n : int }
-    | S_count_if of { mutable n : int; errs : string Queue.t }
-    | S_sum of sum_state
-    | S_minmax of minmax_state
-    | S_fail of string
-
-  type contrib = C_none | C_if of bool | C_num of float | C_val of Value.t | C_err
-
-  type entry = { e_seq : int; e_ts : float; e_row : Value.t array; e_kind : kind }
-
-  and kind =
-    | K_skip
-    | K_poison of string
-    | K_row of Value.t list
-    | K_group of group * contrib array
-
-  and group = { gr_key : key; gr_entries : entry Queue.t; gr_aggs : agg_state array }
+     Errors: a row whose WHERE raises poisons the window for as long as
+     it is inside it; a scalar plan projects its rows when the result is
+     assembled; an aggregate error seals its accumulator, as in a scan. *)
 
   type t = {
     i_plan : plan;
     i_table : Table.t;
-    i_buf : entry Queue.t;
-    i_poisons : (int * string) Queue.t;
-    i_groups : group Key_tbl.t;
+    i_groups : groups;
+    i_step : gslot -> Value.t array -> unit -> gslot;
+    mutable i_prev : gslot; (* the last grouped row's group: the next row tries its hint *)
+    (* the window: the row with sequence number [seq] sits at
+       [seq land (length - 1)], from [i_head] up to [i_seq] *)
+    mutable i_rows : Value.t array array;
+    mutable i_ts : Float.Array.t;
+    mutable i_group : gslot array;
+        (* the row's group; [skipped], [poisoned], or a scalar plan's
+           [no_group] *)
+    mutable i_next : int array; (* its group's next live row *)
+    mutable i_head : int;
     mutable i_seq : int;
+    i_poisons : string Queue.t; (* the poisoned rows' errors, oldest first *)
     mutable i_seen : int; (* Table.total_inserted at last processed insert *)
     mutable i_live : int; (* predicted ring length; divergence => resync *)
-    mutable i_newest : float;
     mutable i_dirty : bool;
     mutable i_resync : bool;
     mutable i_resyncs : int;
     mutable i_cached : (Query.result_set, string) result;
   }
 
+  let skipped = { no_group with gs_fp = 1 } (* WHERE false *)
+  let poisoned = { no_group with gs_fp = 2 } (* WHERE raised *)
   let table t = t.i_table
   let resyncs t = t.i_resyncs
+  let cap t = Table.capacity t.i_table
+  let live t = t.i_seq - t.i_head
+  let slot t seq = seq land (Array.length t.i_rows - 1)
 
-  (* -- aggregate state ---------------------------------------------- *)
+  let grow t =
+    let n = 2 * Array.length t.i_rows in
+    let rows = Array.make n [||]
+    and ts = Float.Array.make n 0.
+    and group = Array.make n no_group
+    and next = Array.make n 0 in
+    for seq = t.i_head to t.i_seq - 1 do
+      let i = slot t seq and j = seq land (n - 1) in
+      rows.(j) <- t.i_rows.(i);
+      Float.Array.set ts j (Float.Array.get t.i_ts i);
+      group.(j) <- t.i_group.(i);
+      next.(j) <- t.i_next.(i)
+    done;
+    t.i_rows <- rows;
+    t.i_ts <- ts;
+    t.i_group <- group;
+    t.i_next <- next
 
-  let fresh_state = function
-    | A_count -> S_count { n = 0 }
-    | A_count_if _ -> S_count_if { n = 0; errs = Queue.create () }
-    | (A_sum _ | A_avg _) as a ->
-        S_sum
-          {
-            exact = 0;
-            magnitude = 0;
-            inexact = 0;
-            sn = 0;
-            avg = (match a with A_avg _ -> true | _ -> false);
-            serrs = Queue.create ();
-          }
-    | A_min _ ->
-        S_minmax { vals = VM.empty; classes = [| 0; 0; 0 |]; is_min = true; mm_errs = Queue.create () }
-    | A_max _ ->
-        S_minmax { vals = VM.empty; classes = [| 0; 0; 0 |]; is_min = false; mm_errs = Queue.create () }
-    | A_invalid msg -> S_fail msg
-
-  let minmax_add s v =
-    s.vals <- VM.update v (function None -> Some 1 | Some n -> Some (n + 1)) s.vals;
-    let c = value_class v in
-    s.classes.(c) <- s.classes.(c) + 1
-
-  let minmax_remove s v =
-    (match VM.find_opt v s.vals with
-    | Some 1 -> s.vals <- VM.remove v s.vals
-    | Some n -> s.vals <- VM.add v (n - 1) s.vals
-    | None -> ());
-    let c = value_class v in
-    s.classes.(c) <- s.classes.(c) - 1
-
-  let small = 1 lsl 31
-  let exact_limit = 1 lsl 53
-  let is_small x = Float.is_integer x && Float.abs x <= float_of_int small
-
-  (* [sign] is 1 for an insert, -1 for a retraction *)
-  let sum_move s x sign =
-    s.sn <- s.sn + sign;
-    if is_small x then begin
-      let i = int_of_float x in
-      s.exact <- s.exact + (sign * i);
-      s.magnitude <- s.magnitude + (sign * abs i)
-    end
-    else s.inexact <- s.inexact + sign
-
-  let apply_insert spec st row : contrib =
-    match spec, st with
-    | A_count, S_count s ->
-        s.n <- s.n + 1;
-        C_none
-    | A_count_if f, S_count_if s -> (
-        match f row with
-        | Value.Bool false -> C_if false
-        | _ ->
-            s.n <- s.n + 1;
-            C_if true
-        | exception Plan_error msg ->
-            Queue.add msg s.errs;
-            C_err
-        | exception Invalid_argument msg ->
-            Queue.add msg s.errs;
-            C_err)
-    | (A_sum f | A_avg f), S_sum s -> (
-        let name = if s.avg then "AVG" else "SUM" in
-        match f row with
-        | v -> (
-            match Value.as_float v with
-            | Some x ->
-                sum_move s x 1;
-                C_num x
-            | None ->
-                Queue.add (Printf.sprintf "%s over non-numeric values" name) s.serrs;
-                C_err)
-        | exception Plan_error msg ->
-            Queue.add msg s.serrs;
-            C_err
-        | exception Invalid_argument msg ->
-            Queue.add msg s.serrs;
-            C_err)
-    | (A_min f | A_max f), S_minmax s -> (
-        match f row with
-        | v ->
-            minmax_add s v;
-            C_val v
-        | exception Plan_error msg ->
-            Queue.add msg s.mm_errs;
-            C_err
-        | exception Invalid_argument msg ->
-            Queue.add msg s.mm_errs;
-            C_err)
-    | A_invalid _, S_fail _ -> C_none
-    | _ -> C_none (* spec/state arrays are built in lockstep *)
-
-  let retract_contrib st c =
-    match st, c with
-    | S_count s, C_none -> s.n <- s.n - 1
-    | S_count_if s, C_if counted -> if counted then s.n <- s.n - 1
-    | S_count_if s, C_err -> ignore (Queue.pop s.errs)
-    | S_sum s, C_num x -> sum_move s x (-1)
-    | S_sum s, C_err -> ignore (Queue.pop s.serrs)
-    | S_minmax s, C_val v -> minmax_remove s v
-    | S_minmax s, C_err -> ignore (Queue.pop s.mm_errs)
-    | _ -> ()
-
-  (* aggregate [i]'s live contributions summed in window order, from
-     0., as the scan sums them *)
-  let resum entries i =
-    Queue.fold
-      (fun acc e ->
-        match e.e_kind with
-        | K_group (_, contribs) -> (
-            match contribs.(i) with C_num x -> acc +. x | _ -> acc)
-        | K_skip | K_poison _ | K_row _ -> acc)
-      0. entries
-
-  (* aggregate [i] of group [gr] *)
-  let finalize gr i =
-    match gr.gr_aggs.(i) with
-    | S_count s -> Value.Int s.n
-    | S_count_if s ->
-        if not (Queue.is_empty s.errs) then fail_str (Queue.peek s.errs);
-        Value.Int s.n
-    | S_sum s ->
-        if not (Queue.is_empty s.serrs) then fail_str (Queue.peek s.serrs);
-        let total =
-          if s.inexact = 0 && s.magnitude <= exact_limit then float_of_int s.exact
-          else resum gr.gr_entries i
-        in
-        if s.avg then
-          if s.sn = 0 then Value.Real 0. else Value.Real (total /. float_of_int s.sn)
-        else Value.Real total
-    | S_minmax s ->
-        if not (Queue.is_empty s.mm_errs) then fail_str (Queue.peek s.mm_errs);
-        if VM.is_empty s.vals then Value.Str ""
-        else begin
-          (* two value classes present in the window: the interpreter's
-             fold would have raised on the first incomparable pair *)
-          let present = List.filteri (fun c _ -> s.classes.(c) > 0) [ 0; 1; 2 ] in
-          (match present with
-          | a :: b :: _ -> fail "cannot compare %s with %s" (class_name a) (class_name b)
-          | _ -> ());
-          let v, _ = if s.is_min then VM.min_binding s.vals else VM.max_binding s.vals in
-          v
-        end
-    | S_fail msg -> fail_str msg
+  (* every group goes at once, so no hint is left leading to one *)
+  let reset_window t =
+    t.i_head <- t.i_seq;
+    Queue.clear t.i_poisons;
+    clear_groups t.i_groups;
+    t.i_prev <- no_group;
+    t.i_dirty <- true
 
   (* -- ingest / retract ---------------------------------------------- *)
 
   let retract_one t =
-    match Queue.take_opt t.i_buf with
-    | None -> ()
-    | Some e ->
-        t.i_dirty <- true;
-        (match e.e_kind with
-        | K_skip | K_row _ -> ()
-        | K_poison _ -> ignore (Queue.pop t.i_poisons)
-        | K_group (g, contribs) ->
-            ignore (Queue.pop g.gr_entries);
-            Array.iteri (fun i c -> retract_contrib g.gr_aggs.(i) c) contribs;
-            if Queue.is_empty g.gr_entries then Key_tbl.remove t.i_groups g.gr_key)
+    let seq = t.i_head in
+    let i = slot t seq in
+    let s = t.i_group.(i) and row = t.i_rows.(i) in
+    t.i_head <- seq + 1;
+    t.i_dirty <- true;
+    if s == poisoned then ignore (Queue.pop t.i_poisons)
+    else if s.gs_rows > 0 then begin
+      s.gs_rows <- s.gs_rows - 1;
+      if s.gs_rows = 0 then begin
+        remove_group t.i_groups s;
+        s.gs_next <- no_group;
+        if t.i_prev == s then t.i_prev <- no_group
+      end
+      else begin
+        s.gs_first <- t.i_next.(i);
+        if not s.gs_stale then begin
+          t.i_plan.p_cell.ts <- Float.Array.get t.i_ts i;
+          s.gs_stale <- not (retract_states s.gs_states row 0)
+        end
+      end
+    end
 
-  let retract_expired t ~cutoff =
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt t.i_buf with
-      | Some e when e.e_ts < cutoff -> retract_one t
-      | _ -> continue := false
+  (* rows a [RANGE range] window drops at [now]; the floats arrive boxed
+     and are subtracted here, so a call allocates nothing *)
+  let retract_expired t ~now ~range =
+    let cutoff = now -. range in
+    while live t > 0 && Float.Array.get t.i_ts (slot t t.i_head) < cutoff do
+      retract_one t
     done
 
-  let reset_window t =
-    Queue.clear t.i_buf;
-    Queue.clear t.i_poisons;
-    Key_tbl.reset t.i_groups;
-    t.i_dirty <- true
+  let classify t row seq =
+    let plan = t.i_plan in
+    match match plan.p_where with None -> true | Some pred -> pred row with
+    | false -> skipped
+    | exception (Plan_error msg | Invalid_argument msg) ->
+        Queue.add msg t.i_poisons;
+        poisoned
+    | true -> (
+        match plan.p_shape with
+        | P_scalar _ -> no_group
+        | P_grouped _ ->
+            let s = t.i_step t.i_prev row () in
+            t.i_prev <- s;
+            if s.gs_rows = 1 then s.gs_first <- seq else t.i_next.(slot t s.gs_last) <- seq;
+            s.gs_last <- seq;
+            s)
 
-  let where_check t row =
-    match t.i_plan.p_where with
-    | None -> `Pass
-    | Some pred -> (
-        match pred row with
-        | true -> `Pass
-        | false -> `Skip
-        | exception Plan_error msg -> `Poison msg
-        | exception Invalid_argument msg -> `Poison msg)
-
-  let classify t row =
-    match where_check t row with
-    | `Skip -> K_skip
-    | `Poison msg -> K_poison msg
-    | `Pass -> (
-        match t.i_plan.p_shape with
-        | P_scalar project -> (
-            match project row with
-            | out -> K_row out
-            | exception Plan_error msg -> K_poison msg
-            | exception Invalid_argument msg -> K_poison msg)
-        | P_grouped g ->
-            let key = g.g_key row in
-            let group =
-              match Key_tbl.find_opt t.i_groups key with
-              | Some gr -> gr
-              | None ->
-                  let gr =
-                    {
-                      gr_key = key;
-                      gr_entries = Queue.create ();
-                      gr_aggs = Array.map fresh_state g.g_aggs;
-                    }
-                  in
-                  Key_tbl.replace t.i_groups key gr;
-                  gr
-            in
-            let contribs =
-              Array.mapi (fun i spec -> apply_insert spec group.gr_aggs.(i) row) g.g_aggs
-            in
-            K_group (group, contribs))
-
-  let cap t = Table.capacity t.i_table
-
-  let ingest t (tu : Value.tuple) =
-    t.i_dirty <- true;
-    let ts = tu.Value.ts in
-    (match t.i_plan.p_window with
-    | Ast.W_now when (not (Queue.is_empty t.i_buf)) && ts > t.i_newest -> reset_window t
+  (* [row] is the stored row itself: immutable, so the view may keep it *)
+  let ingest t row ts =
+    let window = t.i_plan.p_window in
+    (match window with
+    | Ast.W_now when live t > 0 && ts > Float.Array.get t.i_ts (slot t (t.i_seq - 1)) ->
+        reset_window t
     | _ -> ());
-    t.i_newest <- ts;
-    (* the stored row itself: immutable, so the view may keep it *)
-    let row = tu.Value.values in
-    t.i_plan.p_cell.ts <- ts;
+    if live t = Array.length t.i_rows then grow t;
     let seq = t.i_seq in
+    let i = slot t seq in
     t.i_seq <- seq + 1;
-    let kind = classify t row in
-    let entry = { e_seq = seq; e_ts = ts; e_row = row; e_kind = kind } in
-    Queue.add entry t.i_buf;
-    (match kind with
-    | K_poison msg -> Queue.add (seq, msg) t.i_poisons
-    | K_group (g, _) -> Queue.add entry g.gr_entries
-    | K_skip | K_row _ -> ());
-    match t.i_plan.p_window with
-    | Ast.W_rows n ->
-        let keep = min (max 0 n) (cap t) in
-        while Queue.length t.i_buf > keep do
-          retract_one t
-        done
-    | Ast.W_range_sec s ->
-        retract_expired t ~cutoff:(ts -. s);
-        while Queue.length t.i_buf > cap t do
-          retract_one t
-        done
-    | Ast.W_all | Ast.W_now ->
-        while Queue.length t.i_buf > cap t do
-          retract_one t
-        done
+    t.i_dirty <- true;
+    t.i_rows.(i) <- row;
+    Float.Array.set t.i_ts i ts;
+    t.i_plan.p_cell.ts <- ts;
+    t.i_group.(i) <- classify t row seq;
+    (match window with Ast.W_range_sec range -> retract_expired t ~now:ts ~range | _ -> ());
+    let keep = match window with Ast.W_rows n -> Int.min (Int.max 0 n) (cap t) | _ -> cap t in
+    while live t > keep do
+      retract_one t
+    done
 
   let resync t =
     reset_window t;
-    t.i_newest <- neg_infinity;
     t.i_resync <- false;
     t.i_resyncs <- t.i_resyncs + 1;
     t.i_seen <- Table.total_inserted t.i_table;
     t.i_live <- Table.length t.i_table;
-    List.iter (fun tu -> ingest t tu) (Table.scan t.i_table)
+    Table.fold_window t.i_table `All ~init:() ~f:(fun () row p ->
+        ingest t row (Table.stamp t.i_table p))
 
   (* The table insert hook. A trigger chain can re-enter the table while
      an earlier row's hooks are still running, delivering tuples out of
@@ -1358,84 +1214,62 @@ module Inc = struct
       if total <> t.i_seen + 1 then t.i_resync <- true
       else begin
         t.i_seen <- total;
-        t.i_live <- min (t.i_live + 1) (cap t);
-        ingest t tu
+        t.i_live <- Int.min (t.i_live + 1) (cap t);
+        ingest t tu.Value.values tu.Value.ts
       end
     end
 
   (* -- assembly ------------------------------------------------------ *)
 
-  let front_seq g = (Queue.peek g.gr_entries).e_seq
-
-  let assemble_groups t (g : grouped) =
-    let groups = Key_tbl.fold (fun _ gr acc -> gr :: acc) t.i_groups [] in
-    let groups = List.sort (fun a b -> compare (front_seq a) (front_seq b)) groups in
-    let passes subject_of =
-      match g.g_having with
-      | None -> true
-      | Some h -> compare_having h.h_op (subject_of h.h_subject) h.h_lit
-    in
-    if g.g_no_group_by && groups = [] then begin
-      (* synthetic empty global group: aggregates over zero rows *)
-      let subject_of = function
-        | H_agg i -> empty_agg_value g.g_aggs.(i)
-        | H_col _ -> no_row_column ()
-      in
-      if not (passes subject_of) then []
-      else
-        [
-          List.map
-            (function
-              | O_expr _ -> fail "cannot project a column from zero rows"
-              | O_agg i -> empty_agg_value g.g_aggs.(i))
-            g.g_outs;
-        ]
-    end
-    else
-      List.filter_map
-        (fun gr ->
-          let first = Queue.peek gr.gr_entries in
-          let representative = first.e_row in
-          t.i_plan.p_cell.ts <- first.e_ts;
-          let subject_of = function
-            | H_agg i -> finalize gr i
-            | H_col f -> f representative
-          in
-          if not (passes subject_of) then None
-          else
-            Some
-              (List.map
-                 (function O_expr f -> f representative | O_agg i -> finalize gr i)
-                 g.g_outs))
-        groups
+  let refold t s =
+    Array.iter s_reset s.gs_states;
+    let seq = ref s.gs_first in
+    for _ = 1 to s.gs_rows do
+      let i = slot t !seq in
+      t.i_plan.p_cell.ts <- Float.Array.get t.i_ts i;
+      apply_states s.gs_states t.i_rows.(i);
+      seq := t.i_next.(i)
+    done;
+    s.gs_stale <- false
 
   let assemble t =
+    let plan = t.i_plan in
+    let cell = plan.p_cell in
     try
-      if not (Queue.is_empty t.i_poisons) then fail_str (snd (Queue.peek t.i_poisons));
+      if not (Queue.is_empty t.i_poisons) then fail_str (Queue.peek t.i_poisons);
       let out_rows =
-        match t.i_plan.p_shape with
-        | P_scalar _ ->
-            List.rev
-              (Queue.fold
-                 (fun acc e -> match e.e_kind with K_row out -> out :: acc | _ -> acc)
-                 [] t.i_buf)
-        | P_grouped g -> assemble_groups t g
+        match plan.p_shape with
+        | P_scalar project ->
+            let out = ref [] in
+            for seq = t.i_head to t.i_seq - 1 do
+              let i = slot t seq in
+              if t.i_group.(i) == no_group then begin
+                cell.ts <- Float.Array.get t.i_ts i;
+                out := project t.i_rows.(i) :: !out
+              end
+            done;
+            List.rev !out
+        | P_grouped g ->
+            let groups =
+              List.sort (fun a b -> Int.compare a.gs_first b.gs_first) (group_list t.i_groups)
+            in
+            List.iter (fun s -> if s.gs_stale then refold t s) groups;
+            output_groups plan g groups ~rep:(fun s ->
+                let i = slot t s.gs_first in
+                cell.ts <- Float.Array.get t.i_ts i;
+                t.i_rows.(i))
       in
-      let out_rows = apply_limit t.i_plan (apply_order t.i_plan out_rows) in
-      Ok { Query.columns = t.i_plan.p_columns; rows = out_rows }
+      let out_rows = apply_limit plan (apply_order plan out_rows) in
+      Ok { Query.columns = plan.p_columns; rows = out_rows }
     with
     | Plan_error msg -> Error msg
     | Invalid_argument msg -> Error msg
 
   let result t ~now =
-    if
-      (not t.i_resync)
-      && (Table.total_inserted t.i_table <> t.i_seen || Table.length t.i_table <> t.i_live)
-    then t.i_resync <- true;
-    if t.i_resync then resync t;
-    (match t.i_plan.p_window with
-    | Ast.W_range_sec s -> retract_expired t ~cutoff:(now -. s)
-    | _ -> ());
+    let tbl = t.i_table in
+    if t.i_resync || Table.total_inserted tbl <> t.i_seen || Table.length tbl <> t.i_live then
+      resync t;
+    (match t.i_plan.p_window with Ast.W_range_sec range -> retract_expired t ~now ~range | _ -> ());
     if t.i_dirty then begin
       t.i_cached <- assemble t;
       t.i_dirty <- false
@@ -1445,17 +1279,30 @@ module Inc = struct
   let create (plan : plan) =
     match plan.p_tables with
     | [ tbl ] ->
+        let groups, step =
+          match plan.p_shape with
+          | P_grouped g ->
+              let gt = new_groups ~single:(g.g_key1 <> None) in
+              (gt, group_step plan gt g ~created:ignore)
+          | P_scalar _ -> (new_groups ~single:false, fun _ _ () -> no_group)
+        in
+        let n = 16 in
         let t =
           {
             i_plan = plan;
             i_table = tbl;
-            i_buf = Queue.create ();
-            i_poisons = Queue.create ();
-            i_groups = Key_tbl.create 16;
+            i_groups = groups;
+            i_step = step;
+            i_prev = no_group;
+            i_rows = Array.make n [||];
+            i_ts = Float.Array.make n 0.;
+            i_group = Array.make n no_group;
+            i_next = Array.make n 0;
+            i_head = 0;
             i_seq = 0;
+            i_poisons = Queue.create ();
             i_seen = 0;
             i_live = 0;
-            i_newest = neg_infinity;
             i_dirty = true;
             i_resync = true;
             i_resyncs = -1; (* the seeding rebuild is not a resync *)

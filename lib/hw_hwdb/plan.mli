@@ -40,24 +40,19 @@ val exec : t -> now:float -> (Query.result_set, string) result
     different incomparable pair in "cannot compare ...". Both raise
     exactly when the interpreter raises. *)
 
-val select : t -> Ast.select
-val columns : t -> string list
-
-val single_table : t -> Table.t option
-(** The scanned table when the plan reads exactly one (no join) —
-    the precondition for incremental maintenance. *)
-
-(** Incrementally maintained standing queries: the plan folded over the
-    insert stream. Each insert applies an O(1) delta (amortized); rows
-    leaving the window (time expiry, ROWS overflow, ring-capacity
-    eviction) apply a retraction; [\[NOW\]] windows reset wholesale when
-    a newer batch starts. A SUM/AVG equals the one-shot scan's
-    left-to-right float sum bit for bit: its running total is exact
-    while the group's live contributions are small integers, and
-    otherwise the group's contributions are re-summed in window order
-    when its result is assembled. A view whose table saw no inserts answers from
-    its cached result without touching the window, so N idle
-    subscriptions sharing views cost O(new inserts), not
+(** Incrementally maintained standing queries: the one-shot engine run
+    over the insert stream. A view keeps its groups in the store a
+    one-shot scan uses and folds each insert into them with the same
+    accumulators, O(1) amortized. A row leaving the window (time expiry,
+    ROWS overflow, ring-capacity eviction) is taken back exactly where
+    the accumulator can (COUNT; SUM/AVG while the group's contributions
+    are small integers; MIN/MAX while the row is not the best), and
+    otherwise its group's live rows are re-folded in window order when
+    its result is next assembled; [\[NOW\]] windows reset wholesale when
+    a newer batch starts. So a view answers what {!exec} answers, a
+    real-valued SUM bit for bit. A view whose table saw no inserts
+    answers from its cached result without touching the window, so N
+    idle subscriptions sharing views cost O(new inserts), not
     O(N x window). *)
 module Inc : sig
   type plan := t
@@ -81,9 +76,9 @@ module Inc : sig
   val result : t -> now:float -> (Query.result_set, string) result
   (** The standing query's current answer: retracts rows that [now]
       pushed out of a RANGE window, then assembles (or returns the
-      cached result when nothing changed). Equal to the reference
-      interpreter's answer to [select plan] at [now], modulo the
-      eager-resolution difference documented above. *)
+      cached result when nothing changed). Equal to {!exec} of the plan
+      at [now]; only an error's message may differ, when the window
+      holds more than one failing row. *)
 
   val resyncs : t -> int
   (** Rebuild-from-scan events triggered by the safety valves (excludes

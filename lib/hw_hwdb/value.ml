@@ -90,10 +90,3 @@ let validate schema row =
     check 0 schema
 
 type tuple = { ts : float; values : t array }
-
-let column_index schema name =
-  let rec go i = function
-    | [] -> None
-    | (n, _) :: rest -> if String.equal n name then Some i else go (i + 1) rest
-  in
-  go 0 schema

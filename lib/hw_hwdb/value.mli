@@ -34,5 +34,3 @@ val validate : schema -> t array -> (unit, string) result
 
 type tuple = { ts : float; values : t array }
 (** A stored row: insertion timestamp plus the column values. *)
-
-val column_index : schema -> string -> int option

@@ -4,7 +4,11 @@
    what [Query_ref.exec] answers, on random tables, random queries and
    random insert/clock/clear streams; a trigger's [Plan.compile_row]
    expression must evaluate to what [Query_ref.eval_row] does, on random
-   rows.
+   rows. A view is the one-shot engine run over the stream: the same
+   group store and accumulators, which take a leaving row back where
+   that is exact and otherwise re-fold the group, so the streams check
+   both paths, and groups that leave the window entirely and come back
+   behind a successor hint that still leads to them.
 
    Generator ground rules, chosen so true equivalence is decidable:
    - only columns that exist (and, under a join, are unambiguous) are
@@ -14,15 +18,17 @@
      cell is one time in three a value no float holds exactly (0.1,
      3.3, ...), so a sum rounds: [Query_ref] folds [(+.)] in scan order,
      and both [Plan.exec] and an incremental view must reproduce that
-     fold bit for bit (a view that subtracted retractions from a float
-     total would not);
+     fold bit for bit (a view that subtracted every retraction from a
+     float total would not: it subtracts only while the group's
+     contributions are small integers, and re-folds otherwise);
    - SUM/AVG arguments stick to + - * (never raising on numerics);
      everything else (WHERE, projections, comparisons, HAVING) may
      divide, mix types and fail — both engines must then fail together;
    - string and boolean cells come mostly from a small pool of shared
-     cells, as a router's rows point at its one cell per address, so a
-     grouped scan's successor hints hit, and sometimes fresh, so they
-     miss (integer cells in -256..1023 are shared by [Table.insert]).
+     cells, as a router's rows point at its one cell per address, and
+     sometimes fresh, as RPC INSERTs write them, so a successor hint
+     matches key cells both as the very cells and by value (integer
+     cells in -256..1023 are shared by [Table.insert]).
 
    Results compare with [Value.equal] elementwise; errors compare by
    presence, not message, since window poisoning reports the oldest

@@ -436,6 +436,77 @@ let test_timer_survives_injected_crashes () =
   Alcotest.(check int) "crashes surfaced in the error counter" crashes
     (counter_value metrics "event_loop_timer_errors_total")
 
+(* --- standing views equal recomputation inside a live router --------- *)
+
+(* perfbench's four UI views, plus a MIN/AVG/COUNT Links view, over a
+   whole home whose hwdb rings hold 64 rows, so every ring wraps and
+   every window loses rows to eviction as well as to expiry. Each
+   delivery must be what a one-shot query of the same text answers at
+   the same instant, reals compared by their bits. *)
+let ui_views =
+  [
+    "SELECT src_ip, dst_ip, proto, src_port, dst_port, SUM(bytes) AS bytes FROM Flows [RANGE 10 \
+     SECONDS] GROUP BY src_ip, dst_ip, proto, src_port, dst_port";
+    "SELECT SUM(bytes) AS b FROM Flows [RANGE 5 SECONDS]";
+    "SELECT mac, MAX(retries) AS r, MAX(packets) AS p FROM Links [ROWS 64] GROUP BY mac";
+    "SELECT mac, ip, hostname, action FROM Leases [RANGE 60 SECONDS]";
+    "SELECT mac, MIN(rssi) AS lo, AVG(rssi) AS mean, COUNT(*) AS n FROM Links [RANGE 30 SECONDS] \
+     GROUP BY mac";
+  ]
+
+let same_cell a b =
+  match (a, b) with
+  | Value.Real x, Value.Real y | Value.Ts x, Value.Ts y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int x, Value.Int y -> Int.equal x y
+  | Value.Str x, Value.Str y -> String.equal x y
+  | Value.Bool x, Value.Bool y -> Bool.equal x y
+  | _ -> false
+
+let same_rows a b =
+  List.equal (fun r1 r2 -> List.equal same_cell r1 r2) a.Query.rows b.Query.rows
+  && List.equal String.equal a.Query.columns b.Query.columns
+
+let test_live_views_equal_queries () =
+  let config = Router.config ~hwdb_capacity:64 () in
+  let home = Home.create ~seed ~config () in
+  let open Hw_sim in
+  List.iter
+    (fun c -> ignore (Home.add_device home c))
+    [
+      Device.wireless ~distance_m:4. ~name:"laptop" ~mac:(Mac.local 1)
+        [ App_profile.web; App_profile.https; App_profile.video ];
+      Device.wireless ~distance_m:9. ~name:"tablet" ~mac:(Mac.local 2)
+        [ App_profile.web; App_profile.video ];
+      Device.wired ~name:"console" ~mac:(Mac.local 3) [ App_profile.p2p ];
+      Device.wireless ~distance_m:6. ~name:"phone" ~mac:(Mac.local 4)
+        [ App_profile.web; App_profile.voip ];
+      Device.wired ~name:"tv" ~mac:(Mac.local 5) [ App_profile.video ];
+      Device.wireless ~distance_m:12. ~name:"sensor" ~mac:(Mac.local 6)
+        [ App_profile.iot_telemetry ];
+    ];
+  Home.permit_all home;
+  let db = Router.db (Home.router home) in
+  let checks = ref 0 and rows = ref 0 and differing = ref [] in
+  List.iter
+    (fun text ->
+      let query = match Parser.parse_select text with Ok q -> q | Error e -> Alcotest.fail e in
+      ignore
+        (Database.subscribe db ~query ~period:1. ~callback:(fun delivered ->
+             incr checks;
+             rows := !rows + List.length delivered.Query.rows;
+             match Database.query db text with
+             | Ok fresh when same_rows delivered fresh -> ()
+             | Ok _ | Error _ ->
+                 differing := Printf.sprintf "%s at %.3f" text (Home.now home) :: !differing)))
+    ui_views;
+  Home.run_for home 600.;
+  let msg m = Printf.sprintf "seed %d: %s" seed m in
+  Alcotest.(check (list string)) (msg "deliveries that differ from a fresh query") []
+    (List.rev !differing);
+  Alcotest.(check bool) (msg "every view delivered every second") true (!checks >= 5 * 595);
+  Alcotest.(check bool) (msg "the views held rows") true (!rows > 0)
+
 (* --- compiled plans stay pinned to the interpreter on every seed ----- *)
 
 let test_plan_differential_seeded () = Plan_diff.check_seeded ~seed ~count:300
@@ -464,6 +535,8 @@ let () =
           Alcotest.test_case "disk-fault crash recovery" `Slow
             test_disk_fault_crash_recovery;
           Alcotest.test_case "channel partition recovery" `Slow test_channel_partition_recovery;
+          Alcotest.test_case "live views equal fresh queries" `Slow
+            test_live_views_equal_queries;
         ] );
       ( "timers",
         [

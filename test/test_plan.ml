@@ -282,26 +282,13 @@ let test_group_key_near_equal_reals () =
   Database.tick db;
   Alcotest.(check (list (list string))) "incremental view" expected (last results)
 
-(* perfbench's Fig. 1 view groups Flows by five columns, three of them
-   integers. Each insert it sees must key its group without rendering a
-   cell as text: 62 words per row here, 72 when every key cell went
-   through [Value.to_string]. *)
-let test_group_key_builds_no_string () =
-  let db, now = mkdb () in
-  exec db
-    "CREATE TABLE Flows (proto INTEGER, src_ip VARCHAR, dst_ip VARCHAR, src_port INTEGER, \
-     dst_port INTEGER, packets INTEGER, bytes INTEGER)";
-  let tbl = Option.get (Database.table db "Flows") in
-  let plan =
-    match
-      Plan.prepare ~lookup:(Database.table db)
-        (sel_of
-           "SELECT src_ip, dst_ip, proto, src_port, dst_port, SUM(bytes) AS bytes FROM Flows \
-            [RANGE 10 SECONDS] GROUP BY src_ip, dst_ip, proto, src_port, dst_port")
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
+(* Minor words [Plan.Inc.observe] allocates per row of [rows], which
+   [text]'s view over [tbl] sees one every 50 ms, counted over the second
+   half, once the first has filled the window and made every group. The
+   view must then still answer what the one-shot plan answers. *)
+let observed_words_per_row tbl text rows =
+  let lookup name = if String.equal name (Table.name tbl) then Some tbl else None in
+  let plan = match Plan.prepare ~lookup (sel_of text) with Ok p -> p | Error e -> Alcotest.fail e in
   let inc = Option.get (Plan.Inc.create plan) in
   let words = Float.Array.make 1 0. in
   let counting = ref false in
@@ -311,10 +298,40 @@ let test_group_key_builds_no_string () =
          Plan.Inc.observe inc tu;
          let w1 = Gc.minor_words () in
          if !counting then Float.Array.set words 0 (Float.Array.get words 0 +. (w1 -. w0))));
+  let n = Array.length rows in
+  let now i = 100. +. (float_of_int i *. 0.05) in
+  let feed lo hi =
+    for i = lo to hi - 1 do
+      match Table.insert_row tbl ~now:(now i) rows.(i) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+    done
+  in
+  feed 0 (n / 2);
+  counting := true;
+  feed (n / 2) n;
+  let answer r = match r with Ok rs -> rs.Query.rows | Error e -> Alcotest.fail e in
+  Alcotest.(check (list (list string)))
+    "the view answers what the plan answers"
+    (List.map (List.map Value.to_string) (answer (Plan.exec plan ~now:(now n))))
+    (List.map (List.map Value.to_string) (answer (Plan.Inc.result inc ~now:(now n))));
+  Float.Array.get words 0 /. float_of_int (n - (n / 2))
+
+let fig1_view =
+  "SELECT src_ip, dst_ip, proto, src_port, dst_port, SUM(bytes) AS bytes FROM Flows [RANGE 10 \
+   SECONDS] GROUP BY src_ip, dst_ip, proto, src_port, dst_port"
+
+(* perfbench's Fig. 1 view groups Flows by five columns. Over rows whose
+   every cell is fresh, as RPC INSERTs write them, a row finds its group
+   through the successor hint, which compares the cells by value, so an
+   observed row builds no key list and renders no text: it allocates
+   nothing (a key list per row reads 58 words). *)
+let test_group_key_builds_no_string () =
+  let tbl = Table.create ~name:"Flows" ~capacity:4096 Database.flows_schema in
   let rows =
     Array.init 2000 (fun i ->
         Value.
-          [
+          [|
             Int 17;
             Str ("10.0.0." ^ string_of_int (i mod 20));
             Str "93.184.216.34";
@@ -322,22 +339,55 @@ let test_group_key_builds_no_string () =
             Int 443;
             Int 1;
             Int 100;
-          ])
+          |])
   in
-  let feed lo hi =
-    for i = lo to hi - 1 do
-      now := 100. +. (float_of_int i *. 0.05);
-      insert_rows tbl ~now:!now [ rows.(i) ]
-    done
-  in
-  (* the first 1,000 fill the 10 s window and create all 20 groups *)
-  feed 0 1000;
-  counting := true;
-  feed 1000 2000;
-  let per_row = Float.Array.get words 0 /. 1000. in
+  let per_row = observed_words_per_row tbl fig1_view rows in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per observed row <= 64" per_row)
-    true (per_row <= 64.)
+    (Printf.sprintf "%.1f words per observed row < 1" per_row)
+    true (per_row < 1.)
+
+(* The same view over rows shaped as the router writes them
+   ([Database.record_flow]): one cell per station address, and a fresh
+   [Int] per row for the ephemeral port, which [Table] does not share
+   (it shares only -256..1023). A hint that compared key cells only
+   physically would miss on every row. *)
+let test_fig1_view_router_rows () =
+  let tbl = Table.create ~name:"Flows" ~capacity:4096 Database.flows_schema in
+  let stations = Array.init 20 (fun i -> Value.Str ("10.0.0." ^ string_of_int i)) in
+  let server = Value.Str "93.184.216.34" in
+  let rows =
+    Array.init 2000 (fun i ->
+        Value.
+          [|
+            Int 6;
+            stations.(i mod 20);
+            server;
+            Int (49152 + (i mod 20));
+            Int 443;
+            Int (1 + (i mod 7));
+            Int (1500 * (1 + (i mod 7)));
+          |])
+  in
+  let per_row = observed_words_per_row tbl fig1_view rows in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per observed row <= 16" per_row) true
+    (per_row <= 16.)
+
+(* Fig. 2's Links view keeps two MAX over the last 64 rows: every insert
+   evicts a row, and a row that held its group's best leaves the group
+   stale, to be re-folded at the next read. *)
+let test_two_max_rows_view_evicts () =
+  let tbl = Table.create ~name:"Links" ~capacity:4096 Database.links_schema in
+  let macs = Array.init 16 (fun i -> Value.Str (Printf.sprintf "02:00:00:00:00:%02x" i)) in
+  let rows =
+    Array.init 2000 (fun i ->
+        Value.[| macs.(i mod 16); Int (-40 - (i mod 30)); Int (i mod 7); Int (i mod 1000) |])
+  in
+  let per_row =
+    observed_words_per_row tbl
+      "SELECT mac, MAX(retries) AS r, MAX(packets) AS p FROM Links [ROWS 64] GROUP BY mac" rows
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per observed row <= 16" per_row) true
+    (per_row <= 16.)
 
 (* A standing SUM over a real column answers exactly what the one-shot
    query answers at every tick. A float total that adds each insert and
@@ -363,6 +413,53 @@ let test_inc_real_sum_equals_recomputation () =
     if List.map bits view <> List.map bits (rows db text) then differing := i :: !differing
   done;
   Alcotest.(check (list int)) "ticks where the view differs from the query" [] (List.rev !differing)
+
+(* A view's groups outlive a scan. A group whose last row leaves the
+   window leaves the store, and a hint that still leads to it must not
+   take a returning row there: here group g's hint is r (r's row came
+   right after g's) when r's one row expires, and the row after g's next
+   one carries r's very key cell. *)
+let test_view_hint_to_departed_group () =
+  let schema = [ ("k", Value.T_str); ("n", Value.T_int); ("v", Value.T_int) ] in
+  let g = Value.Str "g" and r = Value.Str "r" in
+  List.iter
+    (fun text ->
+      let tbl = Table.create ~name:"T" ~capacity:64 schema in
+      let lookup name = if String.equal name "T" then Some tbl else None in
+      let sel = sel_of text in
+      let plan = match Plan.prepare ~lookup sel with Ok p -> p | Error e -> Alcotest.fail e in
+      let inc = Option.get (Plan.Inc.create plan) in
+      ignore (Table.add_hook tbl (fun tu -> Plan.Inc.observe inc tu));
+      let insert now k v =
+        match Table.insert_row tbl ~now [| k; Value.Int 1; Value.Int v |] with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e
+      in
+      let check now =
+        let answer = function
+          | Ok rs -> List.map (List.map Value.to_string) rs.Query.rows
+          | Error e -> Alcotest.fail e
+        in
+        Alcotest.(check (list (list string)))
+          (Printf.sprintf "%s at %g" text now)
+          (answer (Query_ref.exec ~lookup ~now sel))
+          (answer (Plan.Inc.result inc ~now))
+      in
+      insert 100. g 1;
+      insert 100.5 r 2;
+      insert 102.2 g 3;
+      check 102.2;
+      check 102.6 (* r's only row has left: r leaves the store *);
+      insert 102.7 r 4;
+      check 102.7;
+      insert 102.8 g 5;
+      insert 102.9 r 6;
+      check 103.;
+      check 105.)
+    [
+      "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM T [RANGE 2 SECONDS] GROUP BY k";
+      "SELECT k, n, COUNT(*) AS c, MAX(v) AS m FROM T [RANGE 2 SECONDS] GROUP BY k, n";
+    ]
 
 (* -- grouped scan ------------------------------------------------------ *)
 
@@ -449,8 +546,13 @@ let () =
           Alcotest.test_case "GROUP BY near-equal reals" `Quick test_group_key_near_equal_reals;
           Alcotest.test_case "GROUP BY key builds no string" `Quick
             test_group_key_builds_no_string;
+          Alcotest.test_case "Fig. 1 view over router rows" `Quick test_fig1_view_router_rows;
+          Alcotest.test_case "two-MAX ROWS view with evictions" `Quick
+            test_two_max_rows_view_evicts;
           Alcotest.test_case "real SUM equals recomputation bit for bit" `Quick
             test_inc_real_sum_equals_recomputation;
+          Alcotest.test_case "hint to a group that left the window" `Quick
+            test_view_hint_to_departed_group;
         ] );
       ( "grouped scan",
         [
